@@ -187,18 +187,20 @@ def leapfrog_map(grad_potential: Callable[[float, np.ndarray], np.ndarray], dt: 
 
 
 def jacobian_determinant_check(u: VolumePreservingMap, points: np.ndarray,
-                               eps: float = 1e-6) -> float:
-    """Worst |det DU - 1| over the points, by central finite differences."""
+                               eps: float = 1e-3) -> float:
+    """Worst |det DU - 1| over the points, by Richardson-extrapolated central differences.
+
+    Each column is (4 D(eps) - D(2 eps)) / 3, D(h) the central difference at step h:
+    O(eps^4) truncation and ulp |U| / eps rounding.  One vectorized call of the map.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    worst = 0.0
-    for x in points:
-        jac = np.empty((u.dim, u.dim))
-        for k in range(u.dim):
-            dx = np.zeros(u.dim)
-            dx[k] = eps
-            jac[:, k] = (u(x + dx) - u(x - dx)) / (2.0 * eps)
-        worst = max(worst, abs(float(np.linalg.det(jac)) - 1.0))
-    return worst
+    n, dim = points.shape
+    steps = np.array([eps, -eps, 2.0 * eps, -2.0 * eps])
+    shifted = points + (steps[:, None, None] * np.eye(dim))[:, :, None, :]  # (step, k, point, x)
+    image = np.asarray(u(shifted.reshape(-1, dim))).reshape(4, dim, n, dim)
+    d1, d2 = (image[0] - image[1]) / (2.0 * eps), (image[2] - image[3]) / (4.0 * eps)
+    jac = np.moveaxis((4.0 * d1 - d2) / 3.0, 0, -1)  # (point, out, in)
+    return float(np.abs(np.linalg.det(jac) - 1.0).max(initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -451,6 +451,19 @@ def _fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _cluster_levels(values: np.ndarray, weights: np.ndarray, tol: float, *columns: np.ndarray):
+    """Sort once, cut where gaps exceed ``tol``, reduce every level with reduceat: the
+    weighted mean value (plain mean if weightless), the weight sum, each extra column's sum."""
+    order = np.argsort(values)
+    v, w = values[order], weights[order]
+    starts = np.flatnonzero(np.diff(v, prepend=-np.inf) > tol)
+    sums = np.add.reduceat(w, starts)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        means = np.where(sums > 0, np.add.reduceat(v * w, starts) / sums,
+                         np.add.reduceat(v, starts) / np.diff(np.append(starts, v.size)))
+    return means, sums, [np.add.reduceat(c[order], starts) for c in columns]
+
+
 def group_levels(values, probs, tol: float = LEVEL_GROUPING_TOL) -> WorkDistribution:
     """Cluster raw (value, probability) pairs into a WorkDistribution.
 
@@ -461,16 +474,8 @@ def group_levels(values, probs, tol: float = LEVEL_GROUPING_TOL) -> WorkDistribu
     p = _as_float_array(probs, "probs", 1)
     if v.shape != p.shape:
         raise ValidationError("values and probs must have equal length")
-    order = np.argsort(v)
-    v, p = v[order], p[order]
-    boundaries = np.nonzero(np.diff(v) > tol)[0] + 1
-    groups = np.split(np.arange(v.size), boundaries)
-    lv, lp = [], []
-    for g in groups:
-        w = p[g].sum()
-        lv.append(float(np.average(v[g], weights=p[g]) if w > 0 else v[g].mean()))
-        lp.append(float(w))
-    return WorkDistribution(values=np.array(lv), probs=np.array(lp), grouping_tol=tol)
+    lv, lp, _ = _cluster_levels(v, p, tol)
+    return WorkDistribution(values=lv, probs=lp, grouping_tol=tol)
 
 
 @dataclass(frozen=True)
@@ -503,31 +508,12 @@ def crooks_check(model: JointModel, q, grouping_tol: float = LEVEL_GROUPING_TOL)
     recip = reciprocal_model(model, q)
     y = (model.d[:, None] / p[:, None]) * (q[None, :] / model.D[None, :])
     mask = model.p_table > 0.0
-    ys = y[mask]
-    ps = model.p_table[mask]
     # reciprocal table transposed back to (i, j) indexing for the same pairs
     rs = recip.p_table.T[mask]
-    order = np.argsort(ys)
-    ys, ps, rs = ys[order], ps[order], rs[order]
-    boundaries = np.nonzero(np.diff(ys) > grouping_tol)[0] + 1
-    groups = np.split(np.arange(ys.size), boundaries)
-    lv, lp, lr, le = [], [], [], []
-    for g in groups:
-        w = ps[g].sum()
-        yval = float(np.average(ys[g], weights=ps[g]) if w > 0 else ys[g].mean())
-        rsum = float(rs[g].sum())
-        lv.append(yval)
-        lp.append(float(w))
-        lr.append(rsum)
-        le.append(abs(w * yval - rsum))
-    dist = WorkDistribution(
-        values=np.array(lv),
-        probs=np.array(lp),
-        grouping_tol=grouping_tol,
-        reciprocal_probs=np.array(lr),
-        ratio_errors=np.array(le),
-    )
-    return CrooksReport(distribution=dist, j_equation_value=float(np.sum(np.array(lv) * np.array(lp))))
+    lv, lp, (lr,) = _cluster_levels(y[mask], model.p_table[mask], grouping_tol, rs)
+    dist = WorkDistribution(values=lv, probs=lp, grouping_tol=grouping_tol,
+                            reciprocal_probs=lr, ratio_errors=np.abs(lp * lv - lr))
+    return CrooksReport(distribution=dist, j_equation_value=float(np.sum(lv * lp)))
 
 
 @dataclass(frozen=True)

@@ -275,9 +275,7 @@ def ensemble_state(family: SpectralFamily, weight_fn: Callable[..., float]) -> E
         If a weight is negative/non-finite or the total weight underflows
         to zero (shift the spectra before exponentiating in that case).
     """
-    raw = np.empty(family.n_outcomes)
-    for a in range(family.n_outcomes):
-        raw[a] = float(weight_fn(*family.eigen_tuples[a]))
+    raw = np.array([float(weight_fn(*tup)) for tup in family.eigen_tuples])
     if not np.all(np.isfinite(raw)):
         k = int(np.flatnonzero(~np.isfinite(raw))[0])
         raise PreconditionError(f"weight at outcome {k} is not finite; rescale the weight function")
@@ -308,9 +306,9 @@ def luders_probabilities(rho: np.ndarray, family: SpectralFamily) -> np.ndarray:
 
 
 def luders_post_state(rho: np.ndarray, family: SpectralFamily) -> np.ndarray:
-    """Non-selective post-measurement state  sum_i P_i rho P_i."""
+    """Non-selective post-measurement state  sum_i P_i rho P_i: O(k dim^3), O(dim^2) extra."""
     rho = require_density(rho)
-    return np.einsum("aij,jk,akl->il", family.projections, rho, family.projections)
+    return sum(proj @ rho @ proj for proj in family.projections)
 
 
 def check_assumption2(rho: np.ndarray, family: SpectralFamily,
@@ -323,11 +321,8 @@ def check_assumption2(rho: np.ndarray, family: SpectralFamily,
     """
     rho = require_density(rho)
     p = luders_probabilities(rho, family)
-    worst = 0.0
-    for a in range(family.n_outcomes):
-        P = family.projections[a]
-        dev = float(np.abs(P @ rho @ P - (p[a] / family.degeneracies[a]) * P).max())
-        worst = max(worst, dev)
+    worst = max(float(np.abs(P @ rho @ P - (pa / da) * P).max())
+                for P, pa, da in zip(family.projections, p, family.degeneracies))
     return worst <= tol, worst
 
 
@@ -377,17 +372,28 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases[None, :]
 
 
+def _two_time_traces(u: np.ndarray, first: SpectralFamily, second: SpectralFamily) -> np.ndarray:
+    """Complex  t[i, j] = Tr(Q_j U P_i U*): per first outcome, two GEMMs and a GEMV
+    against the flattened Q stack; O(k1 dim^3 + k1 k2 dim^2) time, O(dim^2) extra memory."""
+    u_dag = u.conj().T
+    q_flat = second.projections.reshape(second.n_outcomes, -1)
+    t = np.empty((first.n_outcomes, second.n_outcomes), dtype=complex)
+    for i, proj in enumerate(first.projections):
+        t[i] = q_flat @ (u @ proj @ u_dag).T.ravel()
+    return t
+
+
 def physical_conditional(u: np.ndarray, first: SpectralFamily, second: SpectralFamily) -> np.ndarray:
     """Conditional  pi(j|i) = Tr(Q_j U P_i U*) / d(i)  of the two-time experiment.
 
     Row-stochastic for any unitary; modified doubly stochastic with the
     cell sizes d = Tr P, D = Tr Q (the trace identity sum_i U P_i U* = 1).
+    Costs O(k1 dim^3 + k1 k2 dim^2) and O(dim^2) extra memory.
     """
     u = require_unitary(u)
     if first.dim != u.shape[0] or second.dim != u.shape[0]:
         raise ValidationError("families and unitary must share one dimension")
-    moved = np.einsum("ab,ibc,dc->iad", u, first.projections, u.conj())
-    t = np.einsum("jab,iba->ij", second.projections, moved)
+    t = _two_time_traces(u, first, second)
     if float(np.abs(t.imag).max()) > 1e-10:
         raise ValidationError(f"conditional has imaginary part {np.abs(t.imag).max():.3e}")
     pi = t.real / first.degeneracies[:, None].astype(float)
@@ -402,11 +408,15 @@ def povm_elements(u: np.ndarray, first: SpectralFamily, second: SpectralFamily,
     identity (enforced within ``completeness_tol`` unless None); together
     they reproduce the joint probabilities via p(i, j) = Tr(rho F(i, j))
     whenever the initial state satisfies the cell-uniformity assumption
-    checked by :func:`check_assumption2`.
+    checked by :func:`check_assumption2`.  Costs O(k1 k2 dim^3); beyond
+    the (k1, k2, dim, dim) result, one (k2, dim, dim) stack and two
+    dim x dim matrices are live at a time.
     """
     u = require_unitary(u)
-    back = np.einsum("ba,jbc,cd->jad", u.conj(), second.projections, u)
-    f = np.einsum("iab,jbc,icd->ijad", first.projections, back, first.projections)
+    f = np.empty((first.n_outcomes, second.n_outcomes, u.shape[0], u.shape[0]), dtype=complex)
+    for i, proj in enumerate(first.projections):
+        moved = u @ proj  # F(i, j) = (U P_i)* Q_j (U P_i)
+        np.matmul(moved.conj().T @ second.projections, moved, out=f[i])
     if completeness_tol is not None:
         dev = povm_completeness_deviation(f)
         if dev > completeness_tol:
@@ -515,20 +525,18 @@ def time_reversal_symmetry_check(
     (transposition-invariant), which is the complex-conjugation
     time-reversal scenario of palindromic real protocols; outside those
     preconditions the asymmetry is still reported as a diagnostic and may
-    legitimately be large.
+    legitimately be large.  Costs two trace tables, O((k1 + k2) dim^3 + k1 k2 dim^2).
     """
     u = require_unitary(u)
-    fwd = np.einsum("jab,bc,icd,ad->ij", second.projections, u, first.projections, u.conj()).real
-    bwd = np.einsum("iab,bc,jcd,ad->ij", first.projections, u, second.projections, u.conj()).real
+    fwd = _two_time_traces(u, first, second).real
+    bwd = _two_time_traces(u, second, first).T.real
     asym = float(np.abs(fwd - bwd).max())
     families_real = bool(
         np.abs(first.projections.imag).max() <= tol and np.abs(second.projections.imag).max() <= tol
     )
     u_symmetric = bool(np.abs(u - u.T).max() <= tol)
-    pre = families_real and u_symmetric
-    if conj_basis_check and not pre:
-        return TimeReversalReport(asym, asym <= tol, families_real, u_symmetric, False)
-    return TimeReversalReport(asym, asym <= tol, families_real, u_symmetric, pre)
+    return TimeReversalReport(asym, asym <= tol, families_real, u_symmetric,
+                              families_real and u_symmetric)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from seqmeas.classical import (
     CrooksHistogramReport,
     EstimatorResult,
     PhaseSpaceDensity,
+    VolumePreservingMap,
     canonical_harmonic_density,
     classical_crooks,
     classical_j_expectation,
@@ -140,6 +141,20 @@ def test_reversed_leapfrog_inverts_forward():
     x = np.random.default_rng(9).normal(size=(40, 2))
     np.testing.assert_allclose(rev(fwd(x)), x, atol=1e-12)
     np.testing.assert_allclose(fwd(rev(x)), x, atol=1e-12)
+
+
+def test_jacobian_check_resolves_nonlinear_shears():
+    """Shears have det DU = 1 but curved images; composed, their difference errors do not cancel."""
+    def shear_p(x):
+        return np.stack([x[..., 0], x[..., 1] + np.sin(x[..., 0])], axis=-1)
+
+    def shear_q(x):
+        return np.stack([x[..., 0] + np.sin(x[..., 1]), x[..., 1]], axis=-1)
+
+    pts = 3.0 * np.random.default_rng(4).normal(size=(50, 2))
+    for forward in (shear_p, lambda x: shear_q(shear_p(x))):
+        shear = VolumePreservingMap(forward=forward, dim=2, certificate="analytic-symplectic")
+        assert jacobian_determinant_check(shear, pts) <= 1e-8
 
 
 def test_jacobian_check_flags_expansion():

@@ -195,6 +195,15 @@ def test_classical_ramp_command(tmp_path, capsys):
     assert report["exact_quench_value"] is None
 
 
+def test_classical_ramp_jacobian_seed_that_plain_differences_missed(tmp_path, capsys):
+    """Plain central differences at 1e-6 gave 1.09e-8 > 1e-8 for this seed."""
+    _, report = run_cli(
+        capsys, "--output-dir", str(tmp_path), "classical",
+        "--protocol", "ramp", "--n", "1000", "--seed", "21250621")
+    assert report["checks"]["jacobian"] is True
+    assert report["jacobian_deviation"] <= 1e-10
+
+
 # ------------------------------------------------------------------- crooks
 
 

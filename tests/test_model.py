@@ -341,6 +341,78 @@ def test_group_levels_weighted_mean():
     assert wd.values[0] == pytest.approx(0.75e-10, rel=1e-12)
 
 
+def _reference_levels(values, weights, tol, *columns):
+    """Per-group np.average over sorted values, cut where consecutive gaps exceed tol."""
+    order = np.argsort(values)
+    v, w = np.asarray(values, dtype=float)[order], np.asarray(weights, dtype=float)[order]
+    groups = np.split(np.arange(v.size), np.nonzero(np.diff(v) > tol)[0] + 1)
+    means = [np.average(v[g], weights=w[g]) if w[g].sum() > 0 else v[g].mean() for g in groups]
+    sums = [[np.asarray(c, dtype=float)[order][g].sum() for g in groups] for c in columns]
+    return np.array(means), np.array([w[g].sum() for g in groups]), sums
+
+
+TOL_EXACT = 2.0 ** -30  # gaps of exactly this size are exact in binary
+
+LEVEL_CASES = {
+    "singletons": ([3.0, -1.0, 0.5, 2.0, 7.25], [0.1, 0.2, 0.3, 0.15, 0.25]),
+    "one_group": (1.0 + 0.4 * TOL_EXACT * np.array([3, 0, 7, 1, 5, 2, 6, 4]), np.full(8, 0.125)),
+    "zero_weight_group": ([0.0, 1e-12, 2e-12, 1.0, 2.0], [0.0, 0.0, 0.0, 0.6, 0.4]),
+    "gap_at_tol": (3.0 + TOL_EXACT * np.array([0, 1, 2, 4, 5]), [0.1, 0.2, 0.3, 0.25, 0.15]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEVEL_CASES))
+def test_group_levels_matches_per_group_average(case):
+    values, probs = LEVEL_CASES[case]
+    wd = group_levels(values, probs, tol=TOL_EXACT)
+    means, sums, _ = _reference_levels(values, probs, TOL_EXACT)
+    expected_levels = {"singletons": 5, "one_group": 1, "zero_weight_group": 3, "gap_at_tol": 2}
+    assert wd.values.size == expected_levels[case]
+    np.testing.assert_allclose(wd.values, means, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(wd.probs, sums, rtol=1e-15, atol=0)
+    if case == "zero_weight_group":  # plain mean of the weightless level
+        assert wd.values[0] == pytest.approx(1e-12, rel=1e-12)
+        assert wd.probs[0] == 0.0
+
+
+def _crooks_model(case: str, rng) -> tuple[JointModel, np.ndarray, float]:
+    if case == "singletons":
+        m = random_mod_ds_model(rng, 3, 4)
+        return m, random_positive_prob(rng, m.shape[1]), 1e-9
+    if case == "one_group":  # uniform table, uniform q: every ratio is 1
+        m = JointModel(p_table=np.full((3, 3), 1.0 / 9.0), d=[1, 1, 1], D=[1, 1, 1])
+        return m, np.full(3, 1.0 / 3.0), 1e-9
+    if case == "zero_probability_cells":  # permutation table: zero cells carry no level
+        table = np.array([[0.0, 0.5, 0.0], [0.3, 0.0, 0.0], [0.0, 0.0, 0.2]])
+        return JointModel(p_table=table, d=[1, 1, 1], D=[1, 1, 1]), np.array([0.2, 0.3, 0.5]), 1e-9
+    m = random_mod_ds_model(rng, 3, 3)  # gap_at_tol: the smallest gap becomes the tolerance
+    q = random_positive_prob(rng, m.shape[1])
+    p, _ = marginals(m)
+    ys = np.sort(((m.d[:, None] / p[:, None]) * (q[None, :] / m.D[None, :]))[m.p_table > 0])
+    return m, q, float(np.diff(ys).min())
+
+
+@pytest.mark.parametrize("case", ["singletons", "one_group", "zero_probability_cells", "gap_at_tol"])
+def test_crooks_levels_match_per_group_average(case):
+    m, q, tol = _crooks_model(case, np.random.default_rng(17))
+    report = crooks_check(m, q, grouping_tol=tol)
+    p, _ = marginals(m)
+    mask = m.p_table > 0.0
+    ys = ((m.d[:, None] / p[:, None]) * (q[None, :] / m.D[None, :]))[mask]
+    recip = reciprocal_model(m, q).p_table.T[mask]
+    means, sums, (recip_sums,) = _reference_levels(ys, m.p_table[mask], tol, recip)
+    dist = report.distribution
+    n = int(mask.sum())
+    assert dist.values.size == {"singletons": n, "one_group": 1, "zero_probability_cells": 3,
+                                "gap_at_tol": n - 1}[case]
+    np.testing.assert_allclose(dist.values, means, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(dist.probs, sums, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(dist.reciprocal_probs, recip_sums, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(dist.ratio_errors, np.abs(sums * means - np.array(recip_sums)),
+                               rtol=0, atol=1e-16)
+    assert report.j_equation_value == pytest.approx(1.0, abs=1e-12)
+
+
 def test_work_distribution_validation():
     with pytest.raises(ValidationError, match="strictly increasing"):
         WorkDistribution(values=[1.0, 1.0], probs=[0.5, 0.5], grouping_tol=1e-9)

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqmeas.ensembles import GrandCanonicalConfig, generate
 from seqmeas.model import (
     PreconditionError,
     ValidationError,
+    conditional,
+    crooks_check,
     is_modified_doubly_stochastic,
     j_equation_lhs,
     marginals,
@@ -40,6 +44,7 @@ from seqmeas.quantum import (
     reversed_protocol,
     time_reversal_symmetry_check,
 )
+from seqmeas.verify import DEFAULT_TOLERANCES
 
 
 def random_commuting_pair(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -307,6 +312,41 @@ def test_povm_reproduces_joint_probabilities(seed, dim):
     np.testing.assert_allclose(model.p_table, direct, atol=1e-12)
 
 
+def exactly_degenerate_family(rng: np.random.Generator, dim: int) -> SpectralFamily:
+    """One Hermitian in a Haar basis with dim eigenvalues drawn from dim - 1 integers."""
+    v = haar_unitary(dim, rng)
+    h = (v * rng.integers(0, dim - 1, size=dim).astype(float)[None, :]) @ v.conj().T
+    fam = joint_diagonalize([0.5 * (h + h.conj().T)])
+    assert fam.degeneracies.max() > 1
+    return fam
+
+
+@pytest.mark.parametrize("dim", range(2, 13))
+def test_two_time_kernels_match_explicit_traces(dim):
+    """Every two-time kernel agrees with its per-(i, j) trace definition."""
+    rng = np.random.default_rng(4100 + dim)
+    first = exactly_degenerate_family(rng, dim)
+    second = exactly_degenerate_family(rng, dim)
+    u = haar_unitary(dim, rng)
+    u_dag = u.conj().T
+    proj_p, proj_q = first.projections, second.projections
+    forward = np.array([[np.trace(q @ u @ p @ u_dag) for q in proj_q] for p in proj_p]).real
+    backward = np.array([[np.trace(p @ u @ q @ u_dag) for q in proj_q] for p in proj_p]).real
+
+    pi = physical_conditional(u, first, second)
+    np.testing.assert_allclose(pi, forward / first.degeneracies[:, None], rtol=0, atol=1e-13)
+    f = povm_elements(u, first, second)
+    expected = np.array([[p @ u_dag @ q @ u @ p for q in proj_q] for p in proj_p])
+    np.testing.assert_allclose(f, expected, rtol=0, atol=1e-13)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    np.testing.assert_allclose(luders_post_state(rho, first), sum(p @ rho @ p for p in proj_p),
+                               rtol=0, atol=1e-13)
+    report = time_reversal_symmetry_check(u, first, second)
+    assert report.max_asymmetry == pytest.approx(np.abs(forward - backward).max(), abs=1e-13)
+
+
 def test_build_joint_model_hand_example():
     """Qubit flip with known amplitudes: p(i, j) computed by hand."""
     first = joint_diagonalize([np.diag([0.0, 1.0])])
@@ -438,3 +478,37 @@ def test_operator_json_round_trip(rng):
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     back = operator_from_json_dict(operator_to_json_dict(a))
     np.testing.assert_array_equal(back, a)
+
+
+# ------------------------------------------------------ large dim and memory
+
+
+def test_six_mode_grand_canonical_tolerances_and_kernel_memory():
+    """dim 64: identity, column sums and Crooks levels hold; kernels keep no extra stacks."""
+    rng = np.random.default_rng(64)
+    h = [rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) for _ in range(2)]
+    cfg = GrandCanonicalConfig(h_t0=0.5 * (h[0] + h[0].conj().T), h_t1=0.5 * (h[1] + h[1].conj().T),
+                               beta=0.8, mu=0.3)
+    u = haar_unitary(64, rng)
+    report = generate(cfg, u)
+    assert abs(report.jarzynski_lhs - 1.0) <= DEFAULT_TOLERANCES["jarzynski"]
+    ok, dev = is_modified_doubly_stochastic(conditional(report.model), report.model.d,
+                                            report.model.D, tol=DEFAULT_TOLERANCES["mod_ds"])
+    assert ok, f"column-sum deviation {dev}"
+    crooks = crooks_check(report.model, report.q)
+    assert float(np.max(crooks.distribution.ratio_errors)) <= 1e-12  # seqmeas crooks default
+
+    first, second = report.first_family, report.second_family
+    work = 64 * 64 * 16  # one dim x dim complex matrix, in bytes
+    tracemalloc.start()
+    try:
+        physical_conditional(u, first, second)
+        conditional_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        f = povm_elements(u, first, second)
+        povm_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert conditional_peak < first.projections.nbytes  # one (k, dim, dim) stack: 4 MB
+    # the result, one (k2, dim, dim) stack, and U P_i with its conjugate (two matrices more spare)
+    assert povm_peak < f.nbytes + second.projections.nbytes + 4 * work
