@@ -3,9 +3,10 @@
 
 Sweeps the position window N_x and momentum window N_p and reports the
 cell entropy S(p) of the first measurement together with the captured
-mass.  The entropy stabilizes to ~1.38516 (sigma = 1) once N_x >= 8 and
-N_p >= 512; narrower momentum windows sit noticeably lower because the
-|n| tails carry entropy long after they stop carrying visible mass.
+mass.  For sigma = 1 the entropy is 1.3851620 at (N_x, N_p) = (8, 512) but
+keeps creeping up as the momentum window widens (1.3858038 at (8, 2048),
+1.3859871 at (14, 8192)): the |n| tails decay only like 1/n^2 and carry
+entropy long after they stop carrying visible mass.
 Useful for choosing windows before running the slower second-marginal
 experiments.
 

@@ -25,8 +25,8 @@ partition-function-like constants are reported as logs and never overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -38,7 +38,7 @@ from .model import (
     entropy_gap,
     group_levels,
     j_equation_lhs,
-    marginals,
+    j_ratio,
 )
 from .quantum import (
     SpectralFamily,
@@ -48,7 +48,6 @@ from .quantum import (
     operator_from_json_dict,
     operator_to_json_dict,
     require_hermitian,
-    require_unitary,
 )
 
 # Residual tolerance when cross-checking physical exponents against table ratios.
@@ -113,17 +112,55 @@ def tensor_lift(ops: Sequence[np.ndarray]) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 # configs
 
+def _reals_to_json(xs) -> list:
+    return [float(x) for x in np.asarray(xs, dtype=float)]
+
+
+# field metadata: the (encode, decode) JSON codec of a config field
+_REAL = {"codec": (float, float)}
+_REALS = {"codec": (_reals_to_json, lambda xs: tuple(float(x) for x in xs))}
+_VECTOR = {"codec": (_reals_to_json, lambda xs: np.asarray(xs, dtype=float))}
+_OPERATOR = {"codec": (operator_to_json_dict, operator_from_json_dict)}
+_OPERATORS = {"codec": (lambda hs: [operator_to_json_dict(h) for h in hs],
+                        lambda ds: tuple(operator_from_json_dict(d) for d in ds))}
+
+
+class _ConfigCodec:
+    """Field-driven JSON codec of the ensemble configs: ``kind``, then every
+    field in declaration order through the codec in its metadata."""
+
+    kind: ClassVar[str]
+
+    def to_json_dict(self) -> dict:
+        out = {"kind": self.kind}
+        for f in fields(self):
+            encode, _ = f.metadata["codec"]
+            out[f.name] = encode(getattr(self, f.name))
+        return out
+
+    @classmethod
+    def from_json_dict(cls, data: dict):
+        values = {}
+        for f in fields(cls):
+            if f.name not in data:
+                raise ValidationError(f"{cls.kind} config is missing field {f.name!r}")
+            _, decode = f.metadata["codec"]
+            values[f.name] = decode(data[f.name])
+        return cls(**values)
+
+
 @dataclass(frozen=True)
-class LocalCanonicalConfig:
+class LocalCanonicalConfig(_ConfigCodec):
     """Product of canonical subsystem states at inverse temperatures betas.
 
     ``h_t0[mu]`` and ``h_t1[mu]`` are the subsystem Hamiltonians before and
     after the protocol; the measured families are their tensor lifts.
     """
 
-    h_t0: tuple
-    h_t1: tuple
-    betas: tuple
+    kind: ClassVar[str] = "local_canonical"
+    h_t0: tuple = field(metadata=_OPERATORS)
+    h_t1: tuple = field(metadata=_OPERATORS)
+    betas: tuple = field(metadata=_REALS)
 
     def __post_init__(self):
         if not (len(self.h_t0) == len(self.h_t1) == len(self.betas) >= 1):
@@ -132,31 +169,20 @@ class LocalCanonicalConfig:
             if not (np.isfinite(b) and b > 0):
                 raise ValidationError(f"betas[{mu}] = {b} must be positive and finite")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "local_canonical",
-            "h_t0": [operator_to_json_dict(np.asarray(h, dtype=complex)) for h in self.h_t0],
-            "h_t1": [operator_to_json_dict(np.asarray(h, dtype=complex)) for h in self.h_t1],
-            "betas": [float(b) for b in self.betas],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LocalCanonicalConfig":
-        return cls(
-            h_t0=tuple(operator_from_json_dict(d) for d in data["h_t0"]),
-            h_t1=tuple(operator_from_json_dict(d) for d in data["h_t1"]),
-            betas=tuple(float(b) for b in data["betas"]),
-        )
+    @property
+    def dim(self) -> int:
+        return int(np.prod([np.asarray(h).shape[0] for h in self.h_t0]))
 
 
 @dataclass(frozen=True)
-class MicrocanonicalConfig:
+class MicrocanonicalConfig(_ConfigCodec):
     """Gaussian energy-window state centered at ``energy`` with scale ``width``."""
 
-    h_t0: np.ndarray
-    h_t1: np.ndarray
-    energy: float
-    width: float
+    kind: ClassVar[str] = "microcanonical"
+    h_t0: np.ndarray = field(metadata=_OPERATOR)
+    h_t1: np.ndarray = field(metadata=_OPERATOR)
+    energy: float = field(metadata=_REAL)
+    width: float = field(metadata=_REAL)
 
     def __post_init__(self):
         if not (np.isfinite(self.width) and self.width > 0):
@@ -164,27 +190,13 @@ class MicrocanonicalConfig:
         if not np.isfinite(self.energy):
             raise ValidationError("energy must be finite")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "microcanonical",
-            "h_t0": operator_to_json_dict(np.asarray(self.h_t0, dtype=complex)),
-            "h_t1": operator_to_json_dict(np.asarray(self.h_t1, dtype=complex)),
-            "energy": float(self.energy),
-            "width": float(self.width),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MicrocanonicalConfig":
-        return cls(
-            h_t0=operator_from_json_dict(data["h_t0"]),
-            h_t1=operator_from_json_dict(data["h_t1"]),
-            energy=float(data["energy"]),
-            width=float(data["width"]),
-        )
+    @property
+    def dim(self) -> int:
+        return np.asarray(self.h_t0).shape[0]
 
 
 @dataclass(frozen=True)
-class GrandCanonicalConfig:
+class GrandCanonicalConfig(_ConfigCodec):
     """Fermionic grand canonical ensemble from a one-particle Hamiltonian.
 
     ``h_t0`` and ``h_t1`` are M x M one-particle matrices; the Fock-space
@@ -192,10 +204,11 @@ class GrandCanonicalConfig:
     families include the total particle number.
     """
 
-    h_t0: np.ndarray
-    h_t1: np.ndarray
-    beta: float
-    mu: float
+    kind: ClassVar[str] = "grand_canonical"
+    h_t0: np.ndarray = field(metadata=_OPERATOR)
+    h_t1: np.ndarray = field(metadata=_OPERATOR)
+    beta: float = field(metadata=_REAL)
+    mu: float = field(metadata=_REAL)
 
     def __post_init__(self):
         if not (np.isfinite(self.beta) and self.beta > 0):
@@ -207,27 +220,13 @@ class GrandCanonicalConfig:
     def n_modes(self) -> int:
         return np.asarray(self.h_t0).shape[0]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "grand_canonical",
-            "h_t0": operator_to_json_dict(np.asarray(self.h_t0, dtype=complex)),
-            "h_t1": operator_to_json_dict(np.asarray(self.h_t1, dtype=complex)),
-            "beta": float(self.beta),
-            "mu": float(self.mu),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GrandCanonicalConfig":
-        return cls(
-            h_t0=operator_from_json_dict(data["h_t0"]),
-            h_t1=operator_from_json_dict(data["h_t1"]),
-            beta=float(data["beta"]),
-            mu=float(data["mu"]),
-        )
+    @property
+    def dim(self) -> int:
+        return 2 ** self.n_modes
 
 
 @dataclass(frozen=True)
-class PeriodicThermoConfig:
+class PeriodicThermoConfig(_ConfigCodec):
     """Driven system with nondegenerate quasi-energies coupled to a bath.
 
     Quasi-energies are supplied directly (they are only defined modulo the
@@ -237,10 +236,11 @@ class PeriodicThermoConfig:
     Both measurement families coincide: the spectra are time-independent.
     """
 
-    quasi_energies: np.ndarray
-    bath_hamiltonian: np.ndarray
-    theta: float
-    beta: float
+    kind: ClassVar[str] = "periodic_thermo"
+    quasi_energies: np.ndarray = field(metadata=_VECTOR)
+    bath_hamiltonian: np.ndarray = field(metadata=_OPERATOR)
+    theta: float = field(metadata=_REAL)
+    beta: float = field(metadata=_REAL)
 
     def __post_init__(self):
         eps = np.asarray(self.quasi_energies, dtype=float)
@@ -254,23 +254,9 @@ class PeriodicThermoConfig:
         if not np.isfinite(self.theta):
             raise ValidationError("theta must be finite")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "periodic_thermo",
-            "quasi_energies": [float(x) for x in np.asarray(self.quasi_energies, dtype=float)],
-            "bath_hamiltonian": operator_to_json_dict(np.asarray(self.bath_hamiltonian, dtype=complex)),
-            "theta": float(self.theta),
-            "beta": float(self.beta),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PeriodicThermoConfig":
-        return cls(
-            quasi_energies=np.asarray(data["quasi_energies"], dtype=float),
-            bath_hamiltonian=operator_from_json_dict(data["bath_hamiltonian"]),
-            theta=float(data["theta"]),
-            beta=float(data["beta"]),
-        )
+    @property
+    def dim(self) -> int:
+        return len(self.quasi_energies) * np.asarray(self.bath_hamiltonian).shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +281,13 @@ class SecondLawReport:
 def second_law_report(model: JointModel, q) -> SecondLawReport:
     """Evaluate the expectation identity, its Jensen bound, and the entropy gap."""
     q = np.asarray(q, dtype=float)
-    p, _ = marginals(model)
     mask = model.p_table > 0.0
-    y = (model.d[:, None] / p[:, None]) * (q[None, :] / model.D[None, :])
-    with np.errstate(divide="ignore"):
-        logs = np.where(mask, np.log(np.where(y > 0, y, 1.0)), 0.0)
-        if np.any(mask & (y <= 0)):
-            jensen = math.inf
-        else:
-            jensen = float(-np.sum(model.p_table * logs))
+    y = j_ratio(model, q)
+    logs = np.where(mask, np.log(np.where(y > 0, y, 1.0)), 0.0)
+    if np.any(mask & (y <= 0)):
+        jensen = math.inf
+    else:
+        jensen = float(-np.sum(model.p_table * logs))
     return SecondLawReport(
         jarzynski_lhs=j_equation_lhs(model, q),
         jensen_lhs=jensen,
@@ -364,30 +348,32 @@ def _assemble_report(
     kind: str,
     first: SpectralFamily,
     second: SpectralFamily,
-    log_weight0: Callable[[np.ndarray], float],
-    log_weight1: Callable[[np.ndarray], float],
+    log_weight: Callable[[np.ndarray], float],
     u: np.ndarray,
-    work_value: Callable[[np.ndarray, np.ndarray], float],
+    work_value: Callable[[np.ndarray], np.ndarray],
     exponent_offset: float,
     quantities: dict,
-    grouping_tol: float = 1e-9,
+    labeled: Callable[[list[float]], dict] | None = None,
 ) -> EnsembleReport:
     """Shared glue: state, q, table, exponent bookkeeping, consistency checks.
 
-    ``log_weight0``/``log_weight1`` map an eigenvalue tuple to the raw log
-    weight at the two times; the exponent of the fluctuation identity is
-    X(i, j) = log_weight0(E_i) - log_weight1(F_j) + exponent_offset with
+    ``log_weight`` maps an eigenvalue tuple to the raw log weight of the
+    ensemble at either time; the exponent of the fluctuation identity is
+    X(i, j) = log_weight(E_i) - log_weight(F_j) + exponent_offset with
     offset = log_norm(t1) - log_norm(t0), the free-energy-like change of
-    the log normalization constants.  ``work_value`` maps tuple pairs to
-    the scalar recorded in the plain work histogram.
+    the log normalization constants.  ``work_value`` maps the tuple changes
+    F_j - E_i, shape (nI, nJ, n_components), to the (nI, nJ) values of the
+    plain work histogram.  ``labeled`` maps the mean change of every tuple
+    component to the family's labeled quantities, whose
+    ``jensen_combination`` must match the generic Jensen value.
     """
-    lw0 = np.array([log_weight0(t) for t in first.eigen_tuples])
-    lw1 = np.array([log_weight1(t) for t in second.eigen_tuples])
+    lw0 = np.array([log_weight(t) for t in first.eigen_tuples])
+    lw1 = np.array([log_weight(t) for t in second.eigen_tuples])
     m0, m1 = float(lw0.max()), float(lw1.max())
-    state = ensemble_state(first, _shifted_exp(log_weight0, m0))
+    state = ensemble_state(first, _shifted_exp(log_weight, m0))
     model, _ = build_joint_model(state.rho, u, first, second,
                                  probabilities=state.probabilities)
-    qstate = ensemble_state(second, _shifted_exp(log_weight1, m1))
+    qstate = ensemble_state(second, _shifted_exp(log_weight, m1))
     q = qstate.probabilities
     # log normalization constants with the shifts restored
     log_norm0 = m0 + math.log(state.norm_constant)
@@ -397,27 +383,30 @@ def _assemble_report(
             f"normalization bookkeeping mismatch: offset {exponent_offset} vs {log_norm1 - log_norm0}"
         )
 
-    p, _ = marginals(model)
-    nI, nJ = model.shape
     x = (lw0[:, None] - lw1[None, :]) + (log_norm1 - log_norm0)
-    w = np.empty((nI, nJ))
-    for i in range(nI):
-        for j in range(nJ):
-            w[i, j] = work_value(first.eigen_tuples[i], second.eigen_tuples[j])
     # cross-check: exp(-X) must equal the table ratio d q / (D p);
     # the ratio spans many orders of magnitude, so compare relatively
-    y = (model.d[:, None] / p[:, None]) * (q[None, :] / model.D[None, :])
+    y = j_ratio(model, q)
     dev = float((np.abs(np.exp(-x) - y) / np.maximum(y, 1.0)).max())
     if dev > EXPONENT_CONSISTENCY_TOL:
         raise ValidationError(f"physical exponent inconsistent with table ratio (deviation {dev:.3e})")
 
     flat_p = model.p_table.ravel()
-    exp_hist = group_levels(x.ravel(), flat_p, grouping_tol)
-    work_hist = group_levels(w.ravel(), flat_p, grouping_tol)
+    changes = second.eigen_tuples[None, :, :] - first.eigen_tuples[:, None, :]
+    exp_hist = group_levels(x.ravel(), flat_p)
+    work_hist = group_levels(work_value(changes).ravel(), flat_p)
     hist_identity = float(np.sum(exp_hist.probs * np.exp(-exp_hist.values)))
     law = second_law_report(model, q)
     quantities = dict(quantities)
     quantities.setdefault("mean_exponent", float(np.sum(model.p_table * x)))
+    if labeled is not None:
+        quantities.update(labeled([float(np.sum(model.p_table * changes[:, :, k]))
+                                   for k in range(changes.shape[2])]))
+        combination = quantities["jensen_combination"]
+        if abs(combination - law.jensen_lhs) > 1e-9:
+            raise ValidationError(
+                f"labeled {kind} Jensen combination {combination} disagrees with generic value {law.jensen_lhs}"
+            )
     return EnsembleReport(
         family_kind=kind,
         model=model,
@@ -457,47 +446,40 @@ def local_canonical_model(cfg: LocalCanonicalConfig, u: np.ndarray) -> EnsembleR
     sum_mu beta_mu (<w_mu> - dF_mu) >= 0.
     """
     betas = np.asarray(cfg.betas, dtype=float)
-    lift0 = tensor_lift([np.asarray(h, dtype=complex) for h in cfg.h_t0])
-    lift1 = tensor_lift([np.asarray(h, dtype=complex) for h in cfg.h_t1])
-    first = joint_diagonalize(lift0)
-    second = joint_diagonalize(lift1)
-    log_z0 = [_log_partition(np.asarray(h, dtype=complex), b) for h, b in zip(cfg.h_t0, betas)]
-    log_z1 = [_log_partition(np.asarray(h, dtype=complex), b) for h, b in zip(cfg.h_t1, betas)]
+    first = joint_diagonalize(tensor_lift(cfg.h_t0))
+    second = joint_diagonalize(tensor_lift(cfg.h_t1))
+    log_z0 = [_log_partition(h, b) for h, b in zip(cfg.h_t0, betas)]
+    log_z1 = [_log_partition(h, b) for h, b in zip(cfg.h_t1, betas)]
 
     def lw(tup, _betas=betas):
         return float(-np.dot(_betas, tup))
 
+    def labeled(mean_works):
+        # mean work and free-energy change per subsystem
+        quantities = {}
+        jensen_sum = 0.0
+        for mu, mean_w in enumerate(mean_works):
+            d_f = float((-log_z1[mu] / betas[mu]) - (-log_z0[mu] / betas[mu]))
+            quantities[f"mean_work_{mu}"] = mean_w
+            quantities[f"delta_free_energy_{mu}"] = d_f
+            quantities[f"beta_{mu}"] = float(betas[mu])
+            jensen_sum += betas[mu] * (mean_w - d_f)
+        quantities["jensen_combination"] = jensen_sum
+        return quantities
+
     # -sum_mu beta_mu dF_mu = ln Z(t1) - ln Z(t0)
     offset = float(sum(log_z1) - sum(log_z0))
-    report = _assemble_report(
-        kind="local_canonical",
+    return _assemble_report(
+        kind=cfg.kind,
         first=first,
         second=second,
-        log_weight0=lw,
-        log_weight1=lw,
+        log_weight=lw,
         u=u,
-        work_value=lambda ei, fj: float(np.sum(fj - ei)),
+        work_value=lambda changes: changes.sum(axis=2),
         exponent_offset=offset,
         quantities={},
+        labeled=labeled,
     )
-    # labeled physics: mean work and free-energy change per subsystem
-    p_table = report.model.p_table
-    quantities = dict(report.quantities)
-    jensen_sum = 0.0
-    for mu in range(betas.size):
-        wmu = (second.eigen_tuples[None, :, mu] - first.eigen_tuples[:, None, mu])
-        mean_w = float(np.sum(p_table * wmu))
-        d_f = float((-log_z1[mu] / betas[mu]) - (-log_z0[mu] / betas[mu]))
-        quantities[f"mean_work_{mu}"] = mean_w
-        quantities[f"delta_free_energy_{mu}"] = d_f
-        quantities[f"beta_{mu}"] = float(betas[mu])
-        jensen_sum += betas[mu] * (mean_w - d_f)
-    quantities["jensen_combination"] = jensen_sum
-    if abs(jensen_sum - report.jensen_lhs) > 1e-9:
-        raise ValidationError(
-            f"labeled Jensen combination {jensen_sum} disagrees with generic value {report.jensen_lhs}"
-        )
-    return EnsembleReport(**{**report.__dict__, "quantities": quantities})
 
 
 def microcanonical_model(cfg: MicrocanonicalConfig, u: np.ndarray) -> EnsembleReport:
@@ -508,22 +490,21 @@ def microcanonical_model(cfg: MicrocanonicalConfig, u: np.ndarray) -> EnsembleRe
     identity reads  < exp(-X) > = 1  with
     X = ((energy - E_j(t1))/width)^2 - ((energy - E_i(t0))/width)^2 - df.
     """
-    first = joint_diagonalize([np.asarray(cfg.h_t0, dtype=complex)])
-    second = joint_diagonalize([np.asarray(cfg.h_t1, dtype=complex)])
+    first = joint_diagonalize([cfg.h_t0])
+    second = joint_diagonalize([cfg.h_t1])
 
     def lw(tup, e=cfg.energy, w=cfg.width):
         return float(-(((e - tup[0]) / w) ** 2))
 
     log_w0 = float(logsumexp([lw(t) for t in first.eigen_tuples], b=first.degeneracies))
     log_w1 = float(logsumexp([lw(t) for t in second.eigen_tuples], b=second.degeneracies))
-    report = _assemble_report(
-        kind="microcanonical",
+    return _assemble_report(
+        kind=cfg.kind,
         first=first,
         second=second,
-        log_weight0=lw,
-        log_weight1=lw,
+        log_weight=lw,
         u=u,
-        work_value=lambda ei, fj: float(fj[0] - ei[0]),
+        work_value=lambda changes: changes[:, :, 0],
         exponent_offset=log_w1 - log_w0,
         quantities={
             "energy": float(cfg.energy),
@@ -534,7 +515,6 @@ def microcanonical_model(cfg: MicrocanonicalConfig, u: np.ndarray) -> EnsembleRe
             "delta_f": float(-log_w1 + log_w0),
         },
     )
-    return report
 
 
 def grand_canonical_model(cfg: GrandCanonicalConfig, u: np.ndarray) -> EnsembleReport:
@@ -544,11 +524,9 @@ def grand_canonical_model(cfg: GrandCanonicalConfig, u: np.ndarray) -> EnsembleR
     potential Omega(t) = -ln Tr exp(beta (mu N - H(t))) / beta is reported
     at both times along with <dE>, <dN> and the Jensen combination.
     """
-    h0 = lift_one_particle(np.asarray(cfg.h_t0, dtype=complex))
-    h1 = lift_one_particle(np.asarray(cfg.h_t1, dtype=complex))
     n_op = number_operator(cfg.n_modes)
-    first = joint_diagonalize([h0, n_op])
-    second = joint_diagonalize([h1, n_op])
+    first = joint_diagonalize([lift_one_particle(cfg.h_t0), n_op])
+    second = joint_diagonalize([lift_one_particle(cfg.h_t1), n_op])
 
     def lw(tup, b=cfg.beta, mu=cfg.mu):
         return float(b * (mu * tup[1] - tup[0]))
@@ -556,14 +534,22 @@ def grand_canonical_model(cfg: GrandCanonicalConfig, u: np.ndarray) -> EnsembleR
     log_xi0 = float(logsumexp([lw(t) for t in first.eigen_tuples], b=first.degeneracies))
     log_xi1 = float(logsumexp([lw(t) for t in second.eigen_tuples], b=second.degeneracies))
     omega0, omega1 = -log_xi0 / cfg.beta, -log_xi1 / cfg.beta
-    report = _assemble_report(
-        kind="grand_canonical",
+
+    def labeled(mean_changes):
+        mean_de, mean_dn = mean_changes
+        return {
+            "mean_delta_energy": mean_de,
+            "mean_delta_number": mean_dn,
+            "jensen_combination": float(cfg.beta * (mean_de - cfg.mu * mean_dn - (omega1 - omega0))),
+        }
+
+    return _assemble_report(
+        kind=cfg.kind,
         first=first,
         second=second,
-        log_weight0=lw,
-        log_weight1=lw,
+        log_weight=lw,
         u=u,
-        work_value=lambda ei, fj: float(fj[0] - ei[0]),
+        work_value=lambda changes: changes[:, :, 0],
         exponent_offset=log_xi1 - log_xi0,
         quantities={
             "beta": float(cfg.beta),
@@ -572,20 +558,8 @@ def grand_canonical_model(cfg: GrandCanonicalConfig, u: np.ndarray) -> EnsembleR
             "omega_t1": omega1,
             "delta_omega": omega1 - omega0,
         },
+        labeled=labeled,
     )
-    p_table = report.model.p_table
-    de = (second.eigen_tuples[None, :, 0] - first.eigen_tuples[:, None, 0])
-    dn = (second.eigen_tuples[None, :, 1] - first.eigen_tuples[:, None, 1])
-    quantities = dict(report.quantities)
-    quantities["mean_delta_energy"] = float(np.sum(p_table * de))
-    quantities["mean_delta_number"] = float(np.sum(p_table * dn))
-    quantities["jensen_combination"] = float(
-        cfg.beta * (quantities["mean_delta_energy"] - cfg.mu * quantities["mean_delta_number"]
-                    - quantities["delta_omega"])
-    )
-    if abs(quantities["jensen_combination"] - report.jensen_lhs) > 1e-9:
-        raise ValidationError("labeled grand-canonical Jensen combination disagrees with generic value")
-    return EnsembleReport(**{**report.__dict__, "quantities": quantities})
 
 
 def periodic_thermo_model(cfg: PeriodicThermoConfig, u: np.ndarray) -> EnsembleReport:
@@ -596,66 +570,53 @@ def periodic_thermo_model(cfg: PeriodicThermoConfig, u: np.ndarray) -> EnsembleR
     the same pair (quasi-energy, bath energy), so the normalization
     offset vanishes and the exponent is exactly theta*e + beta*q.
     """
-    eps = np.asarray(cfg.quasi_energies, dtype=float)
-    h_sys = np.diag(eps).astype(complex)
-    h_bath = np.asarray(cfg.bath_hamiltonian, dtype=complex)
-    lifted = tensor_lift([h_sys, h_bath])
-    first = joint_diagonalize(lifted)
-    second = first
+    h_sys = np.diag(np.asarray(cfg.quasi_energies, dtype=float))
+    family = joint_diagonalize(tensor_lift([h_sys, cfg.bath_hamiltonian]))
 
     def lw(tup, th=cfg.theta, b=cfg.beta):
         return float(-th * tup[0] - b * tup[1])
 
-    report = _assemble_report(
-        kind="periodic_thermo",
-        first=first,
-        second=second,
-        log_weight0=lw,
-        log_weight1=lw,
+    def labeled(mean_changes):
+        mean_e, mean_q = mean_changes
+        return {
+            "mean_quasi_energy_change": mean_e,
+            "mean_bath_heat": mean_q,
+            "jensen_combination": float(cfg.theta * mean_e + cfg.beta * mean_q),
+        }
+
+    return _assemble_report(
+        kind=cfg.kind,
+        first=family,
+        second=family,
+        log_weight=lw,
         u=u,
-        work_value=lambda ei, fj: float(fj[0] - ei[0]),
+        work_value=lambda changes: changes[:, :, 0],
         exponent_offset=0.0,
         quantities={"theta": float(cfg.theta), "beta": float(cfg.beta)},
+        labeled=labeled,
     )
-    p_table = report.model.p_table
-    e_change = (first.eigen_tuples[None, :, 0] - first.eigen_tuples[:, None, 0])
-    q_change = (first.eigen_tuples[None, :, 1] - first.eigen_tuples[:, None, 1])
-    quantities = dict(report.quantities)
-    quantities["mean_quasi_energy_change"] = float(np.sum(p_table * e_change))
-    quantities["mean_bath_heat"] = float(np.sum(p_table * q_change))
-    quantities["jensen_combination"] = float(
-        cfg.theta * quantities["mean_quasi_energy_change"] + cfg.beta * quantities["mean_bath_heat"]
-    )
-    if abs(quantities["jensen_combination"] - report.jensen_lhs) > 1e-9:
-        raise ValidationError("labeled periodic-thermo Jensen combination disagrees with generic value")
-    return EnsembleReport(**{**report.__dict__, "quantities": quantities})
 
 
-CONFIG_KINDS = {
-    "local_canonical": LocalCanonicalConfig,
-    "microcanonical": MicrocanonicalConfig,
-    "grand_canonical": GrandCanonicalConfig,
-    "periodic_thermo": PeriodicThermoConfig,
-}
-
+# one registry: config class -> generator; each config class names its JSON kind
 GENERATORS = {
-    "local_canonical": local_canonical_model,
-    "microcanonical": microcanonical_model,
-    "grand_canonical": grand_canonical_model,
-    "periodic_thermo": periodic_thermo_model,
+    LocalCanonicalConfig: local_canonical_model,
+    MicrocanonicalConfig: microcanonical_model,
+    GrandCanonicalConfig: grand_canonical_model,
+    PeriodicThermoConfig: periodic_thermo_model,
 }
 
 
 def config_from_json_dict(data: dict):
+    kinds = {cls.kind: cls for cls in GENERATORS}
     kind = data.get("kind")
-    if kind not in CONFIG_KINDS:
-        raise ValidationError(f"unknown ensemble kind {kind!r}; expected one of {sorted(CONFIG_KINDS)}")
-    return CONFIG_KINDS[kind].from_json_dict(data)
+    if kind not in kinds:
+        raise ValidationError(f"unknown ensemble kind {kind!r}; expected one of {sorted(kinds)}")
+    return kinds[kind].from_json_dict(data)
 
 
 def generate(config, u: np.ndarray) -> EnsembleReport:
     """Dispatch a config object to its generator."""
-    for kind, cls in CONFIG_KINDS.items():
-        if isinstance(config, cls):
-            return GENERATORS[kind](config, u)
-    raise ValidationError(f"unsupported config type {type(config).__name__}")
+    generator = GENERATORS.get(type(config))
+    if generator is None:
+        raise ValidationError(f"unsupported config type {type(config).__name__}")
+    return generator(config, u)

@@ -278,6 +278,22 @@ def is_modified_doubly_stochastic(
     return ModDSResult(dev <= tol, dev)
 
 
+def j_ratio(model: JointModel, q: np.ndarray) -> np.ndarray:
+    """Ratio table  y(i, j) = d(i) q(j) / (D(j) p(i))  of the J-equation  < y > = 1.
+
+    ``q`` is a float vector over the second outcomes (a wrong length is a
+    ValidationError; other checks are the caller's).  Rows with p(i) = 0
+    hold no mass and their non-finite entries are masked out by the
+    callers; mass on such a row is a PreconditionError.
+    """
+    if q.shape != (model.shape[1],):
+        raise ValidationError(f"q has shape {q.shape}, expected ({model.shape[1]},)")
+    p, _ = marginals(model)
+    if np.any((model.p_table > 0.0) & (p[:, None] <= 0.0)):
+        raise PreconditionError("table has mass on a zero-probability row")
+    return (model.d[:, None] / p[:, None]) * (q[None, :] / model.D[None, :])
+
+
 def j_equation_lhs(model: JointModel, q) -> float:
     """Expectation  < d(i) q(j) / (D(j) p(i)) >  under the joint table.
 
@@ -285,15 +301,9 @@ def j_equation_lhs(model: JointModel, q) -> float:
     and only if the conditional is modified doubly stochastic.  Zero-
     probability cells of the table contribute nothing (0 * anything = 0).
     """
-    q = check_probability_vector(q, name="q")
-    if q.shape[0] != model.shape[1]:
-        raise ValidationError(f"q has {q.shape[0]} entries, expected {model.shape[1]}")
-    p, _ = marginals(model)
+    weights = j_ratio(model, check_probability_vector(q, name="q"))
     ratio = np.zeros_like(model.p_table)
     mask = model.p_table > 0.0
-    if np.any(mask & (p[:, None] <= 0.0)):
-        raise PreconditionError("table has mass on a zero-probability row")
-    weights = (model.d[:, None] / p[:, None]) * (q[None, :] / model.D[None, :])
     ratio[mask] = model.p_table[mask] * weights[mask]
     return float(ratio.sum())
 
@@ -506,7 +516,7 @@ def crooks_check(model: JointModel, q, grouping_tol: float = LEVEL_GROUPING_TOL)
     if np.any(p <= 0.0):
         raise PreconditionError("every first outcome needs positive probability; prune first")
     recip = reciprocal_model(model, q)
-    y = (model.d[:, None] / p[:, None]) * (q[None, :] / model.D[None, :])
+    y = j_ratio(model, q)
     mask = model.p_table > 0.0
     # reciprocal table transposed back to (i, j) indexing for the same pairs
     rs = recip.p_table.T[mask]
@@ -593,17 +603,8 @@ def refine_model(model: JointModel) -> tuple[JointModel, list[list[int]], list[l
     uniformly over a d(i) x D(j) block.  Returns the fine model together
     with the index partitions that map back.
     """
-    sizes_i = [int(x) for x in model.d]
-    sizes_j = [int(x) for x in model.D]
-    cells_i, pos = [], 0
-    for s in sizes_i:
-        cells_i.append(list(range(pos, pos + s)))
-        pos += s
-    cells_j, pos = [], 0
-    for s in sizes_j:
-        cells_j.append(list(range(pos, pos + s)))
-        pos += s
-    fine = np.zeros((sum(sizes_i), sum(sizes_j)))
+    cells_i, cells_j = _consecutive_cells(model.d), _consecutive_cells(model.D)
+    fine = np.zeros((int(model.d.sum()), int(model.D.sum())))
     for a, ci in enumerate(cells_i):
         for b, cj in enumerate(cells_j):
             fine[np.ix_(ci, cj)] = model.p_table[a, b] / (len(ci) * len(cj))
@@ -614,6 +615,11 @@ def refine_model(model: JointModel) -> tuple[JointModel, list[list[int]], list[l
         truncated=model.truncated,
     )
     return fine_model, cells_i, cells_j
+
+
+def _consecutive_cells(sizes: np.ndarray) -> list[list[int]]:
+    ends = np.cumsum(sizes).tolist()
+    return [list(range(end - int(size), end)) for size, end in zip(sizes, ends)]
 
 
 def _check_partition(cells: Sequence[Sequence[int]], n: int, name: str) -> None:

@@ -515,7 +515,6 @@ def time_reversal_symmetry_check(
     u: np.ndarray,
     first: SpectralFamily,
     second: SpectralFamily,
-    conj_basis_check: bool = True,
     tol: float = 1e-11,
 ) -> TimeReversalReport:
     """Compare the weighted conditional with its role-reversed counterpart.

@@ -100,23 +100,11 @@ def random_config(family: str, rng: np.random.Generator, index: int):
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-def _config_dimension(config) -> int:
-    if isinstance(config, LocalCanonicalConfig):
-        return int(np.prod([np.asarray(h).shape[0] for h in config.h_t0]))
-    if isinstance(config, MicrocanonicalConfig):
-        return np.asarray(config.h_t0).shape[0]
-    if isinstance(config, GrandCanonicalConfig):
-        return 2 ** config.n_modes
-    if isinstance(config, PeriodicThermoConfig):
-        return len(config.quasi_energies) * np.asarray(config.bath_hamiltonian).shape[0]
-    raise ValueError(f"unsupported config type {type(config).__name__}")
-
-
 def random_model(family: str, seed, index: int = 0) -> EnsembleReport:
     """One corpus model: random config + Haar unitary, fully generated."""
     rng = np.random.default_rng(seed)
     config = random_config(family, rng, index)
-    u = haar_unitary(_config_dimension(config), rng)
+    u = haar_unitary(config.dim, rng)
     return generate(config, u)
 
 

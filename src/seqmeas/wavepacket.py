@@ -39,24 +39,6 @@ DEFAULT_N_P = 512
 DEFAULT_KERNEL_HALFWIDTH = 24
 
 
-def complex_erf(z):
-    """erf for complex argument (Faddeeva-backed, ~1e-13 relative accuracy).
-
-    Overflows for large imaginary parts, as does erf itself; use
-    the scaled forms below when exp(-A^2) factors are available.
-    """
-    z = np.asarray(z, dtype=complex)
-    out = np.where(z.imag >= 0,
-                   1.0 - np.exp(-z * z) * _faddeeva(1j * z),
-                   -1.0 + np.exp(-z * z) * _faddeeva(-1j * z))
-    return out
-
-
-def complex_erfi(z):
-    """erfi for complex argument: erfi(z) = erf(iz) / i."""
-    return np.asarray(_scipy_erfi(np.asarray(z, dtype=complex)))
-
-
 def erfi_line(u, t: float):
     """erfi((1 + i) u / (2 sqrt(t)))  for real u: the pi/4-line evaluations.
 

@@ -9,11 +9,12 @@ output.  Criteria 4, 5, 6 and 12 share one seeded 1000-models-per-family
 corpus (module-scoped fixture) so the sweep runs once.
 
 Criterion 1 pins the external reference value 1.3654 for the cell
-entropy of the sigma=1 Gaussian.  The converged closed-form sum gives
-1.38516..., and no window choice at or beyond convergence (N_x >= 8,
-N_p >= 512) can land within 5e-4 of the reference; cutting the momentum
-index at |n| <= 14 reproduces 1.36541, which identifies the reference as
-a pre-convergence evaluation.  The test states both numbers and fails
+entropy of the sigma=1 Gaussian.  The closed-form sum gives 1.38516... at
+the default window (N_x, N_p) = (8, 512) and still drifts up by ~1e-3 as
+the momentum window widens (1.3859871 at (14, 8192)), so no window at or
+beyond the default can land within 5e-4 of the reference; cutting the
+momentum index at |n| <= 14 reproduces 1.36541, which identifies the
+reference as a pre-convergence evaluation.  The test states both numbers and fails
 honestly instead of loosening the gate.
 """
 

@@ -7,6 +7,7 @@ stdout JSON, and artifact files can all be asserted cheaply.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from pathlib import Path
 
@@ -163,6 +164,22 @@ def test_wavepacket_rejects_undersized_window(tmp_path, capsys):
     assert report["error_type"] == "ValidationError"
     assert "captures only" in report["error"]
     assert report["passed"] is False
+
+
+def test_wavepacket_second_marginal_deficit_is_logged(tmp_path, capsys, caplog):
+    """A one-cell kernel window loses 2.3% of the second marginal: logged with its bound."""
+    with caplog.at_level(logging.WARNING, logger="seqmeas.cli"):
+        code, report = run_cli(
+            capsys, "--output-dir", str(tmp_path), "wavepacket",
+            "--t-grid", "0.05", "--n-x", "6", "--n-p", "256", "--kernel-halfwidth", "1")
+    assert code == 0
+    deficit = report["summary"]["mass_deficits"]["second_marginal_max"]
+    assert deficit == pytest.approx(0.0233, abs=1e-4)
+    [record] = [r for r in caplog.records if r.name == "seqmeas.cli"]
+    assert record.levelno == logging.WARNING
+    assert f"{deficit:.4g}" in record.getMessage()
+    assert "exceeds 0.01" in record.getMessage()
+    assert report["checks"]["mass_within_tolerance"] is True
 
 
 # ---------------------------------------------------------------- classical

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from seqmeas.ensembles import (
+    GENERATORS,
     GrandCanonicalConfig,
     LocalCanonicalConfig,
     MicrocanonicalConfig,
@@ -24,9 +25,10 @@ from seqmeas.ensembles import (
     periodic_thermo_model,
     second_law_report,
     tensor_lift,
+    _assemble_report,
 )
-from seqmeas.model import ValidationError, is_modified_doubly_stochastic, conditional
-from seqmeas.quantum import haar_unitary
+from seqmeas.model import JointModel, ValidationError, is_modified_doubly_stochastic, conditional
+from seqmeas.quantum import haar_unitary, joint_diagonalize
 
 
 def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -126,7 +128,65 @@ def test_config_json_round_trips(rng):
         config_from_json_dict({"kind": "nonsense"})
 
 
+def test_config_missing_field_names_it(rng):
+    h = _random_hermitian(rng, 2)
+    configs = [
+        LocalCanonicalConfig(h_t0=(h,), h_t1=(h,), betas=(0.8,)),
+        MicrocanonicalConfig(h_t0=h, h_t1=h, energy=0.2, width=0.9),
+        GrandCanonicalConfig(h_t0=h, h_t1=h, beta=1.1, mu=-0.3),
+        PeriodicThermoConfig(quasi_energies=[0.1, 0.5], bath_hamiltonian=h, theta=-0.7, beta=1.3),
+    ]
+    for cfg in configs:
+        for name in set(cfg.to_json_dict()) - {"kind"}:
+            data = cfg.to_json_dict()
+            del data[name]
+            with pytest.raises(ValidationError, match=f"{cfg.kind} config is missing field '{name}'"):
+                config_from_json_dict(data)
+
+
+def test_config_dim_matches_generated_unitary(rng):
+    h2, h3 = _random_hermitian(rng, 2), _random_hermitian(rng, 3)
+    cases = [
+        (LocalCanonicalConfig(h_t0=(h2, h3), h_t1=(h2, h3), betas=(0.8, 1.2)), 6),
+        (MicrocanonicalConfig(h_t0=h3, h_t1=h3, energy=0.2, width=0.9), 3),
+        (GrandCanonicalConfig(h_t0=h2, h_t1=h2, beta=1.1, mu=-0.3), 4),
+        (PeriodicThermoConfig(quasi_energies=[0.1, 0.5, 0.9], bath_hamiltonian=h2,
+                              theta=-0.7, beta=1.3), 6),
+    ]
+    assert {type(cfg) for cfg, _ in cases} == set(GENERATORS)
+    for cfg, dim in cases:
+        assert cfg.dim == dim
+        assert generate(cfg, haar_unitary(dim, rng)).model.p_table.sum() == pytest.approx(1.0)
+
+
 # ------------------------------------------------------------ family reports
+
+
+def test_second_law_report_rejects_wrong_length_q():
+    m = JointModel(p_table=np.full((2, 3), 1.0 / 6.0), d=[1, 1], D=[1, 1, 1])
+    with pytest.raises(ValidationError, match="q has shape"):
+        second_law_report(m, [0.5, 0.5])
+
+
+def test_assemble_report_cross_checks_the_labeled_jensen_combination(rng):
+    """Labeled quantities whose Jensen combination misses the generic value are rejected."""
+    family = joint_diagonalize([_random_hermitian(rng, 3)])
+    u = haar_unitary(3, rng)
+
+    def build(labeled=None):
+        return _assemble_report(
+            kind="test_family", first=family, second=family,
+            log_weight=lambda tup: float(-tup[0]), u=u,
+            work_value=lambda changes: changes[:, :, 0],
+            exponent_offset=0.0, quantities={}, labeled=labeled)
+
+    plain = build()
+    assert "jensen_combination" not in plain.quantities
+    generic = plain.jensen_lhs
+    report = build(lambda mean_changes: {"jensen_combination": generic})
+    assert report.quantities["jensen_combination"] == generic
+    with pytest.raises(ValidationError, match="labeled test_family Jensen combination"):
+        build(lambda mean_changes: {"jensen_combination": generic + 1e-6})
 
 
 def test_local_canonical_identity_and_free_energy(rng):

@@ -23,6 +23,7 @@ from seqmeas.model import (
     is_modified_doubly_stochastic,
     is_permutation_type,
     j_equation_lhs,
+    j_ratio,
     marginals,
     prune_zero_outcomes,
     reciprocal_model,
@@ -203,6 +204,24 @@ def test_j_equation_validates_q(rng):
         j_equation_lhs(m, [0.5, 0.5])  # wrong length
     with pytest.raises(ValidationError):
         j_equation_lhs(m, [0.5, 0.4, 0.2])  # not normalized
+
+
+def test_j_ratio_is_the_integrand_of_the_j_equation(rng):
+    """y(i, j) = d(i) q(j) / (D(j) p(i)); the identity and the Crooks levels average it."""
+    m = random_mod_ds_model(rng, 3, 4)
+    n_i, n_j = m.shape
+    q = random_positive_prob(rng, n_j)
+    p, _ = marginals(m)
+    y = j_ratio(m, q)
+    assert y.shape == (n_i, n_j)
+    for i in range(n_i):
+        for j in range(n_j):
+            assert y[i, j] == pytest.approx(m.d[i] * q[j] / (m.D[j] * p[i]), rel=1e-15)
+    mean = float(np.sum(m.p_table * y))
+    assert j_equation_lhs(m, q) == pytest.approx(mean, rel=1e-14)
+    assert crooks_check(m, q).j_equation_value == pytest.approx(mean, rel=1e-12)
+    with pytest.raises(ValidationError, match="q has shape"):
+        j_ratio(m, q[:-1])
 
 
 # ---------------------------------------------------------------- entropies

@@ -25,8 +25,6 @@ from seqmeas.wavepacket import (
     WavepacketConfig,
     _erfi_grid,
     cell_overlap,
-    complex_erf,
-    complex_erfi,
     conditional_kernel,
     entropy_curve,
     entropy_curve_csv,
@@ -52,24 +50,6 @@ def _quad_complex(f, a: float, b: float, limit: int = 300) -> complex:
 
 
 # ------------------------------------------------------ complex error functions
-
-
-def test_complex_erf_against_mpmath():
-    mpmath.mp.dps = 30
-    pts = [0.3 + 0.0j, -1.2 + 0.7j, 2.0 - 3.0j, 0.25 + 4.0j, -5.0 - 1.0j, 6.0 + 5.5j]
-    for z in pts:
-        want = complex(mpmath.erf(mpmath.mpc(z.real, z.imag)))
-        got = complex(complex_erf(z))
-        assert abs(got - want) <= 5e-13 * max(1.0, abs(want))
-
-
-def test_complex_erfi_against_mpmath():
-    mpmath.mp.dps = 30
-    pts = [0.5 + 0.0j, 0.0 + 2.0j, 1.5 - 2.5j, -3.0 + 1.0j, 2.2 + 2.2j]
-    for z in pts:
-        want = complex(mpmath.erfi(mpmath.mpc(z.real, z.imag)))
-        got = complex(complex_erfi(z))
-        assert abs(got - want) <= 5e-13 * max(1.0, abs(want))
 
 
 def test_erfi_line_matches_mpmath_and_stays_bounded():
