@@ -57,14 +57,18 @@ EXPONENT_CONSISTENCY_TOL = 1e-10
 # ---------------------------------------------------------------------------
 # fermionic Fock space over M modes (dimension 2^M, Jordan-Wigner encoding)
 
+def _require_n_modes(n_modes: int) -> None:
+    if not 1 <= n_modes <= 12:
+        raise ValidationError(f"n_modes = {n_modes} outside the supported range 1..12")
+
+
 def fock_annihilators(n_modes: int) -> list[np.ndarray]:
     """Annihilation operators c_a on the 2^n_modes fermionic Fock space.
 
     Jordan-Wigner strings enforce the canonical anticommutation relations:
     c_a = Z x ... x Z x s- x 1 x ... x 1  with the lowering matrix in slot a.
     """
-    if not 1 <= n_modes <= 12:
-        raise ValidationError(f"n_modes = {n_modes} outside the supported range 1..12")
+    _require_n_modes(n_modes)
     lower = np.array([[0.0, 1.0], [0.0, 0.0]])
     zed = np.diag([1.0, -1.0])
     one = np.eye(2)
@@ -92,9 +96,10 @@ def lift_one_particle(h: np.ndarray) -> np.ndarray:
 
 
 def number_operator(n_modes: int) -> np.ndarray:
-    """Total particle number  N = sum_a c_a* c_a  (diagonal in occupation basis)."""
-    cs = fock_annihilators(n_modes)
-    return sum(c.conj().T @ c for c in cs)
+    """Total particle number  N = sum_a c_a* c_a: in the occupation basis the
+    diagonal holds the number of set bits (occupied modes) of each index."""
+    _require_n_modes(n_modes)
+    return np.diag([k.bit_count() for k in range(2 ** n_modes)]).astype(complex)
 
 
 def tensor_lift(ops: Sequence[np.ndarray]) -> list[np.ndarray]:

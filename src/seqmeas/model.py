@@ -284,13 +284,11 @@ def j_ratio(model: JointModel, q: np.ndarray) -> np.ndarray:
     ``q`` is a float vector over the second outcomes (a wrong length is a
     ValidationError; other checks are the caller's).  Rows with p(i) = 0
     hold no mass and their non-finite entries are masked out by the
-    callers; mass on such a row is a PreconditionError.
+    callers.
     """
     if q.shape != (model.shape[1],):
         raise ValidationError(f"q has shape {q.shape}, expected ({model.shape[1]},)")
     p, _ = marginals(model)
-    if np.any((model.p_table > 0.0) & (p[:, None] <= 0.0)):
-        raise PreconditionError("table has mass on a zero-probability row")
     return (model.d[:, None] / p[:, None]) * (q[None, :] / model.D[None, :])
 
 

@@ -79,74 +79,71 @@ def require_density(rho, name: str = "rho", tol: float = 1e-11) -> np.ndarray:
 class SpectralFamily:
     """Joint eigenstructure of finitely many commuting Hermitian operators.
 
-    ``projections[k]`` projects on the k-th joint eigenspace, whose
-    eigenvalue tuple is ``eigen_tuples[k]`` (one entry per operator) and
-    whose dimension is the integer cell size ``degeneracies[k]``.  The
-    decomposition is maximal: distinct outcomes have distinct tuples.
+    ``basis`` is a unitary whose columns are grouped by outcome: outcome k
+    owns ``degeneracies[k]`` consecutive columns, which span the k-th
+    joint eigenspace, and its eigenvalue tuple is ``eigen_tuples[k]`` (one
+    entry per operator).  The decomposition is maximal: distinct outcomes
+    have distinct tuples.
     """
 
-    projections: np.ndarray   # (n_outcomes, dim, dim) complex
+    basis: np.ndarray         # (dim, dim) complex, columns grouped by outcome
     eigen_tuples: np.ndarray  # (n_outcomes, n_operators) float
     degeneracies: np.ndarray  # (n_outcomes,) int
     group_tol: float = GROUP_TOL
 
     def __post_init__(self):
-        proj = np.asarray(self.projections, dtype=complex)
+        basis = np.asarray(self.basis, dtype=complex)
         tuples = np.asarray(self.eigen_tuples, dtype=float)
-        if proj.ndim != 3 or proj.shape[1] != proj.shape[2]:
-            raise ValidationError(f"projections must be (k, dim, dim), got {proj.shape}")
-        if tuples.ndim != 2 or tuples.shape[0] != proj.shape[0]:
-            raise ValidationError("eigen_tuples must align with projections")
-        k, dim, _ = proj.shape
-        degs = np.asarray(self.degeneracies)
-        if degs.shape != (k,):
-            raise ValidationError("degeneracies must align with projections")
-        ident = np.eye(dim)
-        total = proj.sum(axis=0)
-        if np.abs(total - ident).max() > PROJECTION_TOL:
-            raise ValidationError("projections do not sum to the identity")
-        for a in range(k):
-            if np.abs(proj[a] - proj[a].conj().T).max() > PROJECTION_TOL:
-                raise ValidationError(f"projection {a} is not Hermitian")
-            if np.abs(proj[a] @ proj[a] - proj[a]).max() > PROJECTION_TOL:
-                raise ValidationError(f"projection {a} is not idempotent")
-            tr = float(np.trace(proj[a]).real)
-            if abs(tr - round(tr)) > 1e-9 or round(tr) < 1:
-                raise ValidationError(f"projection {a} has non-integer trace {tr}")
-            if int(round(tr)) != int(degs[a]):
-                raise ValidationError(f"degeneracy {degs[a]} does not match Tr P = {tr}")
-        for a in range(k):
-            for b in range(a + 1, k):
-                if np.abs(proj[a] @ proj[b]).max() > PROJECTION_TOL:
-                    raise ValidationError(f"projections {a}, {b} are not orthogonal")
-                if np.abs(tuples[a] - tuples[b]).max() <= self.group_tol:
-                    raise ValidationError(f"outcomes {a}, {b} share the eigenvalue tuple (not maximal)")
-        proj.setflags(write=False)
-        tuples.setflags(write=False)
-        degs = degs.astype(np.int64)
-        degs.setflags(write=False)
-        object.__setattr__(self, "projections", proj)
+        degs = np.asarray(self.degeneracies).astype(np.int64)
+        if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
+            raise ValidationError(f"basis must be (dim, dim), got {basis.shape}")
+        if tuples.ndim != 2 or degs.shape != (tuples.shape[0],):
+            raise ValidationError("eigen_tuples and degeneracies must align")
+        dim = basis.shape[0]
+        if np.any(degs < 1) or int(degs.sum()) != dim:
+            raise ValidationError(f"degeneracy counts must be positive and sum to dim = {dim}")
+        dev = float(np.abs(basis.conj().T @ basis - np.eye(dim)).max())
+        if dev > PROJECTION_TOL:
+            raise ValidationError(f"basis is not orthonormal: |V*V - identity| = {dev:.3e}")
+        close = (np.abs(tuples[:, None, :] - tuples[None, :, :]) <= self.group_tol).all(axis=2)
+        pairs = np.argwhere(np.triu(close, 1))
+        if pairs.size:
+            a, b = pairs[0]
+            raise ValidationError(f"outcomes {a}, {b} share the eigenvalue tuple (not maximal)")
+        for arr in (basis, tuples, degs):
+            arr.setflags(write=False)
+        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "eigen_tuples", tuples)
         object.__setattr__(self, "degeneracies", degs)
 
     @property
     def dim(self) -> int:
-        return self.projections.shape[1]
+        return self.basis.shape[0]
 
     @property
     def n_outcomes(self) -> int:
-        return self.projections.shape[0]
+        return self.degeneracies.shape[0]
 
     @property
     def n_operators(self) -> int:
         return self.eigen_tuples.shape[1]
+
+    @property
+    def starts(self) -> np.ndarray:
+        """First basis column of every outcome (the ``np.add.reduceat`` indices)."""
+        return np.cumsum(self.degeneracies) - self.degeneracies
+
+    @property
+    def projections(self) -> np.ndarray:
+        """The (n_outcomes, dim, dim) eigenprojections, built on demand from ``basis``."""
+        return np.array([v @ v.conj().T for v in np.split(self.basis, self.starts[1:], axis=1)])
 
     def labels(self) -> tuple:
         return tuple(tuple(float(x) for x in row) for row in self.eigen_tuples)
 
     def operator(self, k: int) -> np.ndarray:
         """Reconstruct the k-th operator of the family from its spectral data."""
-        return np.einsum("a,aij->ij", self.eigen_tuples[:, k], self.projections)
+        return (self.basis * np.repeat(self.eigen_tuples[:, k], self.degeneracies)) @ self.basis.conj().T
 
     def to_csv(self) -> str:
         """CSV with columns index,E_1..E_L,d (17 significant digits)."""
@@ -197,49 +194,38 @@ def joint_diagonalize(
     combo = sum(c / s * m for c, s, m in zip(coeffs, scales, mats))
     _, basis = np.linalg.eigh(combo)
 
-    # refine: within current blocks, diagonalize each operator and split
-    groups: list[np.ndarray] = [np.arange(dim)]
+    # refine: within each block of consecutive columns, diagonalize each
+    # operator and cut the block where its sorted eigenvalues jump
+    bounds = [0, dim]
     for m, s in zip(mats, scales):
-        tol = group_tol * s
-        new_groups: list[np.ndarray] = []
-        for g in groups:
-            block = basis[:, g].conj().T @ m @ basis[:, g]
-            w, v = np.linalg.eigh(block)
-            basis[:, g] = basis[:, g] @ v
-            # cluster sorted eigenvalues of the block
-            start = 0
-            for cut in np.nonzero(np.diff(w) > tol)[0] + 1:
-                new_groups.append(g[start:cut])
-                start = cut
-            new_groups.append(g[start:])
-        groups = new_groups
-
-    tuples = np.empty((len(groups), len(mats)))
-    for gi, g in enumerate(groups):
-        for k, m in enumerate(mats):
-            sub = basis[:, g]
-            tuples[gi, k] = float(np.einsum("ia,ij,ja->", sub.conj(), m, sub).real) / g.size
+        refined = [0]
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            sub = basis[:, a:b]
+            w, v = np.linalg.eigh(sub.conj().T @ m @ sub)
+            basis[:, a:b] = sub @ v
+            refined.extend(a + 1 + np.flatnonzero(np.diff(w) > group_tol * s))
+            refined.append(b)
+        bounds = refined
+    sizes = np.diff(bounds)
+    # per-block sums of each operator's diagonal in the refined basis; the
+    # unpathed einsum sums every column in one fixed order, so a tuple's last
+    # bits do not depend on how BLAS blocks a product of this dimension
+    sums = np.stack([np.add.reduceat(np.einsum("ia,ij,ja->a", basis.conj(), m, basis).real, bounds[:-1])
+                     for m in mats], axis=1)
+    tuples = sums / sizes[:, None]
 
     # merge any blocks whose refined tuples coincide (keeps maximality exact)
     order = np.lexsort(tuples.T[::-1])
-    merged: list[list[int]] = []
-    for gi in order:
-        if merged and np.all(np.abs(tuples[merged[-1][0]] - tuples[gi]) <= group_tol * np.array(scales)):
-            merged[-1].append(gi)
-        else:
-            merged.append([gi])
-    projections = np.empty((len(merged), dim, dim), dtype=complex)
-    out_tuples = np.empty((len(merged), len(mats)))
-    degs = np.empty(len(merged), dtype=np.int64)
-    for a, part in enumerate(merged):
-        idx = np.concatenate([groups[gi] for gi in part])
-        sub = basis[:, idx]
-        projections[a] = sub @ sub.conj().T
-        weights = np.array([groups[gi].size for gi in part], dtype=float)
-        out_tuples[a] = np.average(tuples[part], axis=0, weights=weights)
-        degs[a] = idx.size
+    tol = group_tol * np.array(scales)
+    heads: list[int] = []  # positions in ``order`` where an outcome starts
+    for pos, gi in enumerate(order):
+        if not heads or np.any(np.abs(tuples[order[heads[-1]]] - tuples[gi]) > tol):
+            heads.append(pos)
+    degs = np.add.reduceat(sizes[order], heads)
+    column_rank = np.repeat(np.argsort(order), sizes)  # merged position of each column's block
 
-    fam = SpectralFamily(projections=projections, eigen_tuples=out_tuples,
+    fam = SpectralFamily(basis=basis[:, np.argsort(column_rank, kind="stable")],
+                         eigen_tuples=np.add.reduceat(sums[order], heads) / degs[:, None],
                          degeneracies=degs, group_tol=group_tol)
     for k, (m, s) in enumerate(zip(mats, scales)):
         dev = float(np.abs(fam.operator(k) - m).max())
@@ -286,7 +272,7 @@ def ensemble_state(family: SpectralFamily, weight_fn: Callable[..., float]) -> E
     if norm <= 0.0:
         raise PreconditionError("total weight underflowed to zero; shift the spectra before exponentiating")
     g = raw / norm
-    rho = np.einsum("a,aij->ij", g, family.projections)
+    rho = (family.basis * np.repeat(g, family.degeneracies)) @ family.basis.conj().T
     return EnsembleState(
         rho=rho,
         cell_weights=g,
@@ -297,18 +283,26 @@ def ensemble_state(family: SpectralFamily, weight_fn: Callable[..., float]) -> E
 
 
 def luders_probabilities(rho: np.ndarray, family: SpectralFamily) -> np.ndarray:
-    """Outcome probabilities  p(i) = Tr(rho P_i)  of the family measurement."""
+    """Outcome probabilities  p(i) = Tr(rho P_i): segment sums of diag(V* rho V)."""
     rho = require_density(rho)
-    p = np.einsum("aij,ji->a", family.projections, rho).real
+    v = family.basis
+    p = np.add.reduceat(np.einsum("ia,ia->a", v.conj(), rho @ v).real, family.starts)
     if p.min() < -1e-11:
         raise ValidationError(f"negative probability {p.min():.3e} (rho not PSD?)")
     return np.clip(p, 0.0, None)
 
 
+def _outcome_blocks(rho: np.ndarray, family: SpectralFamily) -> np.ndarray:
+    """V* rho V in the family basis with every entry outside the outcome blocks zeroed."""
+    label = np.repeat(np.arange(family.n_outcomes), family.degeneracies)
+    v = family.basis
+    return np.where(label[:, None] == label[None, :], v.conj().T @ rho @ v, 0.0)
+
+
 def luders_post_state(rho: np.ndarray, family: SpectralFamily) -> np.ndarray:
-    """Non-selective post-measurement state  sum_i P_i rho P_i: O(k dim^3), O(dim^2) extra."""
+    """Non-selective post-measurement state  sum_i P_i rho P_i: O(dim^3), O(dim^2) extra."""
     rho = require_density(rho)
-    return sum(proj @ rho @ proj for proj in family.projections)
+    return family.basis @ _outcome_blocks(rho, family) @ family.basis.conj().T
 
 
 def check_assumption2(rho: np.ndarray, family: SpectralFamily,
@@ -317,12 +311,14 @@ def check_assumption2(rho: np.ndarray, family: SpectralFamily,
 
     The condition is  P_i rho P_i = (p(i)/d(i)) P_i  for every outcome;
     it holds exactly when rho is a function of the measured family.
-    Returns (verdict, worst absolute deviation).
+    Returns (verdict, worst deviation), where the deviation of outcome i is
+    the Frobenius norm of  P_i rho P_i - (p(i)/d(i)) P_i,  computed on its
+    block of the family basis; it bounds every entry's absolute deviation.
     """
     rho = require_density(rho)
     p = luders_probabilities(rho, family)
-    worst = max(float(np.abs(P @ rho @ P - (pa / da) * P).max())
-                for P, pa, da in zip(family.projections, p, family.degeneracies))
+    dev = _outcome_blocks(rho, family) - np.diag(np.repeat(p / family.degeneracies, family.degeneracies))
+    worst = float(np.sqrt(np.add.reduceat(np.sum(np.abs(dev) ** 2, axis=1), family.starts).max()))
     return worst <= tol, worst
 
 
@@ -373,14 +369,10 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _two_time_traces(u: np.ndarray, first: SpectralFamily, second: SpectralFamily) -> np.ndarray:
-    """Complex  t[i, j] = Tr(Q_j U P_i U*): per first outcome, two GEMMs and a GEMV
-    against the flattened Q stack; O(k1 dim^3 + k1 k2 dim^2) time, O(dim^2) extra memory."""
-    u_dag = u.conj().T
-    q_flat = second.projections.reshape(second.n_outcomes, -1)
-    t = np.empty((first.n_outcomes, second.n_outcomes), dtype=complex)
-    for i, proj in enumerate(first.projections):
-        t[i] = q_flat @ (u @ proj @ u_dag).T.ravel()
-    return t
+    """t[i, j] = Tr(Q_j U P_i U*): the (i, j) block sums of |V* U* W|^2, with V and W
+    the two family bases; two GEMMs, O(dim^3) time and O(dim^2) extra memory."""
+    amp = np.abs(first.basis.conj().T @ (u.conj().T @ second.basis)) ** 2
+    return np.add.reduceat(np.add.reduceat(amp, first.starts, axis=0), second.starts, axis=1)
 
 
 def physical_conditional(u: np.ndarray, first: SpectralFamily, second: SpectralFamily) -> np.ndarray:
@@ -388,16 +380,12 @@ def physical_conditional(u: np.ndarray, first: SpectralFamily, second: SpectralF
 
     Row-stochastic for any unitary; modified doubly stochastic with the
     cell sizes d = Tr P, D = Tr Q (the trace identity sum_i U P_i U* = 1).
-    Costs O(k1 dim^3 + k1 k2 dim^2) and O(dim^2) extra memory.
+    Costs O(dim^3) and O(dim^2) extra memory.
     """
     u = require_unitary(u)
     if first.dim != u.shape[0] or second.dim != u.shape[0]:
         raise ValidationError("families and unitary must share one dimension")
-    t = _two_time_traces(u, first, second)
-    if float(np.abs(t.imag).max()) > 1e-10:
-        raise ValidationError(f"conditional has imaginary part {np.abs(t.imag).max():.3e}")
-    pi = t.real / first.degeneracies[:, None].astype(float)
-    return np.clip(pi, 0.0, None)
+    return _two_time_traces(u, first, second) / first.degeneracies[:, None]
 
 
 def povm_elements(u: np.ndarray, first: SpectralFamily, second: SpectralFamily,
@@ -408,15 +396,20 @@ def povm_elements(u: np.ndarray, first: SpectralFamily, second: SpectralFamily,
     identity (enforced within ``completeness_tol`` unless None); together
     they reproduce the joint probabilities via p(i, j) = Tr(rho F(i, j))
     whenever the initial state satisfies the cell-uniformity assumption
-    checked by :func:`check_assumption2`.  Costs O(k1 k2 dim^3); beyond
-    the (k1, k2, dim, dim) result, one (k2, dim, dim) stack and two
-    dim x dim matrices are live at a time.
+    checked by :func:`check_assumption2`.  With  Z_i = W* U V_i V_i*  (V, W
+    the family bases, V_i the columns of outcome i), F(i, j) is the Gram
+    matrix of the rows of Z_i in outcome block j.  Costs O(k1 dim^3); beyond
+    the (k1, k2, dim, dim) result, a few dim x dim matrices are live at a time.
     """
     u = require_unitary(u)
     f = np.empty((first.n_outcomes, second.n_outcomes, u.shape[0], u.shape[0]), dtype=complex)
-    for i, proj in enumerate(first.projections):
-        moved = u @ proj  # F(i, j) = (U P_i)* Q_j (U P_i)
-        np.matmul(moved.conj().T @ second.projections, moved, out=f[i])
+    w_dag_u = second.basis.conj().T @ u
+    blocks = [slice(a, a + d) for a, d in zip(second.starts.tolist(), second.degeneracies.tolist())]
+    for i, v in enumerate(np.split(first.basis, first.starts[1:], axis=1)):
+        z = (w_dag_u @ v) @ v.conj().T
+        z_dag = z.conj().T
+        for j, rows in enumerate(blocks):
+            np.matmul(z_dag[:, rows], z[rows], out=f[i, j])
     if completeness_tol is not None:
         dev = povm_completeness_deviation(f)
         if dev > completeness_tol:
@@ -524,11 +517,12 @@ def time_reversal_symmetry_check(
     (transposition-invariant), which is the complex-conjugation
     time-reversal scenario of palindromic real protocols; outside those
     preconditions the asymmetry is still reported as a diagnostic and may
-    legitimately be large.  Costs two trace tables, O((k1 + k2) dim^3 + k1 k2 dim^2).
+    legitimately be large.  The backward table is the forward kernel with
+    U* in place of U; both cost O(dim^3).
     """
     u = require_unitary(u)
-    fwd = _two_time_traces(u, first, second).real
-    bwd = _two_time_traces(u, second, first).T.real
+    fwd = _two_time_traces(u, first, second)
+    bwd = _two_time_traces(u.conj().T, first, second)
     asym = float(np.abs(fwd - bwd).max())
     families_real = bool(
         np.abs(first.projections.imag).max() <= tol and np.abs(second.projections.imag).max() <= tol

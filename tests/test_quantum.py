@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqmeas.cli import build_parser
 from seqmeas.ensembles import GrandCanonicalConfig, generate
 from seqmeas.model import (
     PreconditionError,
@@ -138,17 +139,13 @@ def test_joint_diagonalize_reconstructs_both_operators(seed, dim):
 
 
 def test_spectral_family_validation():
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
+    skewed = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)  # columns not orthonormal
     with pytest.raises(ValidationError, match="identity"):
-        SpectralFamily(projections=np.array([p0, p0]), eigen_tuples=[[0.0], [1.0]],
-                       degeneracies=[1, 1])
+        SpectralFamily(basis=skewed, eigen_tuples=[[0.0], [1.0]], degeneracies=[1, 1])
     with pytest.raises(ValidationError, match="degeneracy"):
-        SpectralFamily(projections=np.array([p0, p1]), eigen_tuples=[[0.0], [1.0]],
-                       degeneracies=[2, 1])
+        SpectralFamily(basis=np.eye(2), eigen_tuples=[[0.0], [1.0]], degeneracies=[2, 1])
     with pytest.raises(ValidationError, match="maximal"):
-        SpectralFamily(projections=np.array([p0, p1]), eigen_tuples=[[0.5], [0.5]],
-                       degeneracies=[1, 1])
+        SpectralFamily(basis=np.eye(2), eigen_tuples=[[0.5], [0.5]], degeneracies=[1, 1])
 
 
 def test_spectral_family_csv(rng):
@@ -347,6 +344,22 @@ def test_two_time_kernels_match_explicit_traces(dim):
     assert report.max_asymmetry == pytest.approx(np.abs(forward - backward).max(), abs=1e-13)
 
 
+@pytest.mark.parametrize("dim", range(2, 10))
+def test_check_assumption2_never_loosens(dim):
+    """The reported deviation bounds the per-projector  max |P rho P - (p/d) P|  from above."""
+    rng = np.random.default_rng(5300 + dim)
+    fam = exactly_degenerate_family(rng, dim)
+    stationary = ensemble_state(fam, lambda e: math.exp(-0.3 * e)).rho
+    for eps in (1.0, 1e-3, 1e-9):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = (1.0 - eps) * stationary + eps * (g @ g.conj().T) / np.trace(g @ g.conj().T).real
+        p = luders_probabilities(rho, fam)
+        per_projector = max(float(np.abs(P @ rho @ P - (pa / da) * P).max())
+                            for P, pa, da in zip(fam.projections, p, fam.degeneracies))
+        _, dev = check_assumption2(rho, fam)
+        assert dev >= per_projector
+
+
 def test_build_joint_model_hand_example():
     """Qubit flip with known amplitudes: p(i, j) computed by hand."""
     first = joint_diagonalize([np.diag([0.0, 1.0])])
@@ -512,3 +525,28 @@ def test_six_mode_grand_canonical_tolerances_and_kernel_memory():
     assert conditional_peak < first.projections.nbytes  # one (k, dim, dim) stack: 4 MB
     # the result, one (k2, dim, dim) stack, and U P_i with its conjugate (two matrices more spare)
     assert povm_peak < f.nbytes + second.projections.nbytes + 4 * work
+
+
+def test_seven_mode_grand_canonical_tolerances_and_generate_memory():
+    """dim 128: identity, column sums and Crooks levels hold; generate keeps no (k, dim, dim) stack."""
+    rng = np.random.default_rng(128)
+    h = [rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)) for _ in range(2)]
+    cfg = GrandCanonicalConfig(h_t0=0.5 * (h[0] + h[0].conj().T), h_t1=0.5 * (h[1] + h[1].conj().T),
+                               beta=0.8, mu=0.3)
+    u = haar_unitary(128, rng)
+    tracemalloc.start()
+    try:
+        report = generate(cfg, u)
+        generate_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    first = report.first_family
+    assert generate_peak < first.n_outcomes * first.dim ** 2 * 16  # one complex stack: 34 MB
+
+    assert abs(report.jarzynski_lhs - 1.0) <= DEFAULT_TOLERANCES["jarzynski"]
+    ok, dev = is_modified_doubly_stochastic(conditional(report.model), report.model.d,
+                                            report.model.D, tol=DEFAULT_TOLERANCES["mod_ds"])
+    assert ok, f"column-sum deviation {dev}"
+    crooks = crooks_check(report.model, report.q)
+    tol_ratio = build_parser().parse_args(["crooks", "--config", "-"]).tol_ratio
+    assert float(np.max(crooks.distribution.ratio_errors)) <= tol_ratio
