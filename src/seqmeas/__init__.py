@@ -23,5 +23,4 @@ from .model import (  # noqa: F401
     marginals,
     reciprocal_model,
     shannon_entropy,
-    uniformity_check,
 )

@@ -24,6 +24,12 @@ import numpy as np
 
 from .model import PreconditionError, ValidationError
 
+# Richardson base step of the finite-difference Jacobian spot check.
+JACOBIAN_EPS = 1e-3
+# Gauss-Hermite order of the quench oracle (1e-13 territory for moderate
+# frequency ratios; the Gaussian integrand converges geometrically).
+QUADRATURE_ORDER = 96
+
 
 @dataclass(frozen=True)
 class PhaseSpaceDensity:
@@ -48,7 +54,7 @@ class VolumePreservingMap:
     """Deterministic map x -> U(x) together with its volume-preservation certificate.
 
     ``certificate`` names why |det DU| = 1: "identity", "analytic-symplectic"
-    (closed-form rotation/shear), or "leapfrog-composition" (every substep is
+    (closed-form shear), or "leapfrog-composition" (every substep is
     a shear).  ``jacobian_determinant_check`` provides the numerical spot check.
     """
 
@@ -108,64 +114,13 @@ def canonical_harmonic_density(omega: float, beta: float, n_dof: int = 1) -> Pha
                                    "beta": beta, "log_z": log_z})
 
 
-def metropolis_sampler(log_density: Callable[[np.ndarray], np.ndarray], dim: int,
-                       step: float = 0.5, burn_in: int = 2000, thin: int = 10,
-                       x0: np.ndarray | None = None) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """Random-walk Metropolis fallback for non-Gaussian densities.
-
-    Correlated-chain sampler: draws are thinned by ``thin`` after ``burn_in``
-    accepted-or-rejected steps.  Use only when no exact sampler exists; the
-    J-expectation contract assumes i.i.d. draws, so prefer exact samplers
-    and treat Metropolis results as approximate (larger effective errors).
-    """
-    start = np.zeros(dim) if x0 is None else np.asarray(x0, dtype=float)
-
-    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        x = start.copy()
-        lp = float(log_density(x))
-        out = np.empty((n, dim))
-        total = burn_in + n * thin
-        draws = rng.normal(0.0, step, size=(total, dim))
-        accepts = np.log(rng.random(total))
-        k = 0
-        for i in range(total):
-            prop = x + draws[i]
-            lp_prop = float(log_density(prop))
-            if lp_prop - lp > accepts[i]:
-                x, lp = prop, lp_prop
-            if i >= burn_in and (i - burn_in) % thin == thin - 1:
-                out[k] = x
-                k += 1
-        return out
-
-    return sampler
-
-
-def rotation_map(omega: float, t: float) -> VolumePreservingMap:
-    """Exact phase flow of the static harmonic Hamiltonian for time t (1 dof).
-
-    (q, p) -> (q cos wt + (p/w) sin wt, -q w sin wt + p cos wt); the
-    Jacobian is the symplectic rotation with unit determinant.
-    """
-    if omega <= 0:
-        raise ValidationError(f"omega = {omega} must be positive")
-    c, s = math.cos(omega * t), math.sin(omega * t)
-
-    def forward(x):
-        x = np.asarray(x, dtype=float)
-        q, p = x[..., 0], x[..., 1]
-        return np.stack([c * q + (s / omega) * p, -omega * s * q + c * p], axis=-1)
-
-    return VolumePreservingMap(forward=forward, dim=2, certificate="analytic-symplectic")
-
-
 def leapfrog_map(grad_potential: Callable[[float, np.ndarray], np.ndarray], dt: float,
-                 steps: int, t0: float = 0.0, dim: int = 2) -> VolumePreservingMap:
-    """Kick-drift-kick leapfrog for H = p^2/2 + V(t, q), time-dependent V.
+                 steps: int) -> VolumePreservingMap:
+    """Kick-drift-kick leapfrog for H = p^2/2 + V(t, q), time-dependent V, one dof.
 
     Each substep is a shear (unit Jacobian in exact arithmetic), so the
     composition is volume-preserving for any protocol; the potential
-    gradient is evaluated at the substep times t, t + dt/2 ... as usual.
+    gradient is evaluated at the substep times 0, dt, 2 dt ... as usual.
     """
     if dt <= 0 or steps < 1:
         raise ValidationError("dt must be positive and steps >= 1")
@@ -175,7 +130,7 @@ def leapfrog_map(grad_potential: Callable[[float, np.ndarray], np.ndarray], dt: 
         n = x.shape[-1] // 2
         q = np.array(x[..., :n], copy=True)
         p = np.array(x[..., n:], copy=True)
-        t = t0
+        t = 0.0
         for _ in range(steps):
             p -= 0.5 * dt * np.asarray(grad_potential(t, q))
             q += dt * p
@@ -183,16 +138,17 @@ def leapfrog_map(grad_potential: Callable[[float, np.ndarray], np.ndarray], dt: 
             t += dt
         return np.concatenate([q, p], axis=-1)
 
-    return VolumePreservingMap(forward=forward, dim=dim, certificate="leapfrog-composition")
+    return VolumePreservingMap(forward=forward, dim=2, certificate="leapfrog-composition")
 
 
-def jacobian_determinant_check(u: VolumePreservingMap, points: np.ndarray,
-                               eps: float = 1e-3) -> float:
+def jacobian_determinant_check(u: VolumePreservingMap, points: np.ndarray) -> float:
     """Worst |det DU - 1| over the points, by Richardson-extrapolated central differences.
 
-    Each column is (4 D(eps) - D(2 eps)) / 3, D(h) the central difference at step h:
-    O(eps^4) truncation and ulp |U| / eps rounding.  One vectorized call of the map.
+    Each column is (4 D(eps) - D(2 eps)) / 3, D(h) the central difference at step h
+    and eps = ``JACOBIAN_EPS``: O(eps^4) truncation and ulp |U| / eps rounding.  One
+    vectorized call of the map.
     """
+    eps = JACOBIAN_EPS
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, dim = points.shape
     steps = np.array([eps, -eps, 2.0 * eps, -2.0 * eps])
@@ -256,142 +212,22 @@ def work_samples(h0: Callable[[np.ndarray], np.ndarray], h1: Callable[[np.ndarra
     return np.asarray(h1(u(x))) - np.asarray(h0(x))
 
 
-def gauss_hermite_quench(beta: float, omega0: float, omega1: float, order: int = 96) -> float:
+def gauss_hermite_quench(beta: float, omega0: float, omega1: float) -> float:
     """Deterministic Gauss-Hermite value of < exp(-beta w) > for the sudden quench.
 
     U = identity, w = (omega1^2 - omega0^2) q^2 / 2 under the canonical
     density at omega0; the exact value is Z1/Z0 = omega0/omega1.  The
-    integrand is Gaussian, so the quadrature converges geometrically in
-    the order (1e-13 territory by order ~= 96 for moderate frequency ratios).
+    integrand is Gaussian, so ``QUADRATURE_ORDER`` nodes suffice.
     """
     if min(beta, omega0, omega1) <= 0:
         raise ValidationError("beta, omega0, omega1 must be positive")
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    nodes, weights = np.polynomial.hermite.hermgauss(QUADRATURE_ORDER)
     # q = sqrt(2) s x with s^2 = 1/(beta omega0^2) turns the canonical average
     # into the Hermite weight integral (1/sqrt(pi)) sum w_k f(sqrt(2) s x_k)
     s = 1.0 / (math.sqrt(beta) * omega0)
     q = math.sqrt(2.0) * s * nodes
     f = np.exp(-0.5 * beta * (omega1 ** 2 - omega0 ** 2) * q * q)
     return float(np.sum(weights * f) / math.sqrt(math.pi))
-
-
-@dataclass(frozen=True)
-class CrooksHistogramReport:
-    """Paired forward/reverse work histograms and the per-bin ratio test.
-
-    Two comparisons are reported.  ``log_ratio`` vs ``expected_log_ratio``
-    is the textbook ln[P_f(w)/P_r(-w)] = beta (w - Delta F) read off bin
-    centers; its residual is dominated by bin width (the expected side
-    varies by e^{beta dw} across a bin), so it is descriptive only.  The
-    quantitative test reweights each reverse sample by e^{beta (w - dF)}:
-    the identity implies E[forward count in bin] = E[sum of those weights
-    in bin] exactly, for any bin width.  ``reweight_sigma`` is the
-    normalized per-bin residual of that comparison.
-
-    The classical reverse protocol is our composition (momentum flip,
-    reversed schedule, momentum flip); this ratio test is its certificate.
-    """
-
-    bin_edges: np.ndarray
-    forward_counts: np.ndarray
-    reverse_counts: np.ndarray
-    reweighted_forward: np.ndarray
-    reweight_sigma: np.ndarray
-    log_ratio: np.ndarray
-    expected_log_ratio: np.ndarray
-    populated: np.ndarray
-    beta: float
-    delta_f: float
-    n_samples: int
-    seed: int
-
-    def worst_sigma(self, min_count: int = 50) -> float:
-        """Largest normalized reweighting residual over usable bins.
-
-        Bins with fewer than ``min_count`` samples on either side are
-        skipped.  The floor is deliberately high: the reverse side enters
-        through a weighted sum whose variance is estimated from the same
-        few samples, so a downward count fluctuation both shifts the sum
-        and shrinks its error bar, inflating z in sparse bins.
-        """
-        usable = self.populated & (self.forward_counts >= min_count) \
-            & (self.reverse_counts >= min_count)
-        if not np.any(usable):
-            return 0.0
-        return float(np.max(self.reweight_sigma[usable]))
-
-
-def momentum_flip(dim: int) -> VolumePreservingMap:
-    def forward(x):
-        x = np.asarray(x, dtype=float)
-        n = x.shape[-1] // 2
-        return np.concatenate([x[..., :n], -x[..., n:]], axis=-1)
-
-    return VolumePreservingMap(forward=forward, dim=dim, certificate="analytic-symplectic")
-
-
-def reversed_leapfrog_map(grad_potential: Callable[[float, np.ndarray], np.ndarray], dt: float,
-                          steps: int, dim: int = 2) -> VolumePreservingMap:
-    """Flip momenta, run the time-reversed protocol, flip back.
-
-    For the schedule V(t) on [0, steps*dt] the reversed protocol uses
-    V(T - t); the composition inverts the forward leapfrog exactly
-    (same shears in opposite order), up to roundoff.
-    """
-    total = steps * dt
-    flip = momentum_flip(dim)
-    inner = leapfrog_map(lambda t, q: grad_potential(total - t, q), dt, steps, dim=dim)
-
-    def forward(x):
-        return flip(inner(flip(x)))
-
-    return VolumePreservingMap(forward=forward, dim=dim, certificate="leapfrog-composition")
-
-
-def classical_crooks(beta: float, h0, h1, delta_f: float,
-                     p0: PhaseSpaceDensity, p1: PhaseSpaceDensity,
-                     u_forward: VolumePreservingMap, u_reverse: VolumePreservingMap,
-                     n: int, seed: int, bins: int = 40,
-                     bin_range: tuple[float, float] | None = None) -> CrooksHistogramReport:
-    """Sampled forward/reverse work histograms and their Crooks ratio.
-
-    Forward: x ~ p0, w = H1(U(x)) - H0(x).  Reverse: y ~ p1,
-    w_rev = H0(U_rev(y)) - H1(y), histogrammed at -w_rev so the two
-    distributions share bins.  Each reverse sample also contributes the
-    weight e^{beta (w - Delta F)} to ``reweighted_forward`` in its bin,
-    which the identity pins to the forward count bin-by-bin; empty bins
-    are excluded (``populated`` mask).
-    """
-    if n < 100:
-        raise ValidationError("need at least 100 samples per direction")
-    rng = np.random.default_rng(seed)
-    x = p0.sampler(rng, n)
-    w_f = work_samples(h0, h1, u_forward, x)
-    y = p1.sampler(rng, n)
-    w_r = np.asarray(h0(u_reverse(y))) - np.asarray(h1(y))
-    v = -w_r
-    if bin_range is None:
-        lo = min(float(w_f.min()), float(v.min()))
-        hi = max(float(w_f.max()), float(v.max()))
-        pad = 1e-9 * max(1.0, abs(lo), abs(hi))
-        bin_range = (lo - pad, hi + pad)
-    edges = np.linspace(bin_range[0], bin_range[1], bins + 1)
-    cf, _ = np.histogram(w_f, bins=edges)
-    cr, _ = np.histogram(v, bins=edges)
-    weights = np.exp(beta * (v - delta_f))
-    rw, _ = np.histogram(v, bins=edges, weights=weights)
-    rw_var, _ = np.histogram(v, bins=edges, weights=weights * weights)
-    populated = (cf > 0) & (cr > 0)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.log(cf / cr)
-        sigma = np.abs(cf - rw) / np.sqrt(cf + rw_var)
-    expected = beta * (centers - delta_f)
-    return CrooksHistogramReport(
-        bin_edges=edges, forward_counts=cf, reverse_counts=cr,
-        reweighted_forward=rw, reweight_sigma=np.where(populated, sigma, 0.0),
-        log_ratio=log_ratio, expected_log_ratio=expected,
-        populated=populated, beta=beta, delta_f=delta_f, n_samples=n, seed=seed)
 
 
 def harmonic_ramp_gradient(omega0: float, omega1: float, duration: float):

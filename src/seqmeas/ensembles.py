@@ -376,8 +376,7 @@ def _assemble_report(
     lw1 = np.array([log_weight(t) for t in second.eigen_tuples])
     m0, m1 = float(lw0.max()), float(lw1.max())
     state = ensemble_state(first, _shifted_exp(log_weight, m0))
-    model, _ = build_joint_model(state.rho, u, first, second,
-                                 probabilities=state.probabilities)
+    model = build_joint_model(state.rho, u, first, second, probabilities=state.probabilities)
     qstate = ensemble_state(second, _shifted_exp(log_weight, m1))
     q = qstate.probabilities
     # log normalization constants with the shifts restored

@@ -16,8 +16,7 @@ Everything in this module is elementary probability on top of that table:
 * cell-weighted Shannon entropies  S(p) = -sum_i p(i) ln(p(i)/d(i))  and
   the second-law-like gap S(p-hat) - S(p) >= 0,
 * the reciprocal (reverse-experiment) table  P~(j, i) = pi(j|i) d(i) q(j) / D(j)
-  and the per-level fluctuation ratio bookkeeping built from it,
-* coarse graining over cells and its inverse refinement.
+  and the per-level fluctuation ratio bookkeeping built from it.
 
 Numerical conventions: probabilities are float64, entropies use the
 natural logarithm unless an explicit base is requested, and 0 ln 0 = 0.
@@ -26,20 +25,17 @@ natural logarithm unless an explicit base is requested, and 0 ln 0 = 0.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-logger = logging.getLogger(__name__)
-
 # Absolute slack accepted when checking that probabilities sum to one.
 NORMALIZATION_TOL = 1e-12
-# Entries below this are treated as structurally zero by prune().
-PRUNE_THRESHOLD = 1e-14
 # Default tolerance for the modified doubly stochastic test.
 MOD_DS_TOL = 1e-10
+# Slack of the unit and zero entries of a permutation-type conditional.
+PERMUTATION_TOL = 1e-10
 # Default absolute tolerance when grouping fluctuation-ratio levels.
 LEVEL_GROUPING_TOL = 1e-9
 
@@ -203,39 +199,6 @@ def marginals(model: JointModel) -> tuple[np.ndarray, np.ndarray]:
     return model.p_table.sum(axis=1), model.p_table.sum(axis=0)
 
 
-def prune_zero_outcomes(model: JointModel, threshold: float = PRUNE_THRESHOLD) -> JointModel:
-    """Drop outcomes whose marginal probability falls below ``threshold``.
-
-    Conditional probabilities are undefined on zero-probability rows, so
-    models coming from degenerate inputs are pruned before use.  Dropped
-    labels are logged.
-    """
-    p, p_hat = marginals(model)
-    keep_i = p > threshold
-    keep_j = p_hat > threshold
-    if np.all(keep_i) and np.all(keep_j):
-        return model
-    dropped_i = [model.labels_i[k] for k in np.nonzero(~keep_i)[0]]
-    dropped_j = [model.labels_j[k] for k in np.nonzero(~keep_j)[0]]
-    if dropped_i:
-        logger.info("pruning %d first outcomes with p < %g: %s", len(dropped_i), threshold, dropped_i)
-    if dropped_j:
-        logger.info("pruning %d second outcomes with p-hat < %g: %s", len(dropped_j), threshold, dropped_j)
-    table = model.p_table[np.ix_(keep_i, keep_j)]
-    total = table.sum()
-    if not model.truncated and abs(total - 1.0) > NORMALIZATION_TOL:
-        # dropped mass is below nI * threshold; renormalizing is fp noise
-        table = table / total
-    return JointModel(
-        p_table=table,
-        d=model.d[keep_i],
-        D=model.D[keep_j],
-        labels_i=tuple(model.labels_i[k] for k in np.nonzero(keep_i)[0]),
-        labels_j=tuple(model.labels_j[k] for k in np.nonzero(keep_j)[0]),
-        truncated=model.truncated,
-    )
-
-
 def conditional(model: JointModel) -> np.ndarray:
     """Conditional matrix pi(j|i) = P(i, j) / p(i).
 
@@ -336,25 +299,26 @@ def shannon_entropy(p, d=None, base: float | None = None, *, check_normalized: b
     return s
 
 
-def entropy_gap(model: JointModel, ds_tol: float = MOD_DS_TOL) -> float:
+def entropy_gap(model: JointModel) -> float:
     """Entropy production  S(p-hat) - S(p)  of the two-measurement model.
 
     Both entropies are cell-weighted.  The gap is guaranteed nonnegative
     only under the modified doubly stochastic condition, so that condition
-    is enforced here (PreconditionError otherwise).
+    is enforced here within ``MOD_DS_TOL`` (PreconditionError otherwise).
     """
     p, p_hat = marginals(model)
     pi = conditional(model)
-    ok, dev = is_modified_doubly_stochastic(pi, model.d, model.D, ds_tol)
+    ok, dev = is_modified_doubly_stochastic(pi, model.d, model.D)
     if not ok:
         raise PreconditionError(
-            f"conditional is not modified doubly stochastic (deviation {dev:.3e} > {ds_tol:g})"
+            f"conditional is not modified doubly stochastic (deviation {dev:.3e} > {MOD_DS_TOL:g})"
         )
     return shannon_entropy(p_hat, model.D) - shannon_entropy(p, model.d)
 
 
-def is_permutation_type(pi: np.ndarray, tol: float = 1e-10) -> bool:
-    """True when the square conditional has exactly one unit entry per row and column."""
+def is_permutation_type(pi: np.ndarray) -> bool:
+    """True when the square conditional has exactly one unit entry per row and column
+    (within ``PERMUTATION_TOL``)."""
     pi = _as_float_array(pi, "pi", 2)
     n, m = pi.shape
     if n != m:
@@ -362,8 +326,8 @@ def is_permutation_type(pi: np.ndarray, tol: float = 1e-10) -> bool:
     big = pi > 0.5
     if not (np.all(big.sum(axis=0) == 1) and np.all(big.sum(axis=1) == 1)):
         return False
-    near_one = np.abs(pi[big] - 1.0) <= tol
-    near_zero = np.abs(pi[~big]) <= tol
+    near_one = np.abs(pi[big] - 1.0) <= PERMUTATION_TOL
+    near_zero = np.abs(pi[~big]) <= PERMUTATION_TOL
     return bool(np.all(near_one) and np.all(near_zero))
 
 
@@ -522,105 +486,3 @@ def crooks_check(model: JointModel, q, grouping_tol: float = LEVEL_GROUPING_TOL)
     dist = WorkDistribution(values=lv, probs=lp, grouping_tol=grouping_tol,
                             reciprocal_probs=lr, ratio_errors=np.abs(lp * lv - lr))
     return CrooksReport(distribution=dist, j_equation_value=float(np.sum(lv * lp)))
-
-
-@dataclass(frozen=True)
-class UniformityReport:
-    """Outcome of the double-stochasticity uniformity check."""
-
-    hypotheses_hold: bool
-    uniform: bool
-    failed_hypothesis: str | None
-    max_dev_forward: float
-    max_dev_backward: float
-    max_dev_uniform: float
-
-
-def uniformity_check(model: JointModel, tol: float = MOD_DS_TOL) -> UniformityReport:
-    """Check that a strictly positive square table with doubly stochastic
-    conditionals in both time directions has uniform marginals.
-
-    The hypotheses are: P(i, j) > 0 everywhere, pi(j|i) doubly stochastic
-    and the backward conditional pi-hat(i|j) doubly stochastic.  When they
-    hold, p = p-hat = 1/n is verified and reported; otherwise the first
-    failing hypothesis is named.
-    """
-    nI, nJ = model.shape
-    if nI != nJ:
-        raise PreconditionError(f"uniformity check needs a square table, got {model.shape}")
-    if np.any(model.p_table <= 0.0):
-        i, j = np.argwhere(model.p_table <= 0.0)[0]
-        return UniformityReport(False, False, f"positivity (P[{i},{j}] = 0)", np.inf, np.inf, np.inf)
-    p, p_hat = marginals(model)
-    pi = model.p_table / p[:, None]
-    pi_hat = (model.p_table / p_hat[None, :]).T
-    ones = np.ones(nI)
-    dev_f = float(np.max(np.abs(pi.T @ ones - ones)))
-    dev_b = float(np.max(np.abs(pi_hat.T @ ones - ones)))
-    if dev_f > tol:
-        return UniformityReport(False, False, "forward conditional not doubly stochastic", dev_f, dev_b, np.inf)
-    if dev_b > tol:
-        return UniformityReport(False, False, "backward conditional not doubly stochastic", dev_f, dev_b, np.inf)
-    dev_u = float(max(np.max(np.abs(p - 1.0 / nI)), np.max(np.abs(p_hat - 1.0 / nI))))
-    return UniformityReport(True, dev_u <= max(tol, 1e-9), None, dev_f, dev_b, dev_u)
-
-
-def coarse_grain(model: JointModel, cells_i: Sequence[Sequence[int]], cells_j: Sequence[Sequence[int]],
-                 tol: float = 1e-12) -> JointModel:
-    """Collapse a fine unit-cell table that is constant on given cells.
-
-    The fine table must have d = D = 1 and must be constant within each
-    (cell_i, cell_j) block; the coarse table sums the blocks and records
-    the block sizes as cell sizes.  This is the exact correspondence that
-    turns cell-counting degeneracies into the modified model.
-    """
-    if np.any(model.d != 1) or np.any(model.D != 1):
-        raise PreconditionError("coarse_grain expects a fine table with unit cells")
-    _check_partition(cells_i, model.shape[0], "cells_i")
-    _check_partition(cells_j, model.shape[1], "cells_j")
-    nI, nJ = len(cells_i), len(cells_j)
-    table = np.zeros((nI, nJ))
-    for a, ci in enumerate(cells_i):
-        for b, cj in enumerate(cells_j):
-            block = model.p_table[np.ix_(list(ci), list(cj))]
-            if block.size and np.max(block) - np.min(block) > tol:
-                raise ValidationError(f"fine table is not constant on cell block ({a}, {b})")
-            table[a, b] = block.sum()
-    return JointModel(
-        p_table=table,
-        d=np.array([len(c) for c in cells_i]),
-        D=np.array([len(c) for c in cells_j]),
-        truncated=model.truncated,
-    )
-
-
-def refine_model(model: JointModel) -> tuple[JointModel, list[list[int]], list[list[int]]]:
-    """Expand a cell-weighted table into the fine unit-cell table.
-
-    Inverse of :func:`coarse_grain`: each coarse entry P(i, j) spreads
-    uniformly over a d(i) x D(j) block.  Returns the fine model together
-    with the index partitions that map back.
-    """
-    cells_i, cells_j = _consecutive_cells(model.d), _consecutive_cells(model.D)
-    fine = np.zeros((int(model.d.sum()), int(model.D.sum())))
-    for a, ci in enumerate(cells_i):
-        for b, cj in enumerate(cells_j):
-            fine[np.ix_(ci, cj)] = model.p_table[a, b] / (len(ci) * len(cj))
-    fine_model = JointModel(
-        p_table=fine,
-        d=np.ones(fine.shape[0], dtype=int),
-        D=np.ones(fine.shape[1], dtype=int),
-        truncated=model.truncated,
-    )
-    return fine_model, cells_i, cells_j
-
-
-def _consecutive_cells(sizes: np.ndarray) -> list[list[int]]:
-    ends = np.cumsum(sizes).tolist()
-    return [list(range(end - int(size), end)) for size, end in zip(sizes, ends)]
-
-
-def _check_partition(cells: Sequence[Sequence[int]], n: int, name: str) -> None:
-    seen = sorted(k for c in cells for k in c)
-    if seen != list(range(n)):
-        raise ValidationError(f"{name} is not a partition of range({n})")

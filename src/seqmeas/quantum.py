@@ -12,7 +12,7 @@ fluctuation identities in :mod:`seqmeas.model`.
 
 The module covers: joint diagonalization of commuting families, density
 operators that are functions of a family (stationary ensembles), Lueders
-measurement statistics, protocol evolution, POVM bookkeeping for the
+measurement probabilities, protocol evolution, POVM bookkeeping for the
 two-time statistics, an exactly solvable one-qubit purity curve, and
 time-reversal symmetry diagnostics.
 """
@@ -34,6 +34,8 @@ COMMUTATOR_TOL = 1e-10
 PROJECTION_TOL = 1e-10
 GROUP_TOL = 1e-9
 ASSUMPTION2_TOL = 1e-10
+# Slack of the time-reversal diagnostics (asymmetry, real projections, U = U^T).
+TIME_REVERSAL_TOL = 1e-11
 # Fixed seed for the generic linear combination used in joint diagonalization.
 _COMBO_SEED = 71804279
 
@@ -83,13 +85,12 @@ class SpectralFamily:
     owns ``degeneracies[k]`` consecutive columns, which span the k-th
     joint eigenspace, and its eigenvalue tuple is ``eigen_tuples[k]`` (one
     entry per operator).  The decomposition is maximal: distinct outcomes
-    have distinct tuples.
+    have tuples more than ``GROUP_TOL`` apart.
     """
 
     basis: np.ndarray         # (dim, dim) complex, columns grouped by outcome
     eigen_tuples: np.ndarray  # (n_outcomes, n_operators) float
     degeneracies: np.ndarray  # (n_outcomes,) int
-    group_tol: float = GROUP_TOL
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=complex)
@@ -105,7 +106,7 @@ class SpectralFamily:
         dev = float(np.abs(basis.conj().T @ basis - np.eye(dim)).max())
         if dev > PROJECTION_TOL:
             raise ValidationError(f"basis is not orthonormal: |V*V - identity| = {dev:.3e}")
-        close = (np.abs(tuples[:, None, :] - tuples[None, :, :]) <= self.group_tol).all(axis=2)
+        close = (np.abs(tuples[:, None, :] - tuples[None, :, :]) <= GROUP_TOL).all(axis=2)
         pairs = np.argwhere(np.triu(close, 1))
         if pairs.size:
             a, b = pairs[0]
@@ -156,23 +157,19 @@ class SpectralFamily:
         return "\n".join(lines) + "\n"
 
 
-def joint_diagonalize(
-    ops: Sequence[np.ndarray],
-    group_tol: float = GROUP_TOL,
-    commutator_tol: float = COMMUTATOR_TOL,
-) -> SpectralFamily:
+def joint_diagonalize(ops: Sequence[np.ndarray]) -> SpectralFamily:
     """Maximal joint eigendecomposition of commuting Hermitian operators.
 
     Strategy: diagonalize a fixed-seed random linear combination of the
     family (generically this already separates the joint eigenspaces),
     then refine the candidate blocks operator by operator so that exact
     or accidental degeneracies are grouped correctly.  Eigenvalue tuples
-    are grouped with absolute tolerance ``group_tol`` scaled per operator.
+    are grouped with absolute tolerance ``GROUP_TOL`` scaled per operator.
 
     Raises
     ------
     PreconditionError
-        If some pair of operators fails to commute within tolerance.
+        If some pair of operators fails to commute within ``COMMUTATOR_TOL``.
     """
     mats = [require_hermitian(a, f"ops[{k}]") for k, a in enumerate(ops)]
     if not mats:
@@ -186,7 +183,7 @@ def joint_diagonalize(
         for b in range(a + 1, len(mats)):
             comm = mats[a] @ mats[b] - mats[b] @ mats[a]
             dev = float(np.abs(comm).max())
-            if dev > commutator_tol * scales[a] * scales[b]:
+            if dev > COMMUTATOR_TOL * scales[a] * scales[b]:
                 raise PreconditionError(f"ops[{a}] and ops[{b}] do not commute (|[A,B]| = {dev:.3e})")
 
     rng = np.random.default_rng(_COMBO_SEED)
@@ -203,7 +200,7 @@ def joint_diagonalize(
             sub = basis[:, a:b]
             w, v = np.linalg.eigh(sub.conj().T @ m @ sub)
             basis[:, a:b] = sub @ v
-            refined.extend(a + 1 + np.flatnonzero(np.diff(w) > group_tol * s))
+            refined.extend(a + 1 + np.flatnonzero(np.diff(w) > GROUP_TOL * s))
             refined.append(b)
         bounds = refined
     sizes = np.diff(bounds)
@@ -216,7 +213,7 @@ def joint_diagonalize(
 
     # merge any blocks whose refined tuples coincide (keeps maximality exact)
     order = np.lexsort(tuples.T[::-1])
-    tol = group_tol * np.array(scales)
+    tol = GROUP_TOL * np.array(scales)
     heads: list[int] = []  # positions in ``order`` where an outcome starts
     for pos, gi in enumerate(order):
         if not heads or np.any(np.abs(tuples[order[heads[-1]]] - tuples[gi]) > tol):
@@ -226,10 +223,10 @@ def joint_diagonalize(
 
     fam = SpectralFamily(basis=basis[:, np.argsort(column_rank, kind="stable")],
                          eigen_tuples=np.add.reduceat(sums[order], heads) / degs[:, None],
-                         degeneracies=degs, group_tol=group_tol)
+                         degeneracies=degs)
     for k, (m, s) in enumerate(zip(mats, scales)):
         dev = float(np.abs(fam.operator(k) - m).max())
-        if dev > 100 * group_tol * s:
+        if dev > 100 * GROUP_TOL * s:
             raise ValidationError(f"ops[{k}] is not reconstructed by its spectral data (deviation {dev:.3e})")
     return fam
 
@@ -284,29 +281,10 @@ def ensemble_state(family: SpectralFamily, weight_fn: Callable[..., float]) -> E
 
 def luders_probabilities(rho: np.ndarray, family: SpectralFamily) -> np.ndarray:
     """Outcome probabilities  p(i) = Tr(rho P_i): segment sums of diag(V* rho V)."""
-    rho = require_density(rho)
-    v = family.basis
-    p = np.add.reduceat(np.einsum("ia,ia->a", v.conj(), rho @ v).real, family.starts)
-    if p.min() < -1e-11:
-        raise ValidationError(f"negative probability {p.min():.3e} (rho not PSD?)")
-    return np.clip(p, 0.0, None)
+    return _cell_uniformity(require_density(rho), family)[1]
 
 
-def _outcome_blocks(rho: np.ndarray, family: SpectralFamily) -> np.ndarray:
-    """V* rho V in the family basis with every entry outside the outcome blocks zeroed."""
-    label = np.repeat(np.arange(family.n_outcomes), family.degeneracies)
-    v = family.basis
-    return np.where(label[:, None] == label[None, :], v.conj().T @ rho @ v, 0.0)
-
-
-def luders_post_state(rho: np.ndarray, family: SpectralFamily) -> np.ndarray:
-    """Non-selective post-measurement state  sum_i P_i rho P_i: O(dim^3), O(dim^2) extra."""
-    rho = require_density(rho)
-    return family.basis @ _outcome_blocks(rho, family) @ family.basis.conj().T
-
-
-def check_assumption2(rho: np.ndarray, family: SpectralFamily,
-                      tol: float = ASSUMPTION2_TOL) -> tuple[bool, float]:
+def check_assumption2(rho: np.ndarray, family: SpectralFamily) -> tuple[bool, float]:
     """Check that every selective post-state is maximally mixed on its cell.
 
     The condition is  P_i rho P_i = (p(i)/d(i)) P_i  for every outcome;
@@ -314,12 +292,25 @@ def check_assumption2(rho: np.ndarray, family: SpectralFamily,
     Returns (verdict, worst deviation), where the deviation of outcome i is
     the Frobenius norm of  P_i rho P_i - (p(i)/d(i)) P_i,  computed on its
     block of the family basis; it bounds every entry's absolute deviation.
+    The verdict compares it with ``ASSUMPTION2_TOL``.
     """
-    rho = require_density(rho)
-    p = luders_probabilities(rho, family)
-    dev = _outcome_blocks(rho, family) - np.diag(np.repeat(p / family.degeneracies, family.degeneracies))
-    worst = float(np.sqrt(np.add.reduceat(np.sum(np.abs(dev) ** 2, axis=1), family.starts).max()))
-    return worst <= tol, worst
+    worst, _ = _cell_uniformity(require_density(rho), family)
+    return worst <= ASSUMPTION2_TOL, worst
+
+
+def _cell_uniformity(rho: np.ndarray, family: SpectralFamily) -> tuple[float, np.ndarray]:
+    """Worst deviation of :func:`check_assumption2` and the Lüders probabilities of a
+    validated rho, both read off  V* rho V  (its outcome blocks stand for P_i rho P_i)."""
+    v = family.basis
+    m = v.conj().T @ rho @ v
+    p = np.add.reduceat(np.diagonal(m).real, family.starts)
+    if p.min() < -1e-11:
+        raise ValidationError(f"negative probability {p.min():.3e} (rho not PSD?)")
+    p = np.clip(p, 0.0, None)
+    label = np.repeat(np.arange(family.n_outcomes), family.degeneracies)
+    dev = np.where(label[:, None] == label[None, :], m, 0.0) \
+        - np.diag(np.repeat(p / family.degeneracies, family.degeneracies))
+    return float(np.sqrt(np.add.reduceat(np.sum(np.abs(dev) ** 2, axis=1), family.starts).max())), p
 
 
 def hermitian_function(h: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -349,11 +340,6 @@ def evolve(protocol: Sequence[tuple[np.ndarray, float]], dim: int | None = None)
         step = hermitian_function(h, lambda w: np.exp(-1j * w * float(tau)))
         u = step if u is None else step @ u
     return u
-
-
-def reversed_protocol(protocol: Sequence[tuple[np.ndarray, float]]) -> list[tuple[np.ndarray, float]]:
-    """Time-reversed protocol: same segments traversed in opposite order."""
-    return [(h, tau) for h, tau in reversed(list(protocol))]
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -423,53 +409,40 @@ def povm_completeness_deviation(elements: np.ndarray) -> float:
     return float(np.abs(total - np.eye(total.shape[0])).max())
 
 
-def hypothetical_distribution(second: SpectralFamily, weight_fn: Callable[..., float]) -> tuple[np.ndarray, float]:
-    """Reference distribution  q(j) = D(j) g(F_j) / norm  on the second outcomes.
-
-    ``norm = sum_j D(j) g_raw(F_j)`` is returned alongside; it is the
-    second-time partition-function-like constant that links the abstract
-    expectation identity to free-energy-style statements.
-    """
-    state = ensemble_state(second, weight_fn)
-    return state.probabilities, state.norm_constant
-
-
 def build_joint_model(
     rho: np.ndarray,
     u: np.ndarray,
     first: SpectralFamily,
     second: SpectralFamily,
-    weight_fn: Callable[..., float] | None = None,
-    as2_tol: float = ASSUMPTION2_TOL,
     probabilities: np.ndarray | None = None,
-) -> tuple[JointModel, np.ndarray | None]:
+) -> JointModel:
     """Joint two-time outcome table of (rho, U, first family, second family).
 
     The initial state must satisfy the cell-uniformity assumption with
-    respect to the first family (checked; PreconditionError otherwise)
-    and must give every first outcome positive probability.  When a
-    weight function is supplied the matching hypothetical distribution q
-    on the second outcomes is returned as well (else None).
+    respect to the first family (checked as in :func:`check_assumption2`;
+    PreconditionError otherwise) and must give every first outcome
+    positive probability.  rho is validated and traced once.
 
-    ``probabilities`` short-circuits the Lüders trace: callers that built
-    rho from known weights should pass them, because the trace only
+    ``probabilities`` replaces the Lüders trace in the table: callers that
+    built rho from known weights should pass them, because the trace only
     recovers small probabilities to absolute (not relative) precision.
+    They are cross-checked against the trace.
     """
-    rho = require_density(rho)
-    ok, dev = check_assumption2(rho, first, as2_tol)
-    if not ok:
+    dev, trace_p = _cell_uniformity(require_density(rho), first)
+    if dev > ASSUMPTION2_TOL:
         raise PreconditionError(
-            f"initial state violates cell uniformity on the first family (deviation {dev:.3e} > {as2_tol:g})"
+            f"initial state violates cell uniformity on the first family "
+            f"(deviation {dev:.3e} > {ASSUMPTION2_TOL:g})"
         )
     if probabilities is None:
-        p = luders_probabilities(rho, first)
+        p = trace_p
     else:
         p = np.asarray(probabilities, dtype=float)
         if p.shape != (first.n_outcomes,):
             raise ValidationError(
                 f"probabilities shape {p.shape} does not match {first.n_outcomes} outcomes"
             )
-        trace_dev = float(np.abs(p - luders_probabilities(rho, first)).max())
+        trace_dev = float(np.abs(p - trace_p).max())
         if trace_dev > 1e-10:
             raise ValidationError(
                 f"supplied probabilities disagree with the state (deviation {trace_dev:.3e})"
@@ -480,17 +453,13 @@ def build_joint_model(
     pi = physical_conditional(u, first, second)
     table = p[:, None] * pi
     table = table / table.sum()
-    model = JointModel(
+    return JointModel(
         p_table=table,
         d=first.degeneracies,
         D=second.degeneracies,
         labels_i=first.labels(),
         labels_j=second.labels(),
     )
-    if weight_fn is None:
-        return model, None
-    q, _ = hypothetical_distribution(second, weight_fn)
-    return model, q
 
 
 @dataclass(frozen=True)
@@ -504,12 +473,8 @@ class TimeReversalReport:
     preconditions_hold: bool
 
 
-def time_reversal_symmetry_check(
-    u: np.ndarray,
-    first: SpectralFamily,
-    second: SpectralFamily,
-    tol: float = 1e-11,
-) -> TimeReversalReport:
+def time_reversal_symmetry_check(u: np.ndarray, first: SpectralFamily,
+                                 second: SpectralFamily) -> TimeReversalReport:
     """Compare the weighted conditional with its role-reversed counterpart.
 
     The check compares  Tr(Q_j U P_i U*)  against  Tr(P_i U Q_j U*).
@@ -518,17 +483,19 @@ def time_reversal_symmetry_check(
     time-reversal scenario of palindromic real protocols; outside those
     preconditions the asymmetry is still reported as a diagnostic and may
     legitimately be large.  The backward table is the forward kernel with
-    U* in place of U; both cost O(dim^3).
+    U* in place of U; both cost O(dim^3).  Projections are tested for
+    realness one outcome block V_k V_k* at a time, in O(dim^2) extra memory.
+    All comparisons use ``TIME_REVERSAL_TOL``.
     """
     u = require_unitary(u)
     fwd = _two_time_traces(u, first, second)
     bwd = _two_time_traces(u.conj().T, first, second)
     asym = float(np.abs(fwd - bwd).max())
-    families_real = bool(
-        np.abs(first.projections.imag).max() <= tol and np.abs(second.projections.imag).max() <= tol
-    )
-    u_symmetric = bool(np.abs(u - u.T).max() <= tol)
-    return TimeReversalReport(asym, asym <= tol, families_real, u_symmetric,
+    families_real = all(np.abs((v @ v.conj().T).imag).max() <= TIME_REVERSAL_TOL
+                        for fam in (first, second)
+                        for v in np.split(fam.basis, fam.starts[1:], axis=1))
+    u_symmetric = bool(np.abs(u - u.T).max() <= TIME_REVERSAL_TOL)
+    return TimeReversalReport(asym, asym <= TIME_REVERSAL_TOL, families_real, u_symmetric,
                               families_real and u_symmetric)
 
 

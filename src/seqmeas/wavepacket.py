@@ -221,44 +221,37 @@ def conditional_kernel(n: int, t: float, m_values: np.ndarray, d_values: np.ndar
 
 
 def second_marginal(sigma: float, t: float, n_x: int = DEFAULT_N_X, n_p: int = DEFAULT_N_P,
-                    m_p: int | None = None,
                     kernel_halfwidth: int = DEFAULT_KERNEL_HALFWIDTH) -> TruncatedTable:
     """Second-measurement marginal  p-hat(mu, m) = sum p(mu, m | nu, n) p(nu, n).
 
     Sources run over the window |nu| <= n_x, |n| <= n_p; output momenta
-    over |m| <= m_p (default n_p).  For each source momentum the output
+    over |m| <= n_p as well.  For each source momentum the output
     position window is centered on the classical drift 2 pi n t with
     half-width ``kernel_halfwidth``.  The returned deficit accounts for
     both the uncaptured source mass and the kernel truncation.
     """
-    if m_p is None:
-        m_p = n_p
     if t <= 0:
         raise ValidationError("second_marginal needs t > 0 (t = 0 is the first marginal)")
     src = first_marginal(sigma, n_x, n_p)
-    m_values = np.arange(-m_p, m_p + 1)
-    k_values = np.arange(-max(n_p, m_p), max(n_p, m_p) + 1)
+    n_values = np.arange(-n_p, n_p + 1)  # source and output momenta alike
     w = int(kernel_halfwidth)
 
-    drift = np.rint(2.0 * math.pi * np.arange(-n_p, n_p + 1) * t).astype(int)
+    drift = np.rint(2.0 * math.pi * n_values * t).astype(int)
     d_lo, d_hi = int((-drift - w).min()), int((-drift + w).max())
     d_ext = np.arange(d_lo - 1, d_hi + 2)
-    f_all = _erfi_grid(k_values, d_ext, t)
+    f_all = _erfi_grid(n_values, d_ext, t)
 
     mu_lo, mu_hi = -n_x + (drift.min() - w), n_x + (drift.max() + w)
     mu_values = np.arange(mu_lo, mu_hi + 1)
-    out = np.zeros((mu_values.size, m_values.size))
+    out = np.zeros((mu_values.size, n_values.size))
 
-    k_index = {int(k): a for a, k in enumerate(k_values)}
-    m_slice = np.array([k_index[int(m)] for m in m_values])
-    for b, n in enumerate(np.arange(-n_p, n_p + 1)):
+    for b, n in enumerate(n_values):
         c = int(drift[b])
         # kernel d-window for this source momentum: d in [-c - w, -c + w]
         lo = (-c - w) - (d_lo - 1)
         d_vals = np.arange(-c - w, -c + w + 1)
-        f_m = f_all[np.ix_(m_slice, np.arange(lo - 1, lo + 2 * w + 2))]
-        f_n = f_all[k_index[int(n)], lo - 1: lo + 2 * w + 2]
-        kernel = conditional_kernel(int(n), t, m_values, d_vals, f_m, f_n)
+        f_m = f_all[:, lo - 1: lo + 2 * w + 2]
+        kernel = conditional_kernel(int(n), t, n_values, d_vals, f_m, f_m[b])
         # mu = nu - d with d ascending means mu descending: flip once
         kernel_mu = kernel[:, ::-1].T  # rows: mu = nu + c - w ... nu + c + w
         weights = src.table[:, b]
@@ -271,7 +264,7 @@ def second_marginal(sigma: float, t: float, n_x: int = DEFAULT_N_X, n_p: int = D
     return TruncatedTable(
         table=out,
         first_index=mu_values,
-        second_index=m_values,
+        second_index=n_values,
         mass_deficit=max(0.0, 1.0 - float(out.sum())),
     )
 
@@ -317,7 +310,6 @@ class EntropyCurvePoint:
 
 
 def entropy_curve(sigma: float, t_values, n_x: int = DEFAULT_N_X, n_p: int = DEFAULT_N_P,
-                  m_p: int | None = None,
                   kernel_halfwidth: int = DEFAULT_KERNEL_HALFWIDTH) -> list[EntropyCurvePoint]:
     """Entropies of both marginals over a time grid (the entropy-increase curve).
 
@@ -329,7 +321,7 @@ def entropy_curve(sigma: float, t_values, n_x: int = DEFAULT_N_X, n_p: int = DEF
     s_p = src.entropy()
     points = []
     for t in np.asarray(t_values, dtype=float):
-        hat = second_marginal(sigma, float(t), n_x, n_p, m_p, kernel_halfwidth)
+        hat = second_marginal(sigma, float(t), n_x, n_p, kernel_halfwidth)
         points.append(EntropyCurvePoint(
             t=float(t),
             s_p=s_p,

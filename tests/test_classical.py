@@ -8,12 +8,10 @@ import numpy as np
 import pytest
 
 from seqmeas.classical import (
-    CrooksHistogramReport,
     EstimatorResult,
     PhaseSpaceDensity,
     VolumePreservingMap,
     canonical_harmonic_density,
-    classical_crooks,
     classical_j_expectation,
     gauss_hermite_quench,
     harmonic_hamiltonian,
@@ -21,10 +19,6 @@ from seqmeas.classical import (
     identity_map,
     jacobian_determinant_check,
     leapfrog_map,
-    metropolis_sampler,
-    momentum_flip,
-    reversed_leapfrog_map,
-    rotation_map,
     work_samples,
 )
 from seqmeas.model import PreconditionError, ValidationError
@@ -76,36 +70,23 @@ def test_canonical_density_validation():
         PhaseSpaceDensity(dim=3, log_density=lambda x: x, sampler=lambda r, n: None)
 
 
-def test_metropolis_sampler_recovers_harmonic_variance():
-    d = canonical_harmonic_density(1.0, 1.0)
-    sampler = metropolis_sampler(d.log_density, dim=2, step=0.8)
-    x = sampler(np.random.default_rng(7), 20_000)
-    assert x.shape == (20_000, 2)
-    assert abs(x[:, 0].var() - 1.0) < 0.15  # correlated chain: loose window
-    assert abs(x[:, 1].var() - 1.0) < 0.15
-
-
 # ----------------------------------------------------------------------- maps
 
 
-def test_rotation_map_conserves_energy_and_volume():
-    h = harmonic_hamiltonian(OMEGA1)
-    rot = rotation_map(OMEGA1, 0.83)
-    x = np.random.default_rng(1).normal(size=(50, 2))
-    np.testing.assert_allclose(h(rot(x)), h(x), rtol=1e-12)
-    assert jacobian_determinant_check(rot, x[:10]) < 1e-9
-    # full period returns to the start
-    period = rotation_map(OMEGA1, 2.0 * math.pi / OMEGA1)
-    np.testing.assert_allclose(period(x), x, atol=1e-12)
+def _rotation(omega: float, t: float, x: np.ndarray) -> np.ndarray:
+    """Exact harmonic flow (q, p) -> (q cos wt + (p/w) sin wt, -q w sin wt + p cos wt)."""
+    c, s = math.cos(omega * t), math.sin(omega * t)
+    q, p = x[..., 0], x[..., 1]
+    return np.stack([c * q + (s / omega) * p, -omega * s * q + c * p], axis=-1)
 
 
 def test_leapfrog_converges_to_rotation_quadratically():
     x = np.random.default_rng(5).normal(size=(50, 2))
-    rot = rotation_map(OMEGA0, 1.0)
+    exact = _rotation(OMEGA0, 1.0, x)
 
     def err(dt: float) -> float:
         lf = leapfrog_map(lambda t, q: OMEGA0 ** 2 * q, dt, int(round(1.0 / dt)))
-        return float(np.abs(lf(x) - rot(x)).max())
+        return float(np.abs(lf(x) - exact).max())
 
     e1, e2 = err(0.01), err(0.005)
     assert e1 < 1e-4
@@ -124,23 +105,6 @@ def test_leapfrog_validation():
         leapfrog_map(lambda t, q: q, 0.0, 10)
     with pytest.raises(ValidationError):
         leapfrog_map(lambda t, q: q, 0.01, 0)
-
-
-def test_momentum_flip_involution():
-    flip = momentum_flip(2)
-    x = np.random.default_rng(2).normal(size=(10, 2))
-    np.testing.assert_allclose(flip(flip(x)), x, atol=0)
-    np.testing.assert_allclose(flip(x)[:, 0], x[:, 0], atol=0)
-    np.testing.assert_allclose(flip(x)[:, 1], -x[:, 1], atol=0)
-
-
-def test_reversed_leapfrog_inverts_forward():
-    grad = harmonic_ramp_gradient(OMEGA0, OMEGA1, 1.0)
-    fwd = leapfrog_map(grad, 0.005, 200)
-    rev = reversed_leapfrog_map(grad, 0.005, 200)
-    x = np.random.default_rng(9).normal(size=(40, 2))
-    np.testing.assert_allclose(rev(fwd(x)), x, atol=1e-12)
-    np.testing.assert_allclose(fwd(rev(x)), x, atol=1e-12)
 
 
 def test_jacobian_check_resolves_nonlinear_shears():
@@ -246,54 +210,3 @@ def test_gauss_hermite_quench_monte_carlo_agreement():
     est = float(np.mean(np.exp(-BETA * w)))
     se = float(np.std(np.exp(-BETA * w), ddof=1) / math.sqrt(x.shape[0]))
     assert abs(est - gauss_hermite_quench(BETA, OMEGA0, OMEGA1)) < 3.5 * se
-
-
-# -------------------------------------------------------- forward/reverse test
-
-
-def _quench_report(seed: int, n: int = 50_000) -> CrooksHistogramReport:
-    h0 = harmonic_hamiltonian(OMEGA0)
-    h1 = harmonic_hamiltonian(OMEGA1)
-    p0 = canonical_harmonic_density(OMEGA0, BETA)
-    p1 = canonical_harmonic_density(OMEGA1, BETA)
-    ident = identity_map(2)
-    return classical_crooks(BETA, h0, h1, DELTA_F, p0, p1, ident, ident, n, seed)
-
-
-def test_classical_crooks_quench_reweighting():
-    """Per-bin identity: E[forward count] = E[sum of reverse weights e^{b(w - dF)}]."""
-    for seed in (0, 1, 2, 3):
-        report = _quench_report(seed)
-        assert report.worst_sigma(min_count=50) <= 5.0, seed
-        assert report.populated.sum() >= 8
-        # descriptive log-ratio should track beta (w - dF) on well-filled bins
-        strong = report.populated & (report.forward_counts > 500) & (report.reverse_counts > 500)
-        resid = report.log_ratio[strong] - report.expected_log_ratio[strong]
-        assert np.abs(resid).max() < 0.3
-
-
-def test_classical_crooks_ramp_with_leapfrog():
-    grad = harmonic_ramp_gradient(OMEGA0, OMEGA1, 1.0)
-    fwd = leapfrog_map(grad, 0.005, 200)
-    rev = reversed_leapfrog_map(grad, 0.005, 200)
-    h0 = harmonic_hamiltonian(OMEGA0)
-    h1 = harmonic_hamiltonian(OMEGA1)
-    p0 = canonical_harmonic_density(OMEGA0, BETA)
-    p1 = canonical_harmonic_density(OMEGA1, BETA)
-    for seed in (0, 1):
-        report = classical_crooks(BETA, h0, h1, DELTA_F, p0, p1, fwd, rev, 50_000, seed)
-        assert report.worst_sigma(min_count=50) <= 5.0, seed
-
-
-def test_classical_crooks_determinism_and_validation():
-    a, b = _quench_report(17, n=2000), _quench_report(17, n=2000)
-    np.testing.assert_array_equal(a.forward_counts, b.forward_counts)
-    np.testing.assert_array_equal(a.reweighted_forward, b.reweighted_forward)
-    with pytest.raises(ValidationError, match="100 samples"):
-        _quench_report(0, n=50)
-
-
-def test_worst_sigma_skips_sparse_bins():
-    report = _quench_report(0, n=5000)
-    # with a high floor nothing qualifies and the statistic degrades to zero
-    assert report.worst_sigma(min_count=10 ** 9) == 0.0

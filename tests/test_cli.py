@@ -6,6 +6,7 @@ stdout JSON, and artifact files can all be asserted cheaply.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import math
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqmeas import __version__
+from seqmeas import __version__, ensembles
 from seqmeas.cli import config_hash, main
 from seqmeas.quantum import operator_to_json_dict
 
@@ -118,13 +119,22 @@ def test_ensemble_explicit_unitary(tmp_path, capsys):
     assert abs(report["report"]["jarzynski_lhs"] - 1.0) < 1e-10
 
 
-def test_ensemble_impossible_tolerance(tmp_path, capsys):
+def test_ensemble_impossible_tolerance(tmp_path, capsys, monkeypatch):
+    """The gate compares |lhs - 1| with --tol-jarzynski; lhs is pinned, so rounding cannot decide."""
+    generate = ensembles.generate
+    monkeypatch.setattr(ensembles, "generate",
+                        lambda cfg, u: dataclasses.replace(generate(cfg, u), jarzynski_lhs=1.0 + 1e-6))
     cfg_path = write_grand_config(tmp_path)
     code, report = run_cli(
         capsys, "--output-dir", str(tmp_path), "ensemble",
-        "--config", str(cfg_path), "--tol-jarzynski", "0.0")
+        "--config", str(cfg_path), "--tol-jarzynski", "1e-7")
     assert code == 1
     assert report["checks"]["jarzynski"] is False
+    code, report = run_cli(
+        capsys, "--output-dir", str(tmp_path), "ensemble",
+        "--config", str(cfg_path), "--tol-jarzynski", "1e-5")
+    assert code == 0
+    assert report["checks"]["jarzynski"] is True
 
 
 # --------------------------------------------------------------- wavepacket

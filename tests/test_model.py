@@ -15,7 +15,6 @@ from seqmeas.model import (
     PreconditionError,
     ValidationError,
     WorkDistribution,
-    coarse_grain,
     conditional,
     crooks_check,
     entropy_gap,
@@ -25,18 +24,14 @@ from seqmeas.model import (
     j_equation_lhs,
     j_ratio,
     marginals,
-    prune_zero_outcomes,
     reciprocal_model,
-    refine_model,
     shannon_entropy,
-    uniformity_check,
 )
 
 from conftest import (
     random_mod_ds_conditional,
     random_mod_ds_model,
     random_positive_prob,
-    sinkhorn,
 )
 
 
@@ -118,17 +113,6 @@ def test_conditional_requires_positive_rows():
     m = JointModel(p_table=[[0.0, 0.0], [0.5, 0.5]], d=[1, 1], D=[1, 1])
     with pytest.raises(PreconditionError, match="prune"):
         conditional(m)
-
-
-def test_prune_zero_outcomes():
-    table = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 0.0]])
-    m = JointModel(p_table=table, d=[1, 1], D=[1, 1, 1], labels_i=("a", "b"),
-                   labels_j=("x", "y", "z"))
-    pruned = prune_zero_outcomes(m)
-    assert pruned.shape == (1, 2)
-    assert pruned.labels_i == ("a",)
-    assert pruned.labels_j == ("x", "y")
-    np.testing.assert_allclose(pruned.p_table.sum(), 1.0, atol=1e-15)
 
 
 # --------------------------------------------- modified double stochasticity
@@ -496,89 +480,3 @@ def test_crooks_csv_shape(rng):
     assert len(lines) == 1 + report.distribution.values.size
     # every data row carries all four columns
     assert all(len(line.split(",")) == 4 for line in lines[1:])
-
-
-# ---------------------------------------------------------- uniformity check
-
-
-def test_uniformity_holds_for_positive_double_stochastic(rng):
-    fine = sinkhorn(rng.uniform(0.5, 1.5, size=(4, 4)))
-    m = JointModel(p_table=fine / 4.0, d=np.ones(4, int), D=np.ones(4, int))
-    report = uniformity_check(m)
-    assert report.hypotheses_hold and report.uniform
-    assert report.max_dev_uniform < 1e-10
-
-
-def test_uniformity_reports_failed_positivity():
-    table = np.array([[0.5, 0.0], [0.25, 0.25]])
-    m = JointModel(p_table=table, d=[1, 1], D=[1, 1])
-    report = uniformity_check(m)
-    assert not report.hypotheses_hold
-    assert "positivity" in report.failed_hypothesis
-
-
-def test_uniformity_reports_failed_stochasticity():
-    p = np.array([0.9, 0.1])
-    pi = np.array([[0.8, 0.2], [0.3, 0.7]])
-    m = JointModel(p_table=p[:, None] * pi, d=[1, 1], D=[1, 1])
-    report = uniformity_check(m)
-    assert not report.hypotheses_hold
-    assert "doubly stochastic" in report.failed_hypothesis
-
-
-def test_uniformity_requires_square(rng):
-    m = random_mod_ds_model(rng, 2, 3)
-    if m.shape[0] != m.shape[1]:
-        with pytest.raises(PreconditionError, match="square"):
-            uniformity_check(m)
-
-
-# ------------------------------------------------- coarse/fine correspondence
-
-
-@given(seed=st.integers(0, 10_000), n_i=st.integers(1, 4), n_j=st.integers(1, 4))
-@settings(max_examples=40, deadline=None)
-def test_refine_then_coarse_grain_round_trips(seed, n_i, n_j):
-    rng = np.random.default_rng(seed)
-    m = random_mod_ds_model(rng, n_i, n_j)
-    fine, cells_i, cells_j = refine_model(m)
-    assert np.all(fine.d == 1) and np.all(fine.D == 1)
-    back = coarse_grain(fine, cells_i, cells_j)
-    np.testing.assert_allclose(back.p_table, m.p_table, atol=1e-14)
-    np.testing.assert_array_equal(back.d, m.d)
-    np.testing.assert_array_equal(back.D, m.D)
-
-
-@given(seed=st.integers(0, 10_000), n_i=st.integers(1, 4), n_j=st.integers(1, 4))
-@settings(max_examples=40, deadline=None)
-def test_refinement_preserves_entropy_and_condition(seed, n_i, n_j):
-    """Cell-weighted entropy is the plain entropy of the uniform refinement,
-    and the weighted column condition is plain double stochasticity there."""
-    rng = np.random.default_rng(seed)
-    m = random_mod_ds_model(rng, n_i, n_j)
-    fine, _, _ = refine_model(m)
-    p_coarse, ph_coarse = marginals(m)
-    p_fine, ph_fine = marginals(fine)
-    assert shannon_entropy(p_fine) == pytest.approx(
-        shannon_entropy(p_coarse, m.d), abs=1e-12)
-    assert shannon_entropy(ph_fine) == pytest.approx(
-        shannon_entropy(ph_coarse, m.D), abs=1e-12)
-    ok_fine, _ = is_modified_doubly_stochastic(
-        conditional(fine), fine.d, fine.D)
-    assert ok_fine
-    assert entropy_gap(fine) == pytest.approx(entropy_gap(m), abs=1e-12)
-
-
-def test_coarse_grain_rejects_nonconstant_blocks():
-    table = np.array([[0.4, 0.1], [0.1, 0.4]])
-    m = JointModel(p_table=table, d=[1, 1], D=[1, 1])
-    with pytest.raises(ValidationError, match="not constant"):
-        coarse_grain(m, [[0, 1]], [[0], [1]])
-
-
-def test_coarse_grain_requires_unit_cells(rng):
-    m = random_mod_ds_model(rng, 2, 2)
-    if np.any(m.d != 1) or np.any(m.D != 1):
-        with pytest.raises(PreconditionError, match="unit cells"):
-            coarse_grain(m, [[k] for k in range(m.shape[0])],
-                         [[k] for k in range(m.shape[1])])
