@@ -18,8 +18,13 @@ the second outcomes, and wraps the resulting statistics into a report:
   parameter theta of unconstrained sign) coupled to a canonical bath;
   < exp(-theta e - beta q) > = 1 for quasi-energy and bath-heat changes.
 
-All weight handling is done in the log domain with explicit shifts, so
-partition-function-like constants are reported as logs and never overflow.
+Every family follows one pass.  Its log weight maps the whole array of
+eigenvalue tuples to log weights in one array expression; one
+``ensemble_state`` call per time shifts them by their maximum, normalizes
+once and reports the log normalization, so partition-function-like
+constants are logs and never overflow.  The ratio table y = d q / (D p)
+is built once per report: the exponent cross-check, the identity < y >
+and its Jensen value < -ln y > all read it.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from .model import (
     WorkDistribution,
     entropy_gap,
     group_levels,
-    j_equation_lhs,
     j_ratio,
 )
 from .quantum import (
@@ -268,46 +272,17 @@ class PeriodicThermoConfig(_ConfigCodec):
 # reports
 
 @dataclass(frozen=True)
-class SecondLawReport:
-    """Both second-law-like statements attached to one model.
-
-    ``jensen_lhs`` is the averaged exponent  < -ln(d q / (D p-hat-free)) >
-    of the expectation identity (nonnegative by Jensen); ``entropy_gap``
-    is the cell-weighted entropy production (nonnegative for modified
-    doubly stochastic conditionals).  The two are logically independent
-    statements and are reported separately.
-    """
-
-    jarzynski_lhs: float
-    jensen_lhs: float
-    entropy_gap: float
-
-
-def second_law_report(model: JointModel, q) -> SecondLawReport:
-    """Evaluate the expectation identity, its Jensen bound, and the entropy gap."""
-    q = np.asarray(q, dtype=float)
-    mask = model.p_table > 0.0
-    y = j_ratio(model, q)
-    logs = np.where(mask, np.log(np.where(y > 0, y, 1.0)), 0.0)
-    if np.any(mask & (y <= 0)):
-        jensen = math.inf
-    else:
-        jensen = float(-np.sum(model.p_table * logs))
-    return SecondLawReport(
-        jarzynski_lhs=j_equation_lhs(model, q),
-        jensen_lhs=jensen,
-        entropy_gap=entropy_gap(model),
-    )
-
-
-@dataclass(frozen=True)
 class EnsembleReport:
     """Statistics of one generated ensemble model.
 
-    ``exponent_histogram`` groups the physical exponent X(i, j) (the
-    dimensionless argument of the fluctuation identity, e.g. the scaled
-    work minus free-energy change); ``histogram_identity`` recomputes
-    < exp(-X) > from the grouped levels and must agree with
+    ``jarzynski_lhs`` is the identity < d q / (D p) >; ``jensen_lhs`` its
+    averaged exponent < -ln(d q / (D p)) > (nonnegative by Jensen);
+    ``entropy_gap`` the cell-weighted entropy production (nonnegative for
+    modified doubly stochastic conditionals), a logically independent
+    statement.  ``exponent_histogram`` groups the physical exponent
+    X(i, j) (the dimensionless argument of the fluctuation identity, e.g.
+    the scaled work minus free-energy change); ``histogram_identity``
+    recomputes < exp(-X) > from the grouped levels and must agree with
     ``jarzynski_lhs``.  ``quantities`` carries the family-specific
     labeled numbers (mean works, free-energy-like differences, ...).
     """
@@ -324,9 +299,9 @@ class EnsembleReport:
     quantities: dict
     # measurement data (not serialized): needed by downstream POVM /
     # conditional checks without rebuilding the model
-    first_family: SpectralFamily | None = None
-    second_family: SpectralFamily | None = None
-    u: np.ndarray | None = None
+    first_family: SpectralFamily
+    second_family: SpectralFamily
+    u: np.ndarray
 
     def to_json_dict(self) -> dict:
         return {
@@ -353,71 +328,67 @@ def _assemble_report(
     kind: str,
     first: SpectralFamily,
     second: SpectralFamily,
-    log_weight: Callable[[np.ndarray], float],
     u: np.ndarray,
+    log_weight: Callable[[np.ndarray], np.ndarray],
     work_value: Callable[[np.ndarray], np.ndarray],
-    exponent_offset: float,
-    quantities: dict,
-    labeled: Callable[[list[float]], dict] | None = None,
+    labeled: Callable[[float, float, list[float]], dict],
 ) -> EnsembleReport:
-    """Shared glue: state, q, table, exponent bookkeeping, consistency checks.
+    """Shared glue: one pass from log weights to the report.
 
-    ``log_weight`` maps an eigenvalue tuple to the raw log weight of the
-    ensemble at either time; the exponent of the fluctuation identity is
-    X(i, j) = log_weight(E_i) - log_weight(F_j) + exponent_offset with
-    offset = log_norm(t1) - log_norm(t0), the free-energy-like change of
-    the log normalization constants.  ``work_value`` maps the tuple changes
-    F_j - E_i, shape (nI, nJ, n_components), to the (nI, nJ) values of the
-    plain work histogram.  ``labeled`` maps the mean change of every tuple
-    component to the family's labeled quantities, whose
-    ``jensen_combination`` must match the generic Jensen value.
+    ``log_weight`` maps the (k, n_operators) eigenvalue tuples of either
+    family to the (k,) raw log weights of the ensemble; each family's
+    weights are evaluated once and normalized once by ``ensemble_state``.
+    The exponent of the fluctuation identity is
+    X(i, j) = w0(E_i) - w1(F_j) + log_norm(t1) - log_norm(t0), the last two
+    terms the free-energy-like change of the log normalizations.  The
+    ratio table y = d q / (D p) is built once: exp(-X) is cross-checked
+    against it, and ``jarzynski_lhs`` and ``jensen_lhs`` are the averages
+    of y and of -ln y.
+    ``work_value`` maps the tuple changes F_j - E_i, shape
+    (nI, nJ, n_components), to the (nI, nJ) values of the plain work
+    histogram.  ``labeled`` maps the two log normalizations and the mean
+    change of every tuple component to the family's labeled quantities; a
+    ``jensen_combination`` among them must match the generic Jensen value.
     """
-    lw0 = np.array([log_weight(t) for t in first.eigen_tuples])
-    lw1 = np.array([log_weight(t) for t in second.eigen_tuples])
-    m0, m1 = float(lw0.max()), float(lw1.max())
-    state = ensemble_state(first, _shifted_exp(log_weight, m0))
-    model = build_joint_model(state.rho, u, first, second, probabilities=state.probabilities)
-    qstate = ensemble_state(second, _shifted_exp(log_weight, m1))
+    lw0, lw1 = log_weight(first.eigen_tuples), log_weight(second.eigen_tuples)
+    state, qstate = ensemble_state(first, lw0), ensemble_state(second, lw1)
     q = qstate.probabilities
-    # log normalization constants with the shifts restored
-    log_norm0 = m0 + math.log(state.norm_constant)
-    log_norm1 = m1 + math.log(qstate.norm_constant)
-    if abs(exponent_offset - (log_norm1 - log_norm0)) > 1e-9:
-        raise ValidationError(
-            f"normalization bookkeeping mismatch: offset {exponent_offset} vs {log_norm1 - log_norm0}"
-        )
+    model = build_joint_model(state.rho, u, first, second, probabilities=state.probabilities)
 
-    x = (lw0[:, None] - lw1[None, :]) + (log_norm1 - log_norm0)
+    x = (lw0[:, None] - lw1[None, :]) + (qstate.log_norm - state.log_norm)
     # cross-check: exp(-X) must equal the table ratio d q / (D p);
     # the ratio spans many orders of magnitude, so compare relatively
     y = j_ratio(model, q)
     dev = float((np.abs(np.exp(-x) - y) / np.maximum(y, 1.0)).max())
     if dev > EXPONENT_CONSISTENCY_TOL:
         raise ValidationError(f"physical exponent inconsistent with table ratio (deviation {dev:.3e})")
+    # every first outcome has positive probability, so y is finite and the
+    # zero cells of the table contribute nothing
+    mask = model.p_table > 0.0
+    jarzynski = float(np.sum(model.p_table * y))
+    jensen = math.inf if np.any(mask & (y <= 0)) else \
+        float(-np.sum(model.p_table * np.log(np.where(mask & (y > 0), y, 1.0))))
 
     flat_p = model.p_table.ravel()
     changes = second.eigen_tuples[None, :, :] - first.eigen_tuples[:, None, :]
     exp_hist = group_levels(x.ravel(), flat_p)
     work_hist = group_levels(work_value(changes).ravel(), flat_p)
     hist_identity = float(np.sum(exp_hist.probs * np.exp(-exp_hist.values)))
-    law = second_law_report(model, q)
-    quantities = dict(quantities)
-    quantities.setdefault("mean_exponent", float(np.sum(model.p_table * x)))
-    if labeled is not None:
-        quantities.update(labeled([float(np.sum(model.p_table * changes[:, :, k]))
-                                   for k in range(changes.shape[2])]))
-        combination = quantities["jensen_combination"]
-        if abs(combination - law.jensen_lhs) > 1e-9:
-            raise ValidationError(
-                f"labeled {kind} Jensen combination {combination} disagrees with generic value {law.jensen_lhs}"
-            )
+    mean_changes = [float(np.sum(model.p_table * changes[:, :, k])) for k in range(changes.shape[2])]
+    quantities = {"mean_exponent": float(np.sum(model.p_table * x)),
+                  **labeled(state.log_norm, qstate.log_norm, mean_changes)}
+    if "jensen_combination" in quantities and abs(quantities["jensen_combination"] - jensen) > 1e-9:
+        raise ValidationError(
+            f"labeled {kind} Jensen combination {quantities['jensen_combination']} "
+            f"disagrees with generic value {jensen}"
+        )
     return EnsembleReport(
         family_kind=kind,
         model=model,
         q=q,
-        jarzynski_lhs=law.jarzynski_lhs,
-        jensen_lhs=law.jensen_lhs,
-        entropy_gap=law.entropy_gap,
+        jarzynski_lhs=jarzynski,
+        jensen_lhs=jensen,
+        entropy_gap=entropy_gap(model),
         exponent_histogram=exp_hist,
         work_histogram=work_hist,
         histogram_identity=hist_identity,
@@ -426,12 +397,6 @@ def _assemble_report(
         second_family=second,
         u=u,
     )
-
-
-def _shifted_exp(log_weight: Callable[[np.ndarray], float], shift: float):
-    def weight(*tuple_components):
-        return math.exp(log_weight(np.asarray(tuple_components, dtype=float)) - shift)
-    return weight
 
 
 def _log_partition(h: np.ndarray, beta: float) -> float:
@@ -447,7 +412,8 @@ def local_canonical_model(cfg: LocalCanonicalConfig, u: np.ndarray) -> EnsembleR
     the product canonical state, and the reference q from the later
     spectra.  Reports per-subsystem mean work <w_mu>, free-energy changes
     dF_mu = F_mu(t1) - F_mu(t0), and the Jensen combination
-    sum_mu beta_mu (<w_mu> - dF_mu) >= 0.
+    sum_mu beta_mu (<w_mu> - dF_mu) >= 0.  The subsystem partition
+    functions are cross-checked against the joint log normalizations.
     """
     betas = np.asarray(cfg.betas, dtype=float)
     first = joint_diagonalize(tensor_lift(cfg.h_t0))
@@ -455,10 +421,13 @@ def local_canonical_model(cfg: LocalCanonicalConfig, u: np.ndarray) -> EnsembleR
     log_z0 = [_log_partition(h, b) for h, b in zip(cfg.h_t0, betas)]
     log_z1 = [_log_partition(h, b) for h, b in zip(cfg.h_t1, betas)]
 
-    def lw(tup, _betas=betas):
-        return float(-np.dot(_betas, tup))
-
-    def labeled(mean_works):
+    def labeled(log_norm0, log_norm1, mean_works):
+        # -sum_mu beta_mu dF_mu = ln Z(t1) - ln Z(t0)
+        offset = float(sum(log_z1) - sum(log_z0))
+        if abs(offset - (log_norm1 - log_norm0)) > 1e-9:
+            raise ValidationError(
+                f"normalization bookkeeping mismatch: offset {offset} vs {log_norm1 - log_norm0}"
+            )
         # mean work and free-energy change per subsystem
         quantities = {}
         jensen_sum = 0.0
@@ -471,19 +440,9 @@ def local_canonical_model(cfg: LocalCanonicalConfig, u: np.ndarray) -> EnsembleR
         quantities["jensen_combination"] = jensen_sum
         return quantities
 
-    # -sum_mu beta_mu dF_mu = ln Z(t1) - ln Z(t0)
-    offset = float(sum(log_z1) - sum(log_z0))
-    return _assemble_report(
-        kind=cfg.kind,
-        first=first,
-        second=second,
-        log_weight=lw,
-        u=u,
-        work_value=lambda changes: changes.sum(axis=2),
-        exponent_offset=offset,
-        quantities={},
-        labeled=labeled,
-    )
+    return _assemble_report(cfg.kind, first, second, u, labeled=labeled,
+                            log_weight=lambda tuples: -(tuples @ betas),
+                            work_value=lambda changes: changes.sum(axis=2))
 
 
 def microcanonical_model(cfg: MicrocanonicalConfig, u: np.ndarray) -> EnsembleReport:
@@ -494,31 +453,20 @@ def microcanonical_model(cfg: MicrocanonicalConfig, u: np.ndarray) -> EnsembleRe
     identity reads  < exp(-X) > = 1  with
     X = ((energy - E_j(t1))/width)^2 - ((energy - E_i(t0))/width)^2 - df.
     """
-    first = joint_diagonalize([cfg.h_t0])
-    second = joint_diagonalize([cfg.h_t1])
-
-    def lw(tup, e=cfg.energy, w=cfg.width):
-        return float(-(((e - tup[0]) / w) ** 2))
-
-    log_w0 = float(logsumexp([lw(t) for t in first.eigen_tuples], b=first.degeneracies))
-    log_w1 = float(logsumexp([lw(t) for t in second.eigen_tuples], b=second.degeneracies))
-    return _assemble_report(
-        kind=cfg.kind,
-        first=first,
-        second=second,
-        log_weight=lw,
-        u=u,
-        work_value=lambda changes: changes[:, :, 0],
-        exponent_offset=log_w1 - log_w0,
-        quantities={
+    def labeled(log_norm0, log_norm1, mean_changes):
+        return {
             "energy": float(cfg.energy),
             "width": float(cfg.width),
-            "log_window_norm_t0": log_w0,
-            "log_window_norm_t1": log_w1,
+            "log_window_norm_t0": log_norm0,
+            "log_window_norm_t1": log_norm1,
             # f(t) = -ln norm(t); df enters the exponent with a minus sign
-            "delta_f": float(-log_w1 + log_w0),
-        },
-    )
+            "delta_f": log_norm0 - log_norm1,
+        }
+
+    return _assemble_report(cfg.kind, joint_diagonalize([cfg.h_t0]), joint_diagonalize([cfg.h_t1]),
+                            u, labeled=labeled,
+                            log_weight=lambda tuples: -(((cfg.energy - tuples[:, 0]) / cfg.width) ** 2),
+                            work_value=lambda changes: changes[:, :, 0])
 
 
 def grand_canonical_model(cfg: GrandCanonicalConfig, u: np.ndarray) -> EnsembleReport:
@@ -529,41 +477,25 @@ def grand_canonical_model(cfg: GrandCanonicalConfig, u: np.ndarray) -> EnsembleR
     at both times along with <dE>, <dN> and the Jensen combination.
     """
     n_op = number_operator(cfg.n_modes)
-    first = joint_diagonalize([lift_one_particle(cfg.h_t0), n_op])
-    second = joint_diagonalize([lift_one_particle(cfg.h_t1), n_op])
 
-    def lw(tup, b=cfg.beta, mu=cfg.mu):
-        return float(b * (mu * tup[1] - tup[0]))
-
-    log_xi0 = float(logsumexp([lw(t) for t in first.eigen_tuples], b=first.degeneracies))
-    log_xi1 = float(logsumexp([lw(t) for t in second.eigen_tuples], b=second.degeneracies))
-    omega0, omega1 = -log_xi0 / cfg.beta, -log_xi1 / cfg.beta
-
-    def labeled(mean_changes):
+    def labeled(log_norm0, log_norm1, mean_changes):
+        omega0, omega1 = -log_norm0 / cfg.beta, -log_norm1 / cfg.beta
         mean_de, mean_dn = mean_changes
         return {
-            "mean_delta_energy": mean_de,
-            "mean_delta_number": mean_dn,
-            "jensen_combination": float(cfg.beta * (mean_de - cfg.mu * mean_dn - (omega1 - omega0))),
-        }
-
-    return _assemble_report(
-        kind=cfg.kind,
-        first=first,
-        second=second,
-        log_weight=lw,
-        u=u,
-        work_value=lambda changes: changes[:, :, 0],
-        exponent_offset=log_xi1 - log_xi0,
-        quantities={
             "beta": float(cfg.beta),
             "mu": float(cfg.mu),
             "omega_t0": omega0,
             "omega_t1": omega1,
             "delta_omega": omega1 - omega0,
-        },
-        labeled=labeled,
-    )
+            "mean_delta_energy": mean_de,
+            "mean_delta_number": mean_dn,
+            "jensen_combination": float(cfg.beta * (mean_de - cfg.mu * mean_dn - (omega1 - omega0))),
+        }
+
+    return _assemble_report(cfg.kind, joint_diagonalize([lift_one_particle(cfg.h_t0), n_op]),
+                            joint_diagonalize([lift_one_particle(cfg.h_t1), n_op]), u, labeled=labeled,
+                            log_weight=lambda tuples: cfg.beta * (cfg.mu * tuples[:, 1] - tuples[:, 0]),
+                            work_value=lambda changes: changes[:, :, 0])
 
 
 def periodic_thermo_model(cfg: PeriodicThermoConfig, u: np.ndarray) -> EnsembleReport:
@@ -577,28 +509,19 @@ def periodic_thermo_model(cfg: PeriodicThermoConfig, u: np.ndarray) -> EnsembleR
     h_sys = np.diag(np.asarray(cfg.quasi_energies, dtype=float))
     family = joint_diagonalize(tensor_lift([h_sys, cfg.bath_hamiltonian]))
 
-    def lw(tup, th=cfg.theta, b=cfg.beta):
-        return float(-th * tup[0] - b * tup[1])
-
-    def labeled(mean_changes):
+    def labeled(log_norm0, log_norm1, mean_changes):
         mean_e, mean_q = mean_changes
         return {
+            "theta": float(cfg.theta),
+            "beta": float(cfg.beta),
             "mean_quasi_energy_change": mean_e,
             "mean_bath_heat": mean_q,
             "jensen_combination": float(cfg.theta * mean_e + cfg.beta * mean_q),
         }
 
-    return _assemble_report(
-        kind=cfg.kind,
-        first=family,
-        second=family,
-        log_weight=lw,
-        u=u,
-        work_value=lambda changes: changes[:, :, 0],
-        exponent_offset=0.0,
-        quantities={"theta": float(cfg.theta), "beta": float(cfg.beta)},
-        labeled=labeled,
-    )
+    return _assemble_report(cfg.kind, family, family, u, labeled=labeled,
+                            log_weight=lambda tuples: -cfg.theta * tuples[:, 0] - cfg.beta * tuples[:, 1],
+                            work_value=lambda changes: changes[:, :, 0])
 
 
 # one registry: config class -> generator; each config class names its JSON kind

@@ -205,14 +205,14 @@ def conditional(model: JointModel) -> np.ndarray:
     Raises
     ------
     PreconditionError
-        If some first outcome has zero probability (prune first).
+        If some first outcome has zero probability: the conditional on it
+        is undefined.
     """
     p, _ = marginals(model)
     if np.any(p <= 0.0):
         k = int(np.argmin(p))
-        raise PreconditionError(
-            f"p[{k}] = {p[k]} is not positive; prune zero outcomes before conditioning"
-        )
+        raise PreconditionError(f"first outcome {k} has probability {p[k]}; the conditional "
+                                f"on a zero-probability first outcome is undefined")
     return model.p_table / p[:, None]
 
 
@@ -476,7 +476,9 @@ def crooks_check(model: JointModel, q, grouping_tol: float = LEVEL_GROUPING_TOL)
         raise PreconditionError("q must be strictly positive for the reciprocal comparison")
     p, _ = marginals(model)
     if np.any(p <= 0.0):
-        raise PreconditionError("every first outcome needs positive probability; prune first")
+        k = int(np.argmin(p))
+        raise PreconditionError(f"first outcome {k} has probability {p[k]}; the ratio "
+                                f"d q / (D p) is undefined on a zero-probability first outcome")
     recip = reciprocal_model(model, q)
     y = j_ratio(model, q)
     mask = model.p_table > 0.0

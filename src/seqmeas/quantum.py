@@ -36,6 +36,8 @@ GROUP_TOL = 1e-9
 ASSUMPTION2_TOL = 1e-10
 # Slack of the time-reversal diagnostics (asymmetry, real projections, U = U^T).
 TIME_REVERSAL_TOL = 1e-11
+# Slack of the two-time POVM's resolution of the identity.
+POVM_COMPLETENESS_TOL = 1e-11
 # Fixed seed for the generic linear combination used in joint diagonalization.
 _COMBO_SEED = 71804279
 
@@ -233,50 +235,48 @@ def joint_diagonalize(ops: Sequence[np.ndarray]) -> SpectralFamily:
 
 @dataclass(frozen=True)
 class EnsembleState:
-    """Density operator that is a positive function of a spectral family.
+    """Density operator that is a function of a spectral family.
 
-    ``rho = sum_i g(E_i) P_i`` with the weight function normalized
-    internally; ``norm_constant`` records the normalization
-    ``sum_i g_raw(E_i) d(i)`` (a partition-function-like quantity).
-    ``cell_weights`` are the normalized per-microstate weights g(E_i),
-    and ``probabilities`` the outcome probabilities g(E_i) d(i).
+    ``rho = sum_i exp(w_i - log_norm) P_i`` for the log weights w_i of the
+    outcomes; ``log_norm = ln sum_i exp(w_i) d(i)`` is the log of the
+    partition-function-like normalization, and ``probabilities`` are the
+    outcome probabilities exp(w_i - log_norm) d(i).
     """
 
     rho: np.ndarray
-    cell_weights: np.ndarray
     probabilities: np.ndarray
-    norm_constant: float
-    family: SpectralFamily
+    log_norm: float
 
 
-def ensemble_state(family: SpectralFamily, weight_fn: Callable[..., float]) -> EnsembleState:
-    """Build the stationary state  rho ~ sum_i weight_fn(*E_i) P_i  (normalized).
+def ensemble_state(family: SpectralFamily, log_weights) -> EnsembleState:
+    """Build the stationary state  rho ~ sum_i exp(log_weights[i]) P_i  (normalized).
+
+    The weights are shifted by their maximum before exponentiating, so no
+    weight overflows and the normalization is at least one; a log weight
+    of -inf is a zero weight.
 
     Raises
     ------
+    ValidationError
+        If ``log_weights`` does not hold one entry per outcome.
     PreconditionError
-        If a weight is negative/non-finite or the total weight underflows
-        to zero (shift the spectra before exponentiating in that case).
+        If a log weight is NaN or +inf, or every weight is zero.
     """
-    raw = np.array([float(weight_fn(*tup)) for tup in family.eigen_tuples])
-    if not np.all(np.isfinite(raw)):
-        k = int(np.flatnonzero(~np.isfinite(raw))[0])
-        raise PreconditionError(f"weight at outcome {k} is not finite; rescale the weight function")
-    if np.any(raw < 0):
-        k = int(np.argmin(raw))
-        raise PreconditionError(f"weight at outcome {k} is negative ({raw[k]:.3e})")
+    lw = np.asarray(log_weights, dtype=float)
+    if lw.shape != (family.n_outcomes,):
+        raise ValidationError(f"log_weights shape {lw.shape} does not match {family.n_outcomes} outcomes")
+    bad = np.isnan(lw) | (lw == np.inf)
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        raise PreconditionError(f"log weight at outcome {k} is {lw[k]}; rescale the weight function")
+    shift = float(lw.max())
+    if shift == -math.inf:
+        raise PreconditionError("every weight is zero (all log weights are -inf)")
+    raw = np.exp(lw - shift)
     norm = float(np.sum(raw * family.degeneracies))
-    if norm <= 0.0:
-        raise PreconditionError("total weight underflowed to zero; shift the spectra before exponentiating")
     g = raw / norm
     rho = (family.basis * np.repeat(g, family.degeneracies)) @ family.basis.conj().T
-    return EnsembleState(
-        rho=rho,
-        cell_weights=g,
-        probabilities=g * family.degeneracies,
-        norm_constant=norm,
-        family=family,
-    )
+    return EnsembleState(rho=rho, probabilities=g * family.degeneracies, log_norm=shift + math.log(norm))
 
 
 def luders_probabilities(rho: np.ndarray, family: SpectralFamily) -> np.ndarray:
@@ -374,32 +374,39 @@ def physical_conditional(u: np.ndarray, first: SpectralFamily, second: SpectralF
     return _two_time_traces(u, first, second) / first.degeneracies[:, None]
 
 
-def povm_elements(u: np.ndarray, first: SpectralFamily, second: SpectralFamily,
-                  completeness_tol: float | None = 1e-11) -> np.ndarray:
-    """Two-time POVM  F(i, j) = P_i U* Q_j U P_i  on the initial space.
+def _povm_gram_factors(u: np.ndarray, first: SpectralFamily, second: SpectralFamily):
+    """Yield (i, j, Z*, Z) with  F(i, j) = Z* @ Z  for every pair of outcomes.
 
-    Each element is positive semidefinite and the family sums to the
-    identity (enforced within ``completeness_tol`` unless None); together
-    they reproduce the joint probabilities via p(i, j) = Tr(rho F(i, j))
-    whenever the initial state satisfies the cell-uniformity assumption
-    checked by :func:`check_assumption2`.  With  Z_i = W* U V_i V_i*  (V, W
-    the family bases, V_i the columns of outcome i), F(i, j) is the Gram
-    matrix of the rows of Z_i in outcome block j.  Costs O(k1 dim^3); beyond
-    the (k1, k2, dim, dim) result, a few dim x dim matrices are live at a time.
+    With  Z_i = W* U V_i V_i*  (V, W the family bases, V_i the columns of
+    outcome i), F(i, j) is the Gram matrix of the rows of Z_i in outcome
+    block j; the yielded factors are views of Z_i and its adjoint.
     """
-    u = require_unitary(u)
-    f = np.empty((first.n_outcomes, second.n_outcomes, u.shape[0], u.shape[0]), dtype=complex)
     w_dag_u = second.basis.conj().T @ u
     blocks = [slice(a, a + d) for a, d in zip(second.starts.tolist(), second.degeneracies.tolist())]
     for i, v in enumerate(np.split(first.basis, first.starts[1:], axis=1)):
         z = (w_dag_u @ v) @ v.conj().T
         z_dag = z.conj().T
         for j, rows in enumerate(blocks):
-            np.matmul(z_dag[:, rows], z[rows], out=f[i, j])
-    if completeness_tol is not None:
-        dev = povm_completeness_deviation(f)
-        if dev > completeness_tol:
-            raise ValidationError(f"POVM does not resolve the identity (deviation {dev:.3e})")
+            yield i, j, z_dag[:, rows], z[rows]
+
+
+def povm_elements(u: np.ndarray, first: SpectralFamily, second: SpectralFamily) -> np.ndarray:
+    """Two-time POVM  F(i, j) = P_i U* Q_j U P_i  on the initial space.
+
+    Each element is positive semidefinite and the family sums to the
+    identity (enforced within ``POVM_COMPLETENESS_TOL``); together they
+    reproduce the joint probabilities via p(i, j) = Tr(rho F(i, j))
+    whenever the initial state satisfies the cell-uniformity assumption
+    checked by :func:`check_assumption2`.  Costs O(k1 dim^3); beyond the
+    (k1, k2, dim, dim) result, a few dim x dim matrices are live at a time.
+    """
+    u = require_unitary(u)
+    f = np.empty((first.n_outcomes, second.n_outcomes, u.shape[0], u.shape[0]), dtype=complex)
+    for i, j, z_dag, z in _povm_gram_factors(u, first, second):
+        np.matmul(z_dag, z, out=f[i, j])
+    dev = povm_completeness_deviation(f)
+    if dev > POVM_COMPLETENESS_TOL:
+        raise ValidationError(f"POVM does not resolve the identity (deviation {dev:.3e})")
     return f
 
 
@@ -407,6 +414,17 @@ def povm_completeness_deviation(elements: np.ndarray) -> float:
     """Max-entry deviation of  sum_{i,j} F(i,j)  from the identity."""
     total = np.asarray(elements).sum(axis=(0, 1))
     return float(np.abs(total - np.eye(total.shape[0])).max())
+
+
+def streamed_completeness_deviation(u: np.ndarray, first: SpectralFamily,
+                                    second: SpectralFamily) -> float:
+    """:func:`povm_completeness_deviation` of :func:`povm_elements` without the
+    (k1, k2, dim, dim) stack: the same Gram products summed into one dim x dim total."""
+    u = require_unitary(u)
+    total = np.zeros_like(u)
+    for _, _, z_dag, z in _povm_gram_factors(u, first, second):
+        total += z_dag @ z
+    return float(np.abs(total - np.eye(u.shape[0])).max())
 
 
 def build_joint_model(

@@ -23,11 +23,11 @@ from seqmeas.ensembles import (
     microcanonical_model,
     number_operator,
     periodic_thermo_model,
-    second_law_report,
     tensor_lift,
     _assemble_report,
 )
-from seqmeas.model import JointModel, ValidationError, is_modified_doubly_stochastic, conditional
+from seqmeas import ensembles, model, verify
+from seqmeas.model import ValidationError, is_modified_doubly_stochastic, conditional, j_equation_lhs
 from seqmeas.quantum import haar_unitary, joint_diagonalize
 
 
@@ -162,31 +162,49 @@ def test_config_dim_matches_generated_unitary(rng):
 # ------------------------------------------------------------ family reports
 
 
-def test_second_law_report_rejects_wrong_length_q():
-    m = JointModel(p_table=np.full((2, 3), 1.0 / 6.0), d=[1, 1], D=[1, 1, 1])
-    with pytest.raises(ValidationError, match="q has shape"):
-        second_law_report(m, [0.5, 0.5])
-
-
 def test_assemble_report_cross_checks_the_labeled_jensen_combination(rng):
     """Labeled quantities whose Jensen combination misses the generic value are rejected."""
     family = joint_diagonalize([_random_hermitian(rng, 3)])
     u = haar_unitary(3, rng)
 
-    def build(labeled=None):
+    def build(labeled):
         return _assemble_report(
             kind="test_family", first=family, second=family,
-            log_weight=lambda tup: float(-tup[0]), u=u,
-            work_value=lambda changes: changes[:, :, 0],
-            exponent_offset=0.0, quantities={}, labeled=labeled)
+            log_weight=lambda tuples: -tuples[:, 0], u=u,
+            work_value=lambda changes: changes[:, :, 0], labeled=labeled)
 
-    plain = build()
+    plain = build(lambda log_norm0, log_norm1, mean_changes: {})
     assert "jensen_combination" not in plain.quantities
     generic = plain.jensen_lhs
-    report = build(lambda mean_changes: {"jensen_combination": generic})
+    report = build(lambda log_norm0, log_norm1, mean_changes: {"jensen_combination": generic})
     assert report.quantities["jensen_combination"] == generic
     with pytest.raises(ValidationError, match="labeled test_family Jensen combination"):
-        build(lambda mean_changes: {"jensen_combination": generic + 1e-6})
+        build(lambda log_norm0, log_norm1, mean_changes: {"jensen_combination": generic + 1e-6})
+
+
+@pytest.mark.parametrize("family", verify.FAMILIES)
+def test_generate_builds_the_ratio_once_and_each_state_once(family, monkeypatch):
+    """One ratio table, one state per time, and no normalization re-derived by logsumexp."""
+    calls = {"j_ratio": 0, "ensemble_state": 0, "logsumexp": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    j_ratio = counting("j_ratio", model.j_ratio)
+    monkeypatch.setattr(ensembles, "j_ratio", j_ratio)
+    monkeypatch.setattr(model, "j_ratio", j_ratio)
+    monkeypatch.setattr(ensembles, "ensemble_state", counting("ensemble_state", ensembles.ensemble_state))
+    monkeypatch.setattr(ensembles, "logsumexp", counting("logsumexp", ensembles.logsumexp))
+    rng = np.random.default_rng(np.random.SeedSequence(11))
+    cfg = verify.random_config(family, rng, 1)
+    generate(cfg, haar_unitary(cfg.dim, rng))
+    # only the local-canonical subsystem partition functions use logsumexp, one per
+    # subsystem and time, for the cross-check against the joint normalizations
+    n_partitions = 2 * len(cfg.betas) if family == "local_canonical" else 0
+    assert calls == {"j_ratio": 1, "ensemble_state": 2, "logsumexp": n_partitions}
 
 
 def test_local_canonical_identity_and_free_energy(rng):
@@ -334,5 +352,4 @@ def test_family_sweep_invariants():
             ok, dev = is_modified_doubly_stochastic(
                 conditional(report.model), report.model.d, report.model.D, tol=1e-11)
             assert ok, f"{report.family_kind}: {dev}"
-            law = second_law_report(report.model, report.q)
-            assert law.jarzynski_lhs == pytest.approx(report.jarzynski_lhs, abs=1e-15)
+            assert j_equation_lhs(report.model, report.q) == pytest.approx(report.jarzynski_lhs, abs=1e-15)

@@ -111,7 +111,7 @@ def test_conditional_rows_sum_to_one(rng):
 
 def test_conditional_requires_positive_rows():
     m = JointModel(p_table=[[0.0, 0.0], [0.5, 0.5]], d=[1, 1], D=[1, 1])
-    with pytest.raises(PreconditionError, match="prune"):
+    with pytest.raises(PreconditionError, match="zero-probability first outcome"):
         conditional(m)
 
 

@@ -40,9 +40,10 @@ from seqmeas.quantum import (
     require_density,
     require_hermitian,
     require_unitary,
+    streamed_completeness_deviation,
     time_reversal_symmetry_check,
 )
-from seqmeas import quantum
+from seqmeas import quantum, verify
 from seqmeas.verify import DEFAULT_TOLERANCES, FAMILIES, random_model
 
 
@@ -160,10 +161,10 @@ def test_ensemble_state_matches_hand_weights():
     h = np.diag([0.0, 0.0, 1.0])
     fam = joint_diagonalize([h])
     beta = 0.7
-    state = ensemble_state(fam, lambda e: math.exp(-beta * e))
+    state = ensemble_state(fam, -beta * fam.eigen_tuples[:, 0])
     z = 2.0 + math.exp(-beta)
     order = np.argsort(fam.eigen_tuples[:, 0])
-    np.testing.assert_allclose(state.norm_constant, z, rtol=1e-14)
+    np.testing.assert_allclose(math.exp(state.log_norm), z, rtol=1e-14)
     np.testing.assert_allclose(state.probabilities[order], [2.0 / z, math.exp(-beta) / z],
                                rtol=1e-14)
     np.testing.assert_allclose(np.trace(state.rho).real, 1.0, atol=1e-14)
@@ -171,17 +172,19 @@ def test_ensemble_state_matches_hand_weights():
 
 def test_ensemble_state_rejects_bad_weights():
     fam = joint_diagonalize([np.diag([0.0, 1.0])])
-    with pytest.raises(PreconditionError, match="negative"):
-        ensemble_state(fam, lambda e: e - 0.5)
-    with pytest.raises(PreconditionError, match="underflow"):
-        ensemble_state(fam, lambda e: 0.0)
-    with pytest.raises(PreconditionError, match="finite"):
-        ensemble_state(fam, lambda e: math.inf)
+    with pytest.raises(PreconditionError, match="outcome 1 is nan"):
+        ensemble_state(fam, [0.0, math.nan])
+    with pytest.raises(PreconditionError, match="outcome 0 is inf"):
+        ensemble_state(fam, [math.inf, 0.0])
+    with pytest.raises(PreconditionError, match="every weight is zero"):
+        ensemble_state(fam, [-math.inf, -math.inf])
+    with pytest.raises(ValidationError, match="shape"):
+        ensemble_state(fam, [0.0, 0.0, 0.0])
 
 
 def test_luders_probabilities_and_post_state(rng):
     fam = random_family(rng, 5)
-    state = ensemble_state(fam, lambda a, b: math.exp(-0.3 * a - 0.1 * b))
+    state = ensemble_state(fam, fam.eigen_tuples @ [-0.3, -0.1])
     probs = luders_probabilities(state.rho, fam)
     np.testing.assert_allclose(probs, state.probabilities, atol=1e-13)
     np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-13)
@@ -189,7 +192,7 @@ def test_luders_probabilities_and_post_state(rng):
 
 def test_check_assumption2(rng):
     fam = random_family(rng, 4)
-    state = ensemble_state(fam, lambda a, b: math.exp(-0.5 * a + 0.2 * b))
+    state = ensemble_state(fam, fam.eigen_tuples @ [-0.5, 0.2])
     ok, dev = check_assumption2(state.rho, fam)
     assert ok and dev < 1e-12
     # a state with coherences across cells (or non-uniform weights inside
@@ -280,7 +283,7 @@ def test_povm_reproduces_joint_probabilities(seed, dim):
         for j in range(f.shape[1]):
             w = np.linalg.eigvalsh(0.5 * (f[i, j] + f[i, j].conj().T))
             assert w.min() > -1e-12
-    state = ensemble_state(first, lambda *e: math.exp(-0.4 * sum(e)))
+    state = ensemble_state(first, -0.4 * first.eigen_tuples.sum(axis=1))
     model = build_joint_model(state.rho, u, first, second,
                               probabilities=state.probabilities)
     direct = np.einsum("ab,ijba->ij", state.rho, f).real
@@ -322,7 +325,7 @@ def test_check_assumption2_never_loosens(dim):
     """The reported deviation bounds the per-projector  max |P rho P - (p/d) P|  from above."""
     rng = np.random.default_rng(5300 + dim)
     fam = exactly_degenerate_family(rng, dim)
-    stationary = ensemble_state(fam, lambda e: math.exp(-0.3 * e)).rho
+    stationary = ensemble_state(fam, -0.3 * fam.eigen_tuples[:, 0]).rho
     for eps in (1.0, 1e-3, 1e-9):
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         rho = (1.0 - eps) * stationary + eps * (g @ g.conj().T) / np.trace(g @ g.conj().T).real
@@ -341,10 +344,10 @@ def test_build_joint_model_hand_example():
     u = np.array([[math.cos(theta), -math.sin(theta)],
                   [math.sin(theta), math.cos(theta)]], dtype=complex)
     beta = 0.9
-    state = ensemble_state(first, lambda e: math.exp(-beta * e))
+    state = ensemble_state(first, -beta * first.eigen_tuples[:, 0])
     model = build_joint_model(state.rho, u, first, second,
                               probabilities=state.probabilities)
-    q = ensemble_state(second, lambda e: math.exp(-beta * e)).probabilities
+    q = ensemble_state(second, -beta * second.eigen_tuples[:, 0]).probabilities
     z = 1.0 + math.exp(-beta)
     c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
     expected = np.array([[c2, s2], [s2, c2]]) * np.array([1.0, math.exp(-beta)])[:, None] / z
@@ -368,7 +371,7 @@ def test_build_joint_model_probability_crosscheck(rng):
     first = random_family(rng, 4)
     second = random_family(rng, 4)
     u = haar_unitary(4, rng)
-    state = ensemble_state(first, lambda *e: math.exp(-0.2 * sum(e)))
+    state = ensemble_state(first, -0.2 * first.eigen_tuples.sum(axis=1))
     wrong = state.probabilities + 1e-6
     wrong = wrong / wrong.sum()
     with pytest.raises(ValidationError, match="disagree"):
@@ -503,6 +506,33 @@ def test_six_mode_grand_canonical_tolerances_and_kernel_memory():
     assert conditional_peak < first.projections.nbytes  # one (k, dim, dim) stack: 4 MB
     # the result, one (k2, dim, dim) stack, and U P_i with its conjugate (two matrices more spare)
     assert povm_peak < f.nbytes + second.projections.nbytes + 4 * work
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_streamed_povm_completeness_matches_the_element_stack(family):
+    for index in range(3):
+        report = random_model(family, np.random.SeedSequence([17, index]), index)
+        args = (report.u, report.first_family, report.second_family)
+        assert streamed_completeness_deviation(*args) == pytest.approx(
+            povm_completeness_deviation(povm_elements(*args)), rel=0, abs=1e-14)
+
+
+def test_six_mode_corpus_checks_stream_the_povm():
+    """dim 64: the corpus check battery passes and keeps no (k, dim, dim) stack."""
+    rng = np.random.default_rng(64)
+    h = [rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) for _ in range(2)]
+    cfg = GrandCanonicalConfig(h_t0=0.5 * (h[0] + h[0].conj().T), h_t1=0.5 * (h[1] + h[1].conj().T),
+                               beta=0.8, mu=0.3)
+    report = generate(cfg, haar_unitary(64, rng))
+    tracemalloc.start()
+    try:
+        outcomes = verify._run_checks(report, DEFAULT_TOLERANCES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    first = report.first_family
+    assert peak < first.n_outcomes * first.dim ** 2 * 16  # one complex stack: 4 MB
+    assert all(ok for _, ok in outcomes.values()), outcomes
 
 
 def test_seven_mode_grand_canonical_tolerances_and_generate_memory():
