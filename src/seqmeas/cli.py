@@ -147,7 +147,8 @@ def cmd_wavepacket(args) -> int:
     pair_ok = all(abs(pair[k] - reference[k]) <= args.tol_pair for k in pair)
     s_p = points[0].s_p
     gaps_positive = all(pt.s_phat > pt.s_p for pt in points)
-    nondecreasing = all(b.s_phat >= a.s_phat for a, b in zip(points, points[1:]))
+    by_t = sorted(points, key=lambda pt: pt.t)  # the grid may come in any order
+    nondecreasing = all(b.s_phat >= a.s_phat for a, b in zip(by_t, by_t[1:]))
     deficits = {
         "first_marginal": points[0].mass_deficit_p,
         "second_marginal_max": max(pt.mass_deficit_phat for pt in points),

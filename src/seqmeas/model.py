@@ -284,16 +284,18 @@ def shannon_entropy(p, d=None, base: float | None = None, *, check_normalized: b
     a = np.clip(a, 0.0, None)
     if check_normalized and abs(a.sum() - 1.0) > max(NORMALIZATION_TOL, 1e-9):
         raise ValidationError(f"p sums to {a.sum()}, expected 1 (pass check_normalized=False for truncated data)")
+    x = a[a > 0.0]
     if d is None:
-        dd = np.ones_like(a)
+        terms = np.log(x)
     else:
         dd = np.asarray(d, dtype=float)
         if dd.shape != a.shape:
             raise ValidationError(f"d has shape {dd.shape}, expected {a.shape}")
         if np.any(dd <= 0):
             raise ValidationError("cell sizes must be positive")
-    mask = a > 0.0
-    s = -float(np.sum(a[mask] * np.log(a[mask] / dd[mask])))
+        terms = np.log(x / dd[a > 0.0])
+    terms *= x
+    s = -float(np.sum(terms))
     if base is not None:
         s /= np.log(base)
     return s

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erfi as _scipy_erfi, wofz as _faddeeva
 
 from .model import ValidationError, shannon_entropy
@@ -39,16 +40,26 @@ DEFAULT_N_P = 512
 DEFAULT_KERNEL_HALFWIDTH = 24
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise ValidationError(f"{name} = {value} must be positive and finite")
+
+
+def _check_size(name: str, value: int) -> None:
+    if not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValidationError(f"{name} = {value!r} must be a nonnegative integer")
+
+
 def erfi_line(u, t: float):
     """erfi((1 + i) u / (2 sqrt(t)))  for real u: the pi/4-line evaluations.
 
     The square of the argument is purely imaginary, so the result is
     bounded (Fresnel-like) for every u and never overflows.
     """
-    if t <= 0:
-        raise ValidationError(f"t = {t} must be positive")
-    u = np.asarray(u, dtype=float)
-    return np.asarray(_scipy_erfi((1.0 + 1.0j) * u / (2.0 * math.sqrt(t))))
+    _check_positive("t", t)
+    z = np.multiply(u, 1.0 + 1.0j, out=np.empty(np.shape(u), complex))
+    z /= 2.0 * math.sqrt(t)
+    return _scipy_erfi(z, out=z)
 
 
 def scaled_erf_segment(x0, x1, a):
@@ -87,8 +98,7 @@ def cell_overlap(nu, n, sigma: float):
     evaluated in the scaled form.  Negative n by complex conjugation
     (the Gaussian is real).
     """
-    if sigma <= 0:
-        raise ValidationError(f"sigma = {sigma} must be positive")
+    _check_positive("sigma", sigma)
     nu_b, n_b = np.broadcast_arrays(np.asarray(nu, float), np.asarray(n, float))
     a = SQRT2 * math.pi * np.abs(n_b) * sigma
     x0 = nu_b / (SQRT2 * sigma)
@@ -118,6 +128,8 @@ class TruncatedTable:
 
 def first_marginal(sigma: float, n_x: int = DEFAULT_N_X, n_p: int = DEFAULT_N_P) -> TruncatedTable:
     """Table p(nu, n) = |<nu, n | psi>|^2 on the window |nu| <= n_x, |n| <= n_p."""
+    _check_size("n_x", n_x)
+    _check_size("n_p", n_p)
     nus = np.arange(-n_x, n_x + 1)
     ns = np.arange(-n_p, n_p + 1)
     amp = cell_overlap(nus[:, None], ns[None, :], sigma)
@@ -227,40 +239,42 @@ def second_marginal(sigma: float, t: float, n_x: int = DEFAULT_N_X, n_p: int = D
     Sources run over the window |nu| <= n_x, |n| <= n_p; output momenta
     over |m| <= n_p as well.  For each source momentum the output
     position window is centered on the classical drift 2 pi n t with
-    half-width ``kernel_halfwidth``.  The returned deficit accounts for
+    half-width w = ``kernel_halfwidth``.  The returned deficit accounts for
     both the uncaptured source mass and the kernel truncation.
+
+    Cost: n_p + 1 ``conditional_kernel`` evaluations, since spatial
+    inversion p(-1-mu, -m | -1-nu, -n) = p(mu, m | nu, n) makes the kernel
+    of -n the kernel of n reversed on both axes, at drift -c instead of c;
+    then 2 n_p + 1 GEMMs of (2 n_x + 2w + 1) x (2w + 1) x (2 n_p + 1), one
+    per source momentum: its banded position weights times its kernel.
     """
-    if t <= 0:
-        raise ValidationError("second_marginal needs t > 0 (t = 0 is the first marginal)")
+    _check_positive("t", t)
+    _check_size("kernel_halfwidth", kernel_halfwidth)
     src = first_marginal(sigma, n_x, n_p)
     n_values = np.arange(-n_p, n_p + 1)  # source and output momenta alike
     w = int(kernel_halfwidth)
 
     drift = np.rint(2.0 * math.pi * n_values * t).astype(int)
     d_lo, d_hi = int((-drift - w).min()), int((-drift + w).max())
-    d_ext = np.arange(d_lo - 1, d_hi + 2)
-    f_all = _erfi_grid(n_values, d_ext, t)
+    f_all = _erfi_grid(n_values, np.arange(d_lo - 1, d_hi + 2), t)
 
     mu_lo, mu_hi = -n_x + (drift.min() - w), n_x + (drift.max() + w)
     mu_values = np.arange(mu_lo, mu_hi + 1)
     out = np.zeros((mu_values.size, n_values.size))
 
-    for b, n in enumerate(n_values):
+    # band[i, j] = weight of source cell nu = -n_x + i + j - 2w (zero outside
+    # the window); row i of band @ kernel.T is output row mu = -n_x + c - w + i
+    padded = np.zeros(2 * n_x + 1 + 4 * w)
+    band = sliding_window_view(padded, 2 * w + 1)
+    for b in range(n_p + 1):  # source momenta n <= 0
         c = int(drift[b])
-        # kernel d-window for this source momentum: d in [-c - w, -c + w]
-        lo = (-c - w) - (d_lo - 1)
-        d_vals = np.arange(-c - w, -c + w + 1)
-        f_m = f_all[:, lo - 1: lo + 2 * w + 2]
-        kernel = conditional_kernel(int(n), t, n_values, d_vals, f_m, f_m[b])
-        # mu = nu - d with d ascending means mu descending: flip once
-        kernel_mu = kernel[:, ::-1].T  # rows: mu = nu + c - w ... nu + c + w
-        weights = src.table[:, b]
-        for a, nu in enumerate(src.first_index):
-            p_src = weights[a]
-            if p_src <= 0.0:
-                continue
-            row0 = int(nu + c - w - mu_lo)
-            out[row0: row0 + 2 * w + 1] += p_src * kernel_mu
+        f_m = f_all[:, -c - w - d_lo: -c + w - d_lo + 3]  # d in [-c - w - 1, -c + w + 1]
+        kernel = conditional_kernel(int(n_values[b]), t, n_values, np.arange(-c - w, -c + w + 1), f_m, f_m[b])
+        # the mirror -n's kernel reversed on both axes = band and output columns reversed
+        for col, s in [(b, 1)] if b == n_p else [(b, 1), (2 * n_p - b, -1)]:
+            padded[2 * w: 2 * w + 2 * n_x + 1] = src.table[:, col]
+            row0 = -n_x + drift[col] - w - mu_lo
+            out[row0: row0 + band.shape[0], ::s] += band[:, ::s] @ kernel.T
     return TruncatedTable(
         table=out,
         first_index=mu_values,

@@ -176,6 +176,29 @@ def test_wavepacket_rejects_undersized_window(tmp_path, capsys):
     assert report["passed"] is False
 
 
+def test_wavepacket_rejects_negative_kernel_halfwidth(tmp_path, capsys):
+    code, report = run_cli(
+        capsys, "--output-dir", str(tmp_path), "wavepacket",
+        "--t-grid", "0.01", "--n-x", "4", "--n-p", "48", "--kernel-halfwidth", "-1",
+        "--mass-tolerance", "0.1")
+    assert code == 2
+    assert report["error_type"] == "ValidationError"
+    assert "kernel_halfwidth = -1" in report["error"]
+
+
+def test_wavepacket_judges_the_curve_in_increasing_t(tmp_path, capsys):
+    """A reversed --t-grid gives the same checks as the sorted one."""
+    reports = {}
+    for grid in ("0.01,0.1", "0.1,0.01"):
+        code, reports[grid] = run_cli(
+            capsys, "--output-dir", str(tmp_path / grid), "wavepacket",
+            "--t-grid", grid, "--n-x", "4", "--n-p", "48", "--kernel-halfwidth", "10",
+            "--mass-tolerance", "0.1")
+        assert code == 0
+    assert reports["0.1,0.01"]["checks"] == reports["0.01,0.1"]["checks"]
+    assert reports["0.1,0.01"]["checks"]["entropy_nondecreasing"] is True
+
+
 def test_wavepacket_second_marginal_deficit_is_logged(tmp_path, capsys, caplog):
     """A one-cell kernel window loses 2.3% of the second marginal: logged with its bound."""
     with caplog.at_level(logging.WARNING, logger="seqmeas.cli"):

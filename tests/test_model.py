@@ -235,6 +235,22 @@ def test_shannon_entropy_subnormalized():
     assert s == pytest.approx(-2 * 0.2 * math.log(0.2), abs=1e-14)
 
 
+@pytest.mark.parametrize("with_cells", [False, True])
+@pytest.mark.parametrize("base", [None, 2.0])
+def test_shannon_entropy_is_bit_identical_to_the_masked_formula(with_cells, base):
+    """-sum(a[m] * log(a[m] / d[m])) over a > 0, to the last bit, zeros included."""
+    rng = np.random.default_rng(29)
+    for size in (1, 7, 130, 5000):
+        a = rng.random(size) * (rng.random(size) < 0.7)
+        d = rng.uniform(0.5, 3.0, size) if with_cells else np.ones(size)
+        m = a > 0.0
+        want = -float(np.sum(a[m] * np.log(a[m] / d[m])))
+        if base is not None:
+            want /= np.log(base)
+        got = shannon_entropy(a, d=d if with_cells else None, base=base, check_normalized=False)
+        assert got == want
+
+
 def test_shannon_entropy_rejects_negative():
     with pytest.raises(ValidationError, match="negative"):
         shannon_entropy([1.1, -0.1])
