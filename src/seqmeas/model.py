@@ -281,10 +281,10 @@ def shannon_entropy(p, d=None, base: float | None = None, *, check_normalized: b
     if np.any(a < -NORMALIZATION_TOL):
         k = int(np.argmin(a))
         raise ValidationError(f"p[{k}] = {a[k]} is negative")
-    a = np.clip(a, 0.0, None)
-    if check_normalized and abs(a.sum() - 1.0) > max(NORMALIZATION_TOL, 1e-9):
-        raise ValidationError(f"p sums to {a.sum()}, expected 1 (pass check_normalized=False for truncated data)")
-    x = a[a > 0.0]
+    mask = a > 0.0
+    x = a[mask]
+    if check_normalized and abs(x.sum() - 1.0) > max(NORMALIZATION_TOL, 1e-9):
+        raise ValidationError(f"p sums to {x.sum()}, expected 1 (pass check_normalized=False for truncated data)")
     if d is None:
         terms = np.log(x)
     else:
@@ -293,7 +293,7 @@ def shannon_entropy(p, d=None, base: float | None = None, *, check_normalized: b
             raise ValidationError(f"d has shape {dd.shape}, expected {a.shape}")
         if np.any(dd <= 0):
             raise ValidationError("cell sizes must be positive")
-        terms = np.log(x / dd[a > 0.0])
+        terms = np.log(x / dd[mask])
     terms *= x
     s = -float(np.sum(terms))
     if base is not None:

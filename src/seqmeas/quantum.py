@@ -38,8 +38,6 @@ ASSUMPTION2_TOL = 1e-10
 TIME_REVERSAL_TOL = 1e-11
 # Slack of the two-time POVM's resolution of the identity.
 POVM_COMPLETENESS_TOL = 1e-11
-# Fixed seed for the generic linear combination used in joint diagonalization.
-_COMBO_SEED = 71804279
 
 
 def _as_square(a, name: str) -> np.ndarray:
@@ -87,7 +85,9 @@ class SpectralFamily:
     owns ``degeneracies[k]`` consecutive columns, which span the k-th
     joint eigenspace, and its eigenvalue tuple is ``eigen_tuples[k]`` (one
     entry per operator).  The decomposition is maximal: distinct outcomes
-    have tuples more than ``GROUP_TOL`` apart.
+    have tuples more than ``GROUP_TOL`` apart.  The class keeps the order it
+    is given; :func:`joint_diagonalize` lists outcomes with the first
+    operator's clusters ascending, then the second's inside each, and so on.
     """
 
     basis: np.ndarray         # (dim, dim) complex, columns grouped by outcome
@@ -148,30 +148,30 @@ class SpectralFamily:
         """Reconstruct the k-th operator of the family from its spectral data."""
         return (self.basis * np.repeat(self.eigen_tuples[:, k], self.degeneracies)) @ self.basis.conj().T
 
-    def to_csv(self) -> str:
-        """CSV with columns index,E_1..E_L,d (17 significant digits)."""
-        L = self.n_operators
-        header = "index," + ",".join(f"E_{k+1}" for k in range(L)) + ",d"
-        lines = [header]
-        for a in range(self.n_outcomes):
-            vals = ",".join(format(float(x), ".17g") for x in self.eigen_tuples[a])
-            lines.append(f"{a},{vals},{int(self.degeneracies[a])}")
-        return "\n".join(lines) + "\n"
-
 
 def joint_diagonalize(ops: Sequence[np.ndarray]) -> SpectralFamily:
     """Maximal joint eigendecomposition of commuting Hermitian operators.
 
-    Strategy: diagonalize a fixed-seed random linear combination of the
-    family (generically this already separates the joint eigenspaces),
-    then refine the candidate blocks operator by operator so that exact
-    or accidental degeneracies are grouped correctly.  Eigenvalue tuples
-    are grouped with absolute tolerance ``GROUP_TOL`` scaled per operator.
+    Strategy: one sequential refinement.  Start from the identity basis as a
+    single block; for each operator in turn, diagonalize it inside every
+    current block and cut the block where its sorted eigenvalues jump by
+    more than ``GROUP_TOL`` times the operator's scale (its largest entry,
+    at least one).  The final blocks are the joint eigenspaces.
+
+    Order: outcomes come out in tolerance-lexicographic order of their
+    eigenvalue tuples, ``ops[0]`` clusters ascending, ``ops[1]`` ascending
+    inside each of them, and so on; rounding noise in the tuples does not
+    reorder the outcomes of one cluster.  Maximality is guarded by
+    :class:`SpectralFamily`, which rejects two outcomes whose tuples lie
+    within ``GROUP_TOL`` of each other.
 
     Raises
     ------
     PreconditionError
         If some pair of operators fails to commute within ``COMMUTATOR_TOL``.
+    ValidationError
+        If an operator is not Hermitian, the dimensions differ, or the
+        refined blocks are not maximal or do not reconstruct the operators.
     """
     mats = [require_hermitian(a, f"ops[{k}]") for k, a in enumerate(ops)]
     if not mats:
@@ -188,13 +188,7 @@ def joint_diagonalize(ops: Sequence[np.ndarray]) -> SpectralFamily:
             if dev > COMMUTATOR_TOL * scales[a] * scales[b]:
                 raise PreconditionError(f"ops[{a}] and ops[{b}] do not commute (|[A,B]| = {dev:.3e})")
 
-    rng = np.random.default_rng(_COMBO_SEED)
-    coeffs = rng.standard_normal(len(mats))
-    combo = sum(c / s * m for c, s, m in zip(coeffs, scales, mats))
-    _, basis = np.linalg.eigh(combo)
-
-    # refine: within each block of consecutive columns, diagonalize each
-    # operator and cut the block where its sorted eigenvalues jump
+    basis = np.eye(dim, dtype=complex)
     bounds = [0, dim]
     for m, s in zip(mats, scales):
         refined = [0]
@@ -211,21 +205,7 @@ def joint_diagonalize(ops: Sequence[np.ndarray]) -> SpectralFamily:
     # bits do not depend on how BLAS blocks a product of this dimension
     sums = np.stack([np.add.reduceat(np.einsum("ia,ij,ja->a", basis.conj(), m, basis).real, bounds[:-1])
                      for m in mats], axis=1)
-    tuples = sums / sizes[:, None]
-
-    # merge any blocks whose refined tuples coincide (keeps maximality exact)
-    order = np.lexsort(tuples.T[::-1])
-    tol = GROUP_TOL * np.array(scales)
-    heads: list[int] = []  # positions in ``order`` where an outcome starts
-    for pos, gi in enumerate(order):
-        if not heads or np.any(np.abs(tuples[order[heads[-1]]] - tuples[gi]) > tol):
-            heads.append(pos)
-    degs = np.add.reduceat(sizes[order], heads)
-    column_rank = np.repeat(np.argsort(order), sizes)  # merged position of each column's block
-
-    fam = SpectralFamily(basis=basis[:, np.argsort(column_rank, kind="stable")],
-                         eigen_tuples=np.add.reduceat(sums[order], heads) / degs[:, None],
-                         degeneracies=degs)
+    fam = SpectralFamily(basis=basis, eigen_tuples=sums / sizes[:, None], degeneracies=sizes)
     for k, (m, s) in enumerate(zip(mats, scales)):
         dev = float(np.abs(fam.operator(k) - m).max())
         if dev > 100 * GROUP_TOL * s:

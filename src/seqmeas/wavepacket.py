@@ -298,10 +298,9 @@ class WavepacketConfig:
     mass_tolerance: float = 1e-4
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValidationError(f"sigma = {self.sigma} must be positive")
-        if self.t < 0:
-            raise ValidationError("t must be nonnegative")
+        _check_positive("sigma", self.sigma)
+        if not (self.t >= 0 and math.isfinite(self.t)):
+            raise ValidationError(f"t = {self.t} must be nonnegative and finite")
         if self.n_x < 1 or self.n_p < 1:
             raise ValidationError("window parameters must be positive integers")
         deficit = first_marginal(self.sigma, self.n_x, self.n_p).mass_deficit

@@ -401,9 +401,14 @@ def test_second_marginal_accepts_zero_sizes():
     (lambda: first_marginal(1.0, -2, 48), "n_x = -2"),
     (lambda: first_marginal(1.0, 4, -1), "n_p = -1"),
     (lambda: first_marginal(math.nan, 4, 48), "sigma = nan"),
+    (lambda: WavepacketConfig(t=math.nan), "t = nan"),
+    (lambda: WavepacketConfig(t=math.inf), "t = inf"),
+    (lambda: WavepacketConfig(t=-math.inf), "t = -inf"),
+    (lambda: WavepacketConfig(sigma=math.nan), "sigma = nan"),
 ], ids=["erfi_line-t-nan", "erfi_line-t-inf", "second_marginal-t-nan", "second_marginal-t-inf",
         "second_marginal-t-neginf", "entropy_curve-t-nan", "second_marginal-kernel_halfwidth",
-        "second_marginal-n_x", "first_marginal-n_x", "first_marginal-n_p", "first_marginal-sigma"])
+        "second_marginal-n_x", "first_marginal-n_x", "first_marginal-n_p", "first_marginal-sigma",
+        "config-t-nan", "config-t-inf", "config-t-neginf", "config-sigma-nan"])
 def test_wavepacket_edges_raise_validation_errors_naming_the_parameter(call, name):
     with pytest.raises(ValidationError, match=name):
         call()
