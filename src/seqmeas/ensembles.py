@@ -45,6 +45,7 @@ from .model import (
     j_ratio,
 )
 from .quantum import (
+    GROUP_TOL,
     SpectralFamily,
     build_joint_model,
     ensemble_state,
@@ -61,49 +62,51 @@ EXPONENT_CONSISTENCY_TOL = 1e-10
 # ---------------------------------------------------------------------------
 # fermionic Fock space over M modes (dimension 2^M, Jordan-Wigner encoding)
 
-def _require_n_modes(n_modes: int) -> None:
-    if not 1 <= n_modes <= 12:
-        raise ValidationError(f"n_modes = {n_modes} outside the supported range 1..12")
-
-
-def fock_annihilators(n_modes: int) -> list[np.ndarray]:
-    """Annihilation operators c_a on the 2^n_modes fermionic Fock space.
-
-    Jordan-Wigner strings enforce the canonical anticommutation relations:
-    c_a = Z x ... x Z x s- x 1 x ... x 1  with the lowering matrix in slot a.
-    """
-    _require_n_modes(n_modes)
-    lower = np.array([[0.0, 1.0], [0.0, 0.0]])
-    zed = np.diag([1.0, -1.0])
-    one = np.eye(2)
-    ops = []
-    for a in range(n_modes):
-        factors = [zed] * a + [lower] + [one] * (n_modes - a - 1)
-        m = factors[0]
-        for f in factors[1:]:
-            m = np.kron(m, f)
-        ops.append(m.astype(complex))
-    return ops
-
-
 def lift_one_particle(h: np.ndarray) -> np.ndarray:
-    """Second-quantized Hamiltonian  H = sum_ab h_ab c_a* c_b  on Fock space."""
+    """Second-quantized Hamiltonian  H = sum_ab h_ab c_a* c_b  on the 2^M Fock space.
+
+    Mode a is occupied in index k when bit M - 1 - a is set (Jordan-Wigner order); c_a* c_b
+    moves a particle from mode b to empty mode a, signed by the parity of the particles passed.
+    Built in O(M^2 dim), summed in the order of the sum, H equals the dense product exactly.
+    """
+    m = np.shape(h)[0] if np.ndim(h) else 0
+    if not 1 <= m <= 12:
+        raise ValidationError(f"n_modes = {m} outside the supported range 1..12")
     h = require_hermitian(h, "one-particle h")
-    cs = fock_annihilators(h.shape[0])
-    dim = cs[0].shape[0]
-    out = np.zeros((dim, dim), dtype=complex)
-    for a in range(h.shape[0]):
-        for b in range(h.shape[0]):
-            if h[a, b] != 0:
-                out += h[a, b] * (cs[a].conj().T @ cs[b])
+    occ = (np.arange(2 ** m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    before = np.cumsum(occ, axis=1) - occ  # occupied modes ahead of each mode
+    k, a, b = np.nonzero(occ[:, None, :] & ((1 - occ[:, :, None]) | np.eye(m, dtype=int)))
+    out = np.zeros((2 ** m, 2 ** m), dtype=complex)
+    np.add.at(out, (k + (1 << (m - 1 - a)) - (1 << (m - 1 - b)), k),
+              h[a, b] * (1 - 2 * ((before[k, a] + before[k, b] + (b < a)) & 1)))
     return out
 
 
 def number_operator(n_modes: int) -> np.ndarray:
-    """Total particle number  N = sum_a c_a* c_a: in the occupation basis the
-    diagonal holds the number of set bits (occupied modes) of each index."""
-    _require_n_modes(n_modes)
-    return np.diag([k.bit_count() for k in range(2 ** n_modes)]).astype(complex)
+    """Total particle number  N = sum_a c_a* c_a, the lift of the identity (popcount diagonal)."""
+    return lift_one_particle(np.eye(n_modes))
+
+
+def _sector_family(h: np.ndarray) -> SpectralFamily:
+    """(H, N) family of the lifted ``h``, one ``eigh`` per number sector."""
+    big_h, n_op = lift_one_particle(h), number_operator(len(h))
+    order = np.argsort(n_op.diagonal().real, kind="stable")
+    n = n_op.diagonal().real[order]
+    sectors = np.searchsorted(n, np.arange(len(h) + 2))
+    scale = max(1.0, float(np.abs(big_h).max()))
+    w, basis = np.empty(len(n)), np.zeros_like(big_h)
+    for lo, hi in zip(sectors[:-1], sectors[1:]):
+        rows = order[lo:hi]
+        w[lo:hi], basis[rows, lo:hi] = np.linalg.eigh(big_h[np.ix_(rows, rows)])
+    starts = np.flatnonzero((np.diff(w, prepend=-np.inf) > GROUP_TOL * scale) | (np.diff(n, prepend=-1) > 0))
+    sizes = np.diff(starts, append=len(n))
+    fam = SpectralFamily(basis=basis, degeneracies=sizes,
+                         eigen_tuples=np.column_stack([np.add.reduceat(w, starts) / sizes, n[starts]]))
+    for k, (op, s) in enumerate(((big_h, scale), (n_op, max(1.0, len(h))))):
+        dev = float(np.abs(fam.operator(k) - op).max())
+        if dev > 100 * GROUP_TOL * s:
+            raise ValidationError(f"{'HN'[k]} is not reconstructed by its sectors (deviation {dev:.3e})")
+    return fam
 
 
 def tensor_lift(ops: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -226,12 +229,8 @@ class GrandCanonicalConfig(_ConfigCodec):
             raise ValidationError("mu must be finite")
 
     @property
-    def n_modes(self) -> int:
-        return np.asarray(self.h_t0).shape[0]
-
-    @property
     def dim(self) -> int:
-        return 2 ** self.n_modes
+        return 2 ** np.asarray(self.h_t0).shape[0]
 
 
 @dataclass(frozen=True)
@@ -475,9 +474,12 @@ def grand_canonical_model(cfg: GrandCanonicalConfig, u: np.ndarray) -> EnsembleR
     Both families measure (H(t), N) on the 2^M Fock space; the grand
     potential Omega(t) = -ln Tr exp(beta (mu N - H(t))) / beta is reported
     at both times along with <dE>, <dN> and the Jensen combination.
-    """
-    n_op = number_operator(cfg.n_modes)
 
+    H(t) conserves N, so a family is a direct sum over number sectors: one ``eigh`` per
+    sector block, cut where the sorted eigenvalues jump by more than ``GROUP_TOL`` max(1, max|H|).
+    Outcomes are N-major, energies ascending, with tuples (mean eigenvalue of the cut, N).  Cost:
+    sum_N C(M, N)^3 for the blocks and a few dim^3 products to check H and N.
+    """
     def labeled(log_norm0, log_norm1, mean_changes):
         omega0, omega1 = -log_norm0 / cfg.beta, -log_norm1 / cfg.beta
         mean_de, mean_dn = mean_changes
@@ -492,8 +494,7 @@ def grand_canonical_model(cfg: GrandCanonicalConfig, u: np.ndarray) -> EnsembleR
             "jensen_combination": float(cfg.beta * (mean_de - cfg.mu * mean_dn - (omega1 - omega0))),
         }
 
-    return _assemble_report(cfg.kind, joint_diagonalize([lift_one_particle(cfg.h_t0), n_op]),
-                            joint_diagonalize([lift_one_particle(cfg.h_t1), n_op]), u, labeled=labeled,
+    return _assemble_report(cfg.kind, _sector_family(cfg.h_t0), _sector_family(cfg.h_t1), u, labeled=labeled,
                             log_weight=lambda tuples: cfg.beta * (cfg.mu * tuples[:, 1] - tuples[:, 0]),
                             work_value=lambda changes: changes[:, :, 0])
 

@@ -142,7 +142,7 @@ class SpectralFamily:
         return np.array([v @ v.conj().T for v in np.split(self.basis, self.starts[1:], axis=1)])
 
     def labels(self) -> tuple:
-        return tuple(tuple(float(x) for x in row) for row in self.eigen_tuples)
+        return tuple(map(tuple, self.eigen_tuples.tolist()))
 
     def operator(self, k: int) -> np.ndarray:
         """Reconstruct the k-th operator of the family from its spectral data."""
@@ -157,6 +157,9 @@ def joint_diagonalize(ops: Sequence[np.ndarray]) -> SpectralFamily:
     current block and cut the block where its sorted eigenvalues jump by
     more than ``GROUP_TOL`` times the operator's scale (its largest entry,
     at least one).  The final blocks are the joint eigenspaces.
+
+    A tuple's ``ops[k]`` entry is the mean of the block eigenvalues over the cut
+    of step k, so its last bits come from the ``eigh`` that also sets the basis.
 
     Order: outcomes come out in tolerance-lexicographic order of their
     eigenvalue tuples, ``ops[0]`` clusters ascending, ``ops[1]`` ascending
@@ -190,22 +193,19 @@ def joint_diagonalize(ops: Sequence[np.ndarray]) -> SpectralFamily:
 
     basis = np.eye(dim, dtype=complex)
     bounds = [0, dim]
-    for m, s in zip(mats, scales):
+    means = np.empty((dim, len(mats)))  # every operator's cut mean at every basis column
+    for k, (m, s) in enumerate(zip(mats, scales)):
         refined = [0]
         for a, b in zip(bounds[:-1], bounds[1:]):
             sub = basis[:, a:b]
-            w, v = np.linalg.eigh(sub.conj().T @ m @ sub)
+            means[a:b, k], v = np.linalg.eigh(sub.conj().T @ m @ sub)
             basis[:, a:b] = sub @ v
-            refined.extend(a + 1 + np.flatnonzero(np.diff(w) > GROUP_TOL * s))
+            refined.extend(a + 1 + np.flatnonzero(np.diff(means[a:b, k]) > GROUP_TOL * s))
             refined.append(b)
         bounds = refined
-    sizes = np.diff(bounds)
-    # per-block sums of each operator's diagonal in the refined basis; the
-    # unpathed einsum sums every column in one fixed order, so a tuple's last
-    # bits do not depend on how BLAS blocks a product of this dimension
-    sums = np.stack([np.add.reduceat(np.einsum("ia,ij,ja->a", basis.conj(), m, basis).real, bounds[:-1])
-                     for m in mats], axis=1)
-    fam = SpectralFamily(basis=basis, eigen_tuples=sums / sizes[:, None], degeneracies=sizes)
+        sizes = np.diff(bounds)
+        means[:, k] = np.repeat(np.add.reduceat(means[:, k], bounds[:-1]) / sizes, sizes)
+    fam = SpectralFamily(basis=basis, eigen_tuples=means[bounds[:-1]], degeneracies=sizes)
     for k, (m, s) in enumerate(zip(mats, scales)):
         dev = float(np.abs(fam.operator(k) - m).max())
         if dev > 100 * GROUP_TOL * s:

@@ -299,8 +299,7 @@ class WavepacketConfig:
 
     def __post_init__(self):
         _check_positive("sigma", self.sigma)
-        if not (self.t >= 0 and math.isfinite(self.t)):
-            raise ValidationError(f"t = {self.t} must be nonnegative and finite")
+        _check_positive("t", self.t)
         if self.n_x < 1 or self.n_p < 1:
             raise ValidationError("window parameters must be positive integers")
         deficit = first_marginal(self.sigma, self.n_x, self.n_p).mass_deficit

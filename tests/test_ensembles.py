@@ -15,7 +15,6 @@ from seqmeas.ensembles import (
     MicrocanonicalConfig,
     PeriodicThermoConfig,
     config_from_json_dict,
-    fock_annihilators,
     generate,
     grand_canonical_model,
     lift_one_particle,
@@ -28,7 +27,7 @@ from seqmeas.ensembles import (
 )
 from seqmeas import ensembles, model, verify
 from seqmeas.model import ValidationError, is_modified_doubly_stochastic, conditional, j_equation_lhs
-from seqmeas.quantum import haar_unitary, joint_diagonalize
+from seqmeas.quantum import GROUP_TOL, haar_unitary, joint_diagonalize
 
 
 def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -37,6 +36,37 @@ def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------- fermionic algebra
+
+
+def fock_annihilators(n_modes: int) -> list[np.ndarray]:
+    """Annihilation operators c_a on the 2^n_modes fermionic Fock space.
+
+    Jordan-Wigner strings enforce the canonical anticommutation relations:
+    c_a = Z x ... x Z x s- x 1 x ... x 1  with the lowering matrix in slot a.
+    The entries are 0 and +-1, so real matrices hold them exactly.
+    """
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])
+    zed = np.diag([1.0, -1.0])
+    one = np.eye(2)
+    ops = []
+    for a in range(n_modes):
+        factors = [zed] * a + [lower] + [one] * (n_modes - a - 1)
+        m = factors[0]
+        for f in factors[1:]:
+            m = np.kron(m, f)
+        ops.append(m)
+    return ops
+
+
+def jordan_wigner_lift(h: np.ndarray) -> np.ndarray:
+    """Oracle of :func:`lift_one_particle`: the dense sum of h_ab c_a* c_b."""
+    cs = fock_annihilators(h.shape[0])
+    out = np.zeros((2 ** h.shape[0],) * 2, dtype=complex)
+    for a in range(h.shape[0]):
+        for b in range(h.shape[0]):
+            if h[a, b] != 0:
+                out += h[a, b] * (cs[a].T @ cs[b])
+    return out
 
 
 def test_fock_annihilators_car_relations():
@@ -59,6 +89,12 @@ def test_number_operator_counts():
     np.testing.assert_allclose(w, [0, 1, 1, 1, 2, 2, 2, 3], atol=1e-12)
 
 
+@pytest.mark.parametrize("n_modes", [0, 13])
+def test_mode_count_outside_the_supported_range_is_rejected(n_modes):
+    with pytest.raises(ValidationError, match=f"n_modes = {n_modes} outside"):
+        number_operator(n_modes)
+
+
 def test_lift_one_particle_subset_sums(rng):
     """The lifted spectrum is exactly the subset sums of the mode energies."""
     h = _random_hermitian(rng, 3)
@@ -75,6 +111,74 @@ def test_lift_commutes_with_number(rng):
     lifted = lift_one_particle(h)
     n = number_operator(2)
     np.testing.assert_allclose(lifted @ n, n @ lifted, atol=1e-12)
+
+
+def _one_particle(kind: str, rng: np.random.Generator, n_modes: int) -> np.ndarray:
+    """A random h, or an exactly degenerate one: integer diagonal, or zero."""
+    if kind == "random":
+        return _random_hermitian(rng, n_modes)
+    if kind == "integer-diagonal":
+        return np.diag(rng.integers(-2, 3, size=n_modes)).astype(complex)
+    return np.zeros((n_modes, n_modes), dtype=complex)
+
+
+H_KINDS = ("random", "integer-diagonal", "zero")
+
+
+def test_bit_lift_equals_the_jordan_wigner_oracle_exactly():
+    rng = np.random.default_rng(2011)
+    for n_modes in range(1, 9):
+        sparse = _random_hermitian(rng, n_modes)
+        zero = rng.random((n_modes, n_modes)) < 0.3  # the oracle skips zero entries
+        sparse[zero | zero.T] = 0.0
+        for h in [_one_particle(kind, rng, n_modes) for kind in H_KINDS] + [sparse]:
+            np.testing.assert_array_equal(lift_one_particle(h), jordan_wigner_lift(h))
+
+
+def _match_outcomes(new, old) -> np.ndarray:
+    """Index into ``old`` of every outcome of ``new``, matched by eigenvalue tuple."""
+    dist = np.abs(new.eigen_tuples[:, None, :] - old.eigen_tuples[None, :, :]).max(axis=2)
+    perm = dist.argmin(axis=1)
+    assert sorted(perm.tolist()) == list(range(old.n_outcomes))
+    assert dist[np.arange(new.n_outcomes), perm].max() <= 1e-12
+    np.testing.assert_array_equal(new.degeneracies, old.degeneracies[perm])
+    return perm
+
+
+@pytest.mark.parametrize("kind", H_KINDS)
+@pytest.mark.parametrize("n_modes", range(1, 9))
+def test_sector_family_matches_the_dense_joint_diagonalization(n_modes, kind, monkeypatch):
+    """Number sectors against joint_diagonalize([dense Jordan-Wigner H, N]), 1..8 modes.
+
+    The two paths cut H's spectrum differently only where eigenvalues sit
+    about GROUP_TOL apart: the dense path clusters H over all sectors, the
+    sector path inside each.  The data keep clear of that boundary, which
+    the first assertion pins: every gap of H's spectrum is either rounding
+    (degenerate h) or far above the cut.
+    """
+    rng = np.random.default_rng([2011, n_modes, H_KINDS.index(kind)])
+    cfg = GrandCanonicalConfig(h_t0=_one_particle(kind, rng, n_modes),
+                               h_t1=_one_particle(kind, rng, n_modes), beta=0.7, mu=0.3)
+    for h in (cfg.h_t0, cfg.h_t1):
+        big_h = jordan_wigner_lift(h)
+        gaps = np.diff(np.linalg.eigvalsh(big_h)) / max(1.0, np.abs(big_h).max())
+        assert np.all((gaps < 1e-3 * GROUP_TOL) | (gaps > 1e3 * GROUP_TOL))
+    u = haar_unitary(cfg.dim, rng)
+    new = grand_canonical_model(cfg, u)
+    monkeypatch.setattr(ensembles, "_sector_family", lambda h: joint_diagonalize(
+        [jordan_wigner_lift(h), number_operator(h.shape[0])]))
+    old = grand_canonical_model(cfg, u)
+
+    perm0 = _match_outcomes(new.first_family, old.first_family)
+    perm1 = _match_outcomes(new.second_family, old.second_family)
+    np.testing.assert_allclose(new.model.p_table, old.model.p_table[np.ix_(perm0, perm1)], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(new.q, old.q[perm1], rtol=0, atol=1e-12)
+    assert new.jarzynski_lhs == pytest.approx(old.jarzynski_lhs, rel=0, abs=1e-12)
+    # outcomes come out N-major, energies ascending inside each sector
+    for fam in (new.first_family, new.second_family):
+        assert np.all(np.diff(fam.eigen_tuples[:, 1]) >= 0)
+        same = np.diff(fam.eigen_tuples[:, 1]) == 0
+        assert np.all(np.diff(fam.eigen_tuples[:, 0])[same] > GROUP_TOL)
 
 
 def test_tensor_lift_spectra_and_commutation(rng):
@@ -184,8 +288,9 @@ def test_assemble_report_cross_checks_the_labeled_jensen_combination(rng):
 
 @pytest.mark.parametrize("family", verify.FAMILIES)
 def test_generate_builds_the_ratio_once_and_each_state_once(family, monkeypatch):
-    """One ratio table, one state per time, and no normalization re-derived by logsumexp."""
-    calls = {"j_ratio": 0, "ensemble_state": 0, "logsumexp": 0}
+    """One ratio table, one state per time, no normalization re-derived by logsumexp,
+    and no joint diagonalization for the grand-canonical families."""
+    calls = {"j_ratio": 0, "ensemble_state": 0, "logsumexp": 0, "joint_diagonalize": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -198,13 +303,18 @@ def test_generate_builds_the_ratio_once_and_each_state_once(family, monkeypatch)
     monkeypatch.setattr(model, "j_ratio", j_ratio)
     monkeypatch.setattr(ensembles, "ensemble_state", counting("ensemble_state", ensembles.ensemble_state))
     monkeypatch.setattr(ensembles, "logsumexp", counting("logsumexp", ensembles.logsumexp))
+    monkeypatch.setattr(ensembles, "joint_diagonalize",
+                        counting("joint_diagonalize", ensembles.joint_diagonalize))
     rng = np.random.default_rng(np.random.SeedSequence(11))
     cfg = verify.random_config(family, rng, 1)
     generate(cfg, haar_unitary(cfg.dim, rng))
     # only the local-canonical subsystem partition functions use logsumexp, one per
     # subsystem and time, for the cross-check against the joint normalizations
     n_partitions = 2 * len(cfg.betas) if family == "local_canonical" else 0
-    assert calls == {"j_ratio": 1, "ensemble_state": 2, "logsumexp": n_partitions}
+    # grand-canonical families come from number sectors, not a joint diagonalization
+    n_joint = {"local_canonical": 2, "microcanonical": 2, "grand_canonical": 0, "periodic_thermo": 1}
+    assert calls == {"j_ratio": 1, "ensemble_state": 2, "logsumexp": n_partitions,
+                     "joint_diagonalize": n_joint[family]}
 
 
 def test_local_canonical_identity_and_free_energy(rng):

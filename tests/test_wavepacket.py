@@ -404,11 +404,12 @@ def test_second_marginal_accepts_zero_sizes():
     (lambda: WavepacketConfig(t=math.nan), "t = nan"),
     (lambda: WavepacketConfig(t=math.inf), "t = inf"),
     (lambda: WavepacketConfig(t=-math.inf), "t = -inf"),
+    (lambda: WavepacketConfig(t=0.0), "t = 0.0"),
     (lambda: WavepacketConfig(sigma=math.nan), "sigma = nan"),
 ], ids=["erfi_line-t-nan", "erfi_line-t-inf", "second_marginal-t-nan", "second_marginal-t-inf",
         "second_marginal-t-neginf", "entropy_curve-t-nan", "second_marginal-kernel_halfwidth",
         "second_marginal-n_x", "first_marginal-n_x", "first_marginal-n_p", "first_marginal-sigma",
-        "config-t-nan", "config-t-inf", "config-t-neginf", "config-sigma-nan"])
+        "config-t-nan", "config-t-inf", "config-t-neginf", "config-t-zero", "config-sigma-nan"])
 def test_wavepacket_edges_raise_validation_errors_naming_the_parameter(call, name):
     with pytest.raises(ValidationError, match=name):
         call()
@@ -486,7 +487,7 @@ def test_wavepacket_config_invariant():
         WavepacketConfig(n_p=128)
     with pytest.raises(ValidationError, match="sigma"):
         WavepacketConfig(sigma=-1.0)
-    with pytest.raises(ValidationError, match="nonnegative"):
+    with pytest.raises(ValidationError, match="t = -0.5 must be positive"):
         WavepacketConfig(t=-0.5)
     # a looser bound admits the smaller window
     ok = WavepacketConfig(n_p=128, mass_tolerance=1e-3)
