@@ -5,12 +5,13 @@ model from a JSON config), ``wavepacket`` (entropy-increase curve +
 asymmetry pair), ``classical`` (phase-space estimators), ``crooks``
 (per-level fluctuation ratio of an explicit or generated table).
 
-Every run prints one JSON report to stdout and persists it (plus any CSV
-artifacts) in the output directory; the report embeds the library
-version, the seed, the sha256 hash of the canonical config, and the
-tolerances in force.  Exit status is 0 exactly when every check in the
-report passed; crashes are caught at top level and still produce valid
-JSON (exit status 2).
+Every command ends in one epilogue, :func:`_finish`: it writes the
+command's CSV artifacts and ``<command>_report.json`` into the output
+directory, prints the same JSON report to stdout, and returns the exit
+status.  The report embeds the library version, the seed, the sha256 hash
+of the canonical config, and the tolerances in force.  Exit status is 0
+exactly when every check in the report passed; crashes are caught at top
+level and still produce valid JSON (exit status 2).
 """
 
 from __future__ import annotations
@@ -42,21 +43,31 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _meta(command: str, config: dict, seed, tolerances: dict) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "seed": seed,
-        "config_hash": config_hash(config),
-        "tolerances": {k: float(v) for k, v in tolerances.items()},
-    }
+def _finish(args, config: dict, seed, tolerances: dict, body: dict, checks: dict | None = None,
+            passed: bool | None = None, artifacts: dict | None = None) -> int:
+    """The epilogue of every command: write ``artifacts`` ({filename: text})
+    and ``<command>_report.json``, print the report, and return 0 exactly
+    when it passed.
 
-
-def _emit(report: dict, out_dir: Path, name: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    (out_dir / name).write_text(text + "\n")
+    The report is ``body`` plus ``meta`` (command, version, seed, config
+    hash, tolerances), ``checks`` and ``passed``.  ``checks`` decide
+    ``passed``; ``verify``, whose checks live inside its corpus report,
+    gives ``passed`` instead.
+    """
+    if checks is not None:
+        body["checks"], passed = checks, all(checks.values())
+    body["meta"] = {"command": args.command, "version": __version__, "seed": seed,
+                    "config_hash": config_hash(config),
+                    "tolerances": {k: float(v) for k, v in tolerances.items()}}
+    body["passed"] = passed
+    out = args.output_dir
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in (artifacts or {}).items():
+        (out / name).write_text(text)
+    text = json.dumps(body, indent=2, sort_keys=True)
+    (out / f"{args.command}_report.json").write_text(text + "\n")
     print(text)
+    return 0 if passed else 1
 
 
 def _float_list(text: str) -> list[float]:
@@ -74,13 +85,8 @@ def cmd_verify(args) -> int:
     rep = verify.run_corpus(seed=args.seed, n_per_family=args.n_models,
                             families=families, tolerances=tol or None)
     config = {"seed": args.seed, "n_models": args.n_models, "families": list(families)}
-    report = {
-        "meta": _meta("verify", config, args.seed, rep.tolerances),
-        "report": rep.to_json_dict(),
-        "passed": rep.all_passed,
-    }
-    _emit(report, args.output_dir, "verify_report.json")
-    return 0 if rep.all_passed else 1
+    return _finish(args, config, args.seed, rep.tolerances, {"report": rep.to_json_dict()},
+                   passed=rep.all_passed)
 
 
 def _load_json(path: str) -> dict:
@@ -111,18 +117,9 @@ def cmd_ensemble(args) -> int:
         "entropy_gap": rep.entropy_gap >= -tol["entropy_gap"],
         "jensen": rep.jensen_lhs >= -tol["jensen"],
     }
-    out = args.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "work_histogram.csv").write_text(rep.work_histogram.to_csv())
-    (out / "exponent_histogram.csv").write_text(rep.exponent_histogram.to_csv())
-    report = {
-        "meta": _meta("ensemble", data, data.get("unitary_seed"), tol),
-        "report": rep.to_json_dict(),
-        "checks": checks,
-        "passed": all(checks.values()),
-    }
-    _emit(report, out, "ensemble_report.json")
-    return 0 if report["passed"] else 1
+    return _finish(args, data, data.get("unitary_seed"), tol, {"report": rep.to_json_dict()}, checks,
+                   artifacts={"work_histogram.csv": rep.work_histogram.to_csv(),
+                              "exponent_histogram.csv": rep.exponent_histogram.to_csv()})
 
 
 def cmd_wavepacket(args) -> int:
@@ -136,9 +133,6 @@ def cmd_wavepacket(args) -> int:
                                       mass_tolerance=args.mass_tolerance)
     points = wavepacket.entropy_curve(cfg.sigma, t_values, cfg.n_x, cfg.n_p,
                                       kernel_halfwidth=args.kernel_halfwidth)
-    out = args.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "entropy_curve.csv").write_text(wavepacket.entropy_curve_csv(points))
     pair = {
         "p_1_1_given_0_0": wavepacket.transition_probability(1, 1, 0, 0, 1.0),
         "p_0_0_given_1_1": wavepacket.transition_probability(0, 0, 1, 1, 1.0),
@@ -165,9 +159,8 @@ def cmd_wavepacket(args) -> int:
               "n_x": args.n_x, "n_p": args.n_p,
               "kernel_halfwidth": args.kernel_halfwidth,
               "mass_tolerance": args.mass_tolerance}
-    report = {
-        "meta": _meta("wavepacket", config, None,
-                      {"pair_abs": args.tol_pair, "mass": args.mass_tolerance}),
+    tol = {"pair_abs": args.tol_pair, "mass": args.mass_tolerance}
+    return _finish(args, config, None, tol, {
         "summary": {
             "s_p": s_p,
             "reference_s_p": 1.3654,
@@ -182,11 +175,7 @@ def cmd_wavepacket(args) -> int:
                 for pt in points
             ],
         },
-        "checks": checks,
-        "passed": all(checks.values()),
-    }
-    _emit(report, out, "wavepacket_report.json")
-    return 0 if report["passed"] else 1
+    }, checks, artifacts={"entropy_curve.csv": wavepacket.entropy_curve_csv(points)})
 
 
 def cmd_classical(args) -> int:
@@ -210,18 +199,15 @@ def cmd_classical(args) -> int:
     if args.protocol == "quench":
         quadrature = classical.gauss_hermite_quench(args.beta, args.omega0, args.omega1)
         checks["quadrature_quench"] = abs(quadrature - args.omega0 / args.omega1) <= 1e-12
-    out = args.output_dir
+    artifacts = {}
     if args.dump_work:
         x = p0.sampler(np.random.default_rng(args.seed), args.n)
         w = classical.work_samples(classical.harmonic_hamiltonian(args.omega0),
                                    classical.harmonic_hamiltonian(args.omega1), u, x)
-        out.mkdir(parents=True, exist_ok=True)
-        lines = ["w"] + [format(v, ".17g") for v in w]
-        (out / args.dump_work).write_text("\n".join(lines) + "\n")
+        artifacts[args.dump_work] = "\n".join(["w"] + [format(v, ".17g") for v in w]) + "\n"
     config = {k: getattr(args, k) for k in
               ("beta", "omega0", "omega1", "protocol", "n", "seed", "dt", "steps")}
-    report = {
-        "meta": _meta("classical", config, args.seed, {"jacobian": args.tol_jacobian}),
+    return _finish(args, config, args.seed, {"jacobian": args.tol_jacobian}, {
         "estimator": {
             "mean": est.mean, "std_error": est.std_error,
             "n_samples": est.n_samples, "seed": est.seed,
@@ -230,11 +216,7 @@ def cmd_classical(args) -> int:
         "jacobian_deviation": jac_dev,
         "quadrature_quench": quadrature,
         "exact_quench_value": args.omega0 / args.omega1 if args.protocol == "quench" else None,
-        "checks": checks,
-        "passed": all(checks.values()),
-    }
-    _emit(report, out, "classical_report.json")
-    return 0 if report["passed"] else 1
+    }, checks, artifacts=artifacts)
 
 
 def cmd_crooks(args) -> int:
@@ -249,20 +231,11 @@ def cmd_crooks(args) -> int:
     worst = float(np.max(crooks.distribution.ratio_errors))
     checks = {"per_level_ratio": worst <= args.tol_ratio,
               "j_equation": abs(crooks.j_equation_value - 1.0) <= 1e-10}
-    out = args.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "crooks_levels.csv").write_text(crooks.to_csv())
-    report = {
-        "meta": _meta("crooks", data, data.get("unitary_seed"),
-                      {"per_level_ratio": args.tol_ratio}),
+    return _finish(args, data, data.get("unitary_seed"), {"per_level_ratio": args.tol_ratio}, {
         "worst_ratio_error": worst,
         "j_equation_value": crooks.j_equation_value,
         "n_levels": int(crooks.distribution.values.size),
-        "checks": checks,
-        "passed": all(checks.values()),
-    }
-    _emit(report, out, "crooks_report.json")
-    return 0 if report["passed"] else 1
+    }, checks, artifacts={"crooks_levels.csv": crooks.to_csv()})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -166,7 +166,8 @@ class LocalCanonicalConfig(_ConfigCodec):
     """Product of canonical subsystem states at inverse temperatures betas.
 
     ``h_t0[mu]`` and ``h_t1[mu]`` are the subsystem Hamiltonians before and
-    after the protocol; the measured families are their tensor lifts.
+    after the protocol, of equal dimension; the measured families are their
+    tensor lifts.
     """
 
     kind: ClassVar[str] = "local_canonical"
@@ -177,6 +178,10 @@ class LocalCanonicalConfig(_ConfigCodec):
     def __post_init__(self):
         if not (len(self.h_t0) == len(self.h_t1) == len(self.betas) >= 1):
             raise ValidationError("h_t0, h_t1 and betas must have equal positive length")
+        for mu, (a, b) in enumerate(zip(self.h_t0, self.h_t1)):
+            if np.shape(a) != np.shape(b):
+                raise ValidationError(f"subsystem {mu} changes dimension: h_t0[{mu}] has shape "
+                                      f"{np.shape(a)}, h_t1[{mu}] has shape {np.shape(b)}")
         for mu, b in enumerate(self.betas):
             if not (np.isfinite(b) and b > 0):
                 raise ValidationError(f"betas[{mu}] = {b} must be positive and finite")

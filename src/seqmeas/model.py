@@ -24,7 +24,6 @@ natural logarithm unless an explicit base is requested, and 0 ln 0 = 0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -163,9 +162,6 @@ class JointModel:
             out["mass_deficit"] = float(self.mass_deficit)
         return out
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "JointModel":
         return cls(
@@ -176,10 +172,6 @@ class JointModel:
             labels_j=tuple(_label_from_json(l) for l in data.get("labels_j", ())),
             truncated=bool(data.get("truncated", False)),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "JointModel":
-        return cls.from_json_dict(json.loads(text))
 
 
 def _label_to_json(label):

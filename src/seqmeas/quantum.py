@@ -44,6 +44,8 @@ def _as_square(a, name: str) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {m.shape}")
+    if m.shape[0] == 0:
+        raise ValidationError(f"{name} is an empty 0x0 matrix")
     if not np.all(np.isfinite(m.view(float))):
         raise ValidationError(f"{name} has non-finite entries")
     return m

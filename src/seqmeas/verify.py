@@ -31,7 +31,7 @@ from .ensembles import (
     PeriodicThermoConfig,
     generate,
 )
-from .model import conditional, is_modified_doubly_stochastic
+from .model import ValidationError, conditional, is_modified_doubly_stochastic
 # povm_elements is re-exported: perfbench's span tests look it up in this module
 from .quantum import haar_unitary, povm_elements, streamed_completeness_deviation  # noqa: F401
 
@@ -213,13 +213,17 @@ def run_corpus(seed: int = 20260814, n_per_family: int = 100,
     Tolerance overrides merge into :data:`DEFAULT_TOLERANCES`.  The checks
     are one-sided where the theory is one-sided (entropy gap, Jensen) and
     two-sided elsewhere; ``fault_detection`` is a lower bound (the injected
-    fault must be seen), all others are upper bounds.
+    fault must be seen), all others are upper bounds.  Unknown family names
+    or tolerance keys raise :class:`ValidationError` before any model runs.
     """
+    unknown = set(families) - set(FAMILIES)
+    if unknown:
+        raise ValidationError(f"unknown families {sorted(unknown)}; expected a subset of {FAMILIES}")
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         unknown = set(tolerances) - set(tol)
         if unknown:
-            raise ValueError(f"unknown tolerance keys {sorted(unknown)}")
+            raise ValidationError(f"unknown tolerance keys {sorted(unknown)}")
         tol.update(tolerances)
     t_start = time.time()
     report = VerifyReport(seed=seed, n_per_family=n_per_family,

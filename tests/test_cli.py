@@ -83,6 +83,14 @@ def test_verify_zero_tolerance_fails(tmp_path, capsys):
     assert fault and all(c["passed"] for c in fault)
 
 
+def test_verify_rejects_an_unknown_family(tmp_path, capsys):
+    code, report = run_cli(capsys, "--output-dir", str(tmp_path), "verify", "--families", "bogus")
+    assert code == 2
+    assert report["error_type"] == "ValidationError"
+    assert "bogus" in report["error"]
+    assert not (tmp_path / "verify_report.json").exists()
+
+
 # ---------------------------------------------------------------- ensemble
 
 
@@ -117,6 +125,18 @@ def test_ensemble_explicit_unitary(tmp_path, capsys):
     # identity dynamics on identical-at-both-times measurement grids still
     # satisfies the identity (here spectra differ, so the exponent is not 0)
     assert abs(report["report"]["jarzynski_lhs"] - 1.0) < 1e-10
+
+
+def test_ensemble_rejects_an_empty_operator(tmp_path, capsys):
+    empty = {"dim": 0, "re": [], "im": []}
+    cfg = tmp_path / "empty.json"
+    cfg.write_text(json.dumps({"config": {"kind": "microcanonical", "h_t0": empty, "h_t1": empty,
+                                          "energy": 0.0, "width": 1.0}}))
+    code, report = run_cli(capsys, "--output-dir", str(tmp_path), "ensemble", "--config", str(cfg))
+    assert code == 2
+    assert report["error_type"] == "ValidationError"
+    # no nested JSON list has shape (0, 0), so the operator decoder is the check that fires
+    assert "dim 0" in report["error"]
 
 
 def test_ensemble_impossible_tolerance(tmp_path, capsys, monkeypatch):
@@ -283,6 +303,38 @@ def test_crooks_from_ensemble_config(tmp_path, capsys):
     assert code == 0
     assert report["passed"] is True
     assert report["n_levels"] >= 4
+
+
+# ------------------------------------------------------------------ epilogue
+
+# command -> (arguments, artifact files, the tolerance flag that -1 makes fail)
+EPILOGUE_CASES = {
+    "verify": (["--n-models", "1", "--families", "grand_canonical"], [], "--tolerance"),
+    "ensemble": (["--config", "GRAND"], ["exponent_histogram.csv", "work_histogram.csv"],
+                 "--tol-jarzynski"),
+    "wavepacket": (["--t-grid", "0.004,0.02", "--n-x", "4", "--n-p", "48",
+                    "--kernel-halfwidth", "10", "--mass-tolerance", "0.1"],
+                   ["entropy_curve.csv"], "--tol-pair"),
+    "classical": (["--n", "1000", "--dump-work", "w.csv"], ["w.csv"], "--tol-jacobian"),
+    "crooks": (["--config", "GRAND"], ["crooks_levels.csv"], "--tol-ratio"),
+}
+
+
+@pytest.mark.parametrize("failing", [False, True], ids=["passing", "failing"])
+@pytest.mark.parametrize("command", list(EPILOGUE_CASES))
+def test_every_command_persists_the_printed_report_and_its_artifacts(tmp_path, capsys,
+                                                                     command, failing):
+    args, artifacts, tolerance_flag = EPILOGUE_CASES[command]
+    grand = str(write_grand_config(tmp_path))
+    argv = [grand if a == "GRAND" else a for a in args] + ([tolerance_flag, "-1"] if failing else [])
+    out = tmp_path / "out"
+    code = main(["--output-dir", str(out), command, *argv])
+    printed = capsys.readouterr().out
+    report = json.loads(printed)
+    assert report["passed"] is not failing
+    assert code == (0 if report["passed"] else 1)
+    assert (out / f"{command}_report.json").read_text() == printed
+    assert sorted(p.name for p in out.iterdir()) == sorted([f"{command}_report.json", *artifacts])
 
 
 # ------------------------------------------------------------- error handling

@@ -200,6 +200,9 @@ def test_config_validation_errors(rng):
         LocalCanonicalConfig(h_t0=(h,), h_t1=(h,), betas=(0.0,))
     with pytest.raises(ValidationError, match="equal positive length"):
         LocalCanonicalConfig(h_t0=(h,), h_t1=(h, h), betas=(1.0,))
+    with pytest.raises(ValidationError, match=r"subsystem 0 changes dimension: "
+                       r"h_t0\[0\] has shape \(2, 2\), h_t1\[0\] has shape \(3, 3\)"):
+        LocalCanonicalConfig(h_t0=(h, np.eye(3)), h_t1=(np.eye(3), h), betas=(1.0, 1.0))
     with pytest.raises(ValidationError, match="width"):
         MicrocanonicalConfig(h_t0=h, h_t1=h, energy=0.0, width=0.0)
     with pytest.raises(ValidationError, match="beta"):
@@ -284,6 +287,17 @@ def test_assemble_report_cross_checks_the_labeled_jensen_combination(rng):
     assert report.quantities["jensen_combination"] == generic
     with pytest.raises(ValidationError, match="labeled test_family Jensen combination"):
         build(lambda log_norm0, log_norm1, mean_changes: {"jensen_combination": generic + 1e-6})
+
+
+def test_run_corpus_rejects_unknown_names_before_any_model(monkeypatch):
+    calls = []
+    random_model = verify.random_model
+    monkeypatch.setattr(verify, "random_model", lambda *args: calls.append(args) or random_model(*args))
+    with pytest.raises(ValidationError, match=r"unknown families \['bogus'\]"):
+        verify.run_corpus(seed=1, n_per_family=2, families=("local_canonical", "bogus"))
+    with pytest.raises(ValidationError, match=r"unknown tolerance keys \['nope'\]"):
+        verify.run_corpus(seed=1, n_per_family=2, tolerances={"nope": 1.0})
+    assert calls == []
 
 
 @pytest.mark.parametrize("family", verify.FAMILIES)
@@ -416,6 +430,9 @@ def test_generate_dispatch(rng):
     assert report.family_kind == "microcanonical"
     with pytest.raises(ValidationError):
         generate(object(), np.eye(2))
+    empty = MicrocanonicalConfig(h_t0=np.zeros((0, 0)), h_t1=np.zeros((0, 0)), energy=0.0, width=1.0)
+    with pytest.raises(ValidationError, match="empty 0x0 matrix"):
+        generate(empty, np.zeros((0, 0)))
 
 
 def test_report_json_serializable(rng):

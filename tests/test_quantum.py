@@ -70,11 +70,15 @@ def test_require_hermitian_rejects():
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValidationError):
         require_hermitian(np.ones((2, 3)))
+    with pytest.raises(ValidationError, match="h_t0 is an empty 0x0 matrix"):
+        require_hermitian(np.zeros((0, 0)), "h_t0")
 
 
 def test_require_unitary_rejects():
     with pytest.raises(ValidationError):
         require_unitary(np.array([[1.0, 0.0], [0.0, 2.0]]))
+    with pytest.raises(ValidationError, match="U is an empty 0x0 matrix"):
+        require_unitary(np.zeros((0, 0)))
 
 
 def test_require_density_rejects():

@@ -1,7 +1,7 @@
-"""Smoke tests for the command-line scripts under scripts/.
+"""Smoke test for the command-line script under scripts/.
 
-Each script runs in a subprocess with tiny arguments, so a rename or a
-deletion in the package that a script still relies on fails here.
+The script runs in a subprocess with tiny arguments, so a rename or a
+deletion in the package that it still relies on fails here.
 """
 
 from __future__ import annotations
@@ -23,24 +23,6 @@ def run_script(name: str, *argv: str) -> str:
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
-
-
-def test_ensemble_sweep_script():
-    out = run_script("ensemble_sweep.py", "--n", "1")
-    rows = [line.split() for line in out.strip().splitlines()[1:]]
-    assert [row[0] for row in rows] == ["local_canonical", "microcanonical",
-                                        "grand_canonical", "periodic_thermo"]
-    for row in rows:
-        assert float(row[2]) < 1e-10  # max |identity - 1|
-
-
-def test_entropy_curve_script(tmp_path):
-    csv = tmp_path / "curve.csv"
-    run_script("entropy_curve.py", "--points", "2", "--n-x", "6", "--n-p", "256",
-               "--kernel-halfwidth", "8", "--t-max", "1e-3", "--out", str(csv))
-    lines = csv.read_text().strip().splitlines()
-    assert lines[0].startswith("t,S_p,S_phat")
-    assert len(lines) == 3
 
 
 def test_window_convergence_script():
