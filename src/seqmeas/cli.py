@@ -11,7 +11,8 @@ directory, prints the same JSON report to stdout, and returns the exit
 status.  The report embeds the library version, the seed, the sha256 hash
 of the canonical config, and the tolerances in force.  Exit status is 0
 exactly when every check in the report passed; crashes are caught at top
-level and still produce valid JSON (exit status 2).
+level and still produce valid JSON (exit status 2), and they remove the
+``<command>_report.json`` an earlier run may have left.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, classical, ensembles, verify, wavepacket
-from .model import JointModel, crooks_check
+from .model import JointModel, ValidationError, crooks_check
 from .quantum import haar_unitary, operator_from_json_dict
 
 ENV_OUTPUT_DIR = "SEQMEAS_OUTPUT_DIR"
@@ -96,7 +97,10 @@ def _load_json(path: str) -> dict:
 
 def _unitary_from_config(data: dict, dim: int) -> np.ndarray:
     if "unitary" in data:
-        return operator_from_json_dict(data["unitary"])
+        try:
+            return operator_from_json_dict(data["unitary"])
+        except (ValueError, TypeError) as exc:  # ValidationError included
+            raise ValidationError(f"unitary: {exc}") from exc
     if "unitary_seed" in data:
         return haar_unitary(dim, np.random.default_rng(int(data["unitary_seed"])))
     return np.eye(dim, dtype=complex)
@@ -184,9 +188,7 @@ def cmd_classical(args) -> int:
     if args.protocol == "quench":
         u = classical.identity_map(2)
     else:
-        grad = classical.harmonic_ramp_gradient(args.omega0, args.omega1,
-                                                args.dt * args.steps)
-        u = classical.leapfrog_map(grad, args.dt, args.steps)
+        u = classical.harmonic_ramp_map(args.omega0, args.omega1, args.dt, args.steps)
     est = classical.classical_j_expectation(p0, p1, u, args.n, args.seed)
     rng = np.random.default_rng(args.seed + 1)
     jac_dev = classical.jacobian_determinant_check(u, rng.normal(size=(20, 2)))
@@ -305,6 +307,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # top-level barrier: reports stay valid JSON
+        try:  # a report left by an earlier run must not outlive this failure
+            (args.output_dir / f"{args.command}_report.json").unlink(missing_ok=True)
+        except OSError as unlink_error:
+            logger.warning("could not remove the stale report: %s", unlink_error)
         print(json.dumps({
             "command": args.command,
             "error": str(exc),

@@ -139,7 +139,8 @@ _OPERATORS = {"codec": (lambda hs: [operator_to_json_dict(h) for h in hs],
 
 class _ConfigCodec:
     """Field-driven JSON codec of the ensemble configs: ``kind``, then every
-    field in declaration order through the codec in its metadata."""
+    field in declaration order through the codec in its metadata.  A field
+    that does not decode raises a ``ValidationError`` that starts with its name."""
 
     kind: ClassVar[str]
 
@@ -157,7 +158,10 @@ class _ConfigCodec:
             if f.name not in data:
                 raise ValidationError(f"{cls.kind} config is missing field {f.name!r}")
             _, decode = f.metadata["codec"]
-            values[f.name] = decode(data[f.name])
+            try:
+                values[f.name] = decode(data[f.name])
+            except (ValueError, TypeError) as exc:  # ValidationError included
+                raise ValidationError(f"{f.name}: {exc}") from exc
         return cls(**values)
 
 

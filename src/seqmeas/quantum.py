@@ -289,10 +289,14 @@ def _cell_uniformity(rho: np.ndarray, family: SpectralFamily) -> tuple[float, np
     if p.min() < -1e-11:
         raise ValidationError(f"negative probability {p.min():.3e} (rho not PSD?)")
     p = np.clip(p, 0.0, None)
-    label = np.repeat(np.arange(family.n_outcomes), family.degeneracies)
-    dev = np.where(label[:, None] == label[None, :], m, 0.0) \
-        - np.diag(np.repeat(p / family.degeneracies, family.degeneracies))
+    dev = _outcome_blocks(m, family) - np.diag(np.repeat(p / family.degeneracies, family.degeneracies))
     return float(np.sqrt(np.add.reduceat(np.sum(np.abs(dev) ** 2, axis=1), family.starts).max())), p
+
+
+def _outcome_blocks(m: np.ndarray, family: SpectralFamily) -> np.ndarray:
+    """m with every entry outside the family's (outcome, outcome) blocks set to 0."""
+    label = np.repeat(np.arange(family.n_outcomes), family.degeneracies)
+    return np.where(label[:, None] == label[None, :], m, 0.0)
 
 
 def hermitian_function(h: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -401,11 +405,13 @@ def povm_completeness_deviation(elements: np.ndarray) -> float:
 def streamed_completeness_deviation(u: np.ndarray, first: SpectralFamily,
                                     second: SpectralFamily) -> float:
     """:func:`povm_completeness_deviation` of :func:`povm_elements` without the
-    (k1, k2, dim, dim) stack: the same Gram products summed into one dim x dim total."""
+    (k1, k2, dim, dim) stack.  The sum over j of P_i U* Q_j U P_i is P_i U* W W* U P_i,
+    so the total is  V mask(A* A) V*  with A = W* U V (V, W the family bases) and the
+    mask keeping the first family's outcome blocks: five dim x dim products, no loop."""
     u = require_unitary(u)
-    total = np.zeros_like(u)
-    for _, _, z_dag, z in _povm_gram_factors(u, first, second):
-        total += z_dag @ z
+    v = first.basis
+    a = second.basis.conj().T @ (u @ v)
+    total = v @ _outcome_blocks(a.conj().T @ a, first) @ v.conj().T
     return float(np.abs(total - np.eye(u.shape[0])).max())
 
 
@@ -561,6 +567,10 @@ def operator_to_json_dict(a: np.ndarray) -> dict:
 
 
 def operator_from_json_dict(data: dict) -> np.ndarray:
+    """Inverse of :func:`operator_to_json_dict`; ``im`` may be left out."""
+    missing = [key for key in ("dim", "re") if key not in data]
+    if missing:
+        raise ValidationError(f"operator JSON lacks {' and '.join(map(repr, missing))}")
     dim = int(data["dim"])
     re = np.asarray(data["re"], dtype=float)
     im = np.asarray(data.get("im", np.zeros((dim, dim))), dtype=float)

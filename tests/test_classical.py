@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from seqmeas import classical
 from seqmeas.classical import (
     EstimatorResult,
     PhaseSpaceDensity,
@@ -16,6 +17,7 @@ from seqmeas.classical import (
     gauss_hermite_quench,
     harmonic_hamiltonian,
     harmonic_ramp_gradient,
+    harmonic_ramp_map,
     identity_map,
     jacobian_determinant_check,
     leapfrog_map,
@@ -105,6 +107,57 @@ def test_leapfrog_validation():
         leapfrog_map(lambda t, q: q, 0.0, 10)
     with pytest.raises(ValidationError):
         leapfrog_map(lambda t, q: q, 0.01, 0)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda v: canonical_harmonic_density(1.0, v), "beta"),
+    (lambda v: canonical_harmonic_density(v, 1.0), "omega"),
+    (lambda v: harmonic_ramp_gradient(v, 2.0, 1.0), "omega0"),
+    (lambda v: harmonic_ramp_gradient(1.0, v, 1.0), "omega1"),
+    (lambda v: harmonic_ramp_gradient(1.0, 2.0, v), "duration"),
+    (lambda v: leapfrog_map(lambda t, q: q, v, 10), "dt"),
+    (lambda v: harmonic_ramp_map(1.0, 2.0, v, 10), "dt"),
+    (lambda v: gauss_hermite_quench(1.0, 1.0, v), "omega1"),
+], ids=["density-beta", "density-omega", "ramp-omega0", "ramp-omega1", "ramp-duration",
+        "leapfrog-dt", "ramp-map-dt", "quadrature-omega1"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_raise_validation_errors_naming_them(build, name, value):
+    with pytest.raises(ValidationError, match=f"^{name} = {value} must be "):
+        build(value)
+
+
+@pytest.mark.parametrize("omega0, omega1, dt, steps", [
+    (1.0, 2.0, 0.005, 200),  # the CLI defaults
+    (1.0, 2.0, 0.01, 100),
+    (2.0, 0.5, 0.005, 200),  # a softening ramp
+], ids=["cli-defaults", "dt-0.01", "softening"])
+def test_harmonic_ramp_map_matches_the_leapfrog(omega0, omega1, dt, steps):
+    u = harmonic_ramp_map(omega0, omega1, dt, steps)
+    leapfrog = leapfrog_map(harmonic_ramp_gradient(omega0, omega1, dt * steps), dt, steps)
+    x = 3.0 * np.random.default_rng(11).normal(size=(500, 2))
+    assert np.abs(u(x) - leapfrog(x)).max() <= 1e-12
+    assert np.abs(u(x[0]) - leapfrog(x[0])).max() <= 1e-12  # one unbatched point
+    assert (u.dim, u.certificate) == (2, "leapfrog-composition")
+    assert abs(np.linalg.det(u(np.eye(2))) - 1.0) <= 1e-12
+
+
+def test_harmonic_ramp_map_calls_the_gradient_only_while_it_is_built(monkeypatch):
+    calls = []
+
+    def counting_gradient(omega0, omega1, duration):
+        grad = harmonic_ramp_gradient(omega0, omega1, duration)
+
+        def counted(t, q):
+            calls.append(t)
+            return grad(t, q)
+
+        return counted
+
+    monkeypatch.setattr(classical, "harmonic_ramp_gradient", counting_gradient)
+    u = classical.harmonic_ramp_map(OMEGA0, OMEGA1, 0.005, 200)
+    assert len(calls) == 2 * 200
+    u(np.random.default_rng(12).normal(size=(1000, 2)))
+    assert len(calls) == 2 * 200
 
 
 def test_jacobian_check_resolves_nonlinear_shears():

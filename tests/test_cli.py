@@ -91,6 +91,18 @@ def test_verify_rejects_an_unknown_family(tmp_path, capsys):
     assert not (tmp_path / "verify_report.json").exists()
 
 
+def test_a_crash_removes_the_report_of_an_earlier_run(tmp_path, capsys):
+    code, report = run_cli(capsys, "--output-dir", str(tmp_path), "verify", "--n-models", "1",
+                           "--families", "local_canonical")
+    assert code == 0 and report["passed"] is True
+    assert (tmp_path / "verify_report.json").exists()
+    code, report = run_cli(capsys, "--output-dir", str(tmp_path), "verify", "--n-models", "1",
+                           "--families", "bogus")
+    assert code == 2
+    assert report["error_type"] == "ValidationError"
+    assert not (tmp_path / "verify_report.json").exists()
+
+
 # ---------------------------------------------------------------- ensemble
 
 
@@ -137,6 +149,25 @@ def test_ensemble_rejects_an_empty_operator(tmp_path, capsys):
     assert report["error_type"] == "ValidationError"
     # no nested JSON list has shape (0, 0), so the operator decoder is the check that fires
     assert "dim 0" in report["error"]
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"unitary": {"dim": 4, "re": [[1.0]]}},
+     "unitary: operator JSON claims dim 4 but has shapes (1, 1), (4, 4)"),
+    ({"unitary": {"dim": 4}}, "unitary: operator JSON lacks 're'"),
+    ({"config": {"kind": "microcanonical", "h_t0": {"dim": 1, "re": [[0.0]]},
+                 "h_t1": {"dim": 2, "re": [[1.0, 0.0]]}, "energy": 0.0, "width": 1.0}},
+     "h_t1: operator JSON claims dim 2 but has shapes (1, 2), (2, 2)"),
+], ids=["unitary-shape", "unitary-missing-re", "config-shape"])
+def test_ensemble_operator_errors_name_the_field(tmp_path, capsys, change, message):
+    data = json.loads(write_grand_config(tmp_path).read_text())
+    data.pop("unitary_seed")
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(data | change))
+    code, report = run_cli(capsys, "--output-dir", str(tmp_path), "ensemble", "--config", str(cfg))
+    assert code == 2
+    assert report["error_type"] == "ValidationError"
+    assert report["error"] == message
 
 
 def test_ensemble_impossible_tolerance(tmp_path, capsys, monkeypatch):
@@ -272,6 +303,24 @@ def test_classical_ramp_jacobian_seed_that_plain_differences_missed(tmp_path, ca
         "--protocol", "ramp", "--n", "1000", "--seed", "21250621")
     assert report["checks"]["jacobian"] is True
     assert report["jacobian_deviation"] <= 1e-10
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--beta", "nan"], "beta = nan"),
+    (["--beta", "inf"], "beta = inf"),
+    (["--omega0", "nan"], "omega = nan"),
+    (["--omega1", "inf"], "omega = inf"),
+    (["--omega0", "nan", "--protocol", "ramp"], "omega = nan"),
+    (["--dt", "nan", "--protocol", "ramp"], "dt = nan"),
+    (["--dt", "inf", "--protocol", "ramp"], "dt = inf"),
+], ids=["beta-nan", "beta-inf", "omega0-nan", "omega1-inf", "ramp-omega0-nan", "ramp-dt-nan",
+        "ramp-dt-inf"])
+def test_classical_rejects_non_finite_parameters(tmp_path, capsys, argv, named):
+    code, report = run_cli(capsys, "--output-dir", str(tmp_path), "classical", "--n", "1000",
+                           *argv)
+    assert code == 2
+    assert report["error_type"] == "ValidationError"
+    assert report["error"].startswith(named)
 
 
 # ------------------------------------------------------------------- crooks

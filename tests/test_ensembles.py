@@ -251,6 +251,29 @@ def test_config_missing_field_names_it(rng):
                 config_from_json_dict(data)
 
 
+@pytest.mark.parametrize("kind, name, value, message", [
+    ("microcanonical", "h_t1", {"dim": 2, "re": [[1.0, 0.0]]},
+     "h_t1: operator JSON claims dim 2 but has shapes (1, 2), (2, 2)"),
+    ("microcanonical", "h_t0", {"dim": 0, "re": []},
+     "h_t0: operator JSON claims dim 0 but has shapes (0,), (0, 0)"),
+    ("microcanonical", "h_t0", {"dim": 2, "im": [[0.0, 0.0], [0.0, 0.0]]},
+     "h_t0: operator JSON lacks 're'"),
+    ("microcanonical", "h_t1", {"re": [[1.0]]}, "h_t1: operator JSON lacks 'dim'"),
+    ("microcanonical", "h_t0", {}, "h_t0: operator JSON lacks 'dim' and 're'"),
+    ("microcanonical", "energy", "high", "energy: could not convert string to float"),
+    ("local_canonical", "h_t0", [{"dim": 2}], "h_t0: operator JSON lacks 're'"),
+], ids=["shape", "empty", "missing-re", "missing-dim", "missing-both", "real", "operator-tuple"])
+def test_config_decoding_errors_name_the_field(rng, kind, name, value, message):
+    h = _random_hermitian(rng, 2)
+    cfg = (MicrocanonicalConfig(h_t0=h, h_t1=h, energy=0.2, width=0.9) if kind == "microcanonical"
+           else LocalCanonicalConfig(h_t0=(h,), h_t1=(h,), betas=(0.8,)))
+    data = json.loads(json.dumps(cfg.to_json_dict()))
+    data[name] = value
+    with pytest.raises(ValidationError) as info:
+        config_from_json_dict(data)
+    assert str(info.value).startswith(message)
+
+
 def test_config_dim_matches_generated_unitary(rng):
     h2, h3 = _random_hermitian(rng, 2), _random_hermitian(rng, 3)
     cases = [

@@ -487,6 +487,14 @@ def test_operator_json_round_trip(rng):
     np.testing.assert_array_equal(back, a)
 
 
+@pytest.mark.parametrize("data, missing", [({"dim": 2}, "'re'"), ({"re": [[1.0]]}, "'dim'"),
+                                           ({}, "'dim' and 're'")],
+                         ids=["no-re", "no-dim", "neither"])
+def test_operator_json_missing_keys_raise_validation_errors(data, missing):
+    with pytest.raises(ValidationError, match=f"operator JSON lacks {missing}$"):
+        operator_from_json_dict(data)
+
+
 # ------------------------------------------------------ large dim and memory
 
 
