@@ -29,6 +29,10 @@ JACOBIAN_EPS = 1e-3
 # Gauss-Hermite order of the quench oracle (1e-13 territory for moderate
 # frequency ratios; the Gaussian integrand converges geometrically).
 QUADRATURE_ORDER = 96
+# Largest squared scale (and smallest, inverted) of the harmonic density: the
+# sampler's q^2 and p^2 and the Hamiltonian's omega^2 q^2 must stay finite
+# and normal, with room for samples tens of standard deviations out.
+MAX_SQUARED_SCALE = 1e300
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -93,10 +97,19 @@ def canonical_harmonic_density(omega: float, beta: float, n_dof: int = 1) -> Pha
     """Canonical density ~ exp(-beta H) for the harmonic H, with exact Gaussian sampler.
 
     q_k ~ N(0, 1/(beta omega^2)), p_k ~ N(0, 1/beta), independently;
-    ln Z = n_dof * ln(2 pi / (beta omega)).
+    ln Z = n_dof * ln(2 pi / (beta omega)).  Parameters whose squared scales
+    omega^2, 1/beta or 1/(beta omega^2) leave [1/MAX_SQUARED_SCALE,
+    MAX_SQUARED_SCALE] are rejected, since q^2 or the energy would overflow.
     """
     _require_positive("beta", beta)
     h = harmonic_hamiltonian(omega)
+    for named, what, log_square in (
+            (f"omega = {omega}", "omega^2", 2.0 * math.log(omega)),
+            (f"beta = {beta}", "1/beta", -math.log(beta)),
+            (f"omega = {omega}, beta = {beta}", "1/(beta omega^2)", -math.log(beta) - 2.0 * math.log(omega))):
+        if abs(log_square) > math.log(MAX_SQUARED_SCALE):
+            raise ValidationError(f"{named}: the squared scale {what} = exp({log_square:.6g}) is "
+                                  f"outside [1/{MAX_SQUARED_SCALE:g}, {MAX_SQUARED_SCALE:g}]")
     log_z = n_dof * math.log(2.0 * math.pi / (beta * omega))
 
     def log_density(x):
@@ -189,6 +202,8 @@ def classical_j_expectation(p: PhaseSpaceDensity, q: PhaseSpaceDensity,
         raise ValidationError(f"dimension mismatch: p {p.dim}, q {q.dim}, U {u.dim}")
     if n < 2:
         raise ValidationError("need at least 2 samples for a standard error")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed = {seed!r} must be a nonnegative integer")
     rng = np.random.default_rng(seed)
     x = p.sampler(rng, n)
     log_ratio = np.asarray(q.log_density(u(x))) - np.asarray(p.log_density(x))
@@ -256,7 +271,9 @@ def harmonic_ramp_map(omega0: float, omega1: float, dt: float, steps: int) -> Vo
     applies ``x @ M``: O(steps + n) for n points instead of O(steps * n).
     ``u(np.eye(2))`` reads M back.
     """
-    _require_positive("dt", dt)  # ahead of duration = dt * steps, so a bad dt is named
+    _require_positive("dt", dt)  # ahead of duration = dt * steps, so a bad dt or steps is named
+    if steps < 1:
+        raise ValidationError(f"steps = {steps} must be >= 1")
     m = leapfrog_map(harmonic_ramp_gradient(omega0, omega1, dt * steps), dt, steps)(np.eye(2))
     return VolumePreservingMap(forward=lambda x: np.asarray(x, dtype=float) @ m, dim=2,
                                certificate="leapfrog-composition")

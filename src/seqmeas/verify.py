@@ -213,9 +213,12 @@ def run_corpus(seed: int = 20260814, n_per_family: int = 100,
     Tolerance overrides merge into :data:`DEFAULT_TOLERANCES`.  The checks
     are one-sided where the theory is one-sided (entropy gap, Jensen) and
     two-sided elsewhere; ``fault_detection`` is a lower bound (the injected
-    fault must be seen), all others are upper bounds.  Unknown family names
-    or tolerance keys raise :class:`ValidationError` before any model runs.
+    fault must be seen), all others are upper bounds.  A negative seed and
+    unknown family names or tolerance keys raise :class:`ValidationError`
+    before any model runs.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed = {seed!r} must be a nonnegative integer")
     unknown = set(families) - set(FAMILIES)
     if unknown:
         raise ValidationError(f"unknown families {sorted(unknown)}; expected a subset of {FAMILIES}")

@@ -134,12 +134,8 @@ def first_marginal(sigma: float, n_x: int = DEFAULT_N_X, n_p: int = DEFAULT_N_P)
     ns = np.arange(-n_p, n_p + 1)
     amp = cell_overlap(nus[:, None], ns[None, :], sigma)
     p = np.abs(amp) ** 2
-    return TruncatedTable(
-        table=p,
-        first_index=nus,
-        second_index=ns,
-        mass_deficit=max(0.0, 1.0 - float(p.sum())),
-    )
+    return TruncatedTable(table=p, first_index=nus, second_index=ns,
+                          mass_deficit=max(0.0, 1.0 - float(p.sum())))
 
 
 def evolved_cell_state(nu: int, n: int, t: float, x):
@@ -156,15 +152,46 @@ def evolved_cell_state(nu: int, n: int, t: float, x):
 
 
 def _erfi_grid(k_values: np.ndarray, d_values: np.ndarray, t: float) -> np.ndarray:
-    """F[k, d] = erfi((1 + i)(2 pi k t + d) / (2 sqrt(t))) on a rectangular grid."""
-    args = 2.0 * math.pi * t * k_values[:, None] + d_values[None, :]
-    return erfi_line(args, t)
+    """F[k, d] = erfi((1 + i)(2 pi k t + d) / (2 sqrt(t))); d-major, so a d window is one block."""
+    args = 2.0 * math.pi * t * k_values[None, :] + d_values[:, None]
+    return erfi_line(args, t).T
+
+
+def _kernel_factor(f: np.ndarray, k_values: np.ndarray, t: float) -> np.ndarray:
+    """H[k, d] = exp(-2 i pi^2 t k^2) (F(k, d-1) - 2 F(k, d) + F(k, d+1)), written over F.
+
+    ``f`` is an ``_erfi_grid`` over (k_values, d_values +- 1).  H overwrites
+    its inner columns 64 rows at a time, so no second grid-sized array
+    exists; the returned view holds H on (k_values, d_values).
+    """
+    phase = np.exp(-2j * math.pi * math.pi * t * k_values.astype(float) ** 2)
+    for r in range(0, len(f), 64):
+        chunk = f[r: r + 64]
+        h = chunk[:, :-2] + chunk[:, 2:]
+        h -= 2.0 * chunk[:, 1:-1]
+        h *= phase[r: r + 64, None]
+        chunk[:, 1:-1] = h
+    return f[:, 1:-1]
+
+
+def _diagonal_bracket(n, t: float, d, f_n: np.ndarray):
+    """2 sqrt(pi) exp(2 i pi^2 t n^2) <nu - d, n | nu, n, t>: the m = n closed form.
+
+    ``f_n`` holds F(n, .) on its last axis, one entry beyond ``d`` at each
+    end; ``n`` and ``d`` broadcast, so one call serves many sources.
+    """
+    a = d + 2.0 * math.pi * n * t
+    e_terms = np.exp(0.5j / t * (a - 1.0) ** 2) - 2.0 * np.exp(0.5j / t * a ** 2) \
+        + np.exp(0.5j / t * (a + 1.0) ** 2)
+    f_terms = -2.0 * a * f_n[..., 1:-1] + (a + 1.0) * f_n[..., 2:] + (a - 1.0) * f_n[..., :-2]
+    return (1.0 + 1.0j) * math.sqrt(t) * e_terms - 1j * SQRT_PI * f_terms
 
 
 def transition_amplitude(mu: int, m: int, nu: int, n: int, t: float) -> complex:
     """Amplitude <mu, m | nu, n, t> of the second measurement outcome.
 
-    Closed form in pi/4-line erfi evaluations; the m = n case has its own
+    Closed form in pi/4-line erfi evaluations: (H_m - H_n) / (4 pi (m - n))
+    with H the ``_kernel_factor`` at d = nu - mu; the m = n case has its own
     expression (the generic one degenerates).  t = 0 returns the Kronecker
     overlap of the cells.
     """
@@ -173,28 +200,12 @@ def transition_amplitude(mu: int, m: int, nu: int, n: int, t: float) -> complex:
     if t == 0:
         return complex(1.0 if (mu == nu and m == n) else 0.0)
     d = nu - mu
-    pi2t = math.pi * math.pi * t
-
-    def f(k, shift):
-        return complex(erfi_line(2.0 * math.pi * k * t + d + shift, t))
-
-    if m != n:
-        g2m = -2.0 * f(m, 0) + f(m, 1) + f(m, -1)
-        g2n = -2.0 * f(n, 0) + f(n, 1) + f(n, -1)
-        pref = np.exp(-4j * pi2t * (m * m - 2 * m * n + 2 * n * n)) / (4.0 * math.pi * (m - n))
-        return complex(pref * (np.exp(2j * pi2t * (m - 2 * n) ** 2) * g2m
-                               - np.exp(2j * pi2t * (2 * m * m - 4 * m * n + 3 * n * n)) * g2n))
-    a = d + 2.0 * math.pi * n * t
-
-    def e(xx):
-        return np.exp(0.5j * xx * xx / t)
-
-    def fa(xx):
-        return complex(erfi_line(xx, t))
-
-    bracket = (1.0 + 1.0j) * math.sqrt(t) * (e(a - 1.0) - 2.0 * e(a) + e(a + 1.0)) \
-        - 1j * SQRT_PI * (-2.0 * a * fa(a) + (a + 1.0) * fa(a + 1.0) + (a - 1.0) * fa(a - 1.0))
-    return complex(np.exp(-2j * pi2t * n * n) / (2.0 * SQRT_PI) * bracket)
+    f = _erfi_grid(np.array([m, n]), np.arange(d - 1, d + 2), t)
+    if m == n:
+        return complex(np.exp(-2j * math.pi * math.pi * t * n * n) / (2.0 * SQRT_PI)
+                       * _diagonal_bracket(n, t, d, f[1])[0])
+    h = _kernel_factor(f, np.array([m, n]), t)[:, 0]
+    return complex((h[0] - h[1]) / (4.0 * math.pi * (m - n)))
 
 
 def transition_probability(mu: int, m: int, nu: int, n: int, t: float) -> float:
@@ -202,33 +213,22 @@ def transition_probability(mu: int, m: int, nu: int, n: int, t: float) -> float:
     return abs(transition_amplitude(mu, m, nu, n, t)) ** 2
 
 
-def conditional_kernel(n: int, t: float, m_values: np.ndarray, d_values: np.ndarray,
-                       f_m: np.ndarray, f_n: np.ndarray) -> np.ndarray:
+def conditional_kernel(n: int, m_values: np.ndarray, h_m: np.ndarray, h_n: np.ndarray,
+                       diagonal: np.ndarray) -> np.ndarray:
     """Conditional probabilities p(nu - d, m | nu, n) for one source momentum n.
 
     Translation invariance in the cell index makes the conditional a
     function of d = nu - mu only, so one kernel serves every source cell
-    with momentum n.  ``f_m``/``f_n`` are precomputed erfi grids over
-    (m_values, d_values +- 1) and (d_values +- 1) respectively.
+    with momentum n.  Once per t, for every n: the factor H of
+    ``_kernel_factor``; ``h_m`` is its (m_values, d window) slice, ``h_n``
+    its row n and ``diagonal`` the m = n row.  Once per n, here: the m != n
+    entries |H_m - H_n|^2 / (16 pi^2 (m - n)^2), with no erfi or exp.
     """
-    pi2t = math.pi * math.pi * t
-    # second differences along d: F(d-1) - 2 F(d) + F(d+1)
-    g2_m = f_m[:, :-2] + f_m[:, 2:] - 2.0 * f_m[:, 1:-1]
-    g2_n = f_n[:-2] + f_n[2:] - 2.0 * f_n[1:-1]
-    phase = np.exp(2j * pi2t * (m_values.astype(float) ** 2 - float(n) ** 2))
-    diff = g2_m - phase[:, None] * g2_n[None, :]
-    denom = 4.0 * math.pi * (m_values.astype(float) - float(n))
+    diff = h_m - h_n
+    kernel = diff.real ** 2 + diff.imag ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        kernel = np.abs(diff) ** 2 / denom[:, None] ** 2
-    # m = n row: degenerate case with its own closed form
-    idx = np.nonzero(m_values == n)[0]
-    if idx.size:
-        a = d_values.astype(float) + 2.0 * math.pi * n * t
-        e_terms = np.exp(0.5j / t * (a - 1.0) ** 2) - 2.0 * np.exp(0.5j / t * a ** 2) \
-            + np.exp(0.5j / t * (a + 1.0) ** 2)
-        f_terms = -2.0 * a * f_n[1:-1] + (a + 1.0) * f_n[2:] + (a - 1.0) * f_n[:-2]
-        bracket = (1.0 + 1.0j) * math.sqrt(t) * e_terms - 1j * SQRT_PI * f_terms
-        kernel[idx[0]] = np.abs(bracket) ** 2 / (4.0 * math.pi)
+        kernel /= (16.0 * math.pi ** 2 * (m_values - n) ** 2)[:, None]
+    kernel[m_values == n] = diagonal
     return kernel
 
 
@@ -242,11 +242,14 @@ def second_marginal(sigma: float, t: float, n_x: int = DEFAULT_N_X, n_p: int = D
     half-width w = ``kernel_halfwidth``.  The returned deficit accounts for
     both the uncaptured source mass and the kernel truncation.
 
-    Cost: n_p + 1 ``conditional_kernel`` evaluations, since spatial
-    inversion p(-1-mu, -m | -1-nu, -n) = p(mu, m | nu, n) makes the kernel
-    of -n the kernel of n reversed on both axes, at drift -c instead of c;
-    then 2 n_p + 1 GEMMs of (2 n_x + 2w + 1) x (2w + 1) x (2 n_p + 1), one
-    per source momentum: its banded position weights times its kernel.
+    Cost, once per t: the erfi grid F over every (m, d) that some source
+    window reaches, turned in place into the n-independent factor H once
+    the m = n rows of the sources n <= 0 are read from it.  Once per source
+    n <= 0: one ``conditional_kernel`` on its window of H (n_p + 1 calls, since
+    spatial inversion p(-1-mu, -m | -1-nu, -n) = p(mu, m | nu, n) makes the
+    kernel of -n that of n reversed on both axes, at drift -c).  Once per
+    source momentum: one GEMM of (2 n_x + 2w + 1) x (2w + 1) x (2 n_p + 1),
+    its banded position weights times its kernel.
     """
     _check_positive("t", t)
     _check_size("kernel_halfwidth", kernel_halfwidth)
@@ -257,6 +260,13 @@ def second_marginal(sigma: float, t: float, n_x: int = DEFAULT_N_X, n_p: int = D
     drift = np.rint(2.0 * math.pi * n_values * t).astype(int)
     d_lo, d_hi = int((-drift - w).min()), int((-drift + w).max())
     f_all = _erfi_grid(n_values, np.arange(d_lo - 1, d_hi + 2), t)
+    # source b <= n_p reads d in [-c - w, -c + w]: columns lo[b] + [0, 2w] of H,
+    # lo[b] + [0, 2w + 2] of F; its m = n row is taken from F before H overwrites it
+    lo = -drift[:n_p + 1] - w - d_lo
+    cols = lo[:, None] + np.arange(2 * w + 3)
+    diagonal = np.abs(_diagonal_bracket(n_values[:n_p + 1, None], t, cols[:, 1:-1] + (d_lo - 1),
+                                        f_all[np.arange(n_p + 1)[:, None], cols])) ** 2 / (4.0 * math.pi)
+    h_all = _kernel_factor(f_all, n_values, t)
 
     mu_lo, mu_hi = -n_x + (drift.min() - w), n_x + (drift.max() + w)
     mu_values = np.arange(mu_lo, mu_hi + 1)
@@ -267,20 +277,15 @@ def second_marginal(sigma: float, t: float, n_x: int = DEFAULT_N_X, n_p: int = D
     padded = np.zeros(2 * n_x + 1 + 4 * w)
     band = sliding_window_view(padded, 2 * w + 1)
     for b in range(n_p + 1):  # source momenta n <= 0
-        c = int(drift[b])
-        f_m = f_all[:, -c - w - d_lo: -c + w - d_lo + 3]  # d in [-c - w - 1, -c + w + 1]
-        kernel = conditional_kernel(int(n_values[b]), t, n_values, np.arange(-c - w, -c + w + 1), f_m, f_m[b])
+        h_m = h_all[:, lo[b]: lo[b] + 2 * w + 1]
+        kernel = conditional_kernel(int(n_values[b]), n_values, h_m, h_m[b], diagonal[b])
         # the mirror -n's kernel reversed on both axes = band and output columns reversed
         for col, s in [(b, 1)] if b == n_p else [(b, 1), (2 * n_p - b, -1)]:
             padded[2 * w: 2 * w + 2 * n_x + 1] = src.table[:, col]
             row0 = -n_x + drift[col] - w - mu_lo
             out[row0: row0 + band.shape[0], ::s] += band[:, ::s] @ kernel.T
-    return TruncatedTable(
-        table=out,
-        first_index=mu_values,
-        second_index=n_values,
-        mass_deficit=max(0.0, 1.0 - float(out.sum())),
-    )
+    return TruncatedTable(table=out, first_index=mu_values, second_index=n_values,
+                          mass_deficit=max(0.0, 1.0 - float(out.sum())))
 
 
 @dataclass(frozen=True)
@@ -350,13 +355,6 @@ def entropy_curve_csv(points: list[EntropyCurvePoint]) -> str:
     """CSV with columns t,S_p,S_phat,mass_deficit_p,mass_deficit_phat,N_x,N_p."""
     lines = ["t,S_p,S_phat,mass_deficit_p,mass_deficit_phat,N_x,N_p"]
     for pt in points:
-        lines.append(",".join([
-            format(pt.t, ".17g"),
-            format(pt.s_p, ".17g"),
-            format(pt.s_phat, ".17g"),
-            format(pt.mass_deficit_p, ".17g"),
-            format(pt.mass_deficit_phat, ".17g"),
-            str(pt.n_x),
-            str(pt.n_p),
-        ]))
+        values = (pt.t, pt.s_p, pt.s_phat, pt.mass_deficit_p, pt.mass_deficit_phat)
+        lines.append(",".join([format(v, ".17g") for v in values] + [str(pt.n_x), str(pt.n_p)]))
     return "\n".join(lines) + "\n"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,32 @@ def test_leapfrog_validation():
         leapfrog_map(lambda t, q: q, 0.0, 10)
     with pytest.raises(ValidationError):
         leapfrog_map(lambda t, q: q, 0.01, 0)
+
+
+@pytest.mark.parametrize("omega, beta, named", [
+    (1e-200, 1.0, "omega = 1e-200: the squared scale omega^2"),
+    (1e200, 1.0, "omega = 1e+200: the squared scale omega^2"),
+    (1.0, 1e-310, "beta = 1e-310: the squared scale 1/beta"),
+    (1e-100, 1e-150, "omega = 1e-100, beta = 1e-150: the squared scale 1/(beta omega^2)"),
+], ids=["omega-tiny", "omega-huge", "beta-tiny", "position-variance"])
+def test_canonical_density_rejects_scales_that_overflow(omega, beta, named):
+    with pytest.raises(ValidationError, match="^" + re.escape(f"{named} = exp")):
+        canonical_harmonic_density(omega, beta)
+
+
+def test_canonical_density_keeps_scales_inside_the_bound():
+    """Near the bound (omega^2 = 1e-280) samples and log densities stay finite and silent."""
+    d = canonical_harmonic_density(1e-140, 1.0)
+    log_p = d.log_density(d.sampler(np.random.default_rng(13), 1000))
+    assert np.all(np.isfinite(log_p))
+
+
+def test_steps_and_seed_are_checked_before_they_are_used():
+    with pytest.raises(ValidationError, match="^steps = 0 must be >= 1"):
+        harmonic_ramp_map(1.0, 2.0, 0.01, 0)
+    d = canonical_harmonic_density(OMEGA0, BETA)
+    with pytest.raises(ValidationError, match="^seed = -1 must be a nonnegative integer"):
+        classical_j_expectation(d, d, identity_map(2), 100, seed=-1)
 
 
 @pytest.mark.parametrize("build, name", [

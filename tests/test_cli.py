@@ -10,6 +10,7 @@ import dataclasses
 import json
 import logging
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -321,6 +322,28 @@ def test_classical_rejects_non_finite_parameters(tmp_path, capsys, argv, named):
     assert code == 2
     assert report["error_type"] == "ValidationError"
     assert report["error"].startswith(named)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["classical", "--seed", "-1", "--n", "100"], "seed = -1"),
+    (["verify", "--seed", "-1", "--n-models", "1"], "seed = -1"),
+    (["classical", "--protocol", "ramp", "--steps", "0"], "steps = 0"),
+    (["classical", "--protocol", "ramp", "--omega0", "1e-200", "--n", "100"], "omega = 1e-200"),
+    (["classical", "--protocol", "quench", "--omega0", "1e-200", "--n", "100"], "omega = 1e-200"),
+    (["classical", "--beta", "1e-310", "--n", "100"], "beta = 1e-310"),
+], ids=["classical-seed", "verify-seed", "ramp-steps", "ramp-omega0-tiny", "quench-omega0-tiny",
+        "beta-tiny"])
+def test_out_of_range_inputs_exit_2_naming_the_parameter_without_warnings(tmp_path, capsys, argv,
+                                                                           named):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = main(["--output-dir", str(tmp_path), *argv])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 2
+    assert report["error_type"] == "ValidationError"
+    assert report["error"].startswith(named)
+    assert seen == [] and "Warning" not in captured.err
 
 
 # ------------------------------------------------------------------- crooks

@@ -20,12 +20,15 @@ from scipy.integrate import quad
 from seqmeas import wavepacket
 from seqmeas.model import ValidationError
 from seqmeas.wavepacket import (
+    SQRT_PI,
     DEFAULT_N_P,
     DEFAULT_N_X,
     EntropyCurvePoint,
     TruncatedTable,
     WavepacketConfig,
+    _diagonal_bracket,
     _erfi_grid,
+    _kernel_factor,
     cell_overlap,
     conditional_kernel,
     entropy_curve,
@@ -231,14 +234,48 @@ def test_transition_probability_parity():
         assert a == pytest.approx(b, rel=1e-12)
 
 
+def _oracle_kernel(n: int, t: float, m_values: np.ndarray, d_values: np.ndarray,
+                   f_m: np.ndarray, f_n: np.ndarray) -> np.ndarray:
+    """p(nu - d, m | nu, n) straight from the erfi grids, one source at a time.
+
+    ``f_m``/``f_n`` are erfi grids over (m_values, d_values +- 1) and
+    (d_values +- 1); the second differences, the relative phase
+    e^{2 i pi^2 t (m^2 - n^2)} and the modulus are all formed here per n.
+    """
+    pi2t = math.pi * math.pi * t
+    g2_m = f_m[:, :-2] + f_m[:, 2:] - 2.0 * f_m[:, 1:-1]
+    g2_n = f_n[:-2] + f_n[2:] - 2.0 * f_n[1:-1]
+    phase = np.exp(2j * pi2t * (m_values.astype(float) ** 2 - float(n) ** 2))
+    diff = g2_m - phase[:, None] * g2_n[None, :]
+    denom = 4.0 * math.pi * (m_values.astype(float) - float(n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = np.abs(diff) ** 2 / denom[:, None] ** 2
+    # m = n row: degenerate case with its own closed form
+    idx = np.nonzero(m_values == n)[0]
+    if idx.size:
+        a = d_values.astype(float) + 2.0 * math.pi * n * t
+        e_terms = np.exp(0.5j / t * (a - 1.0) ** 2) - 2.0 * np.exp(0.5j / t * a ** 2) \
+            + np.exp(0.5j / t * (a + 1.0) ** 2)
+        f_terms = -2.0 * a * f_n[1:-1] + (a + 1.0) * f_n[2:] + (a - 1.0) * f_n[:-2]
+        bracket = (1.0 + 1.0j) * math.sqrt(t) * e_terms - 1j * SQRT_PI * f_terms
+        kernel[idx[0]] = np.abs(bracket) ** 2 / (4.0 * math.pi)
+    return kernel
+
+
+def _kernel(n: int, t: float, m_vals: np.ndarray, d_vals: np.ndarray) -> np.ndarray:
+    """``conditional_kernel`` of source n, its inputs built on their own erfi grids."""
+    d_ext = np.arange(d_vals[0] - 1, d_vals[-1] + 2)
+    f_n = _erfi_grid(np.array([n]), d_ext, t)
+    diagonal = np.abs(_diagonal_bracket(n, t, d_vals, f_n[0])) ** 2 / (4.0 * math.pi)
+    h_n = _kernel_factor(f_n, np.array([n]), t)[0]
+    h_m = _kernel_factor(_erfi_grid(m_vals, d_ext, t), m_vals, t)
+    return conditional_kernel(n, m_vals, h_m, h_n, diagonal)
+
+
 def _row_mass(n: int, t: float, m_half: int, w: int) -> float:
     m_vals = np.arange(-m_half, m_half + 1)
     c = int(np.rint(2.0 * math.pi * n * t))
-    d_vals = np.arange(-c - w, -c + w + 1)
-    d_ext = np.arange(d_vals[0] - 1, d_vals[-1] + 2)
-    f_m = _erfi_grid(m_vals, d_ext, t)
-    f_n = _erfi_grid(np.array([n]), d_ext, t)[0]
-    return float(conditional_kernel(n, t, m_vals, d_vals, f_m, f_n).sum())
+    return float(_kernel(n, t, m_vals, np.arange(-c - w, -c + w + 1)).sum())
 
 
 def test_conditional_row_mass_tail_models():
@@ -267,10 +304,7 @@ def test_conditional_kernel_matches_direct_probabilities():
     m_vals = np.arange(-6, 7)
     c = int(np.rint(2.0 * math.pi * n * t))
     d_vals = np.arange(-c - w, -c + w + 1)
-    d_ext = np.arange(d_vals[0] - 1, d_vals[-1] + 2)
-    f_m = _erfi_grid(m_vals, d_ext, t)
-    f_n = _erfi_grid(np.array([n]), d_ext, t)[0]
-    kernel = conditional_kernel(n, t, m_vals, d_vals, f_m, f_n)
+    kernel = _kernel(n, t, m_vals, d_vals)
     rng = np.random.default_rng(11)
     for _ in range(8):
         a = int(rng.integers(0, m_vals.size))
@@ -291,13 +325,8 @@ def test_column_sum_near_one():
 
 def _row_mass_for_output(n: int, t: float, w: int) -> float:
     """Kernel mass the source (*, n) sends onto output momentum m = 0."""
-    m_vals = np.array([0])
     c = int(np.rint(2.0 * math.pi * n * t))
-    d_vals = np.arange(-c - w, -c + w + 1)
-    d_ext = np.arange(d_vals[0] - 1, d_vals[-1] + 2)
-    f_m = _erfi_grid(m_vals, d_ext, t)
-    f_n = _erfi_grid(np.array([n]), d_ext, t)[0]
-    return float(conditional_kernel(n, t, m_vals, d_vals, f_m, f_n).sum())
+    return float(_kernel(n, t, np.array([0]), np.arange(-c - w, -c + w + 1)).sum())
 
 
 # ------------------------------------------------------------ second marginal
@@ -326,15 +355,11 @@ def _slab_loop_second_marginal(sigma, t, n_x, n_p, w):
     src = first_marginal(sigma, n_x, n_p)
     n_values = np.arange(-n_p, n_p + 1)
     drift = np.rint(2.0 * math.pi * n_values * t).astype(int)
-    d_lo, d_hi = int((-drift - w).min()), int((-drift + w).max())
-    f_all = _erfi_grid(n_values, np.arange(d_lo - 1, d_hi + 2), t)
     mu_lo, mu_hi = -n_x + (drift.min() - w), n_x + (drift.max() + w)
     out = np.zeros((mu_hi - mu_lo + 1, n_values.size))
     for b, n in enumerate(n_values):
         c = int(drift[b])
-        lo = (-c - w) - (d_lo - 1)
-        f_m = f_all[:, lo - 1: lo + 2 * w + 2]
-        kernel = conditional_kernel(int(n), t, n_values, np.arange(-c - w, -c + w + 1), f_m, f_m[b])
+        kernel = _kernel(int(n), t, n_values, np.arange(-c - w, -c + w + 1))
         kernel_mu = kernel[:, ::-1].T  # rows: mu = nu + c - w ... nu + c + w
         for a, nu in enumerate(src.first_index):
             if src.table[a, b] > 0.0:
@@ -360,14 +385,24 @@ def test_conditional_kernel_of_minus_n_is_the_mirror_image(n, t):
     assert c != 0
 
     def kernel(k, c_k):
-        d_vals = np.arange(-c_k - w, -c_k + w + 1)
-        f_m = _erfi_grid(m_vals, np.arange(d_vals[0] - 1, d_vals[-1] + 2), t)
-        f_n = _erfi_grid(np.array([k]), np.arange(d_vals[0] - 1, d_vals[-1] + 2), t)[0]
-        return conditional_kernel(k, t, m_vals, d_vals, f_m, f_n)
+        return _kernel(k, t, m_vals, np.arange(-c_k - w, -c_k + w + 1))
 
     # the smallest entries (~1e-8) come out of a cancelling difference and
     # carry absolute errors near 1e-20, hence the absolute floor
     np.testing.assert_allclose(kernel(-n, -c), kernel(n, c)[::-1, ::-1], rtol=1e-12, atol=1e-18)
+
+
+@pytest.mark.parametrize("n", [0, -37])
+@pytest.mark.parametrize("t", [1e-6, 0.02, 0.5])
+def test_conditional_kernel_matches_the_per_source_oracle(n, t):
+    """The n-independent factor H gives the kernel the per-source formula gives."""
+    m_vals, w = np.arange(-48, 49), 10
+    c = int(np.rint(2.0 * math.pi * n * t))
+    d_vals = np.arange(-c - w, -c + w + 1)
+    d_ext = np.arange(d_vals[0] - 1, d_vals[-1] + 2)
+    want = _oracle_kernel(n, t, m_vals, d_vals, _erfi_grid(m_vals, d_ext, t),
+                          _erfi_grid(np.array([n]), d_ext, t)[0])
+    np.testing.assert_allclose(_kernel(n, t, m_vals, d_vals), want, rtol=1e-12, atol=1e-18)
 
 
 def test_second_marginal_evaluates_each_mirror_pair_once(monkeypatch):
