@@ -103,10 +103,11 @@ def canonical_harmonic_density(omega: float, beta: float, n_dof: int = 1) -> Pha
     """
     _require_positive("beta", beta)
     h = harmonic_hamiltonian(omega)
+    log_w, log_b = math.log(omega), math.log(beta)
     for named, what, log_square in (
-            (f"omega = {omega}", "omega^2", 2.0 * math.log(omega)),
-            (f"beta = {beta}", "1/beta", -math.log(beta)),
-            (f"omega = {omega}, beta = {beta}", "1/(beta omega^2)", -math.log(beta) - 2.0 * math.log(omega))):
+            (f"omega = {omega}", "omega^2", 2.0 * log_w),
+            (f"beta = {beta}", "1/beta", -log_b),
+            (f"omega = {omega}, beta = {beta}", "1/(beta omega^2)", -log_b - 2.0 * log_w)):
         if abs(log_square) > math.log(MAX_SQUARED_SCALE):
             raise ValidationError(f"{named}: the squared scale {what} = exp({log_square:.6g}) is "
                                   f"outside [1/{MAX_SQUARED_SCALE:g}, {MAX_SQUARED_SCALE:g}]")

@@ -264,8 +264,9 @@ def second_marginal(sigma: float, t: float, n_x: int = DEFAULT_N_X, n_p: int = D
     # lo[b] + [0, 2w + 2] of F; its m = n row is taken from F before H overwrites it
     lo = -drift[:n_p + 1] - w - d_lo
     cols = lo[:, None] + np.arange(2 * w + 3)
-    diagonal = np.abs(_diagonal_bracket(n_values[:n_p + 1, None], t, cols[:, 1:-1] + (d_lo - 1),
-                                        f_all[np.arange(n_p + 1)[:, None], cols])) ** 2 / (4.0 * math.pi)
+    bracket = _diagonal_bracket(n_values[:n_p + 1, None], t, cols[:, 1:-1] + (d_lo - 1),
+                                f_all[np.arange(n_p + 1)[:, None], cols])
+    diagonal = np.abs(bracket) ** 2 / (4.0 * math.pi)
     h_all = _kernel_factor(f_all, n_values, t)
 
     mu_lo, mu_hi = -n_x + (drift.min() - w), n_x + (drift.max() + w)

@@ -128,14 +128,6 @@ def test_canonical_density_keeps_scales_inside_the_bound():
     assert np.all(np.isfinite(log_p))
 
 
-def test_steps_and_seed_are_checked_before_they_are_used():
-    with pytest.raises(ValidationError, match="^steps = 0 must be >= 1"):
-        harmonic_ramp_map(1.0, 2.0, 0.01, 0)
-    d = canonical_harmonic_density(OMEGA0, BETA)
-    with pytest.raises(ValidationError, match="^seed = -1 must be a nonnegative integer"):
-        classical_j_expectation(d, d, identity_map(2), 100, seed=-1)
-
-
 @pytest.mark.parametrize("build, name", [
     (lambda v: canonical_harmonic_density(1.0, v), "beta"),
     (lambda v: canonical_harmonic_density(v, 1.0), "omega"),

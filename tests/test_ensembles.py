@@ -323,11 +323,6 @@ def test_run_corpus_rejects_unknown_names_before_any_model(monkeypatch):
     assert calls == []
 
 
-def test_run_corpus_rejects_a_negative_seed():
-    with pytest.raises(ValidationError, match="^seed = -1 must be a nonnegative integer"):
-        verify.run_corpus(seed=-1, n_per_family=1)
-
-
 @pytest.mark.parametrize("family", verify.FAMILIES)
 def test_generate_builds_the_ratio_once_and_each_state_once(family, monkeypatch):
     """One ratio table, one state per time, no normalization re-derived by logsumexp,
