@@ -207,8 +207,12 @@ def classical_j_expectation(p: PhaseSpaceDensity, q: PhaseSpaceDensity,
         raise ValidationError(f"seed = {seed!r} must be a nonnegative integer")
     rng = np.random.default_rng(seed)
     x = p.sampler(rng, n)
-    log_ratio = np.asarray(q.log_density(u(x))) - np.asarray(p.log_density(x))
-    ratio = np.exp(log_ratio)
+    # an energy that overflows gives log q = -inf (ratio 0, its limit) or log p = -inf
+    # (ratio inf or nan); the two checks below turn the latter and a sample without
+    # overlap into typed errors instead of warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_ratio = np.asarray(q.log_density(u(x))) - np.asarray(p.log_density(x))
+        ratio = np.exp(log_ratio)
     bad = ~np.isfinite(ratio)
     if np.any(bad):
         k = int(np.flatnonzero(bad)[0])
@@ -216,6 +220,11 @@ def classical_j_expectation(p: PhaseSpaceDensity, q: PhaseSpaceDensity,
             f"{int(bad.sum())} of {n} ratio samples are non-finite "
             f"(first at index {k}, log-ratio {log_ratio[k]:.6g}); "
             "check density normalization and overlap"
+        )
+    if not np.any(ratio > 0.0):
+        raise PreconditionError(
+            f"all {n} ratio samples are 0 (largest log-ratio {log_ratio.max():.6g}): "
+            "q(U(x)) vanishes wherever p was sampled, so p and q o U do not overlap"
         )
     mean = float(np.mean(ratio))
     std_error = float(np.std(ratio, ddof=1) / math.sqrt(n))

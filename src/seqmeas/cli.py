@@ -193,8 +193,7 @@ def cmd_classical(args) -> int:
     rng = np.random.default_rng(args.seed + 1)
     jac_dev = classical.jacobian_determinant_check(u, rng.normal(size=(20, 2)))
     checks = {
-        "ratio_within_3_std_errors": abs(est.mean - 1.0) <= 3.0 * est.std_error
-        or est.std_error == 0.0,
+        "ratio_within_3_std_errors": abs(est.mean - 1.0) <= 3.0 * est.std_error,
         "jacobian": jac_dev <= args.tol_jacobian,
     }
     quadrature = None

@@ -38,6 +38,8 @@ DEFAULT_N_P = 512
 # Half-width of the per-source position window of the conditional kernel,
 # measured from the classical drift 2 pi n t.
 DEFAULT_KERNEL_HALFWIDTH = 24
+# Sources per kernel block of the second marginal; bounds its two block buffers.
+KERNEL_BLOCK = 128
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -101,8 +103,7 @@ def cell_overlap(nu, n, sigma: float):
     _check_positive("sigma", sigma)
     nu_b, n_b = np.broadcast_arrays(np.asarray(nu, float), np.asarray(n, float))
     a = SQRT2 * math.pi * np.abs(n_b) * sigma
-    x0 = nu_b / (SQRT2 * sigma)
-    x1 = (nu_b + 1.0) / (SQRT2 * sigma)
+    x0, x1 = nu_b / (SQRT2 * sigma), (nu_b + 1.0) / (SQRT2 * sigma)
     pref = math.pi ** 0.25 * math.sqrt(sigma) / SQRT2
     val = pref * scaled_erf_segment(x0, x1, a)
     return np.where(n_b < 0, np.conj(val), val)
@@ -130,10 +131,8 @@ def first_marginal(sigma: float, n_x: int = DEFAULT_N_X, n_p: int = DEFAULT_N_P)
     """Table p(nu, n) = |<nu, n | psi>|^2 on the window |nu| <= n_x, |n| <= n_p."""
     _check_size("n_x", n_x)
     _check_size("n_p", n_p)
-    nus = np.arange(-n_x, n_x + 1)
-    ns = np.arange(-n_p, n_p + 1)
-    amp = cell_overlap(nus[:, None], ns[None, :], sigma)
-    p = np.abs(amp) ** 2
+    nus, ns = np.arange(-n_x, n_x + 1), np.arange(-n_p, n_p + 1)
+    p = np.abs(cell_overlap(nus[:, None], ns[None, :], sigma)) ** 2
     return TruncatedTable(table=p, first_index=nus, second_index=ns,
                           mass_deficit=max(0.0, 1.0 - float(p.sum())))
 
@@ -213,22 +212,31 @@ def transition_probability(mu: int, m: int, nu: int, n: int, t: float) -> float:
     return abs(transition_amplitude(mu, m, nu, n, t)) ** 2
 
 
-def conditional_kernel(n: int, m_values: np.ndarray, h_m: np.ndarray, h_n: np.ndarray,
-                       diagonal: np.ndarray) -> np.ndarray:
-    """Conditional probabilities p(nu - d, m | nu, n) for one source momentum n.
+def _inverse_square(size: int) -> np.ndarray:
+    """Toeplitz view T[n, m] = 1 / (16 pi^2 (m - n)^2) on size x size momenta, 0 for m = n."""
+    denom = 16.0 * math.pi ** 2 * np.arange(1 - size, size, dtype=float) ** 2
+    denom[size - 1] = math.inf
+    return sliding_window_view(1.0 / denom, size)[::-1]
 
-    Translation invariance in the cell index makes the conditional a
-    function of d = nu - mu only, so one kernel serves every source cell
-    with momentum n.  Once per t, for every n: the factor H of
-    ``_kernel_factor``; ``h_m`` is its (m_values, d window) slice, ``h_n``
-    its row n and ``diagonal`` the m = n row.  Once per n, here: the m != n
-    entries |H_m - H_n|^2 / (16 pi^2 (m - n)^2), with no erfi or exp.
+
+def conditional_kernel(h_d: np.ndarray, a: int, diagonal: np.ndarray, inv_sq: np.ndarray,
+                       buffers: np.ndarray) -> np.ndarray:
+    """Kernel block K[i, m] = p(nu - d, m | nu, a + i) of the sources a, ..., b - 1 at one offset d.
+
+    Momenta are positions on a consecutive grid; ``h_d`` is the column
+    H(., d) of ``_kernel_factor`` on it, ``diagonal`` the closed-form m = n
+    entries of the sources and ``inv_sq`` the grid's ``_inverse_square``.
+    The block is written into ``buffers[0, :b - a]`` (``buffers[1]`` is
+    scratch).  Once per block, with no erfi or exp: the (b - a) len(h_d)
+    entries |H_m - H_n|^2 / (16 pi^2 (m - n)^2), in six float passes.
     """
-    diff = h_m - h_n
-    kernel = diff.real ** 2 + diff.imag ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kernel /= (16.0 * math.pi ** 2 * (m_values - n) ** 2)[:, None]
-    kernel[m_values == n] = diagonal
+    b = a + len(diagonal)
+    kernel, im = buffers[0, :b - a], buffers[1, :b - a]
+    h_re, h_im = h_d.real.copy(), h_d.imag.copy()
+    np.square(np.subtract(h_re, h_re[a:b, None], out=kernel), out=kernel)
+    kernel += np.square(np.subtract(h_im, h_im[a:b, None], out=im), out=im)
+    kernel *= inv_sq[a:b]
+    kernel[np.arange(b - a), np.arange(a, b)] = diagonal
     return kernel
 
 
@@ -237,54 +245,52 @@ def second_marginal(sigma: float, t: float, n_x: int = DEFAULT_N_X, n_p: int = D
     """Second-measurement marginal  p-hat(mu, m) = sum p(mu, m | nu, n) p(nu, n).
 
     Sources run over the window |nu| <= n_x, |n| <= n_p; output momenta
-    over |m| <= n_p as well.  For each source momentum the output
-    position window is centered on the classical drift 2 pi n t with
-    half-width w = ``kernel_halfwidth``.  The returned deficit accounts for
-    both the uncaptured source mass and the kernel truncation.
+    over |m| <= n_p as well.  Source n reaches the position offsets
+    d = nu - mu with |d + c| <= w around its classical drift c = rint(2 pi n t),
+    w = ``kernel_halfwidth``.  The returned deficit accounts for both the
+    uncaptured source mass and the kernel truncation.
 
-    Cost, once per t: the erfi grid F over every (m, d) that some source
-    window reaches, turned in place into the n-independent factor H once
-    the m = n rows of the sources n <= 0 are read from it.  Once per source
-    n <= 0: one ``conditional_kernel`` on its window of H (n_p + 1 calls, since
-    spatial inversion p(-1-mu, -m | -1-nu, -n) = p(mu, m | nu, n) makes the
-    kernel of -n that of n reversed on both axes, at drift -c).  Once per
-    source momentum: one GEMM of (2 n_x + 2w + 1) x (2w + 1) x (2 n_p + 1),
-    its banded position weights times its kernel.
+    The sum runs by offset d; the drift is monotone in n, so the sources
+    reaching d form one range.  Spatial inversion p(-1-mu, -m | -1-nu, -n)
+    = p(mu, m | nu, n) makes the kernel of -d that of d with both momentum
+    axes reversed, so only d <= 0 is evaluated.  Cost, once per t: the erfi
+    grid F over (m, d <= 0), turned in place into the n-independent factor
+    H once the m = n entries are read from it.  Once per block of at most
+    ``KERNEL_BLOCK`` sources s at offset d: one ``conditional_kernel`` of
+    s (2 n_p + 1) entries, then one GEMM of 2 (2 n_x + 1) x s x (2 n_p + 1)
+    multiply-adds onto the output rows mu = nu - d and (mirrored) nu + d.
     """
     _check_positive("t", t)
     _check_size("kernel_halfwidth", kernel_halfwidth)
     src = first_marginal(sigma, n_x, n_p)
     n_values = np.arange(-n_p, n_p + 1)  # source and output momenta alike
-    w = int(kernel_halfwidth)
+    size, w = n_values.size, int(kernel_halfwidth)
 
     drift = np.rint(2.0 * math.pi * n_values * t).astype(int)
-    d_lo, d_hi = int((-drift - w).min()), int((-drift + w).max())
-    f_all = _erfi_grid(n_values, np.arange(d_lo - 1, d_hi + 2), t)
-    # source b <= n_p reads d in [-c - w, -c + w]: columns lo[b] + [0, 2w] of H,
-    # lo[b] + [0, 2w + 2] of F; its m = n row is taken from F before H overwrites it
-    lo = -drift[:n_p + 1] - w - d_lo
-    cols = lo[:, None] + np.arange(2 * w + 3)
-    bracket = _diagonal_bracket(n_values[:n_p + 1, None], t, cols[:, 1:-1] + (d_lo - 1),
-                                f_all[np.arange(n_p + 1)[:, None], cols])
+    d_lo = int(-drift.max() - w)  # offsets run over [d_lo, -d_lo]
+    f_all = _erfi_grid(n_values, np.arange(d_lo - 1, 2), t)
+    # diagonal[n, j]: the m = n entry at d = -c - w + j, read from F (columns j + [0, 2],
+    # from -c - w - d_lo on, clipped at d = 1) before H overwrites it
+    cols = np.minimum((-drift - w - d_lo)[:, None] + np.arange(2 * w + 3), f_all.shape[1] - 1)
+    bracket = _diagonal_bracket(n_values[:, None], t, cols[:, 1:-1] + (d_lo - 1),
+                                f_all[np.arange(size)[:, None], cols])
     diagonal = np.abs(bracket) ** 2 / (4.0 * math.pi)
     h_all = _kernel_factor(f_all, n_values, t)
 
-    mu_lo, mu_hi = -n_x + (drift.min() - w), n_x + (drift.max() + w)
-    mu_values = np.arange(mu_lo, mu_hi + 1)
-    out = np.zeros((mu_values.size, n_values.size))
-
-    # band[i, j] = weight of source cell nu = -n_x + i + j - 2w (zero outside
-    # the window); row i of band @ kernel.T is output row mu = -n_x + c - w + i
-    padded = np.zeros(2 * n_x + 1 + 4 * w)
-    band = sliding_window_view(padded, 2 * w + 1)
-    for b in range(n_p + 1):  # source momenta n <= 0
-        h_m = h_all[:, lo[b]: lo[b] + 2 * w + 1]
-        kernel = conditional_kernel(int(n_values[b]), n_values, h_m, h_m[b], diagonal[b])
-        # the mirror -n's kernel reversed on both axes = band and output columns reversed
-        for col, s in [(b, 1)] if b == n_p else [(b, 1), (2 * n_p - b, -1)]:
-            padded[2 * w: 2 * w + 2 * n_x + 1] = src.table[:, col]
-            row0 = -n_x + drift[col] - w - mu_lo
-            out[row0: row0 + band.shape[0], ::s] += band[:, ::s] @ kernel.T
+    mu_values = np.arange(-n_x + d_lo, n_x - d_lo + 1)
+    out = np.zeros((mu_values.size, size))
+    inv_sq, buffers = _inverse_square(size), np.empty((2, min(KERNEL_BLOCK, size), size))
+    rows = 2 * n_x + 1  # weights[rows:] are the sources mirrored: column i holds -n_values[i]
+    weights = np.vstack([src.table, src.table[:, ::-1]])
+    for d in range(d_lo, 1):
+        start, stop = np.searchsorted(drift, (-w - d, w - d + 1))
+        for a in range(start, stop, KERNEL_BLOCK):
+            b = min(a + KERNEL_BLOCK, stop)
+            diag = diagonal[np.arange(a, b), d + drift[a:b] + w]
+            summed = weights[:, a:b] @ conditional_kernel(h_all[:, d - d_lo], a, diag, inv_sq, buffers)
+            out[-d - d_lo: -d - d_lo + rows] += summed[:rows]
+            if d < 0:  # offset -d: sources -n onto output momenta -m, rows mu = nu + d
+                out[d - d_lo: d - d_lo + rows, ::-1] += summed[rows:]
     return TruncatedTable(table=out, first_index=mu_values, second_index=n_values,
                           mass_deficit=max(0.0, 1.0 - float(out.sum())))
 
@@ -340,15 +346,9 @@ def entropy_curve(sigma: float, t_values, n_x: int = DEFAULT_N_X, n_p: int = DEF
     points = []
     for t in np.asarray(t_values, dtype=float):
         hat = second_marginal(sigma, float(t), n_x, n_p, kernel_halfwidth)
-        points.append(EntropyCurvePoint(
-            t=float(t),
-            s_p=s_p,
-            s_phat=hat.entropy(),
-            mass_deficit_p=src.mass_deficit,
-            mass_deficit_phat=hat.mass_deficit,
-            n_x=n_x,
-            n_p=n_p,
-        ))
+        points.append(EntropyCurvePoint(t=float(t), s_p=s_p, s_phat=hat.entropy(),
+                                        mass_deficit_p=src.mass_deficit,
+                                        mass_deficit_phat=hat.mass_deficit, n_x=n_x, n_p=n_p))
     return points
 
 

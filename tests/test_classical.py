@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,16 @@ def test_j_expectation_rejects_nonfinite_ratios():
     broken = PhaseSpaceDensity(dim=2, log_density=broken_log_density, sampler=d.sampler)
     with pytest.raises(PreconditionError, match="non-finite"):
         classical_j_expectation(broken, d, identity_map(2), 2000, seed=0)
+
+
+def test_j_expectation_rejects_a_sample_without_overlap():
+    """Far-apart frequencies: q o U vanishes on every sample of p; no numpy warning comes first."""
+    p = canonical_harmonic_density(1e-100, BETA)
+    q = canonical_harmonic_density(1e100, BETA)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="all 100 ratio samples are 0"):
+            classical_j_expectation(p, q, identity_map(2), 100, seed=0)
 
 
 def test_j_expectation_validation():

@@ -346,6 +346,29 @@ def test_out_of_range_inputs_exit_2_naming_the_parameter_without_warnings(tmp_pa
     assert seen == [] and "Warning" not in captured.err
 
 
+def test_classical_without_overlap_exits_2_without_warnings(tmp_path, capsys):
+    """omega 1e-100 against 1e100: no sample of p lands where q o U is nonzero."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = main(["--output-dir", str(tmp_path), "classical", "--omega0", "1e-100",
+                     "--omega1", "1e100", "--n", "100"])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 2
+    assert report["error_type"] == "PreconditionError"
+    assert "do not overlap" in report["error"]
+    assert seen == [] and "Warning" not in captured.err
+
+
+def test_classical_constant_unit_ratio_passes(tmp_path, capsys):
+    """Equal frequencies make every ratio sample exactly 1: std_error 0 still passes."""
+    code, report = run_cli(capsys, "--output-dir", str(tmp_path), "classical",
+                           "--omega0", "1.3", "--omega1", "1.3", "--n", "100")
+    assert code == 0
+    assert report["estimator"]["mean"] == 1.0 and report["estimator"]["std_error"] == 0.0
+    assert report["checks"]["ratio_within_3_std_errors"] is True
+
+
 # ------------------------------------------------------------------- crooks
 
 

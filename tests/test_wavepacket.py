@@ -28,6 +28,7 @@ from seqmeas.wavepacket import (
     WavepacketConfig,
     _diagonal_bracket,
     _erfi_grid,
+    _inverse_square,
     _kernel_factor,
     cell_overlap,
     conditional_kernel,
@@ -263,13 +264,20 @@ def _oracle_kernel(n: int, t: float, m_values: np.ndarray, d_values: np.ndarray,
 
 
 def _kernel(n: int, t: float, m_vals: np.ndarray, d_vals: np.ndarray) -> np.ndarray:
-    """``conditional_kernel`` of source n, its inputs built on their own erfi grids."""
-    d_ext = np.arange(d_vals[0] - 1, d_vals[-1] + 2)
-    f_n = _erfi_grid(np.array([n]), d_ext, t)
-    diagonal = np.abs(_diagonal_bracket(n, t, d_vals, f_n[0])) ** 2 / (4.0 * math.pi)
-    h_n = _kernel_factor(f_n, np.array([n]), t)[0]
-    h_m = _kernel_factor(_erfi_grid(m_vals, d_ext, t), m_vals, t)
-    return conditional_kernel(n, m_vals, h_m, h_n, diagonal)
+    """p(nu - d, m | nu, n) on (m_vals, d_vals): the one-source ``conditional_kernel`` of each d.
+
+    The inputs are built on their own erfi grid, over the consecutive
+    momenta that span m_vals and n; d_vals is consecutive.
+    """
+    k_vals = np.arange(min(int(m_vals.min()), n), max(int(m_vals.max()), n) + 1)
+    f = _erfi_grid(k_vals, np.arange(d_vals[0] - 1, d_vals[-1] + 2), t)
+    a = n - int(k_vals[0])
+    diagonal = np.abs(_diagonal_bracket(n, t, d_vals, f[a])) ** 2 / (4.0 * math.pi)
+    h = _kernel_factor(f, k_vals, t)
+    inv_sq, buffers = _inverse_square(k_vals.size), np.empty((2, 1, k_vals.size))
+    rows = [conditional_kernel(h[:, j], a, diagonal[j: j + 1], inv_sq, buffers)[0].copy()
+            for j in range(d_vals.size)]
+    return np.array(rows)[:, m_vals - k_vals[0]].T
 
 
 def _row_mass(n: int, t: float, m_half: int, w: int) -> float:
@@ -377,6 +385,16 @@ def test_second_marginal_matches_the_slab_loop(t):
     np.testing.assert_allclose(hat.table, want, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("t, w", [(1e-6, 6), (0.02, 6), (1e-6, 0), (0.02, 0)])
+def test_second_marginal_matches_the_slab_loop_across_kernel_blocks(t, w):
+    """321 source momenta: at t = 1e-6 every offset's sources span three kernel blocks."""
+    want, mu_values, n_values = _slab_loop_second_marginal(1.0, t, 2, 160, w)
+    hat = second_marginal(1.0, t, 2, 160, kernel_halfwidth=w)
+    np.testing.assert_array_equal(hat.first_index, mu_values)
+    np.testing.assert_array_equal(hat.second_index, n_values)
+    np.testing.assert_allclose(hat.table, want, rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("n, t", [(3, 0.1), (17, 0.02), (40, 0.5)])
 def test_conditional_kernel_of_minus_n_is_the_mirror_image(n, t):
     """Spatial inversion: kernel(-n) on d in -c +- w is kernel(n) on -d, reversed m."""
@@ -406,16 +424,37 @@ def test_conditional_kernel_matches_the_per_source_oracle(n, t):
 
 
 def test_second_marginal_evaluates_each_mirror_pair_once(monkeypatch):
-    calls = []
+    """One kernel per source block of each offset d in [d_lo, 0]; -d is its mirror, never evaluated.
+
+    At n_p = 160, t = 1e-6 every offset's 321 sources span three blocks.
+    """
+    w, calls = 10, []
     inner = wavepacket.conditional_kernel
 
-    def counting(n, *args):
-        calls.append(n)
-        return inner(n, *args)
+    def counting(h_d, a, diagonal, *args):
+        calls.append((h_d.copy(), a, a + len(diagonal)))
+        return inner(h_d, a, diagonal, *args)
 
     monkeypatch.setattr(wavepacket, "conditional_kernel", counting)
-    second_marginal(1.0, 0.1, 4, 48, kernel_halfwidth=10)
-    assert sorted(calls) == list(range(-48, 1))
+    for n_p, t in ((48, 0.1), (160, 1e-6)):
+        calls.clear()
+        second_marginal(1.0, t, 4, n_p, kernel_halfwidth=w)
+        n_values = np.arange(-n_p, n_p + 1)
+        drift = np.rint(2.0 * math.pi * n_values * t).astype(int)
+        d_lo = int(-drift.max() - w)
+        h_ref = _kernel_factor(_erfi_grid(n_values, np.arange(d_lo - 1, -d_lo + 2), t), n_values, t)
+        seen = []
+        for h_d, a, b in calls:
+            dist = np.abs(h_ref - h_d[:, None]).max(axis=0)
+            assert dist.min() <= 1e-14
+            seen.append((d_lo + int(dist.argmin()), a, b))
+        want = []
+        for d in range(d_lo, 1):
+            sources = np.flatnonzero(np.abs(d + drift) <= w)
+            assert np.array_equal(sources, np.arange(sources[0], sources[-1] + 1))
+            want += [(d, a, min(a + wavepacket.KERNEL_BLOCK, sources[-1] + 1))
+                     for a in range(sources[0], sources[-1] + 1, wavepacket.KERNEL_BLOCK)]
+        assert sorted(seen) == sorted(want)
 
 
 def test_second_marginal_accepts_zero_sizes():
@@ -451,20 +490,26 @@ def test_wavepacket_edges_raise_validation_errors_naming_the_parameter(call, nam
 
 
 def test_entropy_curve_memory_peak():
-    """The default-window point at t = 0.1 stays below 28 MB of traced allocations.
+    """Default-window points stay below 28 MB (t = 0.1) and 12 MB (t = 1e-3) of traced allocations.
 
     With a per-cell slab loop, an erfi argument built in three temporaries
-    and a masked entropy sum against a ones array, the peak is 35.8 MB
-    (numpy 2.4); the banded accumulation with the in-place temporaries
-    peaks at 23.4 MB.
+    and a masked entropy sum against a ones array, the t = 0.1 peak is
+    35.8 MB (numpy 2.4); the banded accumulation with the in-place
+    temporaries peaked at 23.4 MB.  At t = 1e-3 most offsets are reached by
+    all 1025 sources: kernel blocks of the full source range would hold
+    two 1025 x 1025 buffers (about 22 MB in all).
     """
+    peaks = {}
     tracemalloc.start()
     try:
-        entropy_curve(1.0, [0.1])
-        peak = tracemalloc.get_traced_memory()[1]
+        for t in (0.1, 1e-3):
+            tracemalloc.reset_peak()
+            entropy_curve(1.0, [t])
+            peaks[t] = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 28e6
+    assert peaks[0.1] < 28e6
+    assert peaks[1e-3] < 12e6
 
 
 def test_second_marginal_small_time_limit():
