@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import PreconditionError, ValidationError
+from .model import PreconditionError, ValidationError, require_count, require_positive
 
 # Richardson base step of the finite-difference Jacobian spot check.
 JACOBIAN_EPS = 1e-3
@@ -33,11 +33,6 @@ QUADRATURE_ORDER = 96
 # sampler's q^2 and p^2 and the Hamiltonian's omega^2 q^2 must stay finite
 # and normal, with room for samples tens of standard deviations out.
 MAX_SQUARED_SCALE = 1e300
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValidationError(f"{name} = {value} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -82,7 +77,7 @@ def identity_map(dim: int) -> VolumePreservingMap:
 
 def harmonic_hamiltonian(omega: float) -> Callable[[np.ndarray], np.ndarray]:
     """H(q, p) = p^2/2 + omega^2 q^2/2 summed over degrees of freedom."""
-    _require_positive("omega", omega)
+    require_positive("omega", omega)
 
     def h(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -101,7 +96,7 @@ def canonical_harmonic_density(omega: float, beta: float, n_dof: int = 1) -> Pha
     omega^2, 1/beta or 1/(beta omega^2) leave [1/MAX_SQUARED_SCALE,
     MAX_SQUARED_SCALE] are rejected, since q^2 or the energy would overflow.
     """
-    _require_positive("beta", beta)
+    require_positive("beta", beta)
     h = harmonic_hamiltonian(omega)
     log_w, log_b = math.log(omega), math.log(beta)
     for named, what, log_square in (
@@ -137,7 +132,7 @@ def leapfrog_map(grad_potential: Callable[[float, np.ndarray], np.ndarray], dt: 
     composition is volume-preserving for any protocol; the potential
     gradient is evaluated at the substep times 0, dt, 2 dt ... as usual.
     """
-    _require_positive("dt", dt)
+    require_positive("dt", dt)
     if steps < 1:
         raise ValidationError(f"steps = {steps} must be >= 1")
 
@@ -203,8 +198,7 @@ def classical_j_expectation(p: PhaseSpaceDensity, q: PhaseSpaceDensity,
         raise ValidationError(f"dimension mismatch: p {p.dim}, q {q.dim}, U {u.dim}")
     if n < 2:
         raise ValidationError("need at least 2 samples for a standard error")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed = {seed!r} must be a nonnegative integer")
+    require_count("seed", seed)
     rng = np.random.default_rng(seed)
     x = p.sampler(rng, n)
     # an energy that overflows gives log q = -inf (ratio 0, its limit) or log p = -inf
@@ -226,11 +220,12 @@ def classical_j_expectation(p: PhaseSpaceDensity, q: PhaseSpaceDensity,
             f"all {n} ratio samples are 0 (largest log-ratio {log_ratio.max():.6g}): "
             "q(U(x)) vanishes wherever p was sampled, so p and q o U do not overlap"
         )
-    mean = float(np.mean(ratio))
-    std_error = float(np.std(ratio, ddof=1) / math.sqrt(n))
-    ess = float(ratio.sum() ** 2 / np.sum(ratio * ratio))
-    return EstimatorResult(mean=mean, std_error=std_error, n_samples=n, seed=seed,
-                           effective_sample_size=ess)
+    # spread and ESS of ratio / top in (0, 1]: squares of ratios far from 1 neither underflow nor overflow
+    top = ratio.max()
+    scaled = ratio / top
+    ess = float(scaled.sum() ** 2 / np.sum(scaled * scaled))
+    return EstimatorResult(mean=float(np.mean(ratio)), n_samples=n, seed=seed, effective_sample_size=ess,
+                           std_error=float(np.std(scaled, ddof=1) * top / math.sqrt(n)))
 
 
 def work_samples(h0: Callable[[np.ndarray], np.ndarray], h1: Callable[[np.ndarray], np.ndarray],
@@ -247,7 +242,7 @@ def gauss_hermite_quench(beta: float, omega0: float, omega1: float) -> float:
     integrand is Gaussian, so ``QUADRATURE_ORDER`` nodes suffice.
     """
     for name, value in (("beta", beta), ("omega0", omega0), ("omega1", omega1)):
-        _require_positive(name, value)
+        require_positive(name, value)
     nodes, weights = np.polynomial.hermite.hermgauss(QUADRATURE_ORDER)
     # q = sqrt(2) s x with s^2 = 1/(beta omega0^2) turns the canonical average
     # into the Hermite weight integral (1/sqrt(pi)) sum w_k f(sqrt(2) s x_k)
@@ -262,7 +257,7 @@ def harmonic_ramp_gradient(omega0: float, omega1: float, duration: float):
     for name, omega in (("omega0", omega0), ("omega1", omega1)):
         if not math.isfinite(omega):
             raise ValidationError(f"{name} = {omega} must be finite")
-    _require_positive("duration", duration)
+    require_positive("duration", duration)
 
     def grad(t, q):
         w = omega0 + (omega1 - omega0) * min(max(t / duration, 0.0), 1.0)
@@ -281,7 +276,7 @@ def harmonic_ramp_map(omega0: float, omega1: float, dt: float, steps: int) -> Vo
     applies ``x @ M``: O(steps + n) for n points instead of O(steps * n).
     ``u(np.eye(2))`` reads M back.
     """
-    _require_positive("dt", dt)  # ahead of duration = dt * steps, so a bad dt or steps is named
+    require_positive("dt", dt)  # ahead of duration = dt * steps, so a bad dt or steps is named
     if steps < 1:
         raise ValidationError(f"steps = {steps} must be >= 1")
     m = leapfrog_map(harmonic_ramp_gradient(omega0, omega1, dt * steps), dt, steps)(np.eye(2))

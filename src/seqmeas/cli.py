@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, classical, ensembles, verify, wavepacket
-from .model import JointModel, ValidationError, crooks_check
+from .model import JointModel, ValidationError, crooks_check, require_positive
 from .quantum import haar_unitary, operator_from_json_dict
 
 ENV_OUTPUT_DIR = "SEQMEAS_OUTPUT_DIR"
@@ -69,10 +69,6 @@ def _finish(args, config: dict, seed, tolerances: dict, body: dict, checks: dict
     (out / f"{args.command}_report.json").write_text(text + "\n")
     print(text)
     return 0 if passed else 1
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
 
 
 def cmd_verify(args) -> int:
@@ -128,10 +124,13 @@ def cmd_ensemble(args) -> int:
 
 def cmd_wavepacket(args) -> int:
     if args.t_grid:
-        t_values = _float_list(args.t_grid)
+        t_values = [float(x) for x in args.t_grid.split(",") if x.strip()]
+        if not t_values:
+            raise ValidationError(f"t_grid = {args.t_grid!r} holds no time")
     else:
-        t_values = list(np.logspace(math.log10(args.t_min), math.log10(args.t_max),
-                                    args.t_points))
+        for name in ("t_min", "t_max", "t_points"):
+            require_positive(name, getattr(args, name))
+        t_values = list(np.logspace(math.log10(args.t_min), math.log10(args.t_max), args.t_points))
     cfg = wavepacket.WavepacketConfig(sigma=args.sigma, t=max(t_values),
                                       n_x=args.n_x, n_p=args.n_p,
                                       mass_tolerance=args.mass_tolerance)

@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .model import (
     JointModel,
@@ -43,6 +42,7 @@ from .model import (
     entropy_gap,
     group_levels,
     j_ratio,
+    require_positive,
 )
 from .quantum import (
     GROUP_TOL,
@@ -52,6 +52,7 @@ from .quantum import (
     joint_diagonalize,
     operator_from_json_dict,
     operator_to_json_dict,
+    product_family,
     require_hermitian,
 )
 
@@ -109,18 +110,6 @@ def _sector_family(h: np.ndarray) -> SpectralFamily:
     return fam
 
 
-def tensor_lift(ops: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Embed each local operator into the tensor product of all factors."""
-    dims = [np.asarray(o).shape[0] for o in ops]
-    lifted = []
-    for k, o in enumerate(ops):
-        m = np.eye(1, dtype=complex)
-        for j, d in enumerate(dims):
-            m = np.kron(m, np.asarray(o, dtype=complex)) if j == k else np.kron(m, np.eye(d))
-        lifted.append(m)
-    return lifted
-
-
 # ---------------------------------------------------------------------------
 # configs
 
@@ -128,21 +117,33 @@ def _reals_to_json(xs) -> list:
     return [float(x) for x in np.asarray(xs, dtype=float)]
 
 
-# field metadata: the (encode, decode) JSON codec of a config field
+# field metadata: the (encode, decode) JSON codec of a config field; operator fields name their matrices
 _REAL = {"codec": (float, float)}
 _REALS = {"codec": (_reals_to_json, lambda xs: tuple(float(x) for x in xs))}
 _VECTOR = {"codec": (_reals_to_json, lambda xs: np.asarray(xs, dtype=float))}
-_OPERATOR = {"codec": (operator_to_json_dict, operator_from_json_dict)}
+_OPERATOR = {"codec": (operator_to_json_dict, operator_from_json_dict), "operators": lambda name, h: [(name, h)]}
 _OPERATORS = {"codec": (lambda hs: [operator_to_json_dict(h) for h in hs],
-                        lambda ds: tuple(operator_from_json_dict(d) for d in ds))}
+                        lambda ds: tuple(operator_from_json_dict(d) for d in ds)),
+              "operators": lambda name, hs: [(f"{name}[{mu}]", h) for mu, h in enumerate(hs)]}
 
 
 class _ConfigCodec:
     """Field-driven JSON codec of the ensemble configs: ``kind``, then every
     field in declaration order through the codec in its metadata.  A field
-    that does not decode raises a ``ValidationError`` that starts with its name."""
+    that does not decode raises a ``ValidationError`` that starts with its name;
+    so does an operator that is not finite Hermitian or whose shape changes
+    from ``h_t0`` to ``h_t1``, checked when the config is constructed."""
 
     kind: ClassVar[str]
+
+    def __post_init__(self):
+        shapes = {}
+        for f in fields(self):
+            for name, h in f.metadata.get("operators", lambda *_: ())(f.name, getattr(self, f.name)):
+                shapes[name] = require_hermitian(h, name).shape
+                before = name.replace("h_t1", "h_t0")
+                if shapes[name] != shapes.get(before, shapes[name]):
+                    raise ValidationError(f"{name} has shape {shapes[name]} but {before} has {shapes[before]}")
 
     def to_json_dict(self) -> dict:
         out = {"kind": self.kind}
@@ -170,8 +171,8 @@ class LocalCanonicalConfig(_ConfigCodec):
     """Product of canonical subsystem states at inverse temperatures betas.
 
     ``h_t0[mu]`` and ``h_t1[mu]`` are the subsystem Hamiltonians before and
-    after the protocol, of equal dimension; the measured families are their
-    tensor lifts.
+    after the protocol, of equal dimension; the measured families are the
+    :func:`product_family` of their spectra, with no dense tensor lift.
     """
 
     kind: ClassVar[str] = "local_canonical"
@@ -182,13 +183,9 @@ class LocalCanonicalConfig(_ConfigCodec):
     def __post_init__(self):
         if not (len(self.h_t0) == len(self.h_t1) == len(self.betas) >= 1):
             raise ValidationError("h_t0, h_t1 and betas must have equal positive length")
-        for mu, (a, b) in enumerate(zip(self.h_t0, self.h_t1)):
-            if np.shape(a) != np.shape(b):
-                raise ValidationError(f"subsystem {mu} changes dimension: h_t0[{mu}] has shape "
-                                      f"{np.shape(a)}, h_t1[{mu}] has shape {np.shape(b)}")
+        super().__post_init__()
         for mu, b in enumerate(self.betas):
-            if not (np.isfinite(b) and b > 0):
-                raise ValidationError(f"betas[{mu}] = {b} must be positive and finite")
+            require_positive(f"betas[{mu}]", b)
 
     @property
     def dim(self) -> int:
@@ -206,8 +203,8 @@ class MicrocanonicalConfig(_ConfigCodec):
     width: float = field(metadata=_REAL)
 
     def __post_init__(self):
-        if not (np.isfinite(self.width) and self.width > 0):
-            raise ValidationError(f"width = {self.width} must be positive")
+        super().__post_init__()
+        require_positive("width", self.width)
         if not np.isfinite(self.energy):
             raise ValidationError("energy must be finite")
 
@@ -232,8 +229,8 @@ class GrandCanonicalConfig(_ConfigCodec):
     mu: float = field(metadata=_REAL)
 
     def __post_init__(self):
-        if not (np.isfinite(self.beta) and self.beta > 0):
-            raise ValidationError(f"beta = {self.beta} must be positive")
+        super().__post_init__()
+        require_positive("beta", self.beta)
         if not np.isfinite(self.mu):
             raise ValidationError("mu must be finite")
 
@@ -260,14 +257,14 @@ class PeriodicThermoConfig(_ConfigCodec):
     beta: float = field(metadata=_REAL)
 
     def __post_init__(self):
+        super().__post_init__()
         eps = np.asarray(self.quasi_energies, dtype=float)
         if eps.ndim != 1 or eps.size < 2:
             raise ValidationError("quasi_energies must be a vector with at least two entries")
-        gaps = np.diff(np.sort(eps))
-        if np.any(gaps <= 1e-9):
-            raise ValidationError("quasi-energies must be pairwise distinct (rank-one projections)")
-        if not (np.isfinite(self.beta) and self.beta > 0):
-            raise ValidationError(f"beta = {self.beta} must be positive")
+        if not (np.all(np.isfinite(eps)) and np.all(np.diff(np.sort(eps)) > 1e-9)):
+            raise ValidationError(f"quasi_energies = {eps.tolist()} must be finite and pairwise distinct "
+                                  "(rank-one projections)")
+        require_positive("beta", self.beta)
         if not np.isfinite(self.theta):
             raise ValidationError("theta must be finite")
 
@@ -407,27 +404,21 @@ def _assemble_report(
     )
 
 
-def _log_partition(h: np.ndarray, beta: float) -> float:
-    """ln Tr exp(-beta H) for a Hermitian matrix (log-domain, shift-safe)."""
-    w = np.linalg.eigvalsh(require_hermitian(h))
-    return float(logsumexp(-beta * w))
-
-
 def local_canonical_model(cfg: LocalCanonicalConfig, u: np.ndarray) -> EnsembleReport:
     """Work relation for a product of canonical subsystems.
 
-    Builds the tensor lifts of the subsystem Hamiltonians at both times,
-    the product canonical state, and the reference q from the later
-    spectra.  Reports per-subsystem mean work <w_mu>, free-energy changes
+    Builds the :func:`product_family` of the subsystem spectra at both times,
+    the product canonical state, and the reference q from the later spectra.
+    Reports per-subsystem mean work <w_mu>, free-energy changes
     dF_mu = F_mu(t1) - F_mu(t0), and the Jensen combination
-    sum_mu beta_mu (<w_mu> - dF_mu) >= 0.  The subsystem partition
-    functions are cross-checked against the joint log normalizations.
+    sum_mu beta_mu (<w_mu> - dF_mu) >= 0.  The subsystem partition functions,
+    from the same factor spectra, are cross-checked against the joint norms.
     """
     betas = np.asarray(cfg.betas, dtype=float)
-    first = joint_diagonalize(tensor_lift(cfg.h_t0))
-    second = joint_diagonalize(tensor_lift(cfg.h_t1))
-    log_z0 = [_log_partition(h, b) for h, b in zip(cfg.h_t0, betas)]
-    log_z1 = [_log_partition(h, b) for h, b in zip(cfg.h_t1, betas)]
+    factors = [[joint_diagonalize([h]) for h in hs] for hs in (cfg.h_t0, cfg.h_t1)]
+    log_z0, log_z1 = ([ensemble_state(f, -b * f.eigen_tuples[:, 0]).log_norm for f, b in zip(fs, betas)]
+                      for fs in factors)
+    first, second = map(product_family, factors)
 
     def labeled(log_norm0, log_norm1, mean_works):
         # -sum_mu beta_mu dF_mu = ln Z(t1) - ln Z(t0)
@@ -514,10 +505,11 @@ def periodic_thermo_model(cfg: PeriodicThermoConfig, u: np.ndarray) -> EnsembleR
     The system part has rank-one quasi-energy projections (validated by
     the config); the bath is canonical at beta.  Both families measure
     the same pair (quasi-energy, bath energy), so the normalization
-    offset vanishes and the exponent is exactly theta*e + beta*q.
+    offset vanishes and the exponent is exactly theta*e + beta*q.  The
+    family is the :func:`product_family` of the system and bath spectra.
     """
-    h_sys = np.diag(np.asarray(cfg.quasi_energies, dtype=float))
-    family = joint_diagonalize(tensor_lift([h_sys, cfg.bath_hamiltonian]))
+    family = product_family([joint_diagonalize([np.diag(np.asarray(cfg.quasi_energies, dtype=float))]),
+                             joint_diagonalize([cfg.bath_hamiltonian])])
 
     def labeled(log_norm0, log_norm1, mean_changes):
         mean_e, mean_q = mean_changes

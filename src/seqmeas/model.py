@@ -24,6 +24,7 @@ natural logarithm unless an explicit base is requested, and 0 ln 0 = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,6 +46,16 @@ class ValidationError(ValueError):
 
 class PreconditionError(ValueError):
     """Structurally valid input that violates a documented precondition."""
+
+
+def require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} = {value} must be positive and finite")
+
+
+def require_count(name: str, value: int) -> None:
+    if not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValidationError(f"{name} = {value!r} must be a nonnegative integer")
 
 
 def _as_float_array(x, name: str, ndim: int) -> np.ndarray:

@@ -10,11 +10,11 @@ families linked by a unitary evolution the physical conditional
 is automatically modified doubly stochastic, which is what powers the
 fluctuation identities in :mod:`seqmeas.model`.
 
-The module covers: joint diagonalization of commuting families, density
-operators that are functions of a family (stationary ensembles), Lueders
-measurement probabilities, protocol evolution, POVM bookkeeping for the
-two-time statistics, an exactly solvable one-qubit purity curve, and
-time-reversal symmetry diagnostics.
+The module covers: joint diagonalization of commuting families and their
+tensor products, density operators that are functions of a family
+(stationary ensembles), Lueders measurement probabilities, protocol
+evolution, POVM bookkeeping for the two-time statistics, an exactly
+solvable one-qubit purity curve, and time-reversal symmetry diagnostics.
 """
 
 from __future__ import annotations
@@ -213,6 +213,20 @@ def joint_diagonalize(ops: Sequence[np.ndarray]) -> SpectralFamily:
         if dev > 100 * GROUP_TOL * s:
             raise ValidationError(f"ops[{k}] is not reconstructed by its spectral data (deviation {dev:.3e})")
     return fam
+
+
+def product_family(factors: Sequence[SpectralFamily]) -> SpectralFamily:
+    """Family of the factors' operators lifted onto their tensor product, with no dense lift.
+
+    Kronecker basis of the factor bases, columns regrouped by product outcome with one stable
+    argsort, factor 0 major (:func:`joint_diagonalize`'s order on the lifted operators); tuples
+    are concatenated, degeneracies multiplied."""
+    basis, labels, tuples, degs = np.ones((1, 1)), np.zeros(1, int), np.zeros((1, 0)), np.ones(1, int)
+    for f in factors:
+        basis, degs = np.kron(basis, f.basis), np.outer(degs, f.degeneracies).ravel()
+        labels = (labels[:, None] * f.n_outcomes + np.repeat(np.arange(f.n_outcomes), f.degeneracies)).ravel()
+        tuples = np.hstack([np.repeat(tuples, f.n_outcomes, axis=0), np.tile(f.eigen_tuples, (len(tuples), 1))])
+    return SpectralFamily(basis[:, np.argsort(labels, kind="stable")], tuples, degs)
 
 
 @dataclass(frozen=True)

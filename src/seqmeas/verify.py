@@ -31,7 +31,7 @@ from .ensembles import (
     PeriodicThermoConfig,
     generate,
 )
-from .model import ValidationError, conditional, is_modified_doubly_stochastic
+from .model import ValidationError, conditional, is_modified_doubly_stochastic, require_count
 # povm_elements is re-exported: perfbench's span tests look it up in this module
 from .quantum import haar_unitary, povm_elements, streamed_completeness_deviation  # noqa: F401
 
@@ -217,8 +217,7 @@ def run_corpus(seed: int = 20260814, n_per_family: int = 100,
     unknown family names or tolerance keys raise :class:`ValidationError`
     before any model runs.
     """
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed = {seed!r} must be a nonnegative integer")
+    require_count("seed", seed)
     unknown = set(families) - set(FAMILIES)
     if unknown:
         raise ValidationError(f"unknown families {sorted(unknown)}; expected a subset of {FAMILIES}")

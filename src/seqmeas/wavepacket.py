@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erfi as _scipy_erfi, wofz as _faddeeva
 
-from .model import ValidationError, shannon_entropy
+from .model import ValidationError, require_count, require_positive, shannon_entropy
 
 SQRT2 = math.sqrt(2.0)
 SQRT_PI = math.sqrt(math.pi)
@@ -42,23 +42,13 @@ DEFAULT_KERNEL_HALFWIDTH = 24
 KERNEL_BLOCK = 128
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not (value > 0 and math.isfinite(value)):
-        raise ValidationError(f"{name} = {value} must be positive and finite")
-
-
-def _check_size(name: str, value: int) -> None:
-    if not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValidationError(f"{name} = {value!r} must be a nonnegative integer")
-
-
 def erfi_line(u, t: float):
     """erfi((1 + i) u / (2 sqrt(t)))  for real u: the pi/4-line evaluations.
 
     The square of the argument is purely imaginary, so the result is
     bounded (Fresnel-like) for every u and never overflows.
     """
-    _check_positive("t", t)
+    require_positive("t", t)
     z = np.multiply(u, 1.0 + 1.0j, out=np.empty(np.shape(u), complex))
     z /= 2.0 * math.sqrt(t)
     return _scipy_erfi(z, out=z)
@@ -100,7 +90,7 @@ def cell_overlap(nu, n, sigma: float):
     evaluated in the scaled form.  Negative n by complex conjugation
     (the Gaussian is real).
     """
-    _check_positive("sigma", sigma)
+    require_positive("sigma", sigma)
     nu_b, n_b = np.broadcast_arrays(np.asarray(nu, float), np.asarray(n, float))
     a = SQRT2 * math.pi * np.abs(n_b) * sigma
     x0, x1 = nu_b / (SQRT2 * sigma), (nu_b + 1.0) / (SQRT2 * sigma)
@@ -129,8 +119,8 @@ class TruncatedTable:
 
 def first_marginal(sigma: float, n_x: int = DEFAULT_N_X, n_p: int = DEFAULT_N_P) -> TruncatedTable:
     """Table p(nu, n) = |<nu, n | psi>|^2 on the window |nu| <= n_x, |n| <= n_p."""
-    _check_size("n_x", n_x)
-    _check_size("n_p", n_p)
+    require_count("n_x", n_x)
+    require_count("n_p", n_p)
     nus, ns = np.arange(-n_x, n_x + 1), np.arange(-n_p, n_p + 1)
     p = np.abs(cell_overlap(nus[:, None], ns[None, :], sigma)) ** 2
     return TruncatedTable(table=p, first_index=nus, second_index=ns,
@@ -260,8 +250,8 @@ def second_marginal(sigma: float, t: float, n_x: int = DEFAULT_N_X, n_p: int = D
     s (2 n_p + 1) entries, then one GEMM of 2 (2 n_x + 1) x s x (2 n_p + 1)
     multiply-adds onto the output rows mu = nu - d and (mirrored) nu + d.
     """
-    _check_positive("t", t)
-    _check_size("kernel_halfwidth", kernel_halfwidth)
+    require_positive("t", t)
+    require_count("kernel_halfwidth", kernel_halfwidth)
     src = first_marginal(sigma, n_x, n_p)
     n_values = np.arange(-n_p, n_p + 1)  # source and output momenta alike
     size, w = n_values.size, int(kernel_halfwidth)
@@ -310,8 +300,8 @@ class WavepacketConfig:
     mass_tolerance: float = 1e-4
 
     def __post_init__(self):
-        _check_positive("sigma", self.sigma)
-        _check_positive("t", self.t)
+        require_positive("sigma", self.sigma)
+        require_positive("t", self.t)
         if self.n_x < 1 or self.n_p < 1:
             raise ValidationError("window parameters must be positive integers")
         deficit = first_marginal(self.sigma, self.n_x, self.n_p).mass_deficit

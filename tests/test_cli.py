@@ -331,8 +331,14 @@ def test_classical_rejects_non_finite_parameters(tmp_path, capsys, argv, named):
     (["classical", "--protocol", "ramp", "--omega0", "1e-200", "--n", "100"], "omega = 1e-200"),
     (["classical", "--protocol", "quench", "--omega0", "1e-200", "--n", "100"], "omega = 1e-200"),
     (["classical", "--beta", "1e-310", "--n", "100"], "beta = 1e-310"),
+    (["wavepacket", "--t-grid", ","], "t_grid = ','"),
+    (["wavepacket", "--t-points", "0"], "t_points = 0"),
+    (["wavepacket", "--t-min", "0"], "t_min = 0.0"),
+    (["wavepacket", "--t-min", "-1"], "t_min = -1.0"),
+    (["wavepacket", "--t-max", "nan"], "t_max = nan"),
 ], ids=["classical-seed", "verify-seed", "ramp-steps", "ramp-omega0-tiny", "quench-omega0-tiny",
-        "beta-tiny"])
+        "beta-tiny", "wavepacket-empty-grid", "wavepacket-no-points", "wavepacket-t-min-0",
+        "wavepacket-t-min-negative", "wavepacket-t-max-nan"])
 def test_out_of_range_inputs_exit_2_naming_the_parameter_without_warnings(tmp_path, capsys, argv,
                                                                            named):
     with warnings.catch_warnings(record=True) as seen:
@@ -357,6 +363,26 @@ def test_classical_without_overlap_exits_2_without_warnings(tmp_path, capsys):
     assert code == 2
     assert report["error_type"] == "PreconditionError"
     assert "do not overlap" in report["error"]
+    assert seen == [] and "Warning" not in captured.err
+
+
+def test_classical_tiny_ratios_report_a_finite_ess_without_warnings(tmp_path, capsys):
+    """omega 1e100 against 1e-100: every ratio is near 2e-200, whose squares underflow;
+    the spread and the ESS are still finite and the 3-sigma check fails honestly."""
+    def reject(constant):
+        raise AssertionError(f"stdout holds the non-JSON constant {constant}")
+
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = main(["--output-dir", str(tmp_path), "classical", "--omega0", "1e100",
+                     "--omega1", "1e-100", "--n", "100"])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out, parse_constant=reject)
+    assert code == 1
+    assert report["checks"]["ratio_within_3_std_errors"] is False
+    est = report["estimator"]
+    assert 1.0 <= est["effective_sample_size"] <= 100 and math.isfinite(est["effective_sample_size"])
+    assert est["std_error"] > 0.0
     assert seen == [] and "Warning" not in captured.err
 
 

@@ -22,12 +22,11 @@ from seqmeas.ensembles import (
     microcanonical_model,
     number_operator,
     periodic_thermo_model,
-    tensor_lift,
     _assemble_report,
 )
 from seqmeas import ensembles, model, verify
 from seqmeas.model import ValidationError, is_modified_doubly_stochastic, conditional, j_equation_lhs
-from seqmeas.quantum import GROUP_TOL, haar_unitary, joint_diagonalize
+from seqmeas.quantum import GROUP_TOL, haar_unitary, joint_diagonalize, product_family
 
 
 def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -67,6 +66,19 @@ def jordan_wigner_lift(h: np.ndarray) -> np.ndarray:
             if h[a, b] != 0:
                 out += h[a, b] * (cs[a].T @ cs[b])
     return out
+
+
+def tensor_lift(ops: list[np.ndarray]) -> list[np.ndarray]:
+    """Oracle of :func:`product_family`: each local operator embedded densely into the
+    tensor product of all factors, kron(1, ..., o, ..., 1)."""
+    dims = [np.asarray(o).shape[0] for o in ops]
+    lifted = []
+    for k, o in enumerate(ops):
+        m = np.eye(1, dtype=complex)
+        for j, d in enumerate(dims):
+            m = np.kron(m, np.asarray(o, dtype=complex)) if j == k else np.kron(m, np.eye(d))
+        lifted.append(m)
+    return lifted
 
 
 def test_fock_annihilators_car_relations():
@@ -191,6 +203,94 @@ def test_tensor_lift_spectra_and_commutation(rng):
                                [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], atol=1e-12)
 
 
+def _rotated_diagonal(rng: np.random.Generator, spectrum) -> np.ndarray:
+    """Hermitian matrix with the given (possibly degenerate) spectrum in a Haar-random basis."""
+    v = haar_unitary(len(spectrum), rng)
+    h = (v * np.asarray(spectrum, dtype=float)) @ v.conj().T
+    return 0.5 * (h + h.conj().T)
+
+
+# factor spectra: an int is a random Hermitian of that dimension, a tuple a degenerate spectrum
+PRODUCT_CASES = {
+    "one-random": [4],
+    "one-degenerate": [(0, 0, 1)],
+    "two-random": [2, 3],
+    "two-degenerate": [(1, 1), (0, 0, 2, 2)],
+    "two-scalar-factor": [(0.5,), 3],
+    "three-mixed": [2, (0, 1, 1), 2],
+    "three-degenerate": [(2, 2, 2), (1, -1), (0, 0, 3)],
+}
+
+
+@pytest.mark.parametrize("case", PRODUCT_CASES)
+def test_product_family_matches_the_lifted_joint_diagonalization(case):
+    """Factor spectra against joint_diagonalize of the dense lifts: same outcomes in the same order."""
+    rng = np.random.default_rng([1771, list(PRODUCT_CASES).index(case)])
+    hs = [_random_hermitian(rng, s) if isinstance(s, int) else _rotated_diagonal(rng, s)
+          for s in PRODUCT_CASES[case]]
+    new = product_family([joint_diagonalize([h]) for h in hs])
+    old = joint_diagonalize(tensor_lift(hs))
+    np.testing.assert_array_equal(new.degeneracies, old.degeneracies)
+    np.testing.assert_allclose(new.eigen_tuples, old.eigen_tuples, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(new.projections, old.projections, rtol=0, atol=1e-12)
+    for k, lifted in enumerate(tensor_lift(hs)):
+        np.testing.assert_allclose(new.operator(k), old.operator(k), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(new.operator(k), lifted, rtol=0, atol=1e-12)
+
+
+def test_one_factor_product_family_equals_the_factor_exactly(rng):
+    for h in (_random_hermitian(rng, 4), _rotated_diagonal(rng, (0, 0, 1)), np.diag([2.0, -1.0, 2.0])):
+        factor = joint_diagonalize([h])
+        one = product_family([factor])
+        np.testing.assert_array_equal(one.basis, factor.basis)
+        np.testing.assert_array_equal(one.eigen_tuples, factor.eigen_tuples)
+        np.testing.assert_array_equal(one.degeneracies, factor.degeneracies)
+
+
+def _product_config(family: str, index: int):
+    """Corpus configs for indices 0-3, a config with degenerate factor spectra for index 4."""
+    rng = np.random.default_rng([1553, verify.FAMILIES.index(family), index])
+    if index < 4:
+        return verify.random_config(family, rng, index), rng
+    if family == "local_canonical":
+        return LocalCanonicalConfig(h_t0=(_rotated_diagonal(rng, (0, 0, 1)), np.diag([0.5, 0.5])),
+                                    h_t1=(_rotated_diagonal(rng, (1, 2, 2)), _random_hermitian(rng, 2)),
+                                    betas=(0.7, 1.3)), rng
+    return PeriodicThermoConfig(quasi_energies=[-0.4, 0.2, 0.9], bath_hamiltonian=_rotated_diagonal(
+        rng, (0, 0, 1)), theta=0.6, beta=1.1), rng
+
+
+@pytest.mark.parametrize("index", range(5))
+@pytest.mark.parametrize("family", ["local_canonical", "periodic_thermo"])
+def test_product_families_match_the_dense_tensor_lift(family, index, monkeypatch):
+    """Reports from factor spectra against the same reports with every product family
+    rebuilt as joint_diagonalize of the dense lifts of the factor Hamiltonians."""
+    cfg, rng = _product_config(family, index)
+    u = haar_unitary(cfg.dim, rng)
+    new = generate(cfg, u)
+    raw = {}  # factor family -> the Hamiltonian it diagonalizes
+
+    def recording(ops):
+        fam = joint_diagonalize(ops)
+        raw[id(fam)] = ops[0]
+        return fam
+
+    monkeypatch.setattr(ensembles, "joint_diagonalize", recording)
+    monkeypatch.setattr(ensembles, "product_family",
+                        lambda factors: joint_diagonalize(tensor_lift([raw[id(f)] for f in factors])))
+    old = generate(cfg, u)
+    assert len(raw) == (2 * len(cfg.betas) if family == "local_canonical" else 2)
+    for a, b in ((new.first_family, old.first_family), (new.second_family, old.second_family)):
+        np.testing.assert_array_equal(a.degeneracies, b.degeneracies)
+        np.testing.assert_allclose(a.eigen_tuples, b.eigen_tuples, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(new.model.p_table, old.model.p_table, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(new.q, old.q, rtol=0, atol=1e-12)
+    assert new.jarzynski_lhs == pytest.approx(old.jarzynski_lhs, rel=0, abs=1e-12)
+    assert new.quantities.keys() == old.quantities.keys()
+    for key, value in new.quantities.items():
+        assert value == pytest.approx(old.quantities[key], rel=0, abs=1e-12), key
+
+
 # ------------------------------------------------------------- config objects
 
 
@@ -200,8 +300,7 @@ def test_config_validation_errors(rng):
         LocalCanonicalConfig(h_t0=(h,), h_t1=(h,), betas=(0.0,))
     with pytest.raises(ValidationError, match="equal positive length"):
         LocalCanonicalConfig(h_t0=(h,), h_t1=(h, h), betas=(1.0,))
-    with pytest.raises(ValidationError, match=r"subsystem 0 changes dimension: "
-                       r"h_t0\[0\] has shape \(2, 2\), h_t1\[0\] has shape \(3, 3\)"):
+    with pytest.raises(ValidationError, match=r"^h_t1\[0\] has shape \(3, 3\) but h_t0\[0\] has \(2, 2\)"):
         LocalCanonicalConfig(h_t0=(h, np.eye(3)), h_t1=(np.eye(3), h), betas=(1.0, 1.0))
     with pytest.raises(ValidationError, match="width"):
         MicrocanonicalConfig(h_t0=h, h_t1=h, energy=0.0, width=0.0)
@@ -251,6 +350,10 @@ def test_config_missing_field_names_it(rng):
                 config_from_json_dict(data)
 
 
+SIGMA_Z = {"dim": 2, "re": [[1.0, 0.0], [0.0, -1.0]]}
+NOT_HERMITIAN = {"dim": 2, "re": [[0.0, 1.0], [0.0, 0.0]]}
+
+
 @pytest.mark.parametrize("kind, name, value, message", [
     ("microcanonical", "h_t1", {"dim": 2, "re": [[1.0, 0.0]]},
      "h_t1: operator JSON claims dim 2 but has shapes (1, 2), (2, 2)"),
@@ -262,11 +365,25 @@ def test_config_missing_field_names_it(rng):
     ("microcanonical", "h_t0", {}, "h_t0: operator JSON lacks 'dim' and 're'"),
     ("microcanonical", "energy", "high", "energy: could not convert string to float"),
     ("local_canonical", "h_t0", [{"dim": 2}], "h_t0: operator JSON lacks 're'"),
-], ids=["shape", "empty", "missing-re", "missing-dim", "missing-both", "real", "operator-tuple"])
+    # operators are checked when the config is constructed, under their field names
+    ("local_canonical", "h_t0", [SIGMA_Z, NOT_HERMITIAN], "h_t0[1] is not Hermitian"),
+    ("local_canonical", "h_t1", [SIGMA_Z, {"dim": 3, "re": np.eye(3).tolist()}],
+     "h_t1[1] has shape (3, 3) but h_t0[1] has (2, 2)"),
+    ("microcanonical", "h_t1", {"dim": 6, "re": np.eye(6).tolist()}, "h_t1 has shape (6, 6) but h_t0 has (2, 2)"),
+    ("microcanonical", "h_t0", {"dim": 2, "re": [[math.nan, 0.0], [0.0, 1.0]]}, "h_t0 has non-finite entries"),
+    ("grand_canonical", "h_t1", NOT_HERMITIAN, "h_t1 is not Hermitian"),
+    ("periodic_thermo", "bath_hamiltonian", NOT_HERMITIAN, "bath_hamiltonian is not Hermitian"),
+    ("periodic_thermo", "quasi_energies", [0.0, math.nan, 1.0], "quasi_energies = [0.0, nan, 1.0] must be finite"),
+], ids=["shape", "empty", "missing-re", "missing-dim", "missing-both", "real", "operator-tuple",
+        "hermitian-factor", "factor-dimension", "dimension", "non-finite", "grand-hermitian",
+        "bath-hermitian", "quasi-energy-nan"])
 def test_config_decoding_errors_name_the_field(rng, kind, name, value, message):
     h = _random_hermitian(rng, 2)
-    cfg = (MicrocanonicalConfig(h_t0=h, h_t1=h, energy=0.2, width=0.9) if kind == "microcanonical"
-           else LocalCanonicalConfig(h_t0=(h,), h_t1=(h,), betas=(0.8,)))
+    cfg = {"microcanonical": MicrocanonicalConfig(h_t0=h, h_t1=h, energy=0.2, width=0.9),
+           "local_canonical": LocalCanonicalConfig(h_t0=(h, h), h_t1=(h, h), betas=(0.8, 1.2)),
+           "grand_canonical": GrandCanonicalConfig(h_t0=h, h_t1=h, beta=1.1, mu=-0.3),
+           "periodic_thermo": PeriodicThermoConfig(quasi_energies=[0.1, 0.5], bath_hamiltonian=h,
+                                                   theta=-0.7, beta=1.3)}[kind]
     data = json.loads(json.dumps(cfg.to_json_dict()))
     data[name] = value
     with pytest.raises(ValidationError) as info:
@@ -325,9 +442,9 @@ def test_run_corpus_rejects_unknown_names_before_any_model(monkeypatch):
 
 @pytest.mark.parametrize("family", verify.FAMILIES)
 def test_generate_builds_the_ratio_once_and_each_state_once(family, monkeypatch):
-    """One ratio table, one state per time, no normalization re-derived by logsumexp,
-    and no joint diagonalization for the grand-canonical families."""
-    calls = {"j_ratio": 0, "ensemble_state": 0, "logsumexp": 0, "joint_diagonalize": 0}
+    """One ratio table, one state per time, one joint diagonalization per factor Hamiltonian
+    and none for the grand-canonical families, one product family per time for products."""
+    calls = {"j_ratio": 0, "ensemble_state": 0, "joint_diagonalize": 0, "product_family": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -339,19 +456,22 @@ def test_generate_builds_the_ratio_once_and_each_state_once(family, monkeypatch)
     monkeypatch.setattr(ensembles, "j_ratio", j_ratio)
     monkeypatch.setattr(model, "j_ratio", j_ratio)
     monkeypatch.setattr(ensembles, "ensemble_state", counting("ensemble_state", ensembles.ensemble_state))
-    monkeypatch.setattr(ensembles, "logsumexp", counting("logsumexp", ensembles.logsumexp))
     monkeypatch.setattr(ensembles, "joint_diagonalize",
                         counting("joint_diagonalize", ensembles.joint_diagonalize))
+    monkeypatch.setattr(ensembles, "product_family", counting("product_family", ensembles.product_family))
     rng = np.random.default_rng(np.random.SeedSequence(11))
     cfg = verify.random_config(family, rng, 1)
     generate(cfg, haar_unitary(cfg.dim, rng))
-    # only the local-canonical subsystem partition functions use logsumexp, one per
+    # the local-canonical subsystem partition functions are the log norms of one state per
     # subsystem and time, for the cross-check against the joint normalizations
-    n_partitions = 2 * len(cfg.betas) if family == "local_canonical" else 0
+    n_subsystems = len(cfg.betas) if family == "local_canonical" else 0
+    # one diagonalization per factor and time (the periodic family is shared by both times);
     # grand-canonical families come from number sectors, not a joint diagonalization
-    n_joint = {"local_canonical": 2, "microcanonical": 2, "grand_canonical": 0, "periodic_thermo": 1}
-    assert calls == {"j_ratio": 1, "ensemble_state": 2, "logsumexp": n_partitions,
-                     "joint_diagonalize": n_joint[family]}
+    n_joint = {"local_canonical": 2 * n_subsystems, "microcanonical": 2, "grand_canonical": 0,
+               "periodic_thermo": 2}
+    n_products = {"local_canonical": 2, "periodic_thermo": 1}.get(family, 0)
+    assert calls == {"j_ratio": 1, "ensemble_state": 2 + 2 * n_subsystems,
+                     "joint_diagonalize": n_joint[family], "product_family": n_products}
 
 
 def test_local_canonical_identity_and_free_energy(rng):
@@ -453,9 +573,8 @@ def test_generate_dispatch(rng):
     assert report.family_kind == "microcanonical"
     with pytest.raises(ValidationError):
         generate(object(), np.eye(2))
-    empty = MicrocanonicalConfig(h_t0=np.zeros((0, 0)), h_t1=np.zeros((0, 0)), energy=0.0, width=1.0)
-    with pytest.raises(ValidationError, match="empty 0x0 matrix"):
-        generate(empty, np.zeros((0, 0)))
+    with pytest.raises(ValidationError, match="^h_t0 is an empty 0x0 matrix"):
+        MicrocanonicalConfig(h_t0=np.zeros((0, 0)), h_t1=np.zeros((0, 0)), energy=0.0, width=1.0)
 
 
 def test_report_json_serializable(rng):
