@@ -17,7 +17,7 @@ Z = 2 pi / (beta omega) per degree of freedom.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -46,7 +46,6 @@ class PhaseSpaceDensity:
     dim: int
     log_density: Callable[[np.ndarray], np.ndarray]
     sampler: Callable[[np.random.Generator, int], np.ndarray]
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.dim < 2 or self.dim % 2 != 0:
@@ -55,24 +54,20 @@ class PhaseSpaceDensity:
 
 @dataclass(frozen=True)
 class VolumePreservingMap:
-    """Deterministic map x -> U(x) together with its volume-preservation certificate.
+    """Deterministic map x -> U(x) with |det DU| = 1 on a ``dim``-dimensional phase space.
 
-    ``certificate`` names why |det DU| = 1: "identity", "analytic-symplectic"
-    (closed-form shear), or "leapfrog-composition" (every substep is
-    a shear).  ``jacobian_determinant_check`` provides the numerical spot check.
+    ``jacobian_determinant_check`` provides the numerical spot check.
     """
 
     forward: Callable[[np.ndarray], np.ndarray]
     dim: int
-    certificate: str
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
 
 
 def identity_map(dim: int) -> VolumePreservingMap:
-    return VolumePreservingMap(forward=lambda x: np.array(x, copy=True), dim=dim,
-                               certificate="identity")
+    return VolumePreservingMap(forward=lambda x: np.array(x, copy=True), dim=dim)
 
 
 def harmonic_hamiltonian(omega: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -119,9 +114,7 @@ def canonical_harmonic_density(omega: float, beta: float, n_dof: int = 1) -> Pha
         p = rng.normal(0.0, sigma_p, size=(n, n_dof))
         return np.concatenate([q, p], axis=1)
 
-    return PhaseSpaceDensity(dim=2 * n_dof, log_density=log_density, sampler=sampler,
-                             meta={"kind": "canonical-harmonic", "omega": omega,
-                                   "beta": beta, "log_z": log_z})
+    return PhaseSpaceDensity(dim=2 * n_dof, log_density=log_density, sampler=sampler)
 
 
 def leapfrog_map(grad_potential: Callable[[float, np.ndarray], np.ndarray], dt: float,
@@ -149,7 +142,7 @@ def leapfrog_map(grad_potential: Callable[[float, np.ndarray], np.ndarray], dt: 
             t += dt
         return np.concatenate([q, p], axis=-1)
 
-    return VolumePreservingMap(forward=forward, dim=2, certificate="leapfrog-composition")
+    return VolumePreservingMap(forward=forward, dim=2)
 
 
 def jacobian_determinant_check(u: VolumePreservingMap, points: np.ndarray) -> float:
@@ -280,5 +273,4 @@ def harmonic_ramp_map(omega0: float, omega1: float, dt: float, steps: int) -> Vo
     if steps < 1:
         raise ValidationError(f"steps = {steps} must be >= 1")
     m = leapfrog_map(harmonic_ramp_gradient(omega0, omega1, dt * steps), dt, steps)(np.eye(2))
-    return VolumePreservingMap(forward=lambda x: np.asarray(x, dtype=float) @ m, dim=2,
-                               certificate="leapfrog-composition")
+    return VolumePreservingMap(forward=lambda x: np.asarray(x, dtype=float) @ m, dim=2)

@@ -111,7 +111,8 @@ def _ensemble_report(data: dict) -> ensembles.EnsembleReport:
 def cmd_ensemble(args) -> int:
     data = _load_json(args.config)
     rep = _ensemble_report(data)
-    tol = {"jarzynski": args.tol_jarzynski, "entropy_gap": 1e-12, "jensen": 1e-12}
+    tol = {"jarzynski": args.tol_jarzynski,
+           **{k: verify.DEFAULT_TOLERANCES[k] for k in ("entropy_gap", "jensen")}}
     checks = {
         "jarzynski": abs(rep.jarzynski_lhs - 1.0) <= tol["jarzynski"],
         "entropy_gap": rep.entropy_gap >= -tol["entropy_gap"],
@@ -230,7 +231,7 @@ def cmd_crooks(args) -> int:
     crooks = crooks_check(model, q)
     worst = float(np.max(crooks.distribution.ratio_errors))
     checks = {"per_level_ratio": worst <= args.tol_ratio,
-              "j_equation": abs(crooks.j_equation_value - 1.0) <= 1e-10}
+              "j_equation": abs(crooks.j_equation_value - 1.0) <= verify.DEFAULT_TOLERANCES["jarzynski"]}
     return _finish(args, data, data.get("unitary_seed"), {"per_level_ratio": args.tol_ratio}, {
         "worst_ratio_error": worst,
         "j_equation_value": crooks.j_equation_value,
@@ -261,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ensemble", help="generate one ensemble model from JSON config")
     p.add_argument("--config", required=True, help="JSON file: {config: {...}, unitary_seed|unitary}")
-    p.add_argument("--tol-jarzynski", type=float, default=1e-10)
+    p.add_argument("--tol-jarzynski", type=float, default=verify.DEFAULT_TOLERANCES["jarzynski"])
     p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("wavepacket", help="entropy-increase curve of the free-particle example")

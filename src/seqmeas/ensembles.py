@@ -358,7 +358,7 @@ def _assemble_report(
     lw0, lw1 = log_weight(first.eigen_tuples), log_weight(second.eigen_tuples)
     state, qstate = ensemble_state(first, lw0), ensemble_state(second, lw1)
     q = qstate.probabilities
-    model = build_joint_model(state.rho, u, first, second, probabilities=state.probabilities)
+    model = build_joint_model(state.probabilities, u, first, second)
 
     x = (lw0[:, None] - lw1[None, :]) + (qstate.log_norm - state.log_norm)
     # cross-check: exp(-X) must equal the table ratio d q / (D p);

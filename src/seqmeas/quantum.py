@@ -11,8 +11,8 @@ is automatically modified doubly stochastic, which is what powers the
 fluctuation identities in :mod:`seqmeas.model`.
 
 The module covers: joint diagonalization of commuting families and their
-tensor products, density operators that are functions of a family
-(stationary ensembles), Lueders measurement probabilities, protocol
+tensor products, stationary ensembles kept as their outcome probabilities p(i),
+Lueders probabilities and the cell-uniformity check of a dense rho, protocol
 evolution, POVM bookkeeping for the two-time statistics, an exactly
 solvable one-qubit purity curve, and time-reversal symmetry diagnostics.
 """
@@ -231,25 +231,23 @@ def product_family(factors: Sequence[SpectralFamily]) -> SpectralFamily:
 
 @dataclass(frozen=True)
 class EnsembleState:
-    """Density operator that is a function of a spectral family.
+    """Outcome statistics of a state that is a function of a spectral family.
 
-    ``rho = sum_i exp(w_i - log_norm) P_i`` for the log weights w_i of the
-    outcomes; ``log_norm = ln sum_i exp(w_i) d(i)`` is the log of the
-    partition-function-like normalization, and ``probabilities`` are the
-    outcome probabilities exp(w_i - log_norm) d(i).
+    rho = sum_i exp(w_i - log_norm) P_i  for log weights w_i is fixed by its outcome
+    ``probabilities`` exp(w_i - log_norm) d(i), so it is never built; ``log_norm =
+    ln sum_i exp(w_i) d(i)`` is the log of the partition-function-like normalization.
     """
 
-    rho: np.ndarray
     probabilities: np.ndarray
     log_norm: float
 
 
 def ensemble_state(family: SpectralFamily, log_weights) -> EnsembleState:
-    """Build the stationary state  rho ~ sum_i exp(log_weights[i]) P_i  (normalized).
+    """Outcome probabilities of the stationary state  rho ~ sum_i exp(log_weights[i]) P_i.
 
     The weights are shifted by their maximum before exponentiating, so no
     weight overflows and the normalization is at least one; a log weight
-    of -inf is a zero weight.
+    of -inf is a zero weight.  O(n_outcomes): no dim x dim matrix is formed.
 
     Raises
     ------
@@ -270,9 +268,7 @@ def ensemble_state(family: SpectralFamily, log_weights) -> EnsembleState:
         raise PreconditionError("every weight is zero (all log weights are -inf)")
     raw = np.exp(lw - shift)
     norm = float(np.sum(raw * family.degeneracies))
-    g = raw / norm
-    rho = (family.basis * np.repeat(g, family.degeneracies)) @ family.basis.conj().T
-    return EnsembleState(rho=rho, probabilities=g * family.degeneracies, log_norm=shift + math.log(norm))
+    return EnsembleState(probabilities=raw / norm * family.degeneracies, log_norm=shift + math.log(norm))
 
 
 def luders_probabilities(rho: np.ndarray, family: SpectralFamily) -> np.ndarray:
@@ -296,7 +292,8 @@ def check_assumption2(rho: np.ndarray, family: SpectralFamily) -> tuple[bool, fl
 
 def _cell_uniformity(rho: np.ndarray, family: SpectralFamily) -> tuple[float, np.ndarray]:
     """Worst deviation of :func:`check_assumption2` and the Lüders probabilities of a
-    validated rho, both read off  V* rho V  (its outcome blocks stand for P_i rho P_i)."""
+    validated rho, both read off  V* rho V  (its outcome blocks stand for P_i rho P_i).
+    Only callers that hold a dense rho reach it; the ensemble path starts from p(i)."""
     v = family.basis
     m = v.conj().T @ rho @ v
     p = np.add.reduceat(np.diagonal(m).real, family.starts)
@@ -429,52 +426,24 @@ def streamed_completeness_deviation(u: np.ndarray, first: SpectralFamily,
     return float(np.abs(total - np.eye(u.shape[0])).max())
 
 
-def build_joint_model(
-    rho: np.ndarray,
-    u: np.ndarray,
-    first: SpectralFamily,
-    second: SpectralFamily,
-    probabilities: np.ndarray | None = None,
-) -> JointModel:
-    """Joint two-time outcome table of (rho, U, first family, second family).
+def build_joint_model(p, u: np.ndarray, first: SpectralFamily, second: SpectralFamily) -> JointModel:
+    """Joint two-time outcome table  P(i, j) = p(i) pi(j|i)  of a state that is a function
+    of the first family, with first-outcome probabilities ``p``.
 
-    The initial state must satisfy the cell-uniformity assumption with
-    respect to the first family (checked as in :func:`check_assumption2`;
-    PreconditionError otherwise) and must give every first outcome
-    positive probability.  rho is validated and traced once.
-
-    ``probabilities`` replaces the Lüders trace in the table: callers that
-    built rho from known weights should pass them, because the trace only
-    recovers small probabilities to absolute (not relative) precision.
-    They are cross-checked against the trace.
+    Such a state satisfies the cell-uniformity assumption (:func:`check_assumption2`)
+    by construction and is fixed by ``p``, so no density matrix is needed; a caller
+    that holds a dense rho checks it with :func:`check_assumption2` and reads
+    ``p`` off :func:`luders_probabilities`.  Every p(i) must be positive.
     """
-    dev, trace_p = _cell_uniformity(require_density(rho), first)
-    if dev > ASSUMPTION2_TOL:
-        raise PreconditionError(
-            f"initial state violates cell uniformity on the first family "
-            f"(deviation {dev:.3e} > {ASSUMPTION2_TOL:g})"
-        )
-    if probabilities is None:
-        p = trace_p
-    else:
-        p = np.asarray(probabilities, dtype=float)
-        if p.shape != (first.n_outcomes,):
-            raise ValidationError(
-                f"probabilities shape {p.shape} does not match {first.n_outcomes} outcomes"
-            )
-        trace_dev = float(np.abs(p - trace_p).max())
-        if trace_dev > 1e-10:
-            raise ValidationError(
-                f"supplied probabilities disagree with the state (deviation {trace_dev:.3e})"
-            )
+    p = np.asarray(p, dtype=float)
+    if p.shape != (first.n_outcomes,):
+        raise ValidationError(f"probabilities shape {p.shape} does not match {first.n_outcomes} outcomes")
     if p.min() <= 0.0:
         k = int(np.argmin(p))
         raise PreconditionError(f"first outcome {k} has probability {p[k]:.3e}; all must be positive")
-    pi = physical_conditional(u, first, second)
-    table = p[:, None] * pi
-    table = table / table.sum()
+    table = p[:, None] * physical_conditional(u, first, second)
     return JointModel(
-        p_table=table,
+        p_table=table / table.sum(),
         d=first.degeneracies,
         D=second.degeneracies,
         labels_i=first.labels(),

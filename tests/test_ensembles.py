@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -473,6 +474,21 @@ def test_generate_builds_the_ratio_once_and_each_state_once(family, monkeypatch)
     assert calls == {"j_ratio": 1, "ensemble_state": 2 + 2 * n_subsystems,
                      "joint_diagonalize": n_joint[family], "product_family": n_products}
 
+
+@pytest.mark.parametrize("family", verify.FAMILIES)
+def test_exponent_crosscheck_catches_misassigned_probabilities(family, monkeypatch):
+    """No dense state is traced, so probabilities put on the wrong outcomes must be caught by
+    the cross-check of exp(-X) against the table ratio d q / (D p)."""
+    build = ensembles.ensemble_state
+
+    def rolled(spectral_family, log_weights):
+        state = build(spectral_family, log_weights)
+        return dataclasses.replace(state, probabilities=np.roll(state.probabilities, 1))
+
+    monkeypatch.setattr(ensembles, "ensemble_state", rolled)
+    for index in range(3):
+        with pytest.raises(ValidationError, match="physical exponent inconsistent with table ratio"):
+            verify.random_model(family, np.random.SeedSequence([11, index]), index)
 
 def test_local_canonical_identity_and_free_energy(rng):
     h0 = _random_hermitian(rng, 3)

@@ -62,6 +62,12 @@ def random_family(rng: np.random.Generator, dim: int) -> SpectralFamily:
     return joint_diagonalize([a, b])
 
 
+def family_rho(family: SpectralFamily, probabilities) -> np.ndarray:
+    """Dense  rho = sum_i (p(i) / d(i)) P_i  of the state with the family's outcome probabilities."""
+    g = np.repeat(np.asarray(probabilities) / family.degeneracies, family.degeneracies)
+    return (family.basis * g) @ family.basis.conj().T
+
+
 # ------------------------------------------------------------ sanity helpers
 
 
@@ -180,7 +186,7 @@ def test_ensemble_state_matches_hand_weights():
     np.testing.assert_allclose(math.exp(state.log_norm), z, rtol=1e-14)
     np.testing.assert_allclose(state.probabilities[order], [2.0 / z, math.exp(-beta) / z],
                                rtol=1e-14)
-    np.testing.assert_allclose(np.trace(state.rho).real, 1.0, atol=1e-14)
+    np.testing.assert_allclose(np.trace(family_rho(fam, state.probabilities)).real, 1.0, atol=1e-14)
 
 
 def test_ensemble_state_rejects_bad_weights():
@@ -198,7 +204,7 @@ def test_ensemble_state_rejects_bad_weights():
 def test_luders_probabilities_and_post_state(rng):
     fam = random_family(rng, 5)
     state = ensemble_state(fam, fam.eigen_tuples @ [-0.3, -0.1])
-    probs = luders_probabilities(state.rho, fam)
+    probs = luders_probabilities(family_rho(fam, state.probabilities), fam)
     np.testing.assert_allclose(probs, state.probabilities, atol=1e-13)
     np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-13)
 
@@ -206,7 +212,7 @@ def test_luders_probabilities_and_post_state(rng):
 def test_check_assumption2(rng):
     fam = random_family(rng, 4)
     state = ensemble_state(fam, fam.eigen_tuples @ [-0.5, 0.2])
-    ok, dev = check_assumption2(state.rho, fam)
+    ok, dev = check_assumption2(family_rho(fam, state.probabilities), fam)
     assert ok and dev < 1e-12
     # a state with coherences across cells (or non-uniform weights inside
     # a degenerate cell) violates the assumption
@@ -297,9 +303,8 @@ def test_povm_reproduces_joint_probabilities(seed, dim):
             w = np.linalg.eigvalsh(0.5 * (f[i, j] + f[i, j].conj().T))
             assert w.min() > -1e-12
     state = ensemble_state(first, -0.4 * first.eigen_tuples.sum(axis=1))
-    model = build_joint_model(state.rho, u, first, second,
-                              probabilities=state.probabilities)
-    direct = np.einsum("ab,ijba->ij", state.rho, f).real
+    model = build_joint_model(state.probabilities, u, first, second)
+    direct = np.einsum("ab,ijba->ij", family_rho(first, state.probabilities), f).real
     np.testing.assert_allclose(model.p_table, direct, atol=1e-12)
 
 
@@ -338,7 +343,7 @@ def test_check_assumption2_never_loosens(dim):
     """The reported deviation bounds the per-projector  max |P rho P - (p/d) P|  from above."""
     rng = np.random.default_rng(5300 + dim)
     fam = exactly_degenerate_family(rng, dim)
-    stationary = ensemble_state(fam, -0.3 * fam.eigen_tuples[:, 0]).rho
+    stationary = family_rho(fam, ensemble_state(fam, -0.3 * fam.eigen_tuples[:, 0]).probabilities)
     for eps in (1.0, 1e-3, 1e-9):
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         rho = (1.0 - eps) * stationary + eps * (g @ g.conj().T) / np.trace(g @ g.conj().T).real
@@ -358,8 +363,7 @@ def test_build_joint_model_hand_example():
                   [math.sin(theta), math.cos(theta)]], dtype=complex)
     beta = 0.9
     state = ensemble_state(first, -beta * first.eigen_tuples[:, 0])
-    model = build_joint_model(state.rho, u, first, second,
-                              probabilities=state.probabilities)
+    model = build_joint_model(state.probabilities, u, first, second)
     q = ensemble_state(second, -beta * second.eigen_tuples[:, 0]).probabilities
     z = 1.0 + math.exp(-beta)
     c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
@@ -371,32 +375,33 @@ def test_build_joint_model_hand_example():
 
 
 def test_build_joint_model_checks_assumption(rng):
+    """The table takes the p(i) of a cell-uniform state: a dense rho that violates cell
+    uniformity is caught by check_assumption2, and every p(i) must be positive."""
     first = random_family(rng, 4)
     second = random_family(rng, 4)
     u = haar_unitary(4, rng)
     v = haar_unitary(4, rng)
     rho_bad = v @ np.diag([0.6, 0.25, 0.1, 0.05]) @ v.conj().T
-    with pytest.raises(PreconditionError, match="uniformity"):
-        build_joint_model(rho_bad, u, first, second)
+    ok, dev = check_assumption2(rho_bad, first)
+    assert not ok and dev > quantum.ASSUMPTION2_TOL
+    p = np.zeros(first.n_outcomes)
+    p[0] = 1.0
+    with pytest.raises(PreconditionError, match="first outcome 1 has probability 0.000e\\+00"):
+        build_joint_model(p, u, first, second)
 
 
-def test_build_joint_model_probability_crosscheck(rng):
+def test_build_joint_model_rejects_wrong_length_probabilities(rng):
     first = random_family(rng, 4)
     second = random_family(rng, 4)
     u = haar_unitary(4, rng)
-    state = ensemble_state(first, -0.2 * first.eigen_tuples.sum(axis=1))
-    wrong = state.probabilities + 1e-6
-    wrong = wrong / wrong.sum()
-    with pytest.raises(ValidationError, match="disagree"):
-        build_joint_model(state.rho, u, first, second, probabilities=wrong)
     with pytest.raises(ValidationError, match="shape"):
-        build_joint_model(state.rho, u, first, second,
-                          probabilities=np.ones(first.n_outcomes + 1))
+        build_joint_model(np.ones(first.n_outcomes + 1), u, first, second)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_corpus_model_validates_and_traces_the_state_once(monkeypatch, family):
-    """build_joint_model runs one density validation (a full eigvalsh) and one Lüders trace."""
+def test_corpus_model_builds_no_density_matrix(monkeypatch, family):
+    """The ensemble path starts from p(i): no density validation (a full eigvalsh) and no
+    Lüders trace of a dense rho."""
     calls = {"require_density": 0, "_cell_uniformity": 0}
     for name in calls:
         def counted(*args, _inner=getattr(quantum, name), _name=name):
@@ -404,7 +409,7 @@ def test_corpus_model_validates_and_traces_the_state_once(monkeypatch, family):
             return _inner(*args)
         monkeypatch.setattr(quantum, name, counted)
     random_model(family, np.random.SeedSequence(11), 1)
-    assert calls == {"require_density": 1, "_cell_uniformity": 1}
+    assert calls == {"require_density": 0, "_cell_uniformity": 0}
 
 
 # ----------------------------------------------------------- time reversal
