@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, classical, ensembles, verify, wavepacket
-from .model import JointModel, ValidationError, crooks_check, require_positive
+from .model import JointModel, ValidationError, crooks_check, require_count, require_positive
 from .quantum import haar_unitary, operator_from_json_dict
 
 ENV_OUTPUT_DIR = "SEQMEAS_OUTPUT_DIR"
@@ -98,7 +98,8 @@ def _unitary_from_config(data: dict, dim: int) -> np.ndarray:
         except (ValueError, TypeError) as exc:  # ValidationError included
             raise ValidationError(f"unitary: {exc}") from exc
     if "unitary_seed" in data:
-        return haar_unitary(dim, np.random.default_rng(int(data["unitary_seed"])))
+        require_count("unitary_seed", data["unitary_seed"])
+        return haar_unitary(dim, np.random.default_rng(data["unitary_seed"]))
     return np.eye(dim, dtype=complex)
 
 

@@ -45,7 +45,6 @@ from .model import (
     require_positive,
 )
 from .quantum import (
-    GROUP_TOL,
     SpectralFamily,
     build_joint_model,
     ensemble_state,
@@ -81,33 +80,6 @@ def lift_one_particle(h: np.ndarray) -> np.ndarray:
     np.add.at(out, (k + (1 << (m - 1 - a)) - (1 << (m - 1 - b)), k),
               h[a, b] * (1 - 2 * ((before[k, a] + before[k, b] + (b < a)) & 1)))
     return out
-
-
-def number_operator(n_modes: int) -> np.ndarray:
-    """Total particle number  N = sum_a c_a* c_a, the lift of the identity (popcount diagonal)."""
-    return lift_one_particle(np.eye(n_modes))
-
-
-def _sector_family(h: np.ndarray) -> SpectralFamily:
-    """(H, N) family of the lifted ``h``, one ``eigh`` per number sector."""
-    big_h, n_op = lift_one_particle(h), number_operator(len(h))
-    order = np.argsort(n_op.diagonal().real, kind="stable")
-    n = n_op.diagonal().real[order]
-    sectors = np.searchsorted(n, np.arange(len(h) + 2))
-    scale = max(1.0, float(np.abs(big_h).max()))
-    w, basis = np.empty(len(n)), np.zeros_like(big_h)
-    for lo, hi in zip(sectors[:-1], sectors[1:]):
-        rows = order[lo:hi]
-        w[lo:hi], basis[rows, lo:hi] = np.linalg.eigh(big_h[np.ix_(rows, rows)])
-    starts = np.flatnonzero((np.diff(w, prepend=-np.inf) > GROUP_TOL * scale) | (np.diff(n, prepend=-1) > 0))
-    sizes = np.diff(starts, append=len(n))
-    fam = SpectralFamily(basis=basis, degeneracies=sizes,
-                         eigen_tuples=np.column_stack([np.add.reduceat(w, starts) / sizes, n[starts]]))
-    for k, (op, s) in enumerate(((big_h, scale), (n_op, max(1.0, len(h))))):
-        dev = float(np.abs(fam.operator(k) - op).max())
-        if dev > 100 * GROUP_TOL * s:
-            raise ValidationError(f"{'HN'[k]} is not reconstructed by its sectors (deviation {dev:.3e})")
-    return fam
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +312,7 @@ def _assemble_report(
 ) -> EnsembleReport:
     """Shared glue: one pass from log weights to the report.
 
-    ``log_weight`` maps the (k, n_operators) eigenvalue tuples of either
+    ``log_weight`` maps the (k, n_components) eigenvalue tuples of either
     family to the (k,) raw log weights of the ensemble; each family's
     weights are evaluated once and normalized once by ``ensemble_state``.
     The exponent of the fluctuation identity is
@@ -415,7 +387,7 @@ def local_canonical_model(cfg: LocalCanonicalConfig, u: np.ndarray) -> EnsembleR
     from the same factor spectra, are cross-checked against the joint norms.
     """
     betas = np.asarray(cfg.betas, dtype=float)
-    factors = [[joint_diagonalize([h]) for h in hs] for hs in (cfg.h_t0, cfg.h_t1)]
+    factors = [[joint_diagonalize(h) for h in hs] for hs in (cfg.h_t0, cfg.h_t1)]
     log_z0, log_z1 = ([ensemble_state(f, -b * f.eigen_tuples[:, 0]).log_norm for f, b in zip(fs, betas)]
                       for fs in factors)
     first, second = map(product_family, factors)
@@ -462,7 +434,7 @@ def microcanonical_model(cfg: MicrocanonicalConfig, u: np.ndarray) -> EnsembleRe
             "delta_f": log_norm0 - log_norm1,
         }
 
-    return _assemble_report(cfg.kind, joint_diagonalize([cfg.h_t0]), joint_diagonalize([cfg.h_t1]),
+    return _assemble_report(cfg.kind, joint_diagonalize(cfg.h_t0), joint_diagonalize(cfg.h_t1),
                             u, labeled=labeled,
                             log_weight=lambda tuples: -(((cfg.energy - tuples[:, 0]) / cfg.width) ** 2),
                             work_value=lambda changes: changes[:, :, 0])
@@ -475,10 +447,10 @@ def grand_canonical_model(cfg: GrandCanonicalConfig, u: np.ndarray) -> EnsembleR
     potential Omega(t) = -ln Tr exp(beta (mu N - H(t))) / beta is reported
     at both times along with <dE>, <dN> and the Jensen combination.
 
-    H(t) conserves N, so a family is a direct sum over number sectors: one ``eigh`` per
-    sector block, cut where the sorted eigenvalues jump by more than ``GROUP_TOL`` max(1, max|H|).
-    Outcomes are N-major, energies ascending, with tuples (mean eigenvalue of the cut, N).  Cost:
-    sum_N C(M, N)^3 for the blocks and a few dim^3 products to check H and N.
+    H(t) conserves N, whose eigenvalue at a Fock index is the popcount of its bits, so each
+    family is :func:`joint_diagonalize` of H(t) with those popcounts as sectors: one ``eigh``
+    per number sector.  Outcomes are N-major, energies ascending, with tuples (mean eigenvalue
+    of the cut, N).  Cost: sum_N C(M, N)^3 for the blocks and a few dim^3 products to check H.
     """
     def labeled(log_norm0, log_norm1, mean_changes):
         omega0, omega1 = -log_norm0 / cfg.beta, -log_norm1 / cfg.beta
@@ -494,7 +466,12 @@ def grand_canonical_model(cfg: GrandCanonicalConfig, u: np.ndarray) -> EnsembleR
             "jensen_combination": float(cfg.beta * (mean_de - cfg.mu * mean_dn - (omega1 - omega0))),
         }
 
-    return _assemble_report(cfg.kind, _sector_family(cfg.h_t0), _sector_family(cfg.h_t1), u, labeled=labeled,
+    def family(h):
+        big_h = lift_one_particle(h)  # checks the mode count before 2^M popcounts are built
+        popcounts = ((np.arange(len(big_h))[:, None] >> np.arange(len(h))) & 1).sum(axis=1)
+        return joint_diagonalize(big_h, popcounts)
+
+    return _assemble_report(cfg.kind, family(cfg.h_t0), family(cfg.h_t1), u, labeled=labeled,
                             log_weight=lambda tuples: cfg.beta * (cfg.mu * tuples[:, 1] - tuples[:, 0]),
                             work_value=lambda changes: changes[:, :, 0])
 
@@ -508,8 +485,8 @@ def periodic_thermo_model(cfg: PeriodicThermoConfig, u: np.ndarray) -> EnsembleR
     offset vanishes and the exponent is exactly theta*e + beta*q.  The
     family is the :func:`product_family` of the system and bath spectra.
     """
-    family = product_family([joint_diagonalize([np.diag(np.asarray(cfg.quasi_energies, dtype=float))]),
-                             joint_diagonalize([cfg.bath_hamiltonian])])
+    family = product_family([joint_diagonalize(np.diag(np.asarray(cfg.quasi_energies, dtype=float))),
+                             joint_diagonalize(cfg.bath_hamiltonian)])
 
     def labeled(log_norm0, log_norm1, mean_changes):
         mean_e, mean_q = mean_changes

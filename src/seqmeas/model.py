@@ -34,8 +34,6 @@ import numpy as np
 NORMALIZATION_TOL = 1e-12
 # Default tolerance for the modified doubly stochastic test.
 MOD_DS_TOL = 1e-10
-# Slack of the unit and zero entries of a permutation-type conditional.
-PERMUTATION_TOL = 1e-10
 # Default absolute tolerance when grouping fluctuation-ratio levels.
 LEVEL_GROUPING_TOL = 1e-9
 
@@ -272,11 +270,11 @@ def j_equation_lhs(model: JointModel, q) -> float:
     return float(ratio.sum())
 
 
-def shannon_entropy(p, d=None, base: float | None = None, *, check_normalized: bool = True) -> float:
+def shannon_entropy(p, d=None, *, check_normalized: bool = True) -> float:
     """Cell-weighted Shannon entropy  -sum_i p(i) ln(p(i) / d(i)).
 
-    ``d = None`` means unit cells (ordinary Shannon entropy).  Natural
-    logarithm by default; pass ``base`` for display in another base.
+    ``d = None`` means unit cells (ordinary Shannon entropy); the logarithm
+    is natural.
     ``check_normalized=False`` admits sub-normalized vectors (truncated
     distributions); the entropy of the captured mass is returned as is.
     """
@@ -298,10 +296,7 @@ def shannon_entropy(p, d=None, base: float | None = None, *, check_normalized: b
             raise ValidationError("cell sizes must be positive")
         terms = np.log(x / dd[mask])
     terms *= x
-    s = -float(np.sum(terms))
-    if base is not None:
-        s /= np.log(base)
-    return s
+    return -float(np.sum(terms))
 
 
 def entropy_gap(model: JointModel) -> float:
@@ -319,21 +314,6 @@ def entropy_gap(model: JointModel) -> float:
             f"conditional is not modified doubly stochastic (deviation {dev:.3e} > {MOD_DS_TOL:g})"
         )
     return shannon_entropy(p_hat, model.D) - shannon_entropy(p, model.d)
-
-
-def is_permutation_type(pi: np.ndarray) -> bool:
-    """True when the square conditional has exactly one unit entry per row and column
-    (within ``PERMUTATION_TOL``)."""
-    pi = _as_float_array(pi, "pi", 2)
-    n, m = pi.shape
-    if n != m:
-        return False
-    big = pi > 0.5
-    if not (np.all(big.sum(axis=0) == 1) and np.all(big.sum(axis=1) == 1)):
-        return False
-    near_one = np.abs(pi[big] - 1.0) <= PERMUTATION_TOL
-    near_zero = np.abs(pi[~big]) <= PERMUTATION_TOL
-    return bool(np.all(near_one) and np.all(near_zero))
 
 
 def reciprocal_model(model: JointModel, q) -> JointModel:

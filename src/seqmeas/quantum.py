@@ -1,7 +1,8 @@
 """Quantum realization of the two-measurement statistical model.
 
-A "measurement" here is the projective measurement of a finite family of
-commuting Hermitian operators.  The joint eigenprojections of the family
+A "measurement" here is the projective measurement of a Hermitian operator,
+or of a few commuting ones (a Hamiltonian with a conserved number, or the
+factors of a tensor product).  The joint eigenprojections of the family
 define the outcomes, their traces the cell sizes, and for a pair of such
 families linked by a unitary evolution the physical conditional
 
@@ -10,9 +11,10 @@ families linked by a unitary evolution the physical conditional
 is automatically modified doubly stochastic, which is what powers the
 fluctuation identities in :mod:`seqmeas.model`.
 
-The module covers: joint diagonalization of commuting families and their
-tensor products, stationary ensembles kept as their outcome probabilities p(i),
-Lueders probabilities and the cell-uniformity check of a dense rho, protocol
+The module covers: spectral families of one Hamiltonian, optionally split
+by the sectors of a conserved diagonal number, and their tensor products,
+stationary ensembles kept as their outcome probabilities p(i), Lueders
+probabilities and the cell-uniformity check of a dense rho, protocol
 evolution, POVM bookkeeping for the two-time statistics, an exactly
 solvable one-qubit purity curve, and time-reversal symmetry diagnostics.
 """
@@ -30,7 +32,6 @@ from .model import JointModel, PreconditionError, ValidationError
 # Operator-level tolerances (scaled by operator norms where sensible).
 HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-11
-COMMUTATOR_TOL = 1e-10
 PROJECTION_TOL = 1e-10
 GROUP_TOL = 1e-9
 ASSUMPTION2_TOL = 1e-10
@@ -81,15 +82,16 @@ def require_density(rho, name: str = "rho", tol: float = 1e-11) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralFamily:
-    """Joint eigenstructure of finitely many commuting Hermitian operators.
+    """Joint eigenstructure of a few commuting Hermitian operators.
 
     ``basis`` is a unitary whose columns are grouped by outcome: outcome k
     owns ``degeneracies[k]`` consecutive columns, which span the k-th
     joint eigenspace, and its eigenvalue tuple is ``eigen_tuples[k]`` (one
     entry per operator).  The decomposition is maximal: distinct outcomes
     have tuples more than ``GROUP_TOL`` apart.  The class keeps the order it
-    is given; :func:`joint_diagonalize` lists outcomes with the first
-    operator's clusters ascending, then the second's inside each, and so on.
+    is given: :func:`joint_diagonalize` lists (h[, N]) outcomes sector-major
+    with h ascending inside each sector, and :func:`product_family` lists
+    the factors' outcomes with factor 0 major.
     """
 
     basis: np.ndarray         # (dim, dim) complex, columns grouped by outcome
@@ -130,18 +132,9 @@ class SpectralFamily:
         return self.degeneracies.shape[0]
 
     @property
-    def n_operators(self) -> int:
-        return self.eigen_tuples.shape[1]
-
-    @property
     def starts(self) -> np.ndarray:
         """First basis column of every outcome (the ``np.add.reduceat`` indices)."""
         return np.cumsum(self.degeneracies) - self.degeneracies
-
-    @property
-    def projections(self) -> np.ndarray:
-        """The (n_outcomes, dim, dim) eigenprojections, built on demand from ``basis``."""
-        return np.array([v @ v.conj().T for v in np.split(self.basis, self.starts[1:], axis=1)])
 
     def labels(self) -> tuple:
         return tuple(map(tuple, self.eigen_tuples.tolist()))
@@ -151,67 +144,52 @@ class SpectralFamily:
         return (self.basis * np.repeat(self.eigen_tuples[:, k], self.degeneracies)) @ self.basis.conj().T
 
 
-def joint_diagonalize(ops: Sequence[np.ndarray]) -> SpectralFamily:
-    """Maximal joint eigendecomposition of commuting Hermitian operators.
+def joint_diagonalize(h, sectors=None) -> SpectralFamily:
+    """Spectral family of a Hermitian ``h``, optionally refined by number sectors.
 
-    Strategy: one sequential refinement.  Start from the identity basis as a
-    single block; for each operator in turn, diagonalize it inside every
-    current block and cut the block where its sorted eigenvalues jump by
-    more than ``GROUP_TOL`` times the operator's scale (its largest entry,
-    at least one).  The final blocks are the joint eigenspaces.
-
-    A tuple's ``ops[k]`` entry is the mean of the block eigenvalues over the cut
-    of step k, so its last bits come from the ``eigh`` that also sets the basis.
-
-    Order: outcomes come out in tolerance-lexicographic order of their
-    eigenvalue tuples, ``ops[0]`` clusters ascending, ``ops[1]`` ascending
-    inside each of them, and so on; rounding noise in the tuples does not
-    reorder the outcomes of one cluster.  Maximality is guarded by
-    :class:`SpectralFamily`, which rejects two outcomes whose tuples lie
-    within ``GROUP_TOL`` of each other.
+    ``sectors`` holds, at every basis index, the eigenvalue of a conserved diagonal
+    operator N (a particle number, say); ``h`` must not couple indices of different
+    sectors.  One ``eigh`` runs per sector block (one in all without ``sectors``), and
+    the sorted eigenvalues are cut where they jump by more than ``GROUP_TOL`` times
+    max(1, max|h|) or where the sector changes.  An outcome's tuple is (mean eigenvalue
+    of its cut[, N]); outcomes come out sector-major, eigenvalues ascending inside each.
+    No check of N is needed: an outcome's columns lie on one sector's rows, and
+    :class:`SpectralFamily` checks that the basis is orthonormal.
 
     Raises
     ------
-    PreconditionError
-        If some pair of operators fails to commute within ``COMMUTATOR_TOL``.
     ValidationError
-        If an operator is not Hermitian, the dimensions differ, or the
-        refined blocks are not maximal or do not reconstruct the operators.
+        If ``h`` is not Hermitian, ``sectors`` does not hold one value per basis
+        index, or the spectral data do not reconstruct ``h`` (an ``h`` that
+        couples sectors does not).
     """
-    mats = [require_hermitian(a, f"ops[{k}]") for k, a in enumerate(ops)]
-    if not mats:
-        raise ValidationError("need at least one operator")
-    dim = mats[0].shape[0]
-    for k, m in enumerate(mats):
-        if m.shape[0] != dim:
-            raise ValidationError(f"ops[{k}] has dimension {m.shape[0]}, expected {dim}")
-    scales = [max(1.0, float(np.abs(m).max())) for m in mats]
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            comm = mats[a] @ mats[b] - mats[b] @ mats[a]
-            dev = float(np.abs(comm).max())
-            if dev > COMMUTATOR_TOL * scales[a] * scales[b]:
-                raise PreconditionError(f"ops[{a}] and ops[{b}] do not commute (|[A,B]| = {dev:.3e})")
-
-    basis = np.eye(dim, dtype=complex)
-    bounds = [0, dim]
-    means = np.empty((dim, len(mats)))  # every operator's cut mean at every basis column
-    for k, (m, s) in enumerate(zip(mats, scales)):
-        refined = [0]
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            sub = basis[:, a:b]
-            means[a:b, k], v = np.linalg.eigh(sub.conj().T @ m @ sub)
-            basis[:, a:b] = sub @ v
-            refined.extend(a + 1 + np.flatnonzero(np.diff(means[a:b, k]) > GROUP_TOL * s))
-            refined.append(b)
-        bounds = refined
-        sizes = np.diff(bounds)
-        means[:, k] = np.repeat(np.add.reduceat(means[:, k], bounds[:-1]) / sizes, sizes)
-    fam = SpectralFamily(basis=basis, eigen_tuples=means[bounds[:-1]], degeneracies=sizes)
-    for k, (m, s) in enumerate(zip(mats, scales)):
-        dev = float(np.abs(fam.operator(k) - m).max())
-        if dev > 100 * GROUP_TOL * s:
-            raise ValidationError(f"ops[{k}] is not reconstructed by its spectral data (deviation {dev:.3e})")
+    h = require_hermitian(h, "h")
+    dim = h.shape[0]
+    scale = max(1.0, float(np.abs(h).max()))
+    if sectors is None:
+        w, basis = np.linalg.eigh(h)
+        cut = np.diff(w) > GROUP_TOL * scale
+    else:
+        n = np.asarray(sectors, dtype=float)
+        if n.shape != (dim,):
+            raise ValidationError(f"sectors has shape {n.shape}, expected ({dim},)")
+        order = np.argsort(n, kind="stable")
+        n = n[order]
+        bounds = [0, *(np.flatnonzero(np.diff(n)) + 1).tolist(), dim]
+        w, basis = np.empty(dim), np.zeros_like(h)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            rows = order[lo:hi]
+            w[lo:hi], basis[rows, lo:hi] = np.linalg.eigh(h[np.ix_(rows, rows)])
+        cut = (np.diff(w) > GROUP_TOL * scale) | (np.diff(n) != 0)
+    starts = np.flatnonzero(np.concatenate(([True], cut)))
+    sizes = np.diff(starts, append=dim)
+    means = np.add.reduceat(w, starts) / sizes
+    tuples = means[:, None] if sectors is None else np.column_stack([means, n[starts]])
+    fam = SpectralFamily(basis=basis, eigen_tuples=tuples, degeneracies=sizes)
+    dev = float(np.abs(fam.operator(0) - h).max())
+    if dev > 100 * GROUP_TOL * scale:
+        raise ValidationError(f"h is not reconstructed by its spectral data (deviation {dev:.3e}); "
+                              "h must not couple sectors")
     return fam
 
 
@@ -219,8 +197,8 @@ def product_family(factors: Sequence[SpectralFamily]) -> SpectralFamily:
     """Family of the factors' operators lifted onto their tensor product, with no dense lift.
 
     Kronecker basis of the factor bases, columns regrouped by product outcome with one stable
-    argsort, factor 0 major (:func:`joint_diagonalize`'s order on the lifted operators); tuples
-    are concatenated, degeneracies multiplied."""
+    argsort, factor 0 major and every factor's outcomes in its own order; tuples are
+    concatenated, degeneracies multiplied."""
     basis, labels, tuples, degs = np.ones((1, 1)), np.zeros(1, int), np.zeros((1, 0)), np.ones(1, int)
     for f in factors:
         basis, degs = np.kron(basis, f.basis), np.outer(degs, f.degeneracies).ravel()

@@ -213,11 +213,13 @@ def run_corpus(seed: int = 20260814, n_per_family: int = 100,
     Tolerance overrides merge into :data:`DEFAULT_TOLERANCES`.  The checks
     are one-sided where the theory is one-sided (entropy gap, Jensen) and
     two-sided elsewhere; ``fault_detection`` is a lower bound (the injected
-    fault must be seen), all others are upper bounds.  A negative seed and
-    unknown family names or tolerance keys raise :class:`ValidationError`
-    before any model runs.
+    fault must be seen), all others are upper bounds.  A negative seed, fewer
+    than one model per family and unknown family names or tolerance keys
+    raise :class:`ValidationError` before any model runs.
     """
     require_count("seed", seed)
+    if not isinstance(n_per_family, (int, np.integer)) or n_per_family < 1:
+        raise ValidationError(f"n_per_family = {n_per_family!r} must be a positive integer")
     unknown = set(families) - set(FAMILIES)
     if unknown:
         raise ValidationError(f"unknown families {sorted(unknown)}; expected a subset of {FAMILIES}")

@@ -1,6 +1,10 @@
 """Shared builders for the test suite.
 
-The recurring need is a joint table whose conditional satisfies the
+Two oracles of the spectral families live here: ``joint_refinement``, the
+multi-operator joint eigendecomposition, and ``projections``, the dense
+eigenprojections of a family.
+
+The other recurring need is a joint table whose conditional satisfies the
 cell-weighted column condition  sum_i pi(j|i) d(i) = D(j)  exactly (up to
 rounding).  We build those from a fine doubly stochastic matrix obtained
 by Sinkhorn balancing and coarse-grain it over random cell partitions:
@@ -13,7 +17,65 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from seqmeas.model import JointModel
+from seqmeas.model import JointModel, PreconditionError, ValidationError
+from seqmeas.quantum import GROUP_TOL, SpectralFamily, require_hermitian
+
+# Slack of the oracle's pairwise commutator check, scaled by both operators' largest entries.
+COMMUTATOR_TOL = 1e-10
+
+
+def joint_refinement(ops) -> SpectralFamily:
+    """Oracle of :func:`seqmeas.quantum.joint_diagonalize` and :func:`seqmeas.quantum.product_family`:
+    the maximal joint eigendecomposition of commuting Hermitian operators in any basis.
+
+    One sequential refinement: start from the identity basis as a single block; for each
+    operator in turn, diagonalize it inside every current block and cut the block where its
+    sorted eigenvalues jump by more than ``GROUP_TOL`` times the operator's scale (its largest
+    entry, at least one).  A tuple's ``ops[k]`` entry is the mean of the block eigenvalues over
+    the cut of step k.  Outcomes come out ``ops[0]`` clusters ascending, ``ops[1]`` ascending
+    inside each of them, and so on.  Raises ``PreconditionError`` if two operators fail to
+    commute within ``COMMUTATOR_TOL``, and ``ValidationError`` if the dimensions differ or the
+    blocks do not reconstruct every operator.
+    """
+    mats = [require_hermitian(a, f"ops[{k}]") for k, a in enumerate(ops)]
+    if not mats:
+        raise ValidationError("need at least one operator")
+    dim = mats[0].shape[0]
+    for k, m in enumerate(mats):
+        if m.shape[0] != dim:
+            raise ValidationError(f"ops[{k}] has dimension {m.shape[0]}, expected {dim}")
+    scales = [max(1.0, float(np.abs(m).max())) for m in mats]
+    for a in range(len(mats)):
+        for b in range(a + 1, len(mats)):
+            dev = float(np.abs(mats[a] @ mats[b] - mats[b] @ mats[a]).max())
+            if dev > COMMUTATOR_TOL * scales[a] * scales[b]:
+                raise PreconditionError(f"ops[{a}] and ops[{b}] do not commute (|[A,B]| = {dev:.3e})")
+
+    basis = np.eye(dim, dtype=complex)
+    bounds = [0, dim]
+    means = np.empty((dim, len(mats)))  # every operator's cut mean at every basis column
+    for k, (m, s) in enumerate(zip(mats, scales)):
+        refined = [0]
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            sub = basis[:, a:b]
+            means[a:b, k], v = np.linalg.eigh(sub.conj().T @ m @ sub)
+            basis[:, a:b] = sub @ v
+            refined.extend(a + 1 + np.flatnonzero(np.diff(means[a:b, k]) > GROUP_TOL * s))
+            refined.append(b)
+        bounds = refined
+        sizes = np.diff(bounds)
+        means[:, k] = np.repeat(np.add.reduceat(means[:, k], bounds[:-1]) / sizes, sizes)
+    fam = SpectralFamily(basis=basis, eigen_tuples=means[bounds[:-1]], degeneracies=sizes)
+    for k, (m, s) in enumerate(zip(mats, scales)):
+        dev = float(np.abs(fam.operator(k) - m).max())
+        if dev > 100 * GROUP_TOL * s:
+            raise ValidationError(f"ops[{k}] is not reconstructed by its spectral data (deviation {dev:.3e})")
+    return fam
+
+
+def projections(family: SpectralFamily) -> np.ndarray:
+    """The dense (n_outcomes, dim, dim) eigenprojections of a family, built from its basis."""
+    return np.array([v @ v.conj().T for v in np.split(family.basis, family.starts[1:], axis=1)])
 
 
 def sinkhorn(a: np.ndarray, iters: int = 400) -> np.ndarray:

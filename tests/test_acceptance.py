@@ -302,7 +302,7 @@ def _real_degenerate_family(rng: np.random.Generator, dim: int):
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
     spectrum = np.sort(rng.integers(0, max(2, dim - 1), size=dim).astype(float))
     op = (q * spectrum) @ q.T
-    return joint_diagonalize([op])
+    return joint_diagonalize(op)
 
 
 def test_criterion_09_real_protocol_symmetry_and_violation():

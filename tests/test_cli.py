@@ -171,6 +171,17 @@ def test_ensemble_operator_errors_name_the_field(tmp_path, capsys, change, messa
     assert report["error"] == message
 
 
+@pytest.mark.parametrize("command", ["ensemble", "crooks"])
+@pytest.mark.parametrize("seed", [-1, 2.7], ids=["negative", "fractional"])
+def test_unitary_seed_must_be_a_nonnegative_integer(tmp_path, capsys, command, seed):
+    """A fractional seed is not truncated and a negative one does not reach numpy."""
+    cfg = write_grand_config(tmp_path, seed=seed)
+    code, report = run_cli(capsys, "--output-dir", str(tmp_path), command, "--config", str(cfg))
+    assert code == 2
+    assert report["error_type"] == "ValidationError"
+    assert report["error"].startswith(f"unitary_seed = {seed} must be a nonnegative integer")
+
+
 def test_ensemble_impossible_tolerance(tmp_path, capsys, monkeypatch):
     """The gate compares |lhs - 1| with --tol-jarzynski; lhs is pinned, so rounding cannot decide."""
     generate = ensembles.generate
@@ -327,6 +338,8 @@ def test_classical_rejects_non_finite_parameters(tmp_path, capsys, argv, named):
 @pytest.mark.parametrize("argv, named", [
     (["classical", "--seed", "-1", "--n", "100"], "seed = -1"),
     (["verify", "--seed", "-1", "--n-models", "1"], "seed = -1"),
+    (["verify", "--n-models", "-2"], "n_per_family = -2"),
+    (["verify", "--n-models", "0"], "n_per_family = 0"),
     (["classical", "--protocol", "ramp", "--steps", "0"], "steps = 0"),
     (["classical", "--protocol", "ramp", "--omega0", "1e-200", "--n", "100"], "omega = 1e-200"),
     (["classical", "--protocol", "quench", "--omega0", "1e-200", "--n", "100"], "omega = 1e-200"),
@@ -336,9 +349,9 @@ def test_classical_rejects_non_finite_parameters(tmp_path, capsys, argv, named):
     (["wavepacket", "--t-min", "0"], "t_min = 0.0"),
     (["wavepacket", "--t-min", "-1"], "t_min = -1.0"),
     (["wavepacket", "--t-max", "nan"], "t_max = nan"),
-], ids=["classical-seed", "verify-seed", "ramp-steps", "ramp-omega0-tiny", "quench-omega0-tiny",
-        "beta-tiny", "wavepacket-empty-grid", "wavepacket-no-points", "wavepacket-t-min-0",
-        "wavepacket-t-min-negative", "wavepacket-t-max-nan"])
+], ids=["classical-seed", "verify-seed", "verify-n-models-negative", "verify-n-models-zero",
+        "ramp-steps", "ramp-omega0-tiny", "quench-omega0-tiny", "beta-tiny", "wavepacket-empty-grid",
+        "wavepacket-no-points", "wavepacket-t-min-0", "wavepacket-t-min-negative", "wavepacket-t-max-nan"])
 def test_out_of_range_inputs_exit_2_naming_the_parameter_without_warnings(tmp_path, capsys, argv,
                                                                            named):
     with warnings.catch_warnings(record=True) as seen:

@@ -21,13 +21,14 @@ from seqmeas.ensembles import (
     lift_one_particle,
     local_canonical_model,
     microcanonical_model,
-    number_operator,
     periodic_thermo_model,
     _assemble_report,
 )
 from seqmeas import ensembles, model, verify
 from seqmeas.model import ValidationError, is_modified_doubly_stochastic, conditional, j_equation_lhs
 from seqmeas.quantum import GROUP_TOL, haar_unitary, joint_diagonalize, product_family
+
+from conftest import joint_refinement, projections
 
 
 def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -67,6 +68,11 @@ def jordan_wigner_lift(h: np.ndarray) -> np.ndarray:
             if h[a, b] != 0:
                 out += h[a, b] * (cs[a].T @ cs[b])
     return out
+
+
+def number_operator(n_modes: int) -> np.ndarray:
+    """Total particle number  N = sum_a c_a* c_a, the lift of the identity (popcount diagonal)."""
+    return lift_one_particle(np.eye(n_modes))
 
 
 def tensor_lift(ops: list[np.ndarray]) -> list[np.ndarray]:
@@ -161,7 +167,7 @@ def _match_outcomes(new, old) -> np.ndarray:
 @pytest.mark.parametrize("kind", H_KINDS)
 @pytest.mark.parametrize("n_modes", range(1, 9))
 def test_sector_family_matches_the_dense_joint_diagonalization(n_modes, kind, monkeypatch):
-    """Number sectors against joint_diagonalize([dense Jordan-Wigner H, N]), 1..8 modes.
+    """Number sectors against joint_refinement([dense Jordan-Wigner H, N]), 1..8 modes.
 
     The two paths cut H's spectrum differently only where eigenvalues sit
     about GROUP_TOL apart: the dense path clusters H over all sectors, the
@@ -178,8 +184,9 @@ def test_sector_family_matches_the_dense_joint_diagonalization(n_modes, kind, mo
         assert np.all((gaps < 1e-3 * GROUP_TOL) | (gaps > 1e3 * GROUP_TOL))
     u = haar_unitary(cfg.dim, rng)
     new = grand_canonical_model(cfg, u)
-    monkeypatch.setattr(ensembles, "_sector_family", lambda h: joint_diagonalize(
-        [jordan_wigner_lift(h), number_operator(h.shape[0])]))
+    monkeypatch.setattr(ensembles, "lift_one_particle", jordan_wigner_lift)
+    monkeypatch.setattr(ensembles, "joint_diagonalize",
+                        lambda big_h, number: joint_refinement([big_h, np.diag(number)]))
     old = grand_canonical_model(cfg, u)
 
     perm0 = _match_outcomes(new.first_family, old.first_family)
@@ -225,15 +232,15 @@ PRODUCT_CASES = {
 
 @pytest.mark.parametrize("case", PRODUCT_CASES)
 def test_product_family_matches_the_lifted_joint_diagonalization(case):
-    """Factor spectra against joint_diagonalize of the dense lifts: same outcomes in the same order."""
+    """Factor spectra against joint_refinement of the dense lifts: same outcomes in the same order."""
     rng = np.random.default_rng([1771, list(PRODUCT_CASES).index(case)])
     hs = [_random_hermitian(rng, s) if isinstance(s, int) else _rotated_diagonal(rng, s)
           for s in PRODUCT_CASES[case]]
-    new = product_family([joint_diagonalize([h]) for h in hs])
-    old = joint_diagonalize(tensor_lift(hs))
+    new = product_family([joint_diagonalize(h) for h in hs])
+    old = joint_refinement(tensor_lift(hs))
     np.testing.assert_array_equal(new.degeneracies, old.degeneracies)
     np.testing.assert_allclose(new.eigen_tuples, old.eigen_tuples, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(new.projections, old.projections, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(projections(new), projections(old), rtol=0, atol=1e-12)
     for k, lifted in enumerate(tensor_lift(hs)):
         np.testing.assert_allclose(new.operator(k), old.operator(k), rtol=0, atol=1e-12)
         np.testing.assert_allclose(new.operator(k), lifted, rtol=0, atol=1e-12)
@@ -241,7 +248,7 @@ def test_product_family_matches_the_lifted_joint_diagonalization(case):
 
 def test_one_factor_product_family_equals_the_factor_exactly(rng):
     for h in (_random_hermitian(rng, 4), _rotated_diagonal(rng, (0, 0, 1)), np.diag([2.0, -1.0, 2.0])):
-        factor = joint_diagonalize([h])
+        factor = joint_diagonalize(h)
         one = product_family([factor])
         np.testing.assert_array_equal(one.basis, factor.basis)
         np.testing.assert_array_equal(one.eigen_tuples, factor.eigen_tuples)
@@ -265,20 +272,20 @@ def _product_config(family: str, index: int):
 @pytest.mark.parametrize("family", ["local_canonical", "periodic_thermo"])
 def test_product_families_match_the_dense_tensor_lift(family, index, monkeypatch):
     """Reports from factor spectra against the same reports with every product family
-    rebuilt as joint_diagonalize of the dense lifts of the factor Hamiltonians."""
+    rebuilt as joint_refinement of the dense lifts of the factor Hamiltonians."""
     cfg, rng = _product_config(family, index)
     u = haar_unitary(cfg.dim, rng)
     new = generate(cfg, u)
     raw = {}  # factor family -> the Hamiltonian it diagonalizes
 
-    def recording(ops):
-        fam = joint_diagonalize(ops)
-        raw[id(fam)] = ops[0]
+    def recording(h):
+        fam = joint_diagonalize(h)
+        raw[id(fam)] = h
         return fam
 
     monkeypatch.setattr(ensembles, "joint_diagonalize", recording)
     monkeypatch.setattr(ensembles, "product_family",
-                        lambda factors: joint_diagonalize(tensor_lift([raw[id(f)] for f in factors])))
+                        lambda factors: joint_refinement(tensor_lift([raw[id(f)] for f in factors])))
     old = generate(cfg, u)
     assert len(raw) == (2 * len(cfg.betas) if family == "local_canonical" else 2)
     for a, b in ((new.first_family, old.first_family), (new.second_family, old.second_family)):
@@ -412,7 +419,7 @@ def test_config_dim_matches_generated_unitary(rng):
 
 def test_assemble_report_cross_checks_the_labeled_jensen_combination(rng):
     """Labeled quantities whose Jensen combination misses the generic value are rejected."""
-    family = joint_diagonalize([_random_hermitian(rng, 3)])
+    family = joint_diagonalize(_random_hermitian(rng, 3))
     u = haar_unitary(3, rng)
 
     def build(labeled):
@@ -444,7 +451,8 @@ def test_run_corpus_rejects_unknown_names_before_any_model(monkeypatch):
 @pytest.mark.parametrize("family", verify.FAMILIES)
 def test_generate_builds_the_ratio_once_and_each_state_once(family, monkeypatch):
     """One ratio table, one state per time, one joint diagonalization per factor Hamiltonian
-    and none for the grand-canonical families, one product family per time for products."""
+    (the grand-canonical Fock-space Hamiltonian is one factor), one product family per time
+    for products."""
     calls = {"j_ratio": 0, "ensemble_state": 0, "joint_diagonalize": 0, "product_family": 0}
 
     def counting(name, fn):
@@ -466,9 +474,8 @@ def test_generate_builds_the_ratio_once_and_each_state_once(family, monkeypatch)
     # the local-canonical subsystem partition functions are the log norms of one state per
     # subsystem and time, for the cross-check against the joint normalizations
     n_subsystems = len(cfg.betas) if family == "local_canonical" else 0
-    # one diagonalization per factor and time (the periodic family is shared by both times);
-    # grand-canonical families come from number sectors, not a joint diagonalization
-    n_joint = {"local_canonical": 2 * n_subsystems, "microcanonical": 2, "grand_canonical": 0,
+    # one diagonalization per factor and time (the periodic family is shared by both times)
+    n_joint = {"local_canonical": 2 * n_subsystems, "microcanonical": 2, "grand_canonical": 2,
                "periodic_thermo": 2}
     n_products = {"local_canonical": 2, "periodic_thermo": 1}.get(family, 0)
     assert calls == {"j_ratio": 1, "ensemble_state": 2 + 2 * n_subsystems,

@@ -20,7 +20,6 @@ from seqmeas.model import (
     entropy_gap,
     group_levels,
     is_modified_doubly_stochastic,
-    is_permutation_type,
     j_equation_lhs,
     j_ratio,
     marginals,
@@ -223,11 +222,6 @@ def test_shannon_entropy_with_cells():
     assert s == pytest.approx(math.log(4.0), abs=1e-14)
 
 
-def test_shannon_entropy_base_option():
-    s = shannon_entropy([0.25, 0.25, 0.25, 0.25], base=2.0)
-    assert s == pytest.approx(2.0, abs=1e-14)
-
-
 def test_shannon_entropy_subnormalized():
     with pytest.raises(ValidationError, match="sums to"):
         shannon_entropy([0.2, 0.2])
@@ -236,8 +230,7 @@ def test_shannon_entropy_subnormalized():
 
 
 @pytest.mark.parametrize("with_cells", [False, True])
-@pytest.mark.parametrize("base", [None, 2.0])
-def test_shannon_entropy_is_bit_identical_to_the_masked_formula(with_cells, base):
+def test_shannon_entropy_is_bit_identical_to_the_masked_formula(with_cells):
     """-sum(a[m] * log(a[m] / d[m])) over a > 0, to the last bit, zeros included."""
     rng = np.random.default_rng(29)
     for size in (1, 7, 130, 5000):
@@ -245,9 +238,7 @@ def test_shannon_entropy_is_bit_identical_to_the_masked_formula(with_cells, base
         d = rng.uniform(0.5, 3.0, size) if with_cells else np.ones(size)
         m = a > 0.0
         want = -float(np.sum(a[m] * np.log(a[m] / d[m])))
-        if base is not None:
-            want /= np.log(base)
-        got = shannon_entropy(a, d=d if with_cells else None, base=base, check_normalized=False)
+        got = shannon_entropy(a, d=d if with_cells else None, check_normalized=False)
         assert got == want
 
 
@@ -291,16 +282,6 @@ def test_entropy_gap_zero_for_permutation(rng):
     d = np.array([2, 3, 1])
     m2 = JointModel(p_table=np.diag(p[:3] / p[:3].sum()), d=d, D=d)
     assert abs(entropy_gap(m2)) < 1e-14
-
-
-def test_is_permutation_type():
-    assert is_permutation_type(np.eye(3))
-    assert is_permutation_type(np.eye(3)[[1, 2, 0]])
-    assert not is_permutation_type(np.full((2, 2), 0.5))
-    assert not is_permutation_type(np.ones((2, 3)) / 3)  # not square
-    noisy = np.eye(2) + np.array([[1e-12, -1e-12], [0.0, 0.0]])
-    assert is_permutation_type(noisy)
-    assert not is_permutation_type(np.eye(2) + np.array([[1e-6, 0.0], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------- reciprocal model

@@ -46,6 +46,8 @@ from seqmeas.quantum import (
 from seqmeas import quantum, verify
 from seqmeas.verify import DEFAULT_TOLERANCES, FAMILIES, random_model
 
+from conftest import joint_refinement, projections
+
 
 def random_commuting_pair(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Two commuting Hermitians with degenerate spectra in a common random basis."""
@@ -59,7 +61,7 @@ def random_commuting_pair(rng: np.random.Generator, dim: int) -> tuple[np.ndarra
 
 def random_family(rng: np.random.Generator, dim: int) -> SpectralFamily:
     a, b = random_commuting_pair(rng, dim)
-    return joint_diagonalize([a, b])
+    return joint_refinement([a, b])
 
 
 def family_rho(family: SpectralFamily, probabilities) -> np.ndarray:
@@ -100,21 +102,21 @@ def test_require_density_rejects():
 def test_joint_diagonalize_single_operator_with_degeneracy(rng):
     v = haar_unitary(3, rng)
     h = (v * np.array([1.0, 1.0, 2.0])[None, :]) @ v.conj().T
-    fam = joint_diagonalize([0.5 * (h + h.conj().T)])
+    fam = joint_diagonalize(0.5 * (h + h.conj().T))
     assert fam.n_outcomes == 2
     order = np.argsort(fam.eigen_tuples[:, 0])
     np.testing.assert_allclose(fam.eigen_tuples[order, 0], [1.0, 2.0], atol=1e-10)
     np.testing.assert_array_equal(fam.degeneracies[order], [2, 1])
-    recon = np.einsum("a,aij->ij", fam.eigen_tuples[:, 0], fam.projections)
+    recon = np.einsum("a,aij->ij", fam.eigen_tuples[:, 0], projections(fam))
     np.testing.assert_allclose(recon, h, atol=1e-12)
 
 
-def test_joint_diagonalize_splits_by_second_operator(rng):
+def test_joint_refinement_splits_by_second_operator(rng):
     """A degenerate first operator is refined by the second into the maximal family."""
     v = haar_unitary(4, rng)
     a = (v * np.array([1.0, 1.0, 2.0, 2.0])[None, :]) @ v.conj().T
     b = (v * np.array([3.0, 4.0, 3.0, 4.0])[None, :]) @ v.conj().T
-    fam = joint_diagonalize([0.5 * (a + a.conj().T), 0.5 * (b + b.conj().T)])
+    fam = joint_refinement([0.5 * (a + a.conj().T), 0.5 * (b + b.conj().T)])
     assert fam.n_outcomes == 4
     # first-operator clusters ascending, the second operator ascending inside each
     np.testing.assert_allclose(fam.eigen_tuples, [[1.0, 3.0], [1.0, 4.0], [2.0, 3.0], [2.0, 4.0]],
@@ -124,43 +126,97 @@ def test_joint_diagonalize_splits_by_second_operator(rng):
 
 def test_joint_diagonalize_groups_near_degenerate_eigenvalues():
     h = np.diag([0.0, 1e-12, 1.0])
-    fam = joint_diagonalize([h])
+    fam = joint_diagonalize(h)
     assert fam.n_outcomes == 2
     assert sorted(fam.degeneracies.tolist()) == [1, 2]
 
 
-def test_joint_diagonalize_rejects_noncommuting():
+def test_joint_refinement_rejects_noncommuting():
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     sz = np.diag([1.0, -1.0])
     with pytest.raises(PreconditionError, match="commute"):
-        joint_diagonalize([sx, sz])
+        joint_refinement([sx, sz])
 
 
 @given(seed=st.integers(0, 5000), dim=st.integers(2, 6))
 @settings(max_examples=30, deadline=None)
-def test_joint_diagonalize_reconstructs_both_operators(seed, dim):
+def test_joint_refinement_reconstructs_both_operators(seed, dim):
     rng = np.random.default_rng(seed)
     a, b = random_commuting_pair(rng, dim)
-    fam = joint_diagonalize([a, b])
+    fam = joint_refinement([a, b])
     for k, m in enumerate((a, b)):
-        recon = np.einsum("a,aij->ij", fam.eigen_tuples[:, k], fam.projections)
+        recon = np.einsum("a,aij->ij", fam.eigen_tuples[:, k], projections(fam))
         np.testing.assert_allclose(recon, m, atol=1e-10)
     assert int(fam.degeneracies.sum()) == dim
 
 
 @given(seed=st.integers(0, 5000), dim=st.integers(2, 6))
 @settings(max_examples=30, deadline=None)
-def test_joint_diagonalize_order_does_not_depend_on_the_basis(seed, dim):
+def test_joint_refinement_order_does_not_depend_on_the_basis(seed, dim):
     """Outcomes are listed in tolerance-lexicographic order, whatever basis the pair is given in."""
     rng = np.random.default_rng(seed)
     a, b = random_commuting_pair(rng, dim)
     v = haar_unitary(dim, rng)
-    fam = joint_diagonalize([a, b])
-    rotated = joint_diagonalize([v @ m @ v.conj().T for m in (a, b)])
+    fam = joint_refinement([a, b])
+    rotated = joint_refinement([v @ m @ v.conj().T for m in (a, b)])
     keys = [tuple(row) for row in np.rint(fam.eigen_tuples)]
     assert keys == sorted(keys)
     np.testing.assert_allclose(rotated.eigen_tuples, fam.eigen_tuples, atol=1e-10)
     np.testing.assert_array_equal(rotated.degeneracies, fam.degeneracies)
+
+
+def test_joint_diagonalize_splits_a_degenerate_h_by_sectors():
+    """Sectors split h's degenerate levels; outcomes come out sector-major, h ascending inside."""
+    h = np.diag([2.0, 1.0, 1.0, 2.0, 1.0])
+    fam = joint_diagonalize(h, [4, 3, 4, 3, 4])
+    np.testing.assert_array_equal(fam.eigen_tuples, [[1.0, 3.0], [2.0, 3.0], [1.0, 4.0], [2.0, 4.0]])
+    np.testing.assert_array_equal(fam.degeneracies, [1, 1, 2, 1])
+    np.testing.assert_array_equal(fam.operator(1), np.diag([4.0, 3.0, 4.0, 3.0, 4.0]))
+
+
+@st.composite
+def sectored_hamiltonians(draw):
+    """A block-diagonal h in a randomly permuted basis with its integer sector labels.
+
+    Labels are distinct, unsorted and non-contiguous; each block's spectrum is drawn
+    from one to three levels, so it is often degenerate inside the sector."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    labels = draw(st.lists(st.integers(-6, 9), min_size=len(sizes), max_size=len(sizes), unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = sum(sizes)
+    h, at = np.zeros((dim, dim), dtype=complex), 0
+    for size in sizes:
+        levels = rng.uniform(-2.0, 2.0, size=draw(st.integers(1, 3)))
+        v = haar_unitary(size, rng)
+        block = (v * levels[rng.integers(0, len(levels), size=size)]) @ v.conj().T
+        h[at:at + size, at:at + size] = 0.5 * (block + block.conj().T)
+        at += size
+    perm = rng.permutation(dim)
+    return h[np.ix_(perm, perm)], np.repeat(labels, sizes)[perm]
+
+
+@given(sectored_hamiltonians())
+@settings(max_examples=60, deadline=None)
+def test_joint_diagonalize_by_sectors_matches_the_refinement(case):
+    """joint_diagonalize(h, labels) against joint_refinement([diag(labels), h]) with the tuple
+    columns swapped: the same outcomes in the same order, tuples within 1e-12."""
+    h, labels = case
+    new = joint_diagonalize(h, labels)
+    old = joint_refinement([np.diag(labels), h])
+    np.testing.assert_array_equal(new.degeneracies, old.degeneracies)
+    np.testing.assert_allclose(new.eigen_tuples, old.eigen_tuples[:, ::-1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(new.operator(0), h, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(new.operator(1), np.diag(labels), rtol=0, atol=1e-12)
+
+
+def test_joint_diagonalize_rejects_bad_sectors():
+    h = np.diag([0.0, 1.0, 2.0])
+    with pytest.raises(ValidationError, match=r"sectors has shape \(2,\), expected \(3,\)"):
+        joint_diagonalize(h, [0, 1])
+    coupled = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+    joint_diagonalize(coupled, [0, 0, 1])
+    with pytest.raises(ValidationError, match="h must not couple sectors"):
+        joint_diagonalize(coupled, [0, 1, 1])
 
 
 def test_spectral_family_validation():
@@ -178,7 +234,7 @@ def test_spectral_family_validation():
 
 def test_ensemble_state_matches_hand_weights():
     h = np.diag([0.0, 0.0, 1.0])
-    fam = joint_diagonalize([h])
+    fam = joint_diagonalize(h)
     beta = 0.7
     state = ensemble_state(fam, -beta * fam.eigen_tuples[:, 0])
     z = 2.0 + math.exp(-beta)
@@ -190,7 +246,7 @@ def test_ensemble_state_matches_hand_weights():
 
 
 def test_ensemble_state_rejects_bad_weights():
-    fam = joint_diagonalize([np.diag([0.0, 1.0])])
+    fam = joint_diagonalize(np.diag([0.0, 1.0]))
     with pytest.raises(PreconditionError, match="outcome 1 is nan"):
         ensemble_state(fam, [0.0, math.nan])
     with pytest.raises(PreconditionError, match="outcome 0 is inf"):
@@ -312,7 +368,7 @@ def exactly_degenerate_family(rng: np.random.Generator, dim: int) -> SpectralFam
     """One Hermitian in a Haar basis with dim eigenvalues drawn from dim - 1 integers."""
     v = haar_unitary(dim, rng)
     h = (v * rng.integers(0, dim - 1, size=dim).astype(float)[None, :]) @ v.conj().T
-    fam = joint_diagonalize([0.5 * (h + h.conj().T)])
+    fam = joint_diagonalize(0.5 * (h + h.conj().T))
     assert fam.degeneracies.max() > 1
     return fam
 
@@ -325,7 +381,7 @@ def test_two_time_kernels_match_explicit_traces(dim):
     second = exactly_degenerate_family(rng, dim)
     u = haar_unitary(dim, rng)
     u_dag = u.conj().T
-    proj_p, proj_q = first.projections, second.projections
+    proj_p, proj_q = projections(first), projections(second)
     forward = np.array([[np.trace(q @ u @ p @ u_dag) for q in proj_q] for p in proj_p]).real
     backward = np.array([[np.trace(p @ u @ q @ u_dag) for q in proj_q] for p in proj_p]).real
 
@@ -349,15 +405,15 @@ def test_check_assumption2_never_loosens(dim):
         rho = (1.0 - eps) * stationary + eps * (g @ g.conj().T) / np.trace(g @ g.conj().T).real
         p = luders_probabilities(rho, fam)
         per_projector = max(float(np.abs(P @ rho @ P - (pa / da) * P).max())
-                            for P, pa, da in zip(fam.projections, p, fam.degeneracies))
+                            for P, pa, da in zip(projections(fam), p, fam.degeneracies))
         _, dev = check_assumption2(rho, fam)
         assert dev >= per_projector
 
 
 def test_build_joint_model_hand_example():
     """Qubit flip with known amplitudes: p(i, j) computed by hand."""
-    first = joint_diagonalize([np.diag([0.0, 1.0])])
-    second = joint_diagonalize([np.diag([0.0, 2.0])])
+    first = joint_diagonalize(np.diag([0.0, 1.0]))
+    second = joint_diagonalize(np.diag([0.0, 2.0]))
     theta = 0.3
     u = np.array([[math.cos(theta), -math.sin(theta)],
                   [math.sin(theta), math.cos(theta)]], dtype=complex)
@@ -419,8 +475,8 @@ def test_time_reversal_symmetry_for_real_protocols(rng):
     """Real families + transposition-symmetric U give a symmetric weighted table."""
     h1 = np.diag([0.0, 1.0, 1.0, 2.0])
     h2 = np.diag([0.5, 0.5, 1.5, 2.5])
-    first = joint_diagonalize([h1])
-    second = joint_diagonalize([h2])
+    first = joint_diagonalize(h1)
+    second = joint_diagonalize(h2)
     g = rng.normal(size=(4, 4))
     g = g + g.T  # real symmetric generator => exp(-i g t) is symmetric
     u = hermitian_function(g, lambda w: np.exp(-0.7j * w))
@@ -529,9 +585,9 @@ def test_six_mode_grand_canonical_tolerances_and_kernel_memory():
         povm_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert conditional_peak < first.projections.nbytes  # one (k, dim, dim) stack: 4 MB
+    assert conditional_peak < first.n_outcomes * 64 * work  # one (k, dim, dim) stack: 4 MB
     # the result, one (k2, dim, dim) stack, and U P_i with its conjugate (two matrices more spare)
-    assert povm_peak < f.nbytes + second.projections.nbytes + 4 * work
+    assert povm_peak < f.nbytes + second.n_outcomes * 64 * work + 4 * work
 
 
 @pytest.mark.parametrize("family", FAMILIES)
