@@ -51,9 +51,11 @@ def require_positive(name: str, value: float) -> None:
         raise ValidationError(f"{name} = {value} must be positive and finite")
 
 
-def require_count(name: str, value: int) -> None:
-    if not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValidationError(f"{name} = {value!r} must be a nonnegative integer")
+def require_count(name: str, value: int, positive: bool = False) -> None:
+    """Reject anything but an integer >= 0 (>= 1 if ``positive``); a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < int(positive):
+        kind = "positive" if positive else "nonnegative"
+        raise ValidationError(f"{name} = {value!r} must be a {kind} integer")
 
 
 def _as_float_array(x, name: str, ndim: int) -> np.ndarray:

@@ -95,7 +95,7 @@ class SpectralFamily:
     """
 
     basis: np.ndarray         # (dim, dim) complex, columns grouped by outcome
-    eigen_tuples: np.ndarray  # (n_outcomes, n_operators) float
+    eigen_tuples: np.ndarray  # (n_outcomes, number of operators) float
     degeneracies: np.ndarray  # (n_outcomes,) int
 
     def __post_init__(self):

@@ -218,8 +218,7 @@ def run_corpus(seed: int = 20260814, n_per_family: int = 100,
     raise :class:`ValidationError` before any model runs.
     """
     require_count("seed", seed)
-    if not isinstance(n_per_family, (int, np.integer)) or n_per_family < 1:
-        raise ValidationError(f"n_per_family = {n_per_family!r} must be a positive integer")
+    require_count("n_per_family", n_per_family, positive=True)
     unknown = set(families) - set(FAMILIES)
     if unknown:
         raise ValidationError(f"unknown families {sorted(unknown)}; expected a subset of {FAMILIES}")

@@ -172,9 +172,9 @@ def test_ensemble_operator_errors_name_the_field(tmp_path, capsys, change, messa
 
 
 @pytest.mark.parametrize("command", ["ensemble", "crooks"])
-@pytest.mark.parametrize("seed", [-1, 2.7], ids=["negative", "fractional"])
+@pytest.mark.parametrize("seed", [-1, 2.7, True], ids=["negative", "fractional", "bool"])
 def test_unitary_seed_must_be_a_nonnegative_integer(tmp_path, capsys, command, seed):
-    """A fractional seed is not truncated and a negative one does not reach numpy."""
+    """A fractional seed is not truncated, a bool is not read as 1, a negative one does not reach numpy."""
     cfg = write_grand_config(tmp_path, seed=seed)
     code, report = run_cli(capsys, "--output-dir", str(tmp_path), command, "--config", str(cfg))
     assert code == 2

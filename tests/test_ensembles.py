@@ -186,7 +186,7 @@ def test_sector_family_matches_the_dense_joint_diagonalization(n_modes, kind, mo
     new = grand_canonical_model(cfg, u)
     monkeypatch.setattr(ensembles, "lift_one_particle", jordan_wigner_lift)
     monkeypatch.setattr(ensembles, "joint_diagonalize",
-                        lambda big_h, number: joint_refinement([big_h, np.diag(number)]))
+                        lambda big_h, _: joint_refinement([big_h, number_operator(n_modes)]))
     old = grand_canonical_model(cfg, u)
 
     perm0 = _match_outcomes(new.first_family, old.first_family)
@@ -445,6 +445,8 @@ def test_run_corpus_rejects_unknown_names_before_any_model(monkeypatch):
         verify.run_corpus(seed=1, n_per_family=2, families=("local_canonical", "bogus"))
     with pytest.raises(ValidationError, match=r"unknown tolerance keys \['nope'\]"):
         verify.run_corpus(seed=1, n_per_family=2, tolerances={"nope": 1.0})
+    with pytest.raises(ValidationError, match="n_per_family = True must be a positive integer"):
+        verify.run_corpus(seed=1, n_per_family=True, families=("microcanonical",))
     assert calls == []
 
 
