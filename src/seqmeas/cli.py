@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, classical, ensembles, verify, wavepacket
-from .model import JointModel, ValidationError, crooks_check, require_count, require_positive
+from .model import JointModel, ValidationError, crooks_check, require_count, require_key, require_positive
 from .quantum import haar_unitary, operator_from_json_dict
 
 ENV_OUTPUT_DIR = "SEQMEAS_OUTPUT_DIR"
@@ -104,7 +104,7 @@ def _unitary_from_config(data: dict, dim: int) -> np.ndarray:
 
 
 def _ensemble_report(data: dict) -> ensembles.EnsembleReport:
-    cfg = ensembles.config_from_json_dict(data["config"])
+    cfg = ensembles.config_from_json_dict(require_key(data, "config", "ensemble file"))
     u = _unitary_from_config(data, cfg.dim)
     return ensembles.generate(cfg, u)
 
@@ -227,8 +227,8 @@ def cmd_crooks(args) -> int:
         rep = _ensemble_report(data)
         model, q = rep.model, rep.q
     else:
-        model = JointModel.from_json_dict(data["model"])
-        q = np.asarray(data["q"], dtype=float)
+        model = JointModel.from_json_dict(require_key(data, "model", "crooks file"))
+        q = np.asarray(require_key(data, "q", "crooks file"), dtype=float)
     crooks = crooks_check(model, q)
     worst = float(np.max(crooks.distribution.ratio_errors))
     checks = {"per_level_ratio": worst <= args.tol_ratio,

@@ -42,6 +42,7 @@ from .model import (
     entropy_gap,
     group_levels,
     j_ratio,
+    require_key,
     require_positive,
 )
 from .quantum import (
@@ -62,6 +63,14 @@ EXPONENT_CONSISTENCY_TOL = 1e-10
 # ---------------------------------------------------------------------------
 # fermionic Fock space over M modes (dimension 2^M, Jordan-Wigner encoding)
 
+def _mode_count(h) -> int:
+    """M of an M x M one-particle matrix, within the supported 1..12 modes (2^M Fock states)."""
+    m = np.shape(h)[0] if np.ndim(h) else 0
+    if not 1 <= m <= 12:
+        raise ValidationError(f"n_modes = {m} outside the supported range 1..12")
+    return m
+
+
 def lift_one_particle(h: np.ndarray) -> np.ndarray:
     """Second-quantized Hamiltonian  H = sum_ab h_ab c_a* c_b  on the 2^M Fock space.
 
@@ -69,9 +78,7 @@ def lift_one_particle(h: np.ndarray) -> np.ndarray:
     moves a particle from mode b to empty mode a, signed by the parity of the particles passed.
     Built in O(M^2 dim), summed in the order of the sum, H equals the dense product exactly.
     """
-    m = np.shape(h)[0] if np.ndim(h) else 0
-    if not 1 <= m <= 12:
-        raise ValidationError(f"n_modes = {m} outside the supported range 1..12")
+    m = _mode_count(h)
     h = require_hermitian(h, "one-particle h")
     occ = (np.arange(2 ** m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
     before = np.cumsum(occ, axis=1) - occ  # occupied modes ahead of each mode
@@ -128,11 +135,10 @@ class _ConfigCodec:
     def from_json_dict(cls, data: dict):
         values = {}
         for f in fields(cls):
-            if f.name not in data:
-                raise ValidationError(f"{cls.kind} config is missing field {f.name!r}")
+            raw = require_key(data, f.name, f"{cls.kind} config")
             _, decode = f.metadata["codec"]
             try:
-                values[f.name] = decode(data[f.name])
+                values[f.name] = decode(raw)
             except (ValueError, TypeError) as exc:  # ValidationError included
                 raise ValidationError(f"{f.name}: {exc}") from exc
         return cls(**values)
@@ -189,9 +195,10 @@ class MicrocanonicalConfig(_ConfigCodec):
 class GrandCanonicalConfig(_ConfigCodec):
     """Fermionic grand canonical ensemble from a one-particle Hamiltonian.
 
-    ``h_t0`` and ``h_t1`` are M x M one-particle matrices; the Fock-space
-    Hamiltonians are their second-quantized lifts and both measurement
-    families include the total particle number.
+    ``h_t0`` and ``h_t1`` are M x M one-particle matrices, 1 <= M <= 12
+    (checked on construction); the Fock-space Hamiltonians are their
+    second-quantized lifts and both measurement families include the
+    total particle number.
     """
 
     kind: ClassVar[str] = "grand_canonical"
@@ -202,6 +209,7 @@ class GrandCanonicalConfig(_ConfigCodec):
 
     def __post_init__(self):
         super().__post_init__()
+        _mode_count(self.h_t0)
         require_positive("beta", self.beta)
         if not np.isfinite(self.mu):
             raise ValidationError("mu must be finite")

@@ -19,7 +19,7 @@ Everything in this module is elementary probability on top of that table:
   and the per-level fluctuation ratio bookkeeping built from it.
 
 Numerical conventions: probabilities are float64, entropies use the
-natural logarithm unless an explicit base is requested, and 0 ln 0 = 0.
+natural logarithm, and 0 ln 0 = 0.
 """
 
 from __future__ import annotations
@@ -56,6 +56,13 @@ def require_count(name: str, value: int, positive: bool = False) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < int(positive):
         kind = "positive" if positive else "nonnegative"
         raise ValidationError(f"{name} = {value!r} must be a {kind} integer")
+
+
+def require_key(data: dict, key: str, where: str):
+    """``data[key]``, or a ValidationError naming the key that ``where`` is missing."""
+    if key not in data:
+        raise ValidationError(f"{where} is missing field {key!r}")
+    return data[key]
 
 
 def _as_float_array(x, name: str, ndim: int) -> np.ndarray:
@@ -104,15 +111,12 @@ class JointModel:
     Parameters
     ----------
     p_table : array, shape (nI, nJ)
-        Joint probabilities P(i, j) >= 0.  Must sum to one, except in
-        truncated mode where a recorded mass deficit is allowed.
+        Joint probabilities P(i, j) >= 0 that sum to one; a table cut off
+        by a finite window, with its mass deficit, is a ``wavepacket.TruncatedTable``.
     d, D : integer arrays, shape (nI,) and (nJ,)
         Positive cell sizes of the first and second outcomes.
     labels_i, labels_j : tuple, optional
         Opaque outcome labels; default to integer indices.
-    truncated : bool
-        When true the table may be sub-normalized; the missing mass is
-        recorded in ``mass_deficit`` instead of raising.
     """
 
     p_table: np.ndarray
@@ -120,8 +124,6 @@ class JointModel:
     D: np.ndarray
     labels_i: tuple = ()
     labels_j: tuple = ()
-    truncated: bool = False
-    mass_deficit: float = 0.0
 
     def __post_init__(self):
         table = _as_float_array(self.p_table, "p_table", 2)
@@ -133,14 +135,8 @@ class JointModel:
         d = _as_cell_sizes(self.d, "d", nI)
         D = _as_cell_sizes(self.D, "D", nJ)
         total = float(table.sum())
-        if self.truncated:
-            if total > 1.0 + NORMALIZATION_TOL:
-                raise ValidationError(f"truncated p_table sums to {total} > 1")
-            object.__setattr__(self, "mass_deficit", max(0.0, 1.0 - total))
-        else:
-            if abs(total - 1.0) > max(NORMALIZATION_TOL, 1e-9):
-                raise ValidationError(f"p_table sums to {total}, expected 1")
-            object.__setattr__(self, "mass_deficit", 0.0)
+        if abs(total - 1.0) > max(NORMALIZATION_TOL, 1e-9):
+            raise ValidationError(f"p_table sums to {total}, expected 1")
         labels_i = tuple(self.labels_i) if self.labels_i else tuple(range(nI))
         labels_j = tuple(self.labels_j) if self.labels_j else tuple(range(nJ))
         if len(labels_i) != nI:
@@ -161,27 +157,22 @@ class JointModel:
         return self.p_table.shape
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "p_table": [[float(x) for x in row] for row in self.p_table],
             "d": [int(x) for x in self.d],
             "D": [int(x) for x in self.D],
             "labels_i": [_label_to_json(l) for l in self.labels_i],
             "labels_j": [_label_to_json(l) for l in self.labels_j],
         }
-        if self.truncated:
-            out["truncated"] = True
-            out["mass_deficit"] = float(self.mass_deficit)
-        return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "JointModel":
         return cls(
-            p_table=np.asarray(data["p_table"], dtype=float),
-            d=np.asarray(data["d"]),
-            D=np.asarray(data["D"]),
+            p_table=np.asarray(require_key(data, "p_table", "model"), dtype=float),
+            d=np.asarray(require_key(data, "d", "model")),
+            D=np.asarray(require_key(data, "D", "model")),
             labels_i=tuple(_label_from_json(l) for l in data.get("labels_i", ())),
             labels_j=tuple(_label_from_json(l) for l in data.get("labels_j", ())),
-            truncated=bool(data.get("truncated", False)),
         )
 
 
@@ -255,7 +246,8 @@ def j_ratio(model: JointModel, q: np.ndarray) -> np.ndarray:
     if q.shape != (model.shape[1],):
         raise ValidationError(f"q has shape {q.shape}, expected ({model.shape[1]},)")
     p, _ = marginals(model)
-    return (model.d[:, None] / p[:, None]) * (q[None, :] / model.D[None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (model.d[:, None] / p[:, None]) * (q[None, :] / model.D[None, :])
 
 
 def j_equation_lhs(model: JointModel, q) -> float:
@@ -277,7 +269,7 @@ def shannon_entropy(p, d=None, *, check_normalized: bool = True) -> float:
 
     ``d = None`` means unit cells (ordinary Shannon entropy); the logarithm
     is natural.
-    ``check_normalized=False`` admits sub-normalized vectors (truncated
+    ``check_normalized=False`` admits sub-normalized vectors (cut-off
     distributions); the entropy of the captured mass is returned as is.
     """
     a = _as_float_array(p, "p", 1)
@@ -287,7 +279,7 @@ def shannon_entropy(p, d=None, *, check_normalized: bool = True) -> float:
     mask = a > 0.0
     x = a[mask]
     if check_normalized and abs(x.sum() - 1.0) > max(NORMALIZATION_TOL, 1e-9):
-        raise ValidationError(f"p sums to {x.sum()}, expected 1 (pass check_normalized=False for truncated data)")
+        raise ValidationError(f"p sums to {x.sum()}, expected 1 (pass check_normalized=False for cut-off data)")
     if d is None:
         terms = np.log(x)
     else:
@@ -301,6 +293,17 @@ def shannon_entropy(p, d=None, *, check_normalized: bool = True) -> float:
     return -float(np.sum(terms))
 
 
+def _require_mod_ds(model: JointModel, consequence: str) -> np.ndarray:
+    """The conditional of ``model``, checked to be modified doubly stochastic
+    within ``MOD_DS_TOL``; a PreconditionError naming ``consequence`` otherwise."""
+    pi = conditional(model)
+    ok, dev = is_modified_doubly_stochastic(pi, model.d, model.D)
+    if not ok:
+        raise PreconditionError(f"conditional is not modified doubly stochastic "
+                                f"(deviation {dev:.3e} > {MOD_DS_TOL:g}); {consequence}")
+    return pi
+
+
 def entropy_gap(model: JointModel) -> float:
     """Entropy production  S(p-hat) - S(p)  of the two-measurement model.
 
@@ -308,13 +311,8 @@ def entropy_gap(model: JointModel) -> float:
     only under the modified doubly stochastic condition, so that condition
     is enforced here within ``MOD_DS_TOL`` (PreconditionError otherwise).
     """
+    _require_mod_ds(model, "the entropy gap need not be nonnegative")
     p, p_hat = marginals(model)
-    pi = conditional(model)
-    ok, dev = is_modified_doubly_stochastic(pi, model.d, model.D)
-    if not ok:
-        raise PreconditionError(
-            f"conditional is not modified doubly stochastic (deviation {dev:.3e} > {MOD_DS_TOL:g})"
-        )
     return shannon_entropy(p_hat, model.D) - shannon_entropy(p, model.d)
 
 
@@ -340,13 +338,7 @@ def reciprocal_model(model: JointModel, q) -> JointModel:
     if np.any(q <= 0.0):
         k = int(np.argmin(q))
         raise PreconditionError(f"q[{k}] = {q[k]} must be strictly positive")
-    pi = conditional(model)
-    ok, dev = is_modified_doubly_stochastic(pi, model.d, model.D)
-    if not ok:
-        raise PreconditionError(
-            f"conditional is not modified doubly stochastic (deviation {dev:.3e}); "
-            "the reverse table would not normalize"
-        )
+    pi = _require_mod_ds(model, "the reverse table would not normalize")
     table = (pi * model.d[:, None] * q[None, :] / model.D[None, :]).T
     return JointModel(
         p_table=table,
@@ -457,15 +449,9 @@ class CrooksReport:
 
 
 def crooks_check(model: JointModel, q, grouping_tol: float = LEVEL_GROUPING_TOL) -> CrooksReport:
-    """Group the ratio levels of a model and verify the per-level identity."""
+    """Group the ratio levels of a model and verify the per-level identity
+    (``reciprocal_model`` rejects a zero q(j), a zero p(i) and a failed hypothesis)."""
     q = check_probability_vector(q, name="q")
-    if np.any(q <= 0.0):
-        raise PreconditionError("q must be strictly positive for the reciprocal comparison")
-    p, _ = marginals(model)
-    if np.any(p <= 0.0):
-        k = int(np.argmin(p))
-        raise PreconditionError(f"first outcome {k} has probability {p[k]}; the ratio "
-                                f"d q / (D p) is undefined on a zero-probability first outcome")
     recip = reciprocal_model(model, q)
     y = j_ratio(model, q)
     mask = model.p_table > 0.0

@@ -98,7 +98,7 @@ def random_config(family: str, rng: np.random.Generator, index: int):
             theta=float(rng.uniform(-2.0, 2.0)),
             beta=float(rng.uniform(0.2, 2.0)),
         )
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    raise ValidationError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
 def random_model(family: str, seed, index: int = 0) -> EnsembleReport:

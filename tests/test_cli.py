@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqmeas import __version__, ensembles
+from seqmeas import __version__, cli, ensembles
 from seqmeas.cli import config_hash, main
 from seqmeas.quantum import operator_to_json_dict
 
@@ -180,6 +180,42 @@ def test_unitary_seed_must_be_a_nonnegative_integer(tmp_path, capsys, command, s
     assert code == 2
     assert report["error_type"] == "ValidationError"
     assert report["error"].startswith(f"unitary_seed = {seed} must be a nonnegative integer")
+
+
+@pytest.mark.parametrize("command", ["ensemble", "crooks"])
+def test_thirteen_modes_are_rejected_before_the_unitary_is_drawn(tmp_path, capsys, monkeypatch, command):
+    """A 13-mode config fails at construction: no 8192 x 8192 Haar unitary is asked for."""
+    calls = []
+
+    def recording(dim, rng):
+        calls.append(dim)
+        raise RuntimeError(f"haar_unitary({dim}) was called")
+
+    monkeypatch.setattr(cli, "haar_unitary", recording)
+    cfg = write_grand_config(tmp_path, n_modes=13)
+    code, report = run_cli(capsys, "--output-dir", str(tmp_path), command, "--config", str(cfg))
+    assert calls == []
+    assert code == 2
+    assert report["error_type"] == "ValidationError"
+    assert report["error"] == "n_modes = 13 outside the supported range 1..12"
+
+
+MODEL = {"p_table": [[0.15, 0.35], [0.35, 0.15]], "d": [1, 1], "D": [1, 1]}
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("crooks", {"q": [0.4, 0.6]}, "crooks file is missing field 'model'"),
+    ("crooks", {"model": MODEL}, "crooks file is missing field 'q'"),
+    ("crooks", {"model": {"d": [1, 1], "D": [1, 1]}, "q": [0.4, 0.6]}, "model is missing field 'p_table'"),
+    ("ensemble", {"unitary_seed": 1}, "ensemble file is missing field 'config'"),
+], ids=["crooks-model", "crooks-q", "crooks-p_table", "ensemble-config"])
+def test_missing_json_keys_are_named(tmp_path, capsys, command, data, message):
+    cfg = tmp_path / "input.json"
+    cfg.write_text(json.dumps(data))
+    code, report = run_cli(capsys, "--output-dir", str(tmp_path), command, "--config", str(cfg))
+    assert code == 2
+    assert report["error_type"] == "ValidationError"
+    assert report["error"] == message
 
 
 def test_ensemble_impossible_tolerance(tmp_path, capsys, monkeypatch):
@@ -412,14 +448,8 @@ def test_classical_constant_unit_ratio_passes(tmp_path, capsys):
 
 
 def test_crooks_explicit_model(tmp_path, capsys):
-    model = {
-        "p_table": [[0.15, 0.35], [0.35, 0.15]],
-        "d": [1, 1],
-        "D": [1, 1],
-        "truncated": False,
-    }
     cfg = tmp_path / "model.json"
-    cfg.write_text(json.dumps({"model": model, "q": [0.4, 0.6]}))
+    cfg.write_text(json.dumps({"model": MODEL, "q": [0.4, 0.6]}))
     code, report = run_cli(
         capsys, "--output-dir", str(tmp_path), "crooks", "--config", str(cfg))
     assert code == 0

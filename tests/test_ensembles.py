@@ -358,6 +358,13 @@ def test_config_missing_field_names_it(rng):
                 config_from_json_dict(data)
 
 
+def test_grand_canonical_config_rejects_thirteen_modes():
+    eye = {"dim": 13, "re": np.eye(13).tolist()}
+    data = {"kind": "grand_canonical", "h_t0": eye, "h_t1": eye, "beta": 1.0, "mu": 0.0}
+    with pytest.raises(ValidationError, match=r"^n_modes = 13 outside the supported range 1\.\.12$"):
+        config_from_json_dict(data)
+
+
 SIGMA_Z = {"dim": 2, "re": [[1.0, 0.0], [0.0, -1.0]]}
 NOT_HERMITIAN = {"dim": 2, "re": [[0.0, 1.0], [0.0, 0.0]]}
 
@@ -435,6 +442,13 @@ def test_assemble_report_cross_checks_the_labeled_jensen_combination(rng):
     assert report.quantities["jensen_combination"] == generic
     with pytest.raises(ValidationError, match="labeled test_family Jensen combination"):
         build(lambda log_norm0, log_norm1, mean_changes: {"jensen_combination": generic + 1e-6})
+
+
+def test_random_config_rejects_an_unknown_family(rng):
+    with pytest.raises(ValidationError, match="unknown family 'bogus'"):
+        verify.random_config("bogus", rng, 0)
+    with pytest.raises(ValidationError, match="unknown family 'bogus'"):
+        verify.random_model("bogus", 1)
 
 
 def test_run_corpus_rejects_unknown_names_before_any_model(monkeypatch):

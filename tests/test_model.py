@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,7 +41,6 @@ from conftest import (
 def test_joint_model_basic_construction():
     m = JointModel(p_table=[[0.25, 0.25], [0.25, 0.25]], d=[1, 1], D=[1, 1])
     assert m.shape == (2, 2)
-    assert m.mass_deficit == 0.0
     assert m.labels_i == (0, 1)
     p, p_hat = marginals(m)
     np.testing.assert_allclose(p, [0.5, 0.5])
@@ -55,13 +55,6 @@ def test_joint_model_rejects_negative_entry():
 def test_joint_model_rejects_bad_normalization():
     with pytest.raises(ValidationError, match="sums to"):
         JointModel(p_table=[[0.3, 0.3], [0.3, 0.3]], d=[1, 1], D=[1, 1])
-
-
-def test_joint_model_truncated_records_deficit():
-    m = JointModel(p_table=[[0.4, 0.3], [0.2, 0.05]], d=[1, 1], D=[1, 1], truncated=True)
-    assert m.mass_deficit == pytest.approx(0.05, abs=1e-15)
-    with pytest.raises(ValidationError, match="> 1"):
-        JointModel(p_table=[[0.8, 0.8]], d=[1], D=[1, 1], truncated=True)
 
 
 def test_joint_model_rejects_bad_cells():
@@ -94,7 +87,6 @@ def test_json_round_trip(rng):
     np.testing.assert_array_equal(back.d, m.d)
     np.testing.assert_array_equal(back.D, m.D)
     assert back.labels_i == m.labels_i
-    assert back.truncated == m.truncated
     # 17 significant digits means the round trip is bitwise exact
     assert json.loads(text)["p_table"][0][0] == m.p_table[0, 0]
 
@@ -187,6 +179,15 @@ def test_j_equation_validates_q(rng):
         j_equation_lhs(m, [0.5, 0.5])  # wrong length
     with pytest.raises(ValidationError):
         j_equation_lhs(m, [0.5, 0.4, 0.2])  # not normalized
+
+
+def test_j_equation_on_a_zero_row_is_right_and_warns_nothing():
+    """A zero-probability row holds no mass: its non-finite ratios are masked without a warning."""
+    m = JointModel(p_table=[[0.0, 0.0], [0.5, 0.5]], d=[1, 1], D=[1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert j_equation_lhs(m, [0.5, 0.5]) == 0.5
+        assert j_equation_lhs(m, [1.0, 0.0]) == 0.5  # inf * 0 on the zero row
 
 
 def test_j_ratio_is_the_integrand_of_the_j_equation(rng):
@@ -463,9 +464,15 @@ def test_crooks_levels_mirror_reciprocal(rng):
 
 
 def test_crooks_requires_positive_q(rng):
+    """A zero q(j) of the model's length and a zero p(i) are both preconditions."""
     m = random_mod_ds_model(rng, 2, 2)
-    with pytest.raises(PreconditionError):
-        crooks_check(m, np.array([1.0, 0.0]))
+    q = np.zeros(m.shape[1])
+    q[0] = 1.0
+    with pytest.raises(PreconditionError, match="strictly positive"):
+        crooks_check(m, q)
+    zero_row = JointModel(p_table=[[0.0, 0.0], [0.5, 0.5]], d=[1, 1], D=[1, 1])
+    with pytest.raises(PreconditionError, match="zero-probability first outcome"):
+        crooks_check(zero_row, [0.5, 0.5])
 
 
 def test_crooks_csv_shape(rng):
