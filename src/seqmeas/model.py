@@ -66,7 +66,10 @@ def require_key(data: dict, key: str, where: str):
 
 
 def _as_float_array(x, name: str, ndim: int) -> np.ndarray:
-    a = np.asarray(x, dtype=float)
+    try:
+        a = np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # a non-numeric, ragged or huge entry
+        raise ValidationError(f"{name}: {exc}") from exc
     if a.ndim != ndim:
         raise ValidationError(f"{name} must be {ndim}-dimensional, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -80,11 +83,11 @@ def _as_cell_sizes(x, name: str, n: int) -> np.ndarray:
     if a.shape != (n,):
         raise ValidationError(f"{name} must have shape ({n},), got {a.shape}")
     if not np.issubdtype(a.dtype, np.integer):
-        rounded = np.rint(np.asarray(a, dtype=float))
-        if np.max(np.abs(np.asarray(a, dtype=float) - rounded)) > 1e-9:
-            k = int(np.argmax(np.abs(np.asarray(a, dtype=float) - rounded)))
-            raise ValidationError(f"{name}[{k}] = {a[k]} is not an integer")
-        a = rounded.astype(np.int64)
+        f = _as_float_array(x, name, 1)
+        a = np.rint(f)
+        if np.any(np.abs(f - a) > 1e-9):
+            k = int(np.argmax(np.abs(f - a)))
+            raise ValidationError(f"{name}[{k}] = {f[k]} is not an integer")
     a = a.astype(np.int64)
     if np.any(a < 1):
         k = int(np.argmin(a))
@@ -92,14 +95,14 @@ def _as_cell_sizes(x, name: str, n: int) -> np.ndarray:
     return a
 
 
-def check_probability_vector(q, *, name: str = "q", tol: float = NORMALIZATION_TOL) -> np.ndarray:
+def check_probability_vector(q, *, name: str = "q") -> np.ndarray:
     """Validate a 1-d probability vector (entries >= 0, sums to one)."""
     a = _as_float_array(q, name, 1)
-    if np.any(a < -tol):
+    if np.any(a < -NORMALIZATION_TOL):
         k = int(np.argmin(a))
         raise ValidationError(f"{name}[{k}] = {a[k]} is negative")
     s = float(a.sum())
-    if abs(s - 1.0) > max(tol, 1e-9 * a.size):
+    if abs(s - 1.0) > max(NORMALIZATION_TOL, 1e-9 * a.size):
         raise ValidationError(f"{name} sums to {s}, expected 1")
     return np.clip(a, 0.0, None)
 
@@ -168,9 +171,9 @@ class JointModel:
     @classmethod
     def from_json_dict(cls, data: dict) -> "JointModel":
         return cls(
-            p_table=np.asarray(require_key(data, "p_table", "model"), dtype=float),
-            d=np.asarray(require_key(data, "d", "model")),
-            D=np.asarray(require_key(data, "D", "model")),
+            p_table=require_key(data, "p_table", "model"),
+            d=require_key(data, "d", "model"),
+            D=require_key(data, "D", "model"),
             labels_i=tuple(_label_from_json(l) for l in data.get("labels_i", ())),
             labels_j=tuple(_label_from_json(l) for l in data.get("labels_j", ())),
         )
@@ -381,9 +384,6 @@ class WorkDistribution:
         p.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "probs", np.clip(p, 0.0, None))
-
-    def mean(self) -> float:
-        return float(np.sum(self.values * self.probs))
 
     def to_csv(self) -> str:
         """CSV text with columns w,prob,reciprocal_prob,ratio_error (17 significant digits)."""

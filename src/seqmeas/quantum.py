@@ -13,10 +13,10 @@ fluctuation identities in :mod:`seqmeas.model`.
 
 The module covers: spectral families of one Hamiltonian, optionally split
 by the sectors of a conserved diagonal number, and their tensor products,
-stationary ensembles kept as their outcome probabilities p(i), Lueders
-probabilities and the cell-uniformity check of a dense rho, protocol
-evolution, POVM bookkeeping for the two-time statistics, an exactly
-solvable one-qubit purity curve, and time-reversal symmetry diagnostics.
+stationary ensembles kept as their outcome probabilities p(i), the
+cell-uniformity check of a dense rho, protocol evolution, POVM bookkeeping
+for the two-time statistics, an exactly solvable one-qubit purity curve,
+and time-reversal symmetry diagnostics.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ ASSUMPTION2_TOL = 1e-10
 TIME_REVERSAL_TOL = 1e-11
 # Slack of the two-time POVM's resolution of the identity.
 POVM_COMPLETENESS_TOL = 1e-11
+# Slack of a density matrix's Hermiticity and trace (and, times 10, of its eigenvalues).
+DENSITY_TOL = 1e-11
 
 
 def _as_square(a, name: str) -> np.ndarray:
@@ -61,22 +63,22 @@ def require_hermitian(a, name: str = "operator", tol: float = HERMITICITY_TOL) -
     return m
 
 
-def require_unitary(u, name: str = "U", tol: float = UNITARITY_TOL) -> np.ndarray:
-    m = _as_square(u, name)
+def require_unitary(u) -> np.ndarray:
+    m = _as_square(u, "U")
     dev = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
-    if dev > tol:
-        raise ValidationError(f"{name} is not unitary (deviation {dev:.3e})")
+    if dev > UNITARITY_TOL:
+        raise ValidationError(f"U is not unitary (deviation {dev:.3e})")
     return m
 
 
-def require_density(rho, name: str = "rho", tol: float = 1e-11) -> np.ndarray:
-    m = require_hermitian(rho, name, tol)
+def require_density(rho) -> np.ndarray:
+    m = require_hermitian(rho, "rho", DENSITY_TOL)
     tr = complex(np.trace(m))
-    if abs(tr - 1.0) > tol * m.shape[0]:
-        raise ValidationError(f"{name} has trace {tr}, expected 1")
+    if abs(tr - 1.0) > DENSITY_TOL * m.shape[0]:
+        raise ValidationError(f"rho has trace {tr}, expected 1")
     w = np.linalg.eigvalsh(m)
-    if w.min() < -tol * 10:
-        raise ValidationError(f"{name} has negative eigenvalue {w.min():.3e}")
+    if w.min() < -DENSITY_TOL * 10:
+        raise ValidationError(f"rho has negative eigenvalue {w.min():.3e}")
     return m
 
 
@@ -249,11 +251,6 @@ def ensemble_state(family: SpectralFamily, log_weights) -> EnsembleState:
     return EnsembleState(probabilities=raw / norm * family.degeneracies, log_norm=shift + math.log(norm))
 
 
-def luders_probabilities(rho: np.ndarray, family: SpectralFamily) -> np.ndarray:
-    """Outcome probabilities  p(i) = Tr(rho P_i): segment sums of diag(V* rho V)."""
-    return _cell_uniformity(require_density(rho), family)[1]
-
-
 def check_assumption2(rho: np.ndarray, family: SpectralFamily) -> tuple[bool, float]:
     """Check that every selective post-state is maximally mixed on its cell.
 
@@ -261,25 +258,18 @@ def check_assumption2(rho: np.ndarray, family: SpectralFamily) -> tuple[bool, fl
     it holds exactly when rho is a function of the measured family.
     Returns (verdict, worst deviation), where the deviation of outcome i is
     the Frobenius norm of  P_i rho P_i - (p(i)/d(i)) P_i,  computed on its
-    block of the family basis; it bounds every entry's absolute deviation.
-    The verdict compares it with ``ASSUMPTION2_TOL``.
+    outcome block of  V* rho V  (V the family basis); it bounds every entry's
+    absolute deviation.  The verdict compares it with ``ASSUMPTION2_TOL``.
     """
-    worst, _ = _cell_uniformity(require_density(rho), family)
-    return worst <= ASSUMPTION2_TOL, worst
-
-
-def _cell_uniformity(rho: np.ndarray, family: SpectralFamily) -> tuple[float, np.ndarray]:
-    """Worst deviation of :func:`check_assumption2` and the Lüders probabilities of a
-    validated rho, both read off  V* rho V  (its outcome blocks stand for P_i rho P_i).
-    Only callers that hold a dense rho reach it; the ensemble path starts from p(i)."""
     v = family.basis
-    m = v.conj().T @ rho @ v
+    m = v.conj().T @ require_density(rho) @ v
     p = np.add.reduceat(np.diagonal(m).real, family.starts)
     if p.min() < -1e-11:
         raise ValidationError(f"negative probability {p.min():.3e} (rho not PSD?)")
     p = np.clip(p, 0.0, None)
     dev = _outcome_blocks(m, family) - np.diag(np.repeat(p / family.degeneracies, family.degeneracies))
-    return float(np.sqrt(np.add.reduceat(np.sum(np.abs(dev) ** 2, axis=1), family.starts).max())), p
+    worst = float(np.sqrt(np.add.reduceat(np.sum(np.abs(dev) ** 2, axis=1), family.starts).max()))
+    return worst <= ASSUMPTION2_TOL, worst
 
 
 def _outcome_blocks(m: np.ndarray, family: SpectralFamily) -> np.ndarray:
@@ -349,22 +339,6 @@ def physical_conditional(u: np.ndarray, first: SpectralFamily, second: SpectralF
     return _two_time_traces(u, first, second) / first.degeneracies[:, None]
 
 
-def _povm_gram_factors(u: np.ndarray, first: SpectralFamily, second: SpectralFamily):
-    """Yield (i, j, Z*, Z) with  F(i, j) = Z* @ Z  for every pair of outcomes.
-
-    With  Z_i = W* U V_i V_i*  (V, W the family bases, V_i the columns of
-    outcome i), F(i, j) is the Gram matrix of the rows of Z_i in outcome
-    block j; the yielded factors are views of Z_i and its adjoint.
-    """
-    w_dag_u = second.basis.conj().T @ u
-    blocks = [slice(a, a + d) for a, d in zip(second.starts.tolist(), second.degeneracies.tolist())]
-    for i, v in enumerate(np.split(first.basis, first.starts[1:], axis=1)):
-        z = (w_dag_u @ v) @ v.conj().T
-        z_dag = z.conj().T
-        for j, rows in enumerate(blocks):
-            yield i, j, z_dag[:, rows], z[rows]
-
-
 def povm_elements(u: np.ndarray, first: SpectralFamily, second: SpectralFamily) -> np.ndarray:
     """Two-time POVM  F(i, j) = P_i U* Q_j U P_i  on the initial space.
 
@@ -372,31 +346,33 @@ def povm_elements(u: np.ndarray, first: SpectralFamily, second: SpectralFamily) 
     identity (enforced within ``POVM_COMPLETENESS_TOL``); together they
     reproduce the joint probabilities via p(i, j) = Tr(rho F(i, j))
     whenever the initial state satisfies the cell-uniformity assumption
-    checked by :func:`check_assumption2`.  Costs O(k1 dim^3); beyond the
-    (k1, k2, dim, dim) result, a few dim x dim matrices are live at a time.
+    checked by :func:`check_assumption2`.  With  Z_i = W* U V_i V_i*  (V, W
+    the family bases, V_i the columns of outcome i), F(i, j) is the Gram
+    matrix of the rows of Z_i in outcome block j.  Costs O(k1 dim^3); beyond
+    the (k1, k2, dim, dim) result, a few dim x dim matrices are live at a time.
     """
     u = require_unitary(u)
     f = np.empty((first.n_outcomes, second.n_outcomes, u.shape[0], u.shape[0]), dtype=complex)
-    for i, j, z_dag, z in _povm_gram_factors(u, first, second):
-        np.matmul(z_dag, z, out=f[i, j])
-    dev = povm_completeness_deviation(f)
+    w_dag_u = second.basis.conj().T @ u
+    blocks = [slice(a, a + d) for a, d in zip(second.starts.tolist(), second.degeneracies.tolist())]
+    for i, v in enumerate(np.split(first.basis, first.starts[1:], axis=1)):
+        z = (w_dag_u @ v) @ v.conj().T
+        z_dag = z.conj().T
+        for j, rows in enumerate(blocks):
+            np.matmul(z_dag[:, rows], z[rows], out=f[i, j])
+    dev = float(np.abs(f.sum(axis=(0, 1)) - np.eye(u.shape[0])).max())
     if dev > POVM_COMPLETENESS_TOL:
         raise ValidationError(f"POVM does not resolve the identity (deviation {dev:.3e})")
     return f
 
 
-def povm_completeness_deviation(elements: np.ndarray) -> float:
-    """Max-entry deviation of  sum_{i,j} F(i,j)  from the identity."""
-    total = np.asarray(elements).sum(axis=(0, 1))
-    return float(np.abs(total - np.eye(total.shape[0])).max())
-
-
 def streamed_completeness_deviation(u: np.ndarray, first: SpectralFamily,
                                     second: SpectralFamily) -> float:
-    """:func:`povm_completeness_deviation` of :func:`povm_elements` without the
-    (k1, k2, dim, dim) stack.  The sum over j of P_i U* Q_j U P_i is P_i U* W W* U P_i,
-    so the total is  V mask(A* A) V*  with A = W* U V (V, W the family bases) and the
-    mask keeping the first family's outcome blocks: five dim x dim products, no loop."""
+    """Max-entry deviation of  sum_{i,j} F(i, j)  of :func:`povm_elements` from the
+    identity, without the (k1, k2, dim, dim) stack.  The sum over j of P_i U* Q_j U P_i
+    is P_i U* W W* U P_i, so the total is  V mask(A* A) V*  with A = W* U V (V, W the
+    family bases) and the mask keeping the first family's outcome blocks: five dim x dim
+    products, no loop."""
     u = require_unitary(u)
     v = first.basis
     a = second.basis.conj().T @ (u @ v)
@@ -410,8 +386,8 @@ def build_joint_model(p, u: np.ndarray, first: SpectralFamily, second: SpectralF
 
     Such a state satisfies the cell-uniformity assumption (:func:`check_assumption2`)
     by construction and is fixed by ``p``, so no density matrix is needed; a caller
-    that holds a dense rho checks it with :func:`check_assumption2` and reads
-    ``p`` off :func:`luders_probabilities`.  Every p(i) must be positive.
+    that holds a dense rho checks it with :func:`check_assumption2` and takes
+    p(i) = Tr(rho P_i).  Every p(i) must be positive.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (first.n_outcomes,):
@@ -489,6 +465,9 @@ class BlochCurvePoint:
 
 def bloch_curve(p: float, lam: float, alpha: float = 0.0) -> BlochCurvePoint:
     """Evaluate the fixed-diagonal one-qubit curve at coherence ``lam``."""
+    for name, value in (("lam", lam), ("alpha", alpha)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} = {value} must be finite")
     if not 0.0 < p < 1.0:
         raise ValidationError(f"p = {p} must lie strictly between 0 and 1")
     lam_max = float(np.sqrt(p * (1.0 - p)))

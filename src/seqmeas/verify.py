@@ -49,9 +49,9 @@ FAULT_SIZE = 1e-3
 FAMILIES = ("local_canonical", "microcanonical", "grand_canonical", "periodic_thermo")
 
 
-def _random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
+def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().T)
 
 
 def random_config(family: str, rng: np.random.Generator, index: int):
@@ -109,10 +109,10 @@ def random_model(family: str, seed, index: int = 0) -> EnsembleReport:
     return generate(config, u)
 
 
-def fault_injection_check(report: EnsembleReport, fault: float = FAULT_SIZE) -> float:
+def fault_injection_check(report: EnsembleReport) -> float:
     """Sensitivity probe: perturb one conditional entry and rescan.
 
-    The entry with the largest headroom gets ``fault`` added, the row is
+    The entry with the largest headroom gets ``FAULT_SIZE`` added, the row is
     renormalized, and the indicator-vector scan (equivalently the
     column-sum deviation of the modified doubly stochastic condition)
     reports the largest resulting identity violation.  A healthy checker
@@ -120,12 +120,12 @@ def fault_injection_check(report: EnsembleReport, fault: float = FAULT_SIZE) -> 
     """
     model = report.model
     pi = conditional(model)
-    # the column-j0 deviation is fault * d(i0) (1 - pi[i0,j0]) / D(j0);
+    # the column-j0 deviation is FAULT_SIZE * d(i0) (1 - pi[i0,j0]) / D(j0);
     # pick the entry maximizing that predicted response
     response = model.d[:, None] * (1.0 - pi) / model.D[None, :]
     i0, j0 = np.unravel_index(int(np.argmax(response)), pi.shape)
     perturbed = pi.copy()
-    perturbed[i0, j0] += fault
+    perturbed[i0, j0] += FAULT_SIZE
     perturbed[i0] /= perturbed[i0].sum()
     column_dev = np.abs(perturbed.T @ model.d / model.D - 1.0)
     return float(np.max(column_dev))

@@ -127,19 +127,6 @@ def first_marginal(sigma: float, n_x: int = DEFAULT_N_X, n_p: int = DEFAULT_N_P)
                           mass_deficit=max(0.0, 1.0 - float(p.sum())))
 
 
-def evolved_cell_state(nu: int, n: int, t: float, x):
-    """Wavefunction of the freely evolved cell state |nu, n, t> at positions x."""
-    x = np.asarray(x, dtype=float)
-    if t < 0:
-        raise ValidationError("t must be nonnegative")
-    if t == 0:
-        inside = (x >= nu) & (x <= nu + 1)
-        return np.where(inside, np.exp(2j * math.pi * n * x), 0.0j)
-    pref = 0.5j * np.exp(-2j * math.pi * n * (math.pi * n * t - x))
-    drift = 2.0 * math.pi * n * t
-    return pref * (erfi_line(nu + drift - x, t) - erfi_line(nu + 1.0 + drift - x, t))
-
-
 def _erfi_grid(k_values: np.ndarray, d_values: np.ndarray, t: float) -> np.ndarray:
     """F[k, d] = erfi((1 + i)(2 pi k t + d) / (2 sqrt(t))); d-major, so a d window is one block."""
     args = 2.0 * math.pi * t * k_values[None, :] + d_values[:, None]
@@ -283,33 +270,6 @@ def second_marginal(sigma: float, t: float, n_x: int = DEFAULT_N_X, n_p: int = D
                 out[d - d_lo: d - d_lo + rows, ::-1] += summed[rows:]
     return TruncatedTable(table=out, first_index=mu_values, second_index=n_values,
                           mass_deficit=max(0.0, 1.0 - float(out.sum())))
-
-
-@dataclass(frozen=True)
-class WavepacketConfig:
-    """Window and tolerance settings of the free-wavepacket example.
-
-    ``mass_tolerance`` bounds the first-marginal mass deficit of the
-    window; construction fails when the window captures less.
-    """
-
-    sigma: float = 1.0
-    t: float = 1.0
-    n_x: int = DEFAULT_N_X
-    n_p: int = DEFAULT_N_P
-    mass_tolerance: float = 1e-4
-
-    def __post_init__(self):
-        require_positive("sigma", self.sigma)
-        require_positive("t", self.t)
-        if self.n_x < 1 or self.n_p < 1:
-            raise ValidationError("window parameters must be positive integers")
-        deficit = first_marginal(self.sigma, self.n_x, self.n_p).mass_deficit
-        if deficit > self.mass_tolerance:
-            raise ValidationError(
-                f"window (n_x={self.n_x}, n_p={self.n_p}) captures only 1 - {deficit:.3e} "
-                f"of the state; enlarge it or raise mass_tolerance={self.mass_tolerance:g}"
-            )
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 
 Two oracles of the spectral families live here: ``joint_refinement``, the
 multi-operator joint eigendecomposition, and ``projections``, the dense
-eigenprojections of a family.
+eigenprojections of a family.  Two more are built on them:
+``luders_probabilities``, the outcome probabilities Tr(rho P_i) of a dense
+state, and ``completeness_deviation``, how far a two-time POVM stack is
+from resolving the identity.
 
 The other recurring need is a joint table whose conditional satisfies the
 cell-weighted column condition  sum_i pi(j|i) d(i) = D(j)  exactly (up to
@@ -76,6 +79,17 @@ def joint_refinement(ops) -> SpectralFamily:
 def projections(family: SpectralFamily) -> np.ndarray:
     """The dense (n_outcomes, dim, dim) eigenprojections of a family, built from its basis."""
     return np.array([v @ v.conj().T for v in np.split(family.basis, family.starts[1:], axis=1)])
+
+
+def luders_probabilities(rho: np.ndarray, family: SpectralFamily) -> np.ndarray:
+    """Outcome probabilities  p(i) = Tr(rho P_i)  from the dense projections."""
+    return np.einsum("kab,ba->k", projections(family), rho).real
+
+
+def completeness_deviation(elements: np.ndarray) -> float:
+    """Max-entry deviation of  sum_{i,j} F(i, j)  from the identity."""
+    total = elements.sum(axis=(0, 1))
+    return float(np.abs(total - np.eye(total.shape[0])).max())
 
 
 def sinkhorn(a: np.ndarray, iters: int = 400) -> np.ndarray:

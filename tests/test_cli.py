@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqmeas import __version__, cli, ensembles
+from seqmeas import __version__, cli, ensembles, wavepacket
 from seqmeas.cli import config_hash, main
 from seqmeas.quantum import operator_to_json_dict
 
@@ -218,6 +218,22 @@ def test_missing_json_keys_are_named(tmp_path, capsys, command, data, message):
     assert report["error"] == message
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"q": [0.5, "x"]}, "q: could not convert string to float: 'x'"),
+    ({"q": [0.4, 10 ** 400]}, "q: int too large to convert to float"),
+    ({"model": MODEL | {"p_table": [[0.5, "x"], [0.25, 0.25]]}}, "p_table: could not convert string to float: 'x'"),
+    ({"model": MODEL | {"d": ["a", 1]}}, "d: could not convert string to float: 'a'"),
+    ({"model": MODEL | {"D": [1, "a"]}}, "D: could not convert string to float: 'a'"),
+], ids=["q", "q-huge-int", "p_table", "d", "D"])
+def test_non_numeric_json_entries_are_named(tmp_path, capsys, change, message):
+    cfg = tmp_path / "input.json"
+    cfg.write_text(json.dumps({"model": MODEL, "q": [0.4, 0.6]} | change))
+    code, report = run_cli(capsys, "--output-dir", str(tmp_path), "crooks", "--config", str(cfg))
+    assert code == 2
+    assert report["error_type"] == "ValidationError"
+    assert report["error"] == message
+
+
 def test_ensemble_impossible_tolerance(tmp_path, capsys, monkeypatch):
     """The gate compares |lhs - 1| with --tol-jarzynski; lhs is pinned, so rounding cannot decide."""
     generate = ensembles.generate
@@ -247,7 +263,7 @@ def test_wavepacket_command(tmp_path, capsys):
     assert code == 0
     checks = report["checks"]
     assert checks == {"asymmetry_pair": True, "entropy_gap_positive": True,
-                      "entropy_nondecreasing": True, "mass_within_tolerance": True}
+                      "entropy_nondecreasing": True}
     summary = report["summary"]
     assert summary["asymmetry_pair"]["p_1_1_given_0_0"] == pytest.approx(
         0.0048394632170430931, rel=1e-10)
@@ -265,7 +281,10 @@ def test_wavepacket_command(tmp_path, capsys):
     assert float(first[2]) == pytest.approx(summary["curve"][0]["s_phat"], rel=1e-15)
 
 
-def test_wavepacket_rejects_undersized_window(tmp_path, capsys):
+def test_wavepacket_window_must_capture_the_mass_tolerance(tmp_path, capsys):
+    """The default window meets the default bound; n_p = 128 misses 1e-4 but meets 1e-3."""
+    args = cli.build_parser().parse_args(["wavepacket"])
+    assert wavepacket.first_marginal(args.sigma, args.n_x, args.n_p).mass_deficit <= args.mass_tolerance
     code, report = run_cli(
         capsys, "--output-dir", str(tmp_path), "wavepacket",
         "--t-grid", "0.01", "--n-p", "128")
@@ -273,6 +292,27 @@ def test_wavepacket_rejects_undersized_window(tmp_path, capsys):
     assert report["error_type"] == "ValidationError"
     assert "captures only" in report["error"]
     assert report["passed"] is False
+    code, report = run_cli(
+        capsys, "--output-dir", str(tmp_path), "wavepacket",
+        "--t-grid", "0.01", "--n-x", "4", "--n-p", "128", "--kernel-halfwidth", "4",
+        "--mass-tolerance", "1e-3")
+    assert code == 0
+
+
+def test_wavepacket_checks_every_time_before_any_second_marginal(tmp_path, capsys, monkeypatch):
+    calls = []
+    inner = wavepacket.second_marginal
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(wavepacket, "second_marginal", counted)
+    code, report = run_cli(capsys, "--output-dir", str(tmp_path), "wavepacket", "--t-grid", "0.05,-1")
+    assert calls == []
+    assert code == 2
+    assert report["error_type"] == "ValidationError"
+    assert report["error"].startswith("t = -1.0 must be positive")
 
 
 def test_wavepacket_rejects_negative_kernel_halfwidth(tmp_path, capsys):
@@ -311,7 +351,6 @@ def test_wavepacket_second_marginal_deficit_is_logged(tmp_path, capsys, caplog):
     assert record.levelno == logging.WARNING
     assert f"{deficit:.4g}" in record.getMessage()
     assert "exceeds 0.01" in record.getMessage()
-    assert report["checks"]["mass_within_tolerance"] is True
 
 
 # ---------------------------------------------------------------- classical
@@ -385,9 +424,23 @@ def test_classical_rejects_non_finite_parameters(tmp_path, capsys, argv, named):
     (["wavepacket", "--t-min", "0"], "t_min = 0.0"),
     (["wavepacket", "--t-min", "-1"], "t_min = -1.0"),
     (["wavepacket", "--t-max", "nan"], "t_max = nan"),
+    (["wavepacket", "--t-grid", "1e-3,abc"], "t_grid = '1e-3,abc': could not convert string to float: 'abc'"),
+    (["wavepacket", "--t-grid", "nan"], "t = nan"),
+    (["wavepacket", "--t-grid", "inf"], "t = inf"),
+    (["wavepacket", "--t-grid=-inf"], "t = -inf"),
+    (["wavepacket", "--t-grid", "0"], "t = 0.0"),
+    (["wavepacket", "--t-grid", "0.01,-0.5"], "t = -0.5"),
+    (["wavepacket", "--sigma", "nan"], "sigma = nan"),
+    (["wavepacket", "--sigma", "-1"], "sigma = -1.0"),
+    (["wavepacket", "--n-x", "0"], "n_x = 0"),
+    (["wavepacket", "--n-p", "0"], "n_p = 0"),
+    (["wavepacket", "--mass-tolerance", "nan"], "mass_tolerance = nan"),
 ], ids=["classical-seed", "verify-seed", "verify-n-models-negative", "verify-n-models-zero",
         "ramp-steps", "ramp-omega0-tiny", "quench-omega0-tiny", "beta-tiny", "wavepacket-empty-grid",
-        "wavepacket-no-points", "wavepacket-t-min-0", "wavepacket-t-min-negative", "wavepacket-t-max-nan"])
+        "wavepacket-no-points", "wavepacket-t-min-0", "wavepacket-t-min-negative", "wavepacket-t-max-nan",
+        "wavepacket-t-grid-non-numeric", "wavepacket-t-nan", "wavepacket-t-inf", "wavepacket-t-neginf",
+        "wavepacket-t-zero", "wavepacket-t-negative", "wavepacket-sigma-nan", "wavepacket-sigma-negative",
+        "wavepacket-n-x-zero", "wavepacket-n-p-zero", "wavepacket-mass-tolerance-nan"])
 def test_out_of_range_inputs_exit_2_naming_the_parameter_without_warnings(tmp_path, capsys, argv,
                                                                            named):
     with warnings.catch_warnings(record=True) as seen:

@@ -31,11 +31,9 @@ from seqmeas.quantum import (
     haar_unitary,
     hermitian_function,
     joint_diagonalize,
-    luders_probabilities,
     operator_from_json_dict,
     operator_to_json_dict,
     physical_conditional,
-    povm_completeness_deviation,
     povm_elements,
     require_density,
     require_hermitian,
@@ -46,7 +44,7 @@ from seqmeas.quantum import (
 from seqmeas import quantum, verify
 from seqmeas.verify import DEFAULT_TOLERANCES, FAMILIES, random_model
 
-from conftest import joint_refinement, projections
+from conftest import completeness_deviation, joint_refinement, luders_probabilities, projections
 
 
 def random_commuting_pair(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -352,7 +350,7 @@ def test_povm_reproduces_joint_probabilities(seed, dim):
     second = random_family(rng, dim)
     u = haar_unitary(dim, rng)
     f = povm_elements(u, first, second)
-    assert povm_completeness_deviation(f) <= 1e-11
+    assert completeness_deviation(f) <= 1e-11
     # every element is positive semidefinite
     for i in range(f.shape[0]):
         for j in range(f.shape[1]):
@@ -457,15 +455,15 @@ def test_build_joint_model_rejects_wrong_length_probabilities(rng):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_corpus_model_builds_no_density_matrix(monkeypatch, family):
     """The ensemble path starts from p(i): no density validation (a full eigvalsh) and no
-    Lüders trace of a dense rho."""
-    calls = {"require_density": 0, "_cell_uniformity": 0}
+    cell-uniformity check of a dense rho."""
+    calls = {"require_density": 0, "check_assumption2": 0}
     for name in calls:
         def counted(*args, _inner=getattr(quantum, name), _name=name):
             calls[_name] += 1
             return _inner(*args)
         monkeypatch.setattr(quantum, name, counted)
     random_model(family, np.random.SeedSequence(11), 1)
-    assert calls == {"require_density": 0, "_cell_uniformity": 0}
+    assert calls == {"require_density": 0, "check_assumption2": 0}
 
 
 # ----------------------------------------------------------- time reversal
@@ -502,6 +500,15 @@ def test_bloch_curve_validation():
         bloch_curve(0.0, 0.0)
     with pytest.raises(ValidationError):
         bloch_curve(0.3, 0.9)  # beyond sqrt(p(1-p))
+
+
+@pytest.mark.parametrize("lam, alpha, named", [
+    (math.nan, 0.0, "lam = nan"), (0.3, math.nan, "alpha = nan"), (0.3, math.inf, "alpha = inf"),
+], ids=["lam-nan", "alpha-nan", "alpha-inf"])
+def test_bloch_curve_rejects_non_finite_parameters(lam, alpha, named):
+    """No silent result: a NaN lam would give entropy 0 with a NaN rho, an infinite alpha a warning."""
+    with pytest.raises(ValidationError, match=named):
+        bloch_curve(0.3, lam, alpha)
 
 
 def test_bloch_curve_matches_direct_diagonalization():
@@ -596,7 +603,7 @@ def test_streamed_povm_completeness_matches_the_element_stack(family):
         report = random_model(family, np.random.SeedSequence([17, index]), index)
         args = (report.u, report.first_family, report.second_family)
         assert streamed_completeness_deviation(*args) == pytest.approx(
-            povm_completeness_deviation(povm_elements(*args)), rel=0, abs=1e-14)
+            completeness_deviation(povm_elements(*args)), rel=0, abs=1e-14)
 
 
 def test_six_mode_corpus_checks_stream_the_povm():

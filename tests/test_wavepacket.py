@@ -21,11 +21,8 @@ from seqmeas import wavepacket
 from seqmeas.model import ValidationError
 from seqmeas.wavepacket import (
     SQRT_PI,
-    DEFAULT_N_P,
-    DEFAULT_N_X,
     EntropyCurvePoint,
     TruncatedTable,
-    WavepacketConfig,
     _diagonal_bracket,
     _erfi_grid,
     _inverse_square,
@@ -35,7 +32,6 @@ from seqmeas.wavepacket import (
     entropy_curve,
     entropy_curve_csv,
     erfi_line,
-    evolved_cell_state,
     first_marginal,
     scaled_erf_segment,
     second_marginal,
@@ -155,6 +151,18 @@ def test_first_marginal_momentum_tail_model():
 # ------------------------------------------------------------- evolved cells
 
 
+def evolved_cell_state(nu: int, n: int, t: float, x):
+    """Oracle of ``transition_amplitude``: the freely evolved cell state |nu, n, t> at positions x,
+    in closed form on the pi/4 line (checked against the propagator by quadrature below)."""
+    x = np.asarray(x, dtype=float)
+    if t == 0:
+        inside = (x >= nu) & (x <= nu + 1)
+        return np.where(inside, np.exp(2j * math.pi * n * x), 0.0j)
+    pref = 0.5j * np.exp(-2j * math.pi * n * (math.pi * n * t - x))
+    drift = 2.0 * math.pi * n * t
+    return pref * (erfi_line(nu + drift - x, t) - erfi_line(nu + 1.0 + drift - x, t))
+
+
 def test_evolved_cell_state_t0_is_the_cell():
     x = np.array([-0.5, 0.25, 0.75, 1.5])
     got = evolved_cell_state(0, 3, 0.0, x)
@@ -182,11 +190,6 @@ def test_evolved_cell_state_norm_with_tail_model():
     norm = float(np.trapezoid(np.abs(phi) ** 2, xs))
     tail = 2.0 * t / (math.pi * (d + 0.5))
     assert abs((1.0 - norm) - tail) < 0.1 * tail
-
-
-def test_evolved_cell_state_rejects_negative_time():
-    with pytest.raises(ValidationError):
-        evolved_cell_state(0, 0, -0.1, np.array([0.0]))
 
 
 # ------------------------------------------------------ transition amplitudes
@@ -475,15 +478,9 @@ def test_second_marginal_accepts_zero_sizes():
     (lambda: first_marginal(1.0, -2, 48), "n_x = -2"),
     (lambda: first_marginal(1.0, 4, -1), "n_p = -1"),
     (lambda: first_marginal(math.nan, 4, 48), "sigma = nan"),
-    (lambda: WavepacketConfig(t=math.nan), "t = nan"),
-    (lambda: WavepacketConfig(t=math.inf), "t = inf"),
-    (lambda: WavepacketConfig(t=-math.inf), "t = -inf"),
-    (lambda: WavepacketConfig(t=0.0), "t = 0.0"),
-    (lambda: WavepacketConfig(sigma=math.nan), "sigma = nan"),
 ], ids=["erfi_line-t-nan", "erfi_line-t-inf", "second_marginal-t-nan", "second_marginal-t-inf",
         "second_marginal-t-neginf", "entropy_curve-t-nan", "second_marginal-kernel_halfwidth",
-        "second_marginal-n_x", "first_marginal-n_x", "first_marginal-n_p", "first_marginal-sigma",
-        "config-t-nan", "config-t-inf", "config-t-neginf", "config-t-zero", "config-sigma-nan"])
+        "second_marginal-n_x", "first_marginal-n_x", "first_marginal-n_p", "first_marginal-sigma"])
 def test_wavepacket_edges_raise_validation_errors_naming_the_parameter(call, name):
     with pytest.raises(ValidationError, match=name):
         call()
@@ -555,20 +552,3 @@ def test_entropy_curve_csv_format():
     cells = lines[1].split(",")
     assert float(cells[0]) == 0.1 and float(cells[2]) == 1.5
     assert cells[5] == "8" and cells[6] == "512"
-
-
-# ---------------------------------------------------------------- config type
-
-
-def test_wavepacket_config_invariant():
-    cfg = WavepacketConfig()  # defaults must satisfy their own mass bound
-    assert cfg.n_x == DEFAULT_N_X and cfg.n_p == DEFAULT_N_P
-    with pytest.raises(ValidationError, match="captures only"):
-        WavepacketConfig(n_p=128)
-    with pytest.raises(ValidationError, match="sigma"):
-        WavepacketConfig(sigma=-1.0)
-    with pytest.raises(ValidationError, match="t = -0.5 must be positive"):
-        WavepacketConfig(t=-0.5)
-    # a looser bound admits the smaller window
-    ok = WavepacketConfig(n_p=128, mass_tolerance=1e-3)
-    assert ok.n_p == 128
