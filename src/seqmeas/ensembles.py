@@ -1,24 +1,30 @@
 """Thermodynamic ensemble realizations of the two-measurement model.
 
-Each generator builds a concrete (initial state, unitary, first family,
+Each family builds a concrete (initial state, unitary, first family,
 second family) quadruple plus the matching reference distribution q on
 the second outcomes, and wraps the resulting statistics into a report:
 
-* ``local_canonical_model``  -- product of canonical subsystem states,
+* ``LocalCanonicalConfig``  -- product of canonical subsystem states,
   measured subsystem energies at both times; the expectation identity
   becomes the multi-bath work relation
   < exp(-sum_mu beta_mu (w_mu - dF_mu)) > = 1.
-* ``microcanonical_model``   -- Gaussian energy-window state; the identity
+* ``MicrocanonicalConfig``  -- Gaussian energy-window state; the identity
   links the window weights at both times through dF = -d ln(norm).
-* ``grand_canonical_model``  -- fermionic Fock space over M modes with a
+* ``GrandCanonicalConfig``  -- fermionic Fock space over M modes with a
   number operator in both families;
   < exp(-beta (dE - mu dN - dOmega)) > = 1.
-* ``periodic_thermo_model``  -- system with nondegenerate quasi-energies
+* ``PeriodicThermoConfig``  -- system with nondegenerate quasi-energies
   (defined modulo the driving frequency, hence an effective temperature
   parameter theta of unconstrained sign) coupled to a canonical bath;
   < exp(-theta e - beta q) > = 1 for quasi-energy and bath-heat changes.
 
-Every family follows one pass.  Its log weight maps the whole array of
+Every family follows one pass, run on stacks: :func:`generate_stack` takes
+a bucket of configs of one kind and shape and runs each step once for all
+of them, on arrays with a leading model axis (stacked ``eigh``, batched
+products, sums along the model axis).  After the stacked ``eigh`` the
+bucket splits by cut pattern, so a degenerate model is a sub-bucket of its
+own.  :func:`generate` is the stack of one, so a single model and the
+corpus run the same code.  Its log weight maps the whole array of
 eigenvalue tuples to log weights in one array expression; one
 ``ensemble_state`` call per time shifts them by their maximum, normalizes
 once and reports the log normalization, so partition-function-like
@@ -29,8 +35,10 @@ and its Jensen value < -ln y > all read it.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from types import SimpleNamespace
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -42,14 +50,18 @@ from .model import (
     entropy_gap,
     group_levels,
     j_ratio,
+    ragged_sums,
+    require_each,
     require_key,
     require_positive,
+    validated,
 )
 from .quantum import (
     SpectralFamily,
     build_joint_model,
     ensemble_state,
     joint_diagonalize,
+    one_matrix,
     operator_from_json_dict,
     operator_to_json_dict,
     product_family,
@@ -65,10 +77,25 @@ EXPONENT_CONSISTENCY_TOL = 1e-10
 
 def _mode_count(h) -> int:
     """M of an M x M one-particle matrix, within the supported 1..12 modes (2^M Fock states)."""
-    m = np.shape(h)[0] if np.ndim(h) else 0
+    m = np.shape(h)[-1] if np.ndim(h) else 0
     if not 1 <= m <= 12:
         raise ValidationError(f"n_modes = {m} outside the supported range 1..12")
     return m
+
+
+@functools.lru_cache(maxsize=12)
+def _fock_terms(m: int) -> tuple:
+    """The Jordan-Wigner terms of  sum_ab h_ab c_a* c_b  on 2^m Fock states, as read-only
+    (row, column, a, b, sign) index arrays in the order of the sum, and the particle number
+    of every Fock index.  They depend on m alone, so each mode count builds them once."""
+    occ = (np.arange(2 ** m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    before = np.cumsum(occ, axis=1) - occ  # occupied modes ahead of each mode
+    k, a, b = np.nonzero(occ[:, None, :] & ((1 - occ[:, :, None]) | np.eye(m, dtype=int)))
+    terms = (k + (1 << (m - 1 - a)) - (1 << (m - 1 - b)), k, a, b,
+             1 - 2 * ((before[k, a] + before[k, b] + (b < a)) & 1), occ.sum(axis=1))
+    for arr in terms:
+        arr.setflags(write=False)
+    return terms
 
 
 def lift_one_particle(h: np.ndarray) -> np.ndarray:
@@ -77,15 +104,13 @@ def lift_one_particle(h: np.ndarray) -> np.ndarray:
     Mode a is occupied in index k when bit M - 1 - a is set (Jordan-Wigner order); c_a* c_b
     moves a particle from mode b to empty mode a, signed by the parity of the particles passed.
     Built in O(M^2 dim), summed in the order of the sum, H equals the dense product exactly.
+    A stack of one-particle matrices (B, M, M) lifts to a stack (B, 2^M, 2^M).
     """
     m = _mode_count(h)
     h = require_hermitian(h, "one-particle h")
-    occ = (np.arange(2 ** m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
-    before = np.cumsum(occ, axis=1) - occ  # occupied modes ahead of each mode
-    k, a, b = np.nonzero(occ[:, None, :] & ((1 - occ[:, :, None]) | np.eye(m, dtype=int)))
-    out = np.zeros((2 ** m, 2 ** m), dtype=complex)
-    np.add.at(out, (k + (1 << (m - 1 - a)) - (1 << (m - 1 - b)), k),
-              h[a, b] * (1 - 2 * ((before[k, a] + before[k, b] + (b < a)) & 1)))
+    rows, columns, a, b, signs, _ = _fock_terms(m)
+    out = np.zeros(h.shape[:-2] + (2 ** m, 2 ** m), dtype=complex)
+    np.add.at(out, (..., rows, columns), h[..., a, b] * signs)
     return out
 
 
@@ -119,7 +144,7 @@ class _ConfigCodec:
         shapes = {}
         for f in fields(self):
             for name, h in f.metadata.get("operators", lambda *_: ())(f.name, getattr(self, f.name)):
-                shapes[name] = require_hermitian(h, name).shape
+                shapes[name] = one_matrix(require_hermitian(h, name), name).shape
                 before = name.replace("h_t1", "h_t0")
                 if shapes[name] != shapes.get(before, shapes[name]):
                     raise ValidationError(f"{name} has shape {shapes[name]} but {before} has {shapes[before]}")
@@ -270,6 +295,9 @@ class EnsembleReport:
     recomputes < exp(-X) > from the grouped levels and must agree with
     ``jarzynski_lhs``.  ``quantities`` carries the family-specific
     labeled numbers (mean works, free-energy-like differences, ...).
+    A stacked report (from :func:`generate_stack`) holds B models: every
+    field has a leading model axis, the model and histograms are stacks;
+    :meth:`take` gives one model's report.
     """
 
     family_kind: str
@@ -287,6 +315,24 @@ class EnsembleReport:
     first_family: SpectralFamily
     second_family: SpectralFamily
     u: np.ndarray
+
+    def take(self, b: int) -> "EnsembleReport":
+        """Model ``b`` of a stacked report, as a report of its own (the table labeled by tuples)."""
+        first, second = self.first_family.take(b), self.second_family.take(b)
+        numbers = ("jarzynski_lhs", "jensen_lhs", "entropy_gap", "histogram_identity")
+        return replace(
+            self,
+            **{name: float(getattr(self, name)[b]) for name in numbers},
+            model=validated(JointModel, p_table=self.model.p_table[b], d=self.model.d, D=self.model.D,
+                            labels_i=first.labels(), labels_j=second.labels()),
+            q=self.q[b],
+            exponent_histogram=self.exponent_histogram.take(b),
+            work_histogram=self.work_histogram.take(b),
+            quantities={k: float(v[b]) for k, v in self.quantities.items()},
+            first_family=first,
+            second_family=second,
+            u=self.u[b],
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -316,13 +362,14 @@ def _assemble_report(
     u: np.ndarray,
     log_weight: Callable[[np.ndarray], np.ndarray],
     work_value: Callable[[np.ndarray], np.ndarray],
-    labeled: Callable[[float, float, list[float]], dict],
+    labeled: Callable[[np.ndarray, np.ndarray, list[np.ndarray]], dict],
 ) -> EnsembleReport:
-    """Shared glue: one pass from log weights to the report.
+    """Shared glue: one pass from log weights to the stacked report of a bucket.
 
-    ``log_weight`` maps the (k, n_components) eigenvalue tuples of either
-    family to the (k,) raw log weights of the ensemble; each family's
-    weights are evaluated once and normalized once by ``ensemble_state``.
+    Every array carries a leading model axis B.  ``log_weight`` maps the
+    (B, k, n_components) eigenvalue tuples of either family to the (B, k)
+    raw log weights of the ensemble; each family's weights are evaluated
+    once and normalized once by ``ensemble_state``.
     The exponent of the fluctuation identity is
     X(i, j) = w0(E_i) - w1(F_j) + log_norm(t1) - log_norm(t0), the last two
     terms the free-energy-like change of the log normalizations.  The
@@ -330,43 +377,43 @@ def _assemble_report(
     against it, and ``jarzynski_lhs`` and ``jensen_lhs`` are the averages
     of y and of -ln y.
     ``work_value`` maps the tuple changes F_j - E_i, shape
-    (nI, nJ, n_components), to the (nI, nJ) values of the plain work
+    (B, nI, nJ, n_components), to the (B, nI, nJ) values of the plain work
     histogram.  ``labeled`` maps the two log normalizations and the mean
-    change of every tuple component to the family's labeled quantities; a
-    ``jensen_combination`` among them must match the generic Jensen value.
+    change of every tuple component, each (B,), to the family's labeled
+    quantities; a ``jensen_combination`` among them must match the generic
+    Jensen value.
     """
     lw0, lw1 = log_weight(first.eigen_tuples), log_weight(second.eigen_tuples)
     state, qstate = ensemble_state(first, lw0), ensemble_state(second, lw1)
     q = qstate.probabilities
     model = build_joint_model(state.probabilities, u, first, second)
 
-    x = (lw0[:, None] - lw1[None, :]) + (qstate.log_norm - state.log_norm)
+    x = (lw0[..., :, None] - lw1[..., None, :]) + (qstate.log_norm - state.log_norm)[..., None, None]
     # cross-check: exp(-X) must equal the table ratio d q / (D p);
     # the ratio spans many orders of magnitude, so compare relatively
     y = j_ratio(model, q)
-    dev = float((np.abs(np.exp(-x) - y) / np.maximum(y, 1.0)).max())
-    if dev > EXPONENT_CONSISTENCY_TOL:
-        raise ValidationError(f"physical exponent inconsistent with table ratio (deviation {dev:.3e})")
+    dev = (np.abs(np.exp(-x) - y) / np.maximum(y, 1.0)).max(axis=(-2, -1))
+    require_each(dev <= EXPONENT_CONSISTENCY_TOL, ValidationError,
+                 lambda b: f"physical exponent inconsistent with table ratio (deviation {dev[b]:.3e})")
     # every first outcome has positive probability, so y is finite and the
     # zero cells of the table contribute nothing
-    mask = model.p_table > 0.0
-    jarzynski = float(np.sum(model.p_table * y))
-    jensen = math.inf if np.any(mask & (y <= 0)) else \
-        float(-np.sum(model.p_table * np.log(np.where(mask & (y > 0), y, 1.0))))
-
-    flat_p = model.p_table.ravel()
-    changes = second.eigen_tuples[None, :, :] - first.eigen_tuples[:, None, :]
-    exp_hist = group_levels(x.ravel(), flat_p)
-    work_hist = group_levels(work_value(changes).ravel(), flat_p)
-    hist_identity = float(np.sum(exp_hist.probs * np.exp(-exp_hist.values)))
-    mean_changes = [float(np.sum(model.p_table * changes[:, :, k])) for k in range(changes.shape[2])]
-    quantities = {"mean_exponent": float(np.sum(model.p_table * x)),
+    table, cells = model.p_table, (-2, -1)
+    mask = table > 0.0
+    jarzynski = np.sum(table * y, axis=cells)
+    jensen = np.where(np.any(mask & (y <= 0), axis=cells), math.inf,
+                      -np.sum(table * np.log(np.where(mask & (y > 0), y, 1.0)), axis=cells))
+    changes = second.eigen_tuples[..., None, :, :] - first.eigen_tuples[..., :, None, :]
+    flat_p = table.reshape(len(table), -1)
+    exp_hist = group_levels(x.reshape(flat_p.shape), flat_p)
+    work_hist = group_levels(work_value(changes).reshape(flat_p.shape), flat_p)
+    hist_identity = ragged_sums(exp_hist.probs * np.exp(-exp_hist.values), exp_hist.counts)
+    mean_changes = [np.sum(table * changes[..., k], axis=cells) for k in range(changes.shape[-1])]
+    quantities = {"mean_exponent": np.sum(table * x, axis=cells),
                   **labeled(state.log_norm, qstate.log_norm, mean_changes)}
-    if "jensen_combination" in quantities and abs(quantities["jensen_combination"] - jensen) > 1e-9:
-        raise ValidationError(
-            f"labeled {kind} Jensen combination {quantities['jensen_combination']} "
-            f"disagrees with generic value {jensen}"
-        )
+    if "jensen_combination" in quantities:
+        combo = quantities["jensen_combination"]
+        require_each(np.abs(combo - jensen) <= 1e-9, ValidationError, lambda b:
+                     f"labeled {kind} Jensen combination {combo[b]} disagrees with generic value {jensen[b]}")
     return EnsembleReport(
         family_kind=kind,
         model=model,
@@ -384,47 +431,47 @@ def _assemble_report(
     )
 
 
-def local_canonical_model(cfg: LocalCanonicalConfig, u: np.ndarray) -> EnsembleReport:
+# Each family is two functions of its stacked config fields ``c`` (numbers (B,), operators
+# (B, n, n)): the (operator, [sectors]) arguments of every joint_diagonalize, and the
+# builder of (first, second, log_weight, work_value, labeled) from the families they give.
+
+def _local_canonical(c, factors):
     """Work relation for a product of canonical subsystems.
 
-    Builds the :func:`product_family` of the subsystem spectra at both times,
-    the product canonical state, and the reference q from the later spectra.
+    The :func:`product_family` of the subsystem spectra at both times, the
+    product canonical state, and the reference q from the later spectra.
     Reports per-subsystem mean work <w_mu>, free-energy changes
     dF_mu = F_mu(t1) - F_mu(t0), and the Jensen combination
     sum_mu beta_mu (<w_mu> - dF_mu) >= 0.  The subsystem partition functions,
     from the same factor spectra, are cross-checked against the joint norms.
     """
-    betas = np.asarray(cfg.betas, dtype=float)
-    factors = [[joint_diagonalize(h) for h in hs] for hs in (cfg.h_t0, cfg.h_t1)]
-    log_z0, log_z1 = ([ensemble_state(f, -b * f.eigen_tuples[:, 0]).log_norm for f, b in zip(fs, betas)]
-                      for fs in factors)
-    first, second = map(product_family, factors)
+    times = factors[:len(c.h_t0)], factors[len(c.h_t0):]
+    log_z0, log_z1 = ([ensemble_state(f, -c.betas[:, mu, None] * f.eigen_tuples[..., 0]).log_norm
+                       for mu, f in enumerate(fs)] for fs in times)
 
     def labeled(log_norm0, log_norm1, mean_works):
         # -sum_mu beta_mu dF_mu = ln Z(t1) - ln Z(t0)
-        offset = float(sum(log_z1) - sum(log_z0))
-        if abs(offset - (log_norm1 - log_norm0)) > 1e-9:
-            raise ValidationError(
-                f"normalization bookkeeping mismatch: offset {offset} vs {log_norm1 - log_norm0}"
-            )
+        offset = sum(log_z1) - sum(log_z0)
+        require_each(np.abs(offset - (log_norm1 - log_norm0)) <= 1e-9, ValidationError, lambda b:
+                     f"normalization bookkeeping mismatch: offset {offset[b]} vs {(log_norm1 - log_norm0)[b]}")
         # mean work and free-energy change per subsystem
         quantities = {}
         jensen_sum = 0.0
         for mu, mean_w in enumerate(mean_works):
-            d_f = float((-log_z1[mu] / betas[mu]) - (-log_z0[mu] / betas[mu]))
+            beta = c.betas[:, mu]
+            d_f = (-log_z1[mu] / beta) - (-log_z0[mu] / beta)
             quantities[f"mean_work_{mu}"] = mean_w
             quantities[f"delta_free_energy_{mu}"] = d_f
-            quantities[f"beta_{mu}"] = float(betas[mu])
-            jensen_sum += betas[mu] * (mean_w - d_f)
+            quantities[f"beta_{mu}"] = beta
+            jensen_sum += beta * (mean_w - d_f)
         quantities["jensen_combination"] = jensen_sum
         return quantities
 
-    return _assemble_report(cfg.kind, first, second, u, labeled=labeled,
-                            log_weight=lambda tuples: -(tuples @ betas),
-                            work_value=lambda changes: changes.sum(axis=2))
+    return (*map(product_family, times), lambda tuples: -(tuples @ c.betas[:, :, None])[..., 0],
+            lambda changes: changes.sum(axis=-1), labeled)
 
 
-def microcanonical_model(cfg: MicrocanonicalConfig, u: np.ndarray) -> EnsembleReport:
+def _microcanonical(c, families):
     """Fluctuation identity for Gaussian energy-window (microcanonical-like) states.
 
     The window weight is exp(-((energy - E)/width)^2); its log total
@@ -434,21 +481,24 @@ def microcanonical_model(cfg: MicrocanonicalConfig, u: np.ndarray) -> EnsembleRe
     """
     def labeled(log_norm0, log_norm1, mean_changes):
         return {
-            "energy": float(cfg.energy),
-            "width": float(cfg.width),
+            "energy": c.energy,
+            "width": c.width,
             "log_window_norm_t0": log_norm0,
             "log_window_norm_t1": log_norm1,
             # f(t) = -ln norm(t); df enters the exponent with a minus sign
             "delta_f": log_norm0 - log_norm1,
         }
 
-    return _assemble_report(cfg.kind, joint_diagonalize(cfg.h_t0), joint_diagonalize(cfg.h_t1),
-                            u, labeled=labeled,
-                            log_weight=lambda tuples: -(((cfg.energy - tuples[:, 0]) / cfg.width) ** 2),
-                            work_value=lambda changes: changes[:, :, 0])
+    return (*families, lambda tuples: -(((c.energy[:, None] - tuples[..., 0]) / c.width[:, None]) ** 2),
+            lambda changes: changes[..., 0], labeled)
 
 
-def grand_canonical_model(cfg: GrandCanonicalConfig, u: np.ndarray) -> EnsembleReport:
+def _number_sectors(c):
+    lifts = [lift_one_particle(h) for h in (c.h_t0, c.h_t1)]  # the lift checks the mode count
+    return [(lift, _fock_terms(c.h_t0.shape[-1])[-1]) for lift in lifts]
+
+
+def _grand_canonical(c, families):
     """Fermionic grand canonical identity  < exp(-beta (dE - mu dN - dOmega)) > = 1.
 
     Both families measure (H(t), N) on the 2^M Fock space; the grand
@@ -456,35 +506,29 @@ def grand_canonical_model(cfg: GrandCanonicalConfig, u: np.ndarray) -> EnsembleR
     at both times along with <dE>, <dN> and the Jensen combination.
 
     H(t) conserves N, whose eigenvalue at a Fock index is the popcount of its bits, so each
-    family is :func:`joint_diagonalize` of H(t) with those popcounts as sectors: one ``eigh``
-    per number sector.  Outcomes are N-major, energies ascending, with tuples (mean eigenvalue
-    of the cut, N).  Cost: sum_N C(M, N)^3 for the blocks and a few dim^3 products to check H.
+    family is :func:`joint_diagonalize` of the lifted H(t) with those popcounts as sectors: one
+    ``eigh`` per number sector, outcomes N-major with tuples (mean eigenvalue of the cut, N).
+    Cost: sum_N C(M, N)^3 for the blocks and a few dim^3 products to check H.
     """
     def labeled(log_norm0, log_norm1, mean_changes):
-        omega0, omega1 = -log_norm0 / cfg.beta, -log_norm1 / cfg.beta
+        omega0, omega1 = -log_norm0 / c.beta, -log_norm1 / c.beta
         mean_de, mean_dn = mean_changes
         return {
-            "beta": float(cfg.beta),
-            "mu": float(cfg.mu),
+            "beta": c.beta,
+            "mu": c.mu,
             "omega_t0": omega0,
             "omega_t1": omega1,
             "delta_omega": omega1 - omega0,
             "mean_delta_energy": mean_de,
             "mean_delta_number": mean_dn,
-            "jensen_combination": float(cfg.beta * (mean_de - cfg.mu * mean_dn - (omega1 - omega0))),
+            "jensen_combination": c.beta * (mean_de - c.mu * mean_dn - (omega1 - omega0)),
         }
 
-    def family(h):
-        big_h = lift_one_particle(h)  # checks the mode count before 2^M popcounts are built
-        popcounts = ((np.arange(len(big_h))[:, None] >> np.arange(len(h))) & 1).sum(axis=1)
-        return joint_diagonalize(big_h, popcounts)
-
-    return _assemble_report(cfg.kind, family(cfg.h_t0), family(cfg.h_t1), u, labeled=labeled,
-                            log_weight=lambda tuples: cfg.beta * (cfg.mu * tuples[:, 1] - tuples[:, 0]),
-                            work_value=lambda changes: changes[:, :, 0])
+    return (*families, lambda tuples: c.beta[:, None] * (c.mu[:, None] * tuples[..., 1] - tuples[..., 0]),
+            lambda changes: changes[..., 0], labeled)
 
 
-def periodic_thermo_model(cfg: PeriodicThermoConfig, u: np.ndarray) -> EnsembleReport:
+def _periodic_thermo(c, factors):
     """Quasi-energy/bath-heat identity  < exp(-theta e - beta q) > = 1.
 
     The system part has rank-one quasi-energy projections (validated by
@@ -493,30 +537,30 @@ def periodic_thermo_model(cfg: PeriodicThermoConfig, u: np.ndarray) -> EnsembleR
     offset vanishes and the exponent is exactly theta*e + beta*q.  The
     family is the :func:`product_family` of the system and bath spectra.
     """
-    family = product_family([joint_diagonalize(np.diag(np.asarray(cfg.quasi_energies, dtype=float))),
-                             joint_diagonalize(cfg.bath_hamiltonian)])
+    family = product_family(factors)
 
     def labeled(log_norm0, log_norm1, mean_changes):
         mean_e, mean_q = mean_changes
         return {
-            "theta": float(cfg.theta),
-            "beta": float(cfg.beta),
+            "theta": c.theta,
+            "beta": c.beta,
             "mean_quasi_energy_change": mean_e,
             "mean_bath_heat": mean_q,
-            "jensen_combination": float(cfg.theta * mean_e + cfg.beta * mean_q),
+            "jensen_combination": c.theta * mean_e + c.beta * mean_q,
         }
 
-    return _assemble_report(cfg.kind, family, family, u, labeled=labeled,
-                            log_weight=lambda tuples: -cfg.theta * tuples[:, 0] - cfg.beta * tuples[:, 1],
-                            work_value=lambda changes: changes[:, :, 0])
+    return (family, family,
+            lambda tuples: -c.theta[:, None] * tuples[..., 0] - c.beta[:, None] * tuples[..., 1],
+            lambda changes: changes[..., 0], labeled)
 
 
-# one registry: config class -> generator; each config class names its JSON kind
+# one registry: config class -> (diagonalize arguments, builder); each class names its JSON kind
 GENERATORS = {
-    LocalCanonicalConfig: local_canonical_model,
-    MicrocanonicalConfig: microcanonical_model,
-    GrandCanonicalConfig: grand_canonical_model,
-    PeriodicThermoConfig: periodic_thermo_model,
+    LocalCanonicalConfig: (lambda c: [(h,) for h in (*c.h_t0, *c.h_t1)], _local_canonical),
+    MicrocanonicalConfig: (lambda c: [(c.h_t0,), (c.h_t1,)], _microcanonical),
+    GrandCanonicalConfig: (_number_sectors, _grand_canonical),
+    PeriodicThermoConfig: (lambda c: [(c.quasi_energies[..., None] * np.eye(c.quasi_energies.shape[-1]),),
+                                      (c.bath_hamiltonian,)], _periodic_thermo),
 }
 
 
@@ -528,9 +572,43 @@ def config_from_json_dict(data: dict):
     return kinds[kind].from_json_dict(data)
 
 
+def stack_key(config) -> tuple:
+    """Configs with equal keys stack: one kind, and every field of one shape."""
+    return (type(config), *(tuple(map(np.shape, v)) if isinstance(v, (tuple, list)) else np.shape(v)
+                            for v in (getattr(config, f.name) for f in fields(config))))
+
+
+def generate_stack(configs, us: np.ndarray) -> list[tuple[np.ndarray, EnsembleReport]]:
+    """Reports of configs of one :func:`stack_key` with their unitaries ``us`` (B, dim, dim).
+
+    Every step runs once for the whole stack, on arrays with a leading model axis.  After
+    the stacked ``eigh`` the stack splits by cut pattern, so the result is one stacked
+    report per sub-bucket of models whose spectra cut alike, with their positions in
+    ``configs``; :meth:`EnsembleReport.take` gives one model's report.
+    """
+    kind = type(configs[0])
+    if kind not in GENERATORS:
+        raise ValidationError(f"unsupported config type {kind.__name__}")
+    stacked = {}
+    for f in fields(kind):
+        values = [getattr(cfg, f.name) for cfg in configs]
+        # a tuple of operators (the subsystem Hamiltonians) stacks factor by factor
+        stacked[f.name] = tuple(map(np.array, zip(*values, strict=True))) if f.metadata == _OPERATORS \
+            else np.array(values)
+    c = SimpleNamespace(**stacked)
+    arguments, build = GENERATORS[kind]
+    families = []
+    for args in arguments(c):
+        groups = joint_diagonalize(*args)
+        if len(groups) > 1:  # spectra that cut differently: one sub-bucket per pattern
+            return [(pos[sub], report) for pos, _ in groups
+                    for sub, report in generate_stack([configs[i] for i in pos], us[pos])]
+        families.append(groups[0][1])
+    first, second, *pieces = build(c, families)
+    return [(np.arange(len(configs)), _assemble_report(kind.kind, first, second, us, *pieces))]
+
+
 def generate(config, u: np.ndarray) -> EnsembleReport:
-    """Dispatch a config object to its generator."""
-    generator = GENERATORS.get(type(config))
-    if generator is None:
-        raise ValidationError(f"unsupported config type {type(config).__name__}")
-    return generator(config, u)
+    """One model's report: :func:`generate_stack` of a stack of one."""
+    [(_, report)] = generate_stack([config], one_matrix(np.asarray(u, dtype=complex), "U")[None])
+    return report.take(0)

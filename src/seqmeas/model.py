@@ -46,6 +46,22 @@ class PreconditionError(ValueError):
     """Structurally valid input that violates a documented precondition."""
 
 
+def require_each(ok, error: type, message) -> None:
+    """Raise ``error(message(b))`` at the first model ``b`` of a stack where ``ok`` is False;
+    ``b`` is the index tuple into ``ok``'s shape, () for one model."""
+    if not ok.all():  # a numpy bool or bool array
+        raise error(message(np.unravel_index(int(np.argmin(ok)), np.shape(ok))))
+
+
+def validated(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` built without its checks, from fields
+    that passed them already (one model of a validated stack)."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def require_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ValidationError(f"{name} = {value} must be positive and finite")
@@ -66,11 +82,12 @@ def require_key(data: dict, key: str, where: str):
 
 
 def _as_float_array(x, name: str, ndim: int) -> np.ndarray:
+    """``x`` as a finite float array of ``ndim`` dimensions; an ndarray may add a leading model axis."""
     try:
         a = np.asarray(x, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:  # a non-numeric, ragged or huge entry
         raise ValidationError(f"{name}: {exc}") from exc
-    if a.ndim != ndim:
+    if a.ndim != ndim and not (isinstance(x, np.ndarray) and a.ndim == ndim + 1):
         raise ValidationError(f"{name} must be {ndim}-dimensional, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         idx = np.argwhere(~np.isfinite(a))[0]
@@ -79,12 +96,11 @@ def _as_float_array(x, name: str, ndim: int) -> np.ndarray:
 
 
 def _as_cell_sizes(x, name: str, n: int) -> np.ndarray:
-    a = np.asarray(x)
+    a = x if isinstance(x, np.ndarray) and x.dtype.kind in "iu" else _as_float_array(x, name, 1)
     if a.shape != (n,):
         raise ValidationError(f"{name} must have shape ({n},), got {a.shape}")
-    if not np.issubdtype(a.dtype, np.integer):
-        f = _as_float_array(x, name, 1)
-        a = np.rint(f)
+    if a.dtype.kind == "f":
+        f, a = a, np.rint(a)
         if np.any(np.abs(f - a) > 1e-9):
             k = int(np.argmax(np.abs(f - a)))
             raise ValidationError(f"{name}[{k}] = {f[k]} is not an integer")
@@ -95,15 +111,15 @@ def _as_cell_sizes(x, name: str, n: int) -> np.ndarray:
     return a
 
 
-def check_probability_vector(q, *, name: str = "q") -> np.ndarray:
-    """Validate a 1-d probability vector (entries >= 0, sums to one)."""
-    a = _as_float_array(q, name, 1)
+def check_probability_vector(q) -> np.ndarray:
+    """Validate a 1-d probability vector q (entries >= 0, sums to one)."""
+    a = _as_float_array(q, "q", 1)
     if np.any(a < -NORMALIZATION_TOL):
         k = int(np.argmin(a))
-        raise ValidationError(f"{name}[{k}] = {a[k]} is negative")
+        raise ValidationError(f"q[{k}] = {a[k]} is negative")
     s = float(a.sum())
     if abs(s - 1.0) > max(NORMALIZATION_TOL, 1e-9 * a.size):
-        raise ValidationError(f"{name} sums to {s}, expected 1")
+        raise ValidationError(f"q sums to {s}, expected 1")
     return np.clip(a, 0.0, None)
 
 
@@ -116,6 +132,8 @@ class JointModel:
     p_table : array, shape (nI, nJ)
         Joint probabilities P(i, j) >= 0 that sum to one; a table cut off
         by a finite window, with its mass deficit, is a ``wavepacket.TruncatedTable``.
+        A (B, nI, nJ) ndarray is a stack of B tables with shared cell sizes
+        (labels default); the functions below then work model by model.
     d, D : integer arrays, shape (nI,) and (nJ,)
         Positive cell sizes of the first and second outcomes.
     labels_i, labels_j : tuple, optional
@@ -130,16 +148,15 @@ class JointModel:
 
     def __post_init__(self):
         table = _as_float_array(self.p_table, "p_table", 2)
-        if np.any(table < -NORMALIZATION_TOL):
-            i, j = np.argwhere(table < -NORMALIZATION_TOL)[0]
-            raise ValidationError(f"p_table[{i},{j}] = {table[i, j]} is negative")
+        require_each(table >= -NORMALIZATION_TOL, ValidationError,
+                     lambda b: f"p_table[{b[-2]},{b[-1]}] = {table[b]} is negative")
         table = np.clip(table, 0.0, None)
-        nI, nJ = table.shape
+        nI, nJ = table.shape[-2:]
         d = _as_cell_sizes(self.d, "d", nI)
         D = _as_cell_sizes(self.D, "D", nJ)
-        total = float(table.sum())
-        if abs(total - 1.0) > max(NORMALIZATION_TOL, 1e-9):
-            raise ValidationError(f"p_table sums to {total}, expected 1")
+        total = table.sum(axis=(-2, -1))
+        require_each(np.abs(total - 1.0) <= max(NORMALIZATION_TOL, 1e-9), ValidationError,
+                     lambda b: f"p_table sums to {total[b]}, expected 1")
         labels_i = tuple(self.labels_i) if self.labels_i else tuple(range(nI))
         labels_j = tuple(self.labels_j) if self.labels_j else tuple(range(nJ))
         if len(labels_i) != nI:
@@ -193,7 +210,7 @@ def _label_from_json(label):
 
 def marginals(model: JointModel) -> tuple[np.ndarray, np.ndarray]:
     """Return the first and second marginals (p, p-hat) of the table."""
-    return model.p_table.sum(axis=1), model.p_table.sum(axis=0)
+    return model.p_table.sum(axis=-1), model.p_table.sum(axis=-2)
 
 
 def conditional(model: JointModel) -> np.ndarray:
@@ -206,11 +223,9 @@ def conditional(model: JointModel) -> np.ndarray:
         is undefined.
     """
     p, _ = marginals(model)
-    if np.any(p <= 0.0):
-        k = int(np.argmin(p))
-        raise PreconditionError(f"first outcome {k} has probability {p[k]}; the conditional "
-                                f"on a zero-probability first outcome is undefined")
-    return model.p_table / p[:, None]
+    require_each(p > 0.0, PreconditionError, lambda b: f"first outcome {b[-1]} has probability {p[b]}; "
+                 "the conditional on a zero-probability first outcome is undefined")
+    return model.p_table / p[..., None]
 
 
 class ModDSResult(NamedTuple):
@@ -226,15 +241,15 @@ def is_modified_doubly_stochastic(
 ) -> ModDSResult:
     """Check  sum_i pi(j|i) d(i) = D(j)  for every j.
 
-    Returns the boolean verdict together with the worst absolute deviation.
+    Returns the boolean verdict together with the worst absolute deviation
+    (one of each per model for a stack of conditionals).
     With d = D = 1 this is the plain doubly stochastic condition on the
     columns (rows sum to one by construction of a conditional).
     """
     pi = _as_float_array(pi, "pi", 2)
     d = np.asarray(d, dtype=float)
     D = np.asarray(D, dtype=float)
-    col = pi.T @ d
-    dev = float(np.max(np.abs(col - D))) if col.size else 0.0
+    dev = np.abs(np.matmul(pi.swapaxes(-1, -2), d) - D).max(axis=-1, initial=0.0)
     return ModDSResult(dev <= tol, dev)
 
 
@@ -246,11 +261,12 @@ def j_ratio(model: JointModel, q: np.ndarray) -> np.ndarray:
     hold no mass and their non-finite entries are masked out by the
     callers.
     """
-    if q.shape != (model.shape[1],):
-        raise ValidationError(f"q has shape {q.shape}, expected ({model.shape[1]},)")
+    expected = model.shape[:-2] + model.shape[-1:]
+    if q.shape != expected:
+        raise ValidationError(f"q has shape {q.shape}, expected {expected}")
     p, _ = marginals(model)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (model.d[:, None] / p[:, None]) * (q[None, :] / model.D[None, :])
+        return (model.d[:, None] / p[..., :, None]) * (q[..., None, :] / model.D[None, :])
 
 
 def j_equation_lhs(model: JointModel, q) -> float:
@@ -260,7 +276,7 @@ def j_equation_lhs(model: JointModel, q) -> float:
     and only if the conditional is modified doubly stochastic.  Zero-
     probability cells of the table contribute nothing (0 * anything = 0).
     """
-    weights = j_ratio(model, check_probability_vector(q, name="q"))
+    weights = j_ratio(model, check_probability_vector(q))
     ratio = np.zeros_like(model.p_table)
     mask = model.p_table > 0.0
     ratio[mask] = model.p_table[mask] * weights[mask]
@@ -274,26 +290,42 @@ def shannon_entropy(p, d=None, *, check_normalized: bool = True) -> float:
     is natural.
     ``check_normalized=False`` admits sub-normalized vectors (cut-off
     distributions); the entropy of the captured mass is returned as is.
+    A (B, n) ndarray ``p`` is a stack of distributions sharing ``d``, with one
+    entropy per row.
     """
     a = _as_float_array(p, "p", 1)
-    if np.any(a < -NORMALIZATION_TOL):
-        k = int(np.argmin(a))
-        raise ValidationError(f"p[{k}] = {a[k]} is negative")
+    require_each(a >= -NORMALIZATION_TOL, ValidationError,
+                 lambda b: f"p[{np.argmin(a[b[:-1]])}] = {a[b[:-1]].min()} is negative")
     mask = a > 0.0
-    x = a[mask]
-    if check_normalized and abs(x.sum() - 1.0) > max(NORMALIZATION_TOL, 1e-9):
-        raise ValidationError(f"p sums to {x.sum()}, expected 1 (pass check_normalized=False for cut-off data)")
+    x, counts = a[mask], mask.sum(axis=-1)
+    if check_normalized:
+        total = ragged_sums(x, counts)
+        require_each(np.abs(total - 1.0) <= max(NORMALIZATION_TOL, 1e-9), ValidationError, lambda b:
+                     f"p sums to {total[b]}, expected 1 (pass check_normalized=False for cut-off data)")
     if d is None:
         terms = np.log(x)
     else:
         dd = np.asarray(d, dtype=float)
-        if dd.shape != a.shape:
-            raise ValidationError(f"d has shape {dd.shape}, expected {a.shape}")
+        if dd.shape != a.shape[-1:]:
+            raise ValidationError(f"d has shape {dd.shape}, expected {a.shape[-1:]}")
         if np.any(dd <= 0):
             raise ValidationError("cell sizes must be positive")
-        terms = np.log(x / dd[mask])
+        terms = np.log((a / dd)[mask])
     terms *= x
-    return -float(np.sum(terms))
+    return -ragged_sums(terms, counts)
+
+
+def ragged_sums(x: np.ndarray, counts) -> np.ndarray:
+    """Sums of the consecutive runs of ``counts`` entries of the flat ``x``, each summed as a
+    1-d array of its own (numpy's pairwise order for one model): a gather per run length."""
+    counts = np.asarray(counts)
+    if counts.ndim == 0 or (counts == counts[0]).all():  # runs of one length: a reshape, no copy
+        return x.reshape(counts.shape + (int(counts.flat[0]),)).sum(axis=-1)
+    out = np.empty(counts.shape)
+    for c in np.unique(counts):
+        rows = np.flatnonzero(counts == c)
+        out[rows] = x[(np.cumsum(counts)[rows] - c)[:, None] + np.arange(c)].sum(axis=-1)
+    return out
 
 
 def _require_mod_ds(model: JointModel, consequence: str) -> np.ndarray:
@@ -301,9 +333,8 @@ def _require_mod_ds(model: JointModel, consequence: str) -> np.ndarray:
     within ``MOD_DS_TOL``; a PreconditionError naming ``consequence`` otherwise."""
     pi = conditional(model)
     ok, dev = is_modified_doubly_stochastic(pi, model.d, model.D)
-    if not ok:
-        raise PreconditionError(f"conditional is not modified doubly stochastic "
-                                f"(deviation {dev:.3e} > {MOD_DS_TOL:g}); {consequence}")
+    require_each(ok, PreconditionError, lambda b: f"conditional is not modified doubly stochastic "
+                 f"(deviation {dev[b]:.3e} > {MOD_DS_TOL:g}); {consequence}")
     return pi
 
 
@@ -335,7 +366,7 @@ def reciprocal_model(model: JointModel, q) -> JointModel:
         outcome to actually occur), some p(i) vanishes, or the forward
         conditional is not modified doubly stochastic.
     """
-    q = check_probability_vector(q, name="q")
+    q = check_probability_vector(q)
     if q.shape[0] != model.shape[1]:
         raise ValidationError(f"q has {q.shape[0]} entries, expected {model.shape[1]}")
     if np.any(q <= 0.0):
@@ -359,7 +390,9 @@ class WorkDistribution:
     Levels are obtained by clustering raw per-outcome values whose gaps
     are below ``grouping_tol``; probabilities of clustered outcomes add.
     Optional reciprocal columns carry the reverse-experiment weights of
-    the same level sets for fluctuation-ratio bookkeeping.
+    the same level sets for fluctuation-ratio bookkeeping.  A stack of
+    distributions lists each model's levels after the previous model's,
+    ``counts[b]`` of them for model b.
     """
 
     values: np.ndarray
@@ -367,13 +400,17 @@ class WorkDistribution:
     grouping_tol: float
     reciprocal_probs: np.ndarray | None = None
     ratio_errors: np.ndarray | None = None
+    counts: np.ndarray | None = None
 
     def __post_init__(self):
         v = _as_float_array(self.values, "values", 1)
         p = _as_float_array(self.probs, "probs", 1)
         if v.shape != p.shape:
             raise ValidationError("values and probs must have equal length")
-        if np.any(np.diff(v) <= 0):
+        rising = np.diff(v) > 0
+        if self.counts is not None:
+            rising[np.cumsum(self.counts)[:-1] - 1] = True  # a new model starts
+        if not rising.all():
             raise ValidationError("level values must be strictly increasing")
         if np.any(p < -NORMALIZATION_TOL):
             raise ValidationError("level probabilities must be nonnegative")
@@ -384,6 +421,13 @@ class WorkDistribution:
         p.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "probs", np.clip(p, 0.0, None))
+
+    def take(self, b: int) -> "WorkDistribution":
+        """Model ``b`` of a stacked distribution."""
+        end = int(np.cumsum(self.counts)[b])
+        levels = slice(end - int(self.counts[b]), end)
+        return validated(WorkDistribution, values=self.values[levels], probs=self.probs[levels],
+                         grouping_tol=self.grouping_tol)
 
     def to_csv(self) -> str:
         """CSV text with columns w,prob,reciprocal_prob,ratio_error (17 significant digits)."""
@@ -404,29 +448,35 @@ def _fmt17(x: float) -> str:
 
 def _cluster_levels(values: np.ndarray, weights: np.ndarray, tol: float, *columns: np.ndarray):
     """Sort once, cut where gaps exceed ``tol``, reduce every level with reduceat: the
-    weighted mean value (plain mean if weightless), the weight sum, each extra column's sum."""
-    order = np.argsort(values)
-    v, w = values[order], weights[order]
-    starts = np.flatnonzero(np.diff(v, prepend=-np.inf) > tol)
+    weighted mean value (plain mean if weightless), the weight sum, each extra column's sum,
+    and the level count.  Each row of a (B, n) stack is clustered alone; the levels of all
+    rows come out one row after another, with a count per row."""
+    row_starts = np.arange(values.size).reshape(values.shape)[..., :1]
+    order = (np.argsort(values, axis=-1) + row_starts).ravel()  # row by row, into the flat arrays
+    v, w = values.ravel()[order], weights.ravel()[order]
+    cut = np.diff(v.reshape(values.shape), axis=-1, prepend=-np.inf) > tol
+    starts = np.flatnonzero(cut)
     sums = np.add.reduceat(w, starts)
     with np.errstate(invalid="ignore", divide="ignore"):
         means = np.where(sums > 0, np.add.reduceat(v * w, starts) / sums,
                          np.add.reduceat(v, starts) / np.diff(np.append(starts, v.size)))
-    return means, sums, [np.add.reduceat(c[order], starts) for c in columns]
+    columns = [np.add.reduceat(c.ravel()[order], starts) for c in columns]
+    return means, sums, columns, cut.sum(axis=-1)
 
 
 def group_levels(values, probs, tol: float = LEVEL_GROUPING_TOL) -> WorkDistribution:
     """Cluster raw (value, probability) pairs into a WorkDistribution.
 
     Values closer than ``tol`` land in the same level; the level value is
-    the probability-weighted mean of its members.
+    the probability-weighted mean of its members.  (B, n) ndarrays are B
+    models, clustered row by row into one stacked distribution.
     """
     v = _as_float_array(values, "values", 1)
     p = _as_float_array(probs, "probs", 1)
     if v.shape != p.shape:
         raise ValidationError("values and probs must have equal length")
-    lv, lp, _ = _cluster_levels(v, p, tol)
-    return WorkDistribution(values=lv, probs=lp, grouping_tol=tol)
+    lv, lp, _, counts = _cluster_levels(v, p, tol)
+    return WorkDistribution(values=lv, probs=lp, grouping_tol=tol, counts=counts if v.ndim == 2 else None)
 
 
 @dataclass(frozen=True)
@@ -451,13 +501,13 @@ class CrooksReport:
 def crooks_check(model: JointModel, q, grouping_tol: float = LEVEL_GROUPING_TOL) -> CrooksReport:
     """Group the ratio levels of a model and verify the per-level identity
     (``reciprocal_model`` rejects a zero q(j), a zero p(i) and a failed hypothesis)."""
-    q = check_probability_vector(q, name="q")
+    q = check_probability_vector(q)
     recip = reciprocal_model(model, q)
     y = j_ratio(model, q)
     mask = model.p_table > 0.0
     # reciprocal table transposed back to (i, j) indexing for the same pairs
     rs = recip.p_table.T[mask]
-    lv, lp, (lr,) = _cluster_levels(y[mask], model.p_table[mask], grouping_tol, rs)
+    lv, lp, (lr,), _ = _cluster_levels(y[mask], model.p_table[mask], grouping_tol, rs)
     dist = WorkDistribution(values=lv, probs=lp, grouping_tol=grouping_tol,
                             reciprocal_probs=lr, ratio_errors=np.abs(lp * lv - lr))
     return CrooksReport(distribution=dist, j_equation_value=float(np.sum(lv * lp)))

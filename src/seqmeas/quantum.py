@@ -13,6 +13,7 @@ fluctuation identities in :mod:`seqmeas.model`.
 
 The module covers: spectral families of one Hamiltonian, optionally split
 by the sectors of a conserved diagonal number, and their tensor products,
+for one model or a stack of same-shape models (a leading model axis),
 stationary ensembles kept as their outcome probabilities p(i), the
 cell-uniformity check of a dense rho, protocol evolution, POVM bookkeeping
 for the two-time statistics, an exactly solvable one-qubit purity curve,
@@ -27,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import JointModel, PreconditionError, ValidationError
+from .model import JointModel, PreconditionError, ValidationError, require_each, validated
 
 # Operator-level tolerances (scaled by operator norms where sensible).
 HERMITICITY_TOL = 1e-12
@@ -44,35 +45,46 @@ DENSITY_TOL = 1e-11
 
 
 def _as_square(a, name: str) -> np.ndarray:
+    """A finite complex square matrix, or a stack of them (leading model axes)."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {m.shape}")
-    if m.shape[0] == 0:
+    if m.shape[-1] == 0:
         raise ValidationError(f"{name} is an empty 0x0 matrix")
     if not np.all(np.isfinite(m.view(float))):
         raise ValidationError(f"{name} has non-finite entries")
     return m
 
 
+def one_matrix(m: np.ndarray, name: str) -> np.ndarray:
+    """``m`` if it is one matrix, not a stack of them (for the single-model functions)."""
+    if m.ndim != 2:
+        raise ValidationError(f"{name} must be a square matrix, got shape {m.shape}")
+    return m
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
 def require_hermitian(a, name: str = "operator", tol: float = HERMITICITY_TOL) -> np.ndarray:
     m = _as_square(a, name)
-    scale = max(1.0, float(np.abs(m).max()))
-    dev = float(np.abs(m - m.conj().T).max())
-    if dev > tol * scale:
-        raise ValidationError(f"{name} is not Hermitian (deviation {dev:.3e})")
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    dev = np.abs(m - _adjoint(m)).max(axis=(-2, -1))
+    require_each(dev <= tol * scale, ValidationError,
+                 lambda b: f"{name} is not Hermitian (deviation {dev[b]:.3e})")
     return m
 
 
 def require_unitary(u) -> np.ndarray:
     m = _as_square(u, "U")
-    dev = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
-    if dev > UNITARITY_TOL:
-        raise ValidationError(f"U is not unitary (deviation {dev:.3e})")
+    dev = np.abs(_adjoint(m) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1))
+    require_each(dev <= UNITARITY_TOL, ValidationError, lambda b: f"U is not unitary (deviation {dev[b]:.3e})")
     return m
 
 
 def require_density(rho) -> np.ndarray:
-    m = require_hermitian(rho, "rho", DENSITY_TOL)
+    m = one_matrix(require_hermitian(rho, "rho", DENSITY_TOL), "rho")
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > DENSITY_TOL * m.shape[0]:
         raise ValidationError(f"rho has trace {tr}, expected 1")
@@ -93,41 +105,47 @@ class SpectralFamily:
     have tuples more than ``GROUP_TOL`` apart.  The class keeps the order it
     is given: :func:`joint_diagonalize` lists (h[, N]) outcomes sector-major
     with h ascending inside each sector, and :func:`product_family` lists
-    the factors' outcomes with factor 0 major.
+    the factors' outcomes with factor 0 major.  A stack of families of B
+    models with the same degeneracies carries a leading model axis on
+    ``basis`` and ``eigen_tuples``; :meth:`take` picks models out of it.
     """
 
-    basis: np.ndarray         # (dim, dim) complex, columns grouped by outcome
-    eigen_tuples: np.ndarray  # (n_outcomes, number of operators) float
+    basis: np.ndarray         # ([B,] dim, dim) complex, columns grouped by outcome
+    eigen_tuples: np.ndarray  # ([B,] n_outcomes, number of operators) float
     degeneracies: np.ndarray  # (n_outcomes,) int
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=complex)
         tuples = np.asarray(self.eigen_tuples, dtype=float)
         degs = np.asarray(self.degeneracies).astype(np.int64)
-        if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
+        if basis.ndim < 2 or basis.shape[-2] != basis.shape[-1]:
             raise ValidationError(f"basis must be (dim, dim), got {basis.shape}")
-        if tuples.ndim != 2 or degs.shape != (tuples.shape[0],):
+        if tuples.ndim != basis.ndim or tuples.shape[:-2] != basis.shape[:-2] \
+                or degs.shape != tuples.shape[-2:-1]:
             raise ValidationError("eigen_tuples and degeneracies must align")
-        dim = basis.shape[0]
+        dim = basis.shape[-1]
         if np.any(degs < 1) or int(degs.sum()) != dim:
             raise ValidationError(f"degeneracy counts must be positive and sum to dim = {dim}")
-        dev = float(np.abs(basis.conj().T @ basis - np.eye(dim)).max())
-        if dev > PROJECTION_TOL:
-            raise ValidationError(f"basis is not orthonormal: |V*V - identity| = {dev:.3e}")
-        close = (np.abs(tuples[:, None, :] - tuples[None, :, :]) <= GROUP_TOL).all(axis=2)
-        pairs = np.argwhere(np.triu(close, 1))
-        if pairs.size:
-            a, b = pairs[0]
-            raise ValidationError(f"outcomes {a}, {b} share the eigenvalue tuple (not maximal)")
+        dev = np.abs(_adjoint(basis) @ basis - np.eye(dim)).max(axis=(-2, -1))
+        require_each(dev <= PROJECTION_TOL, ValidationError,
+                     lambda b: f"basis is not orthonormal: |V*V - identity| = {dev[b]:.3e}")
+        close = (np.abs(tuples[..., :, None, :] - tuples[..., None, :, :]) <= GROUP_TOL).all(axis=-1)
+        require_each(~np.triu(close, 1), ValidationError,
+                     lambda b: f"outcomes {b[-2]}, {b[-1]} share the eigenvalue tuple (not maximal)")
         for arr in (basis, tuples, degs):
             arr.setflags(write=False)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "eigen_tuples", tuples)
         object.__setattr__(self, "degeneracies", degs)
 
+    def take(self, b: int) -> "SpectralFamily":
+        """Model ``b`` of a stack."""
+        return validated(SpectralFamily, basis=self.basis[b], eigen_tuples=self.eigen_tuples[b],
+                         degeneracies=self.degeneracies)
+
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return self.basis.shape[-1]
 
     @property
     def n_outcomes(self) -> int:
@@ -143,10 +161,11 @@ class SpectralFamily:
 
     def operator(self, k: int) -> np.ndarray:
         """Reconstruct the k-th operator of the family from its spectral data."""
-        return (self.basis * np.repeat(self.eigen_tuples[:, k], self.degeneracies)) @ self.basis.conj().T
+        values = np.repeat(self.eigen_tuples[..., k], self.degeneracies, axis=-1)
+        return (self.basis * values[..., None, :]) @ _adjoint(self.basis)
 
 
-def joint_diagonalize(h, sectors=None) -> SpectralFamily:
+def joint_diagonalize(h, sectors=None):
     """Spectral family of a Hermitian ``h``, optionally refined by number sectors.
 
     ``sectors`` holds, at every basis index, the eigenvalue of a conserved diagonal
@@ -158,6 +177,11 @@ def joint_diagonalize(h, sectors=None) -> SpectralFamily:
     No check of N is needed: an outcome's columns lie on one sector's rows, and
     :class:`SpectralFamily` checks that the basis is orthonormal.
 
+    A stack ``h`` of shape (B, dim, dim) runs every ``eigh`` once for all B models and
+    splits the stack by cut pattern: the result is a list of (positions, stacked family),
+    one per pattern in order of first appearance, so a degenerate model lands in a
+    group of its own.
+
     Raises
     ------
     ValidationError
@@ -166,8 +190,8 @@ def joint_diagonalize(h, sectors=None) -> SpectralFamily:
         couples sectors does not).
     """
     h = require_hermitian(h, "h")
-    dim = h.shape[0]
-    scale = max(1.0, float(np.abs(h).max()))
+    dim = h.shape[-1]
+    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))[..., None]
     if sectors is None:
         w, basis = np.linalg.eigh(h)
         cut = np.diff(w) > GROUP_TOL * scale
@@ -178,21 +202,31 @@ def joint_diagonalize(h, sectors=None) -> SpectralFamily:
         order = np.argsort(n, kind="stable")
         n = n[order]
         bounds = [0, *(np.flatnonzero(np.diff(n)) + 1).tolist(), dim]
-        w, basis = np.empty(dim), np.zeros_like(h)
+        w, basis = np.empty(h.shape[:-1]), np.zeros_like(h)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             rows = order[lo:hi]
-            w[lo:hi], basis[rows, lo:hi] = np.linalg.eigh(h[np.ix_(rows, rows)])
+            w[..., lo:hi], basis[..., rows, lo:hi] = np.linalg.eigh(h[..., rows[:, None], rows])
         cut = (np.diff(w) > GROUP_TOL * scale) | (np.diff(n) != 0)
-    starts = np.flatnonzero(np.concatenate(([True], cut)))
-    sizes = np.diff(starts, append=dim)
-    means = np.add.reduceat(w, starts) / sizes
-    tuples = means[:, None] if sectors is None else np.column_stack([means, n[starts]])
-    fam = SpectralFamily(basis=basis, eigen_tuples=tuples, degeneracies=sizes)
-    dev = float(np.abs(fam.operator(0) - h).max())
-    if dev > 100 * GROUP_TOL * scale:
-        raise ValidationError(f"h is not reconstructed by its spectral data (deviation {dev:.3e}); "
-                              "h must not couple sectors")
-    return fam
+
+    def family(models):
+        starts = np.flatnonzero(np.concatenate(([True], np.atleast_2d(cut[models])[0])))
+        sizes = np.diff(starts, append=dim)
+        means = np.add.reduceat(w[models], starts, axis=-1) / sizes
+        tuples = means[..., None] if sectors is None else \
+            np.stack([means, np.broadcast_to(n[starts], means.shape)], axis=-1)
+        fam = SpectralFamily(basis=basis[models], eigen_tuples=tuples, degeneracies=sizes)
+        dev = np.abs(fam.operator(0) - h[models]).max(axis=(-2, -1))
+        require_each(dev <= 100 * GROUP_TOL * scale[models][..., 0], ValidationError,
+                     lambda b: f"h is not reconstructed by its spectral data (deviation {dev[b]:.3e}); "
+                     "h must not couple sectors")
+        return fam
+
+    if h.ndim == 2:
+        return family(...)
+    groups = {}
+    for b, row in enumerate(cut):
+        groups.setdefault(row.tobytes(), []).append(b)
+    return [(np.array(pos), family(pos if len(groups) > 1 else ...)) for pos in groups.values()]
 
 
 def product_family(factors: Sequence[SpectralFamily]) -> SpectralFamily:
@@ -200,13 +234,18 @@ def product_family(factors: Sequence[SpectralFamily]) -> SpectralFamily:
 
     Kronecker basis of the factor bases, columns regrouped by product outcome with one stable
     argsort, factor 0 major and every factor's outcomes in its own order; tuples are
-    concatenated, degeneracies multiplied."""
-    basis, labels, tuples, degs = np.ones((1, 1)), np.zeros(1, int), np.zeros((1, 0)), np.ones(1, int)
+    concatenated, degeneracies multiplied.  Stacked factors (one model axis) give a stack."""
+    lead = factors[0].basis.shape[:-2]
+    basis, tuples = np.ones(lead + (1, 1)), np.zeros(lead + (1, 0))
+    labels, degs = np.zeros(1, int), np.ones(1, int)
     for f in factors:
-        basis, degs = np.kron(basis, f.basis), np.outer(degs, f.degeneracies).ravel()
+        n = basis.shape[-1] * f.dim
+        basis = (basis[..., :, None, :, None] * f.basis[..., None, :, None, :]).reshape(lead + (n, n))
+        degs = np.outer(degs, f.degeneracies).ravel()
         labels = (labels[:, None] * f.n_outcomes + np.repeat(np.arange(f.n_outcomes), f.degeneracies)).ravel()
-        tuples = np.hstack([np.repeat(tuples, f.n_outcomes, axis=0), np.tile(f.eigen_tuples, (len(tuples), 1))])
-    return SpectralFamily(basis[:, np.argsort(labels, kind="stable")], tuples, degs)
+        tuples = np.concatenate([np.repeat(tuples, f.n_outcomes, axis=-2),
+                                 np.tile(f.eigen_tuples, (tuples.shape[-2], 1))], axis=-1)
+    return SpectralFamily(basis[..., np.argsort(labels, kind="stable")], tuples, degs)
 
 
 @dataclass(frozen=True)
@@ -215,11 +254,17 @@ class EnsembleState:
 
     rho = sum_i exp(w_i - log_norm) P_i  for log weights w_i is fixed by its outcome
     ``probabilities`` exp(w_i - log_norm) d(i), so it is never built; ``log_norm =
-    ln sum_i exp(w_i) d(i)`` is the log of the partition-function-like normalization.
+    ln sum_i exp(w_i) d(i)`` is the log of the partition-function-like normalization
+    (one per model, for a stacked family).
     """
 
     probabilities: np.ndarray
-    log_norm: float
+    log_norm: float | np.ndarray
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """math.log element by element: a stack's log normalizations keep the bits of one model's."""
+    return np.fromiter(map(math.log, x.ravel()), float, x.size).reshape(x.shape)
 
 
 def ensemble_state(family: SpectralFamily, log_weights) -> EnsembleState:
@@ -237,18 +282,17 @@ def ensemble_state(family: SpectralFamily, log_weights) -> EnsembleState:
         If a log weight is NaN or +inf, or every weight is zero.
     """
     lw = np.asarray(log_weights, dtype=float)
-    if lw.shape != (family.n_outcomes,):
+    if lw.shape != family.eigen_tuples.shape[:-1]:
         raise ValidationError(f"log_weights shape {lw.shape} does not match {family.n_outcomes} outcomes")
-    bad = np.isnan(lw) | (lw == np.inf)
-    if bad.any():
-        k = int(np.flatnonzero(bad)[0])
-        raise PreconditionError(f"log weight at outcome {k} is {lw[k]}; rescale the weight function")
-    shift = float(lw.max())
-    if shift == -math.inf:
-        raise PreconditionError("every weight is zero (all log weights are -inf)")
-    raw = np.exp(lw - shift)
-    norm = float(np.sum(raw * family.degeneracies))
-    return EnsembleState(probabilities=raw / norm * family.degeneracies, log_norm=shift + math.log(norm))
+    good = ~(np.isnan(lw) | (lw == np.inf))
+    require_each(good, PreconditionError,
+                 lambda b: f"log weight at outcome {b[-1]} is {lw[b]}; rescale the weight function")
+    shift = lw.max(axis=-1)
+    require_each(shift > -math.inf, PreconditionError,
+                 lambda b: "every weight is zero (all log weights are -inf)")
+    raw = np.exp(lw - shift[..., None])
+    norm = np.sum(raw * family.degeneracies, axis=-1)
+    return EnsembleState(probabilities=raw / norm[..., None] * family.degeneracies, log_norm=shift + _log(norm))
 
 
 def check_assumption2(rho: np.ndarray, family: SpectralFamily) -> tuple[bool, float]:
@@ -280,7 +324,7 @@ def _outcome_blocks(m: np.ndarray, family: SpectralFamily) -> np.ndarray:
 
 def hermitian_function(h: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix via eigendecomposition."""
-    h = require_hermitian(h)
+    h = one_matrix(require_hermitian(h), "operator")
     w, v = np.linalg.eigh(h)
     return (v * fn(w)[None, :]) @ v.conj().T
 
@@ -299,7 +343,7 @@ def evolve(protocol: Sequence[tuple[np.ndarray, float]], dim: int | None = None)
         return np.eye(dim, dtype=complex)
     u = None
     for k, (h, tau) in enumerate(segments):
-        h = require_hermitian(h, f"protocol[{k}].H")
+        h = one_matrix(require_hermitian(h, f"protocol[{k}].H"), f"protocol[{k}].H")
         if not np.isfinite(tau):
             raise ValidationError(f"protocol[{k}] has non-finite duration")
         step = hermitian_function(h, lambda w: np.exp(-1j * w * float(tau)))
@@ -322,8 +366,8 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 def _two_time_traces(u: np.ndarray, first: SpectralFamily, second: SpectralFamily) -> np.ndarray:
     """t[i, j] = Tr(Q_j U P_i U*): the (i, j) block sums of |V* U* W|^2, with V and W
     the two family bases; two GEMMs, O(dim^3) time and O(dim^2) extra memory."""
-    amp = np.abs(first.basis.conj().T @ (u.conj().T @ second.basis)) ** 2
-    return np.add.reduceat(np.add.reduceat(amp, first.starts, axis=0), second.starts, axis=1)
+    amp = np.abs(_adjoint(first.basis) @ (_adjoint(u) @ second.basis)) ** 2
+    return np.add.reduceat(np.add.reduceat(amp, first.starts, axis=-2), second.starts, axis=-1)
 
 
 def physical_conditional(u: np.ndarray, first: SpectralFamily, second: SpectralFamily) -> np.ndarray:
@@ -334,7 +378,7 @@ def physical_conditional(u: np.ndarray, first: SpectralFamily, second: SpectralF
     Costs O(dim^3) and O(dim^2) extra memory.
     """
     u = require_unitary(u)
-    if first.dim != u.shape[0] or second.dim != u.shape[0]:
+    if first.dim != u.shape[-1] or second.dim != u.shape[-1]:
         raise ValidationError("families and unitary must share one dimension")
     return _two_time_traces(u, first, second) / first.degeneracies[:, None]
 
@@ -351,7 +395,7 @@ def povm_elements(u: np.ndarray, first: SpectralFamily, second: SpectralFamily) 
     matrix of the rows of Z_i in outcome block j.  Costs O(k1 dim^3); beyond
     the (k1, k2, dim, dim) result, a few dim x dim matrices are live at a time.
     """
-    u = require_unitary(u)
+    u = one_matrix(require_unitary(u), "U")
     f = np.empty((first.n_outcomes, second.n_outcomes, u.shape[0], u.shape[0]), dtype=complex)
     w_dag_u = second.basis.conj().T @ u
     blocks = [slice(a, a + d) for a, d in zip(second.starts.tolist(), second.degeneracies.tolist())]
@@ -372,12 +416,12 @@ def streamed_completeness_deviation(u: np.ndarray, first: SpectralFamily,
     identity, without the (k1, k2, dim, dim) stack.  The sum over j of P_i U* Q_j U P_i
     is P_i U* W W* U P_i, so the total is  V mask(A* A) V*  with A = W* U V (V, W the
     family bases) and the mask keeping the first family's outcome blocks: five dim x dim
-    products, no loop."""
+    products, no loop (one deviation per model for stacks)."""
     u = require_unitary(u)
     v = first.basis
-    a = second.basis.conj().T @ (u @ v)
-    total = v @ _outcome_blocks(a.conj().T @ a, first) @ v.conj().T
-    return float(np.abs(total - np.eye(u.shape[0])).max())
+    a = _adjoint(second.basis) @ (u @ v)
+    total = v @ _outcome_blocks(_adjoint(a) @ a, first) @ _adjoint(v)
+    return np.abs(total - np.eye(u.shape[-1])).max(axis=(-2, -1))
 
 
 def build_joint_model(p, u: np.ndarray, first: SpectralFamily, second: SpectralFamily) -> JointModel:
@@ -387,22 +431,16 @@ def build_joint_model(p, u: np.ndarray, first: SpectralFamily, second: SpectralF
     Such a state satisfies the cell-uniformity assumption (:func:`check_assumption2`)
     by construction and is fixed by ``p``, so no density matrix is needed; a caller
     that holds a dense rho checks it with :func:`check_assumption2` and takes
-    p(i) = Tr(rho P_i).  Every p(i) must be positive.
+    p(i) = Tr(rho P_i).  Every p(i) must be positive.  Stacked families, unitaries and
+    ``p`` give a stack of tables.  Labels default (:meth:`EnsembleReport.take` sets them).
     """
     p = np.asarray(p, dtype=float)
-    if p.shape != (first.n_outcomes,):
+    if p.shape != first.eigen_tuples.shape[:-1]:
         raise ValidationError(f"probabilities shape {p.shape} does not match {first.n_outcomes} outcomes")
-    if p.min() <= 0.0:
-        k = int(np.argmin(p))
-        raise PreconditionError(f"first outcome {k} has probability {p[k]:.3e}; all must be positive")
-    table = p[:, None] * physical_conditional(u, first, second)
-    return JointModel(
-        p_table=table / table.sum(),
-        d=first.degeneracies,
-        D=second.degeneracies,
-        labels_i=first.labels(),
-        labels_j=second.labels(),
-    )
+    require_each(p.min(axis=-1) > 0.0, PreconditionError, lambda b: f"first outcome {np.argmin(p[b])} "
+                 f"has probability {p[b].min():.3e}; all must be positive")
+    table = p[..., None] * physical_conditional(u, first, second)
+    return JointModel(table / table.sum(axis=(-2, -1), keepdims=True), first.degeneracies, second.degeneracies)
 
 
 @dataclass(frozen=True)
@@ -430,7 +468,7 @@ def time_reversal_symmetry_check(u: np.ndarray, first: SpectralFamily,
     realness one outcome block V_k V_k* at a time, in O(dim^2) extra memory.
     All comparisons use ``TIME_REVERSAL_TOL``.
     """
-    u = require_unitary(u)
+    u = one_matrix(require_unitary(u), "U")
     fwd = _two_time_traces(u, first, second)
     bwd = _two_time_traces(u.conj().T, first, second)
     asym = float(np.abs(fwd - bwd).max())
@@ -498,7 +536,7 @@ def bloch_curve(p: float, lam: float, alpha: float = 0.0) -> BlochCurvePoint:
 
 def operator_to_json_dict(a: np.ndarray) -> dict:
     """Serialize a complex matrix as {"dim", "re", "im"}."""
-    m = _as_square(a, "operator")
+    m = one_matrix(_as_square(a, "operator"), "operator")
     return {
         "dim": int(m.shape[0]),
         "re": [[float(x) for x in row] for row in m.real],

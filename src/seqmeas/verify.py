@@ -13,13 +13,17 @@ unitaries, builds the two-measurement model, and checks
   (row-renormalized) must be flagged by the indicator-vector scan.
 
 Everything is driven by a single root seed through spawned generators,
-so a report is reproducible from (seed, n_per_family) alone.
+so a report is reproducible from (seed, n_per_family) alone.  The seeds
+are walked in chunks of at most ``CHUNK_MODELS``; a chunk draws its models
+in seed order and runs each bucket of one ``stack_key`` through
+:func:`ensembles.generate_stack` and the checks at once, on stacked arrays.
+:func:`random_model` is the stack of one of the same code.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,8 +34,10 @@ from .ensembles import (
     MicrocanonicalConfig,
     PeriodicThermoConfig,
     generate,
+    generate_stack,
+    stack_key,
 )
-from .model import ValidationError, conditional, is_modified_doubly_stochastic, require_count
+from .model import PreconditionError, ValidationError, conditional, is_modified_doubly_stochastic, require_count
 # povm_elements is re-exported: perfbench's span tests look it up in this module
 from .quantum import haar_unitary, povm_elements, streamed_completeness_deviation  # noqa: F401
 
@@ -47,6 +53,8 @@ DEFAULT_TOLERANCES = {
 FAULT_SIZE = 1e-3
 
 FAMILIES = ("local_canonical", "microcanonical", "grand_canonical", "periodic_thermo")
+# Models drawn and stacked at a time: a chunk's arrays stay small whatever n_per_family is.
+CHUNK_MODELS = 128
 
 
 def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -101,34 +109,40 @@ def random_config(family: str, rng: np.random.Generator, index: int):
     raise ValidationError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-def random_model(family: str, seed, index: int = 0) -> EnsembleReport:
-    """One corpus model: random config + Haar unitary, fully generated."""
+def draw_model(family: str, seed, index: int):
+    """The config and Haar unitary of one corpus model, drawn in that order from one generator."""
     rng = np.random.default_rng(seed)
     config = random_config(family, rng, index)
-    u = haar_unitary(config.dim, rng)
-    return generate(config, u)
+    return config, haar_unitary(config.dim, rng)
 
 
-def fault_injection_check(report: EnsembleReport) -> float:
+def random_model(family: str, seed, index: int = 0) -> EnsembleReport:
+    """One corpus model: random config + Haar unitary, generated as a stack of one."""
+    return generate(*draw_model(family, seed, index))
+
+
+def fault_injection_check(report: EnsembleReport) -> np.ndarray:
     """Sensitivity probe: perturb one conditional entry and rescan.
 
     The entry with the largest headroom gets ``FAULT_SIZE`` added, the row is
     renormalized, and the indicator-vector scan (equivalently the
     column-sum deviation of the modified doubly stochastic condition)
-    reports the largest resulting identity violation.  A healthy checker
-    must see a deviation comparable to the fault size.
+    reports the largest resulting identity violation, one per model of a
+    stacked report.  A healthy checker must see a deviation comparable to
+    the fault size.
     """
     model = report.model
     pi = conditional(model)
     # the column-j0 deviation is FAULT_SIZE * d(i0) (1 - pi[i0,j0]) / D(j0);
     # pick the entry maximizing that predicted response
     response = model.d[:, None] * (1.0 - pi) / model.D[None, :]
-    i0, j0 = np.unravel_index(int(np.argmax(response)), pi.shape)
-    perturbed = pi.copy()
-    perturbed[i0, j0] += FAULT_SIZE
-    perturbed[i0] /= perturbed[i0].sum()
-    column_dev = np.abs(perturbed.T @ model.d / model.D - 1.0)
-    return float(np.max(column_dev))
+    perturbed = pi.reshape((-1,) + pi.shape[-2:]).copy()
+    b = np.arange(len(perturbed))
+    i0, j0 = np.unravel_index(response.reshape(len(b), -1).argmax(axis=-1), pi.shape[-2:])
+    perturbed[b, i0, j0] += FAULT_SIZE
+    perturbed[b, i0] /= perturbed[b, i0].sum(axis=-1, keepdims=True)
+    column_dev = np.abs(np.matmul(perturbed.swapaxes(-1, -2), model.d) / model.D - 1.0)
+    return column_dev.max(axis=-1).reshape(pi.shape[:-2])
 
 
 @dataclass
@@ -153,16 +167,13 @@ class CheckSummary:
     def passed(self) -> bool:
         return self.n_failures == 0
 
-    def record(self, deviation: float, ok: bool):
-        if self.worst_deviation is None:
-            self.worst_deviation = deviation
-        elif self.direction == "upper":
-            self.worst_deviation = max(self.worst_deviation, deviation)
-        else:
-            self.worst_deviation = min(self.worst_deviation, deviation)
-        self.n_models += 1
-        if not ok:
-            self.n_failures += 1
+    def record(self, deviations: np.ndarray, ok: np.ndarray):
+        """Add the deviations and verdicts of a stack of models."""
+        worst = max if self.direction == "upper" else min
+        seen = [] if self.worst_deviation is None else [self.worst_deviation]
+        self.worst_deviation = worst(seen + [float(worst(deviations))])
+        self.n_models += ok.size
+        self.n_failures += int(ok.size - np.count_nonzero(ok))
 
 
 @dataclass
@@ -174,6 +185,7 @@ class VerifyReport:
     summaries: list = field(default_factory=list)
     failures: list = field(default_factory=list)
     elapsed_seconds: float = 0.0
+    family_seconds: dict = field(default_factory=dict)  # wall time of each family's sweep
 
     @property
     def all_passed(self) -> bool:
@@ -187,20 +199,9 @@ class VerifyReport:
             "families": list(self.families),
             "tolerances": {k: float(v) for k, v in self.tolerances.items()},
             "elapsed_seconds": float(self.elapsed_seconds),
-            "checks": [
-                {
-                    "check": s.check,
-                    "family": s.family,
-                    "tolerance": float(s.tolerance),
-                    "direction": s.direction,
-                    "n_models": s.n_models,
-                    "worst_deviation": None if s.worst_deviation is None
-                    else float(s.worst_deviation),
-                    "n_failures": s.n_failures,
-                    "passed": s.passed,
-                }
-                for s in self.summaries
-            ],
+            "family_seconds": {k: float(v) for k, v in self.family_seconds.items()},
+            "checks": [{**asdict(s), "tolerance": float(s.tolerance), "passed": s.passed}
+                       for s in self.summaries],
             "failures": list(self.failures),
         }
 
@@ -228,46 +229,73 @@ def run_corpus(seed: int = 20260814, n_per_family: int = 100,
         if unknown:
             raise ValidationError(f"unknown tolerance keys {sorted(unknown)}")
         tol.update(tolerances)
-    t_start = time.time()
+    t_start = time.perf_counter()
     report = VerifyReport(seed=seed, n_per_family=n_per_family,
                           families=tuple(families), tolerances=tol)
     root = np.random.SeedSequence(seed)
     for family in families:
+        t_family = time.perf_counter()
         summaries = {
             name: CheckSummary(check=name, family=family, tolerance=tol[name],
                                direction="lower" if name == "fault_detection" else "upper")
             for name in tol
         }
         seeds = root.spawn(n_per_family)
-        for index, child in enumerate(seeds):
-            model_report = random_model(family, child, index)
-            outcomes = _run_checks(model_report, tol)
-            for name, (deviation, ok) in outcomes.items():
-                summaries[name].record(deviation, ok)
-                if not ok and len(report.failures) < max_reported_failures:
-                    report.failures.append({
-                        "family": family, "model_index": index, "check": name,
-                        "deviation": float(deviation), "tolerance": float(tol[name]),
-                    })
+        for start in range(0, n_per_family, CHUNK_MODELS):
+            failures = []
+            for indices, outcomes in _check_chunk(family, seeds, start, tol):
+                for order, (name, (deviations, ok)) in enumerate(outcomes.items()):
+                    summaries[name].record(deviations, ok)
+                    failures += [(int(i), order, name, float(d)) for i, d in zip(indices[~ok], deviations[~ok])]
+            room = max(0, max_reported_failures - len(report.failures))
+            for index, _, name, deviation in sorted(failures)[:room]:
+                report.failures.append({
+                    "family": family, "model_index": index, "check": name,
+                    "deviation": deviation, "tolerance": float(tol[name]),
+                })
         report.summaries.extend(summaries.values())
-    report.elapsed_seconds = time.time() - t_start
+        report.family_seconds[family] = time.perf_counter() - t_family
+    report.elapsed_seconds = time.perf_counter() - t_start
     return report
 
 
+def _check_chunk(family: str, seeds, start: int, tol: dict):
+    """Draw the chunk of models from ``start`` in seed order, bucket them by stack key, and yield
+    each sub-bucket's (model indices, check outcomes).  An error in a bucket is raised again
+    from the first of its models that fails alone, naming its family and model_index."""
+    buckets = {}
+    for index in range(start, min(start + CHUNK_MODELS, len(seeds))):
+        config, u = draw_model(family, seeds[index], index)
+        buckets.setdefault(stack_key(config), []).append((index, config, u))
+    for models in buckets.values():
+        indices, configs, us = zip(*models)
+        try:
+            for positions, stacked in generate_stack(configs, np.array(us)):
+                yield np.array(indices)[positions], _run_checks(stacked, tol)
+        except (ValidationError, PreconditionError):
+            for index, config, u in models:
+                try:
+                    _run_checks(generate(config, u), tol)
+                except (ValidationError, PreconditionError) as exc:
+                    raise type(exc)(f"{family} model_index {index}: {exc}") from exc
+            raise
+
+
 def _run_checks(report: EnsembleReport, tol: dict) -> dict:
+    """(deviations, verdicts) of every check, one entry per model of a stacked report."""
     pi = conditional(report.model)
     _, ds_dev = is_modified_doubly_stochastic(pi, report.model.d, report.model.D,
                                               tol=tol["mod_ds"])
     povm_dev = streamed_completeness_deviation(report.u, report.first_family, report.second_family)
-    j_dev = abs(report.jarzynski_lhs - 1.0)
-    hist_dev = abs(report.histogram_identity - report.jarzynski_lhs)
+    j_dev = np.abs(report.jarzynski_lhs - 1.0)
+    hist_dev = np.abs(report.histogram_identity - report.jarzynski_lhs)
     fault_dev = fault_injection_check(report)
+    gap, jensen = report.entropy_gap, report.jensen_lhs
     return {
         "jarzynski": (j_dev, j_dev <= tol["jarzynski"]),
         "mod_ds": (ds_dev, ds_dev <= tol["mod_ds"]),
-        "entropy_gap": (max(0.0, -report.entropy_gap),
-                        report.entropy_gap >= -tol["entropy_gap"]),
-        "jensen": (max(0.0, -report.jensen_lhs), report.jensen_lhs >= -tol["jensen"]),
+        "entropy_gap": (np.where(gap < 0.0, -gap, 0.0), gap >= -tol["entropy_gap"]),
+        "jensen": (np.where(jensen < 0.0, -jensen, 0.0), jensen >= -tol["jensen"]),
         "povm_completeness": (povm_dev, povm_dev <= tol["povm_completeness"]),
         "histogram_identity": (hist_dev, hist_dev <= tol["histogram_identity"]),
         "fault_detection": (fault_dev, fault_dev >= tol["fault_detection"]),

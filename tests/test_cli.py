@@ -65,6 +65,7 @@ def test_verify_small_corpus_passes(tmp_path, capsys):
     checks = report["report"]["checks"]
     assert all(c["passed"] for c in checks)
     assert {c["family"] for c in checks} == {"local_canonical", "microcanonical"}
+    assert list(report["report"]["family_seconds"]) == ["local_canonical", "microcanonical"]
     assert (tmp_path / "verify_report.json").exists()
     on_disk = json.loads((tmp_path / "verify_report.json").read_text())
     assert on_disk == report

@@ -17,16 +17,12 @@ from seqmeas.ensembles import (
     PeriodicThermoConfig,
     config_from_json_dict,
     generate,
-    grand_canonical_model,
     lift_one_particle,
-    local_canonical_model,
-    microcanonical_model,
-    periodic_thermo_model,
     _assemble_report,
 )
 from seqmeas import ensembles, model, verify
 from seqmeas.model import ValidationError, is_modified_doubly_stochastic, conditional, j_equation_lhs
-from seqmeas.quantum import GROUP_TOL, haar_unitary, joint_diagonalize, product_family
+from seqmeas.quantum import GROUP_TOL, SpectralFamily, haar_unitary, joint_diagonalize, product_family
 
 from conftest import joint_refinement, projections
 
@@ -34,6 +30,11 @@ from conftest import joint_refinement, projections
 def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return 0.5 * (a + a.conj().T)
+
+
+def _stack_of_one(family: SpectralFamily) -> SpectralFamily:
+    """One model's family as a stack of one, the form the stacked generator passes around."""
+    return SpectralFamily(family.basis[None], family.eigen_tuples[None], family.degeneracies)
 
 
 # ----------------------------------------------------------- fermionic algebra
@@ -183,11 +184,11 @@ def test_sector_family_matches_the_dense_joint_diagonalization(n_modes, kind, mo
         gaps = np.diff(np.linalg.eigvalsh(big_h)) / max(1.0, np.abs(big_h).max())
         assert np.all((gaps < 1e-3 * GROUP_TOL) | (gaps > 1e3 * GROUP_TOL))
     u = haar_unitary(cfg.dim, rng)
-    new = grand_canonical_model(cfg, u)
-    monkeypatch.setattr(ensembles, "lift_one_particle", jordan_wigner_lift)
-    monkeypatch.setattr(ensembles, "joint_diagonalize",
-                        lambda big_h, _: joint_refinement([big_h, number_operator(n_modes)]))
-    old = grand_canonical_model(cfg, u)
+    new = generate(cfg, u)
+    monkeypatch.setattr(ensembles, "lift_one_particle", lambda hs: np.array([jordan_wigner_lift(h) for h in hs]))
+    monkeypatch.setattr(ensembles, "joint_diagonalize", lambda big_h, _: [
+        (np.arange(1), _stack_of_one(joint_refinement([big_h[0], number_operator(n_modes)])))])
+    old = generate(cfg, u)
 
     perm0 = _match_outcomes(new.first_family, old.first_family)
     perm1 = _match_outcomes(new.second_family, old.second_family)
@@ -279,13 +280,13 @@ def test_product_families_match_the_dense_tensor_lift(family, index, monkeypatch
     raw = {}  # factor family -> the Hamiltonian it diagonalizes
 
     def recording(h):
-        fam = joint_diagonalize(h)
-        raw[id(fam)] = h
-        return fam
+        groups = joint_diagonalize(h)  # one model: one group
+        raw[id(groups[0][1])] = h[0]
+        return groups
 
     monkeypatch.setattr(ensembles, "joint_diagonalize", recording)
-    monkeypatch.setattr(ensembles, "product_family",
-                        lambda factors: joint_refinement(tensor_lift([raw[id(f)] for f in factors])))
+    monkeypatch.setattr(ensembles, "product_family", lambda factors: _stack_of_one(
+        joint_refinement(tensor_lift([raw[id(f)] for f in factors]))))
     old = generate(cfg, u)
     assert len(raw) == (2 * len(cfg.betas) if family == "local_canonical" else 2)
     for a, b in ((new.first_family, old.first_family), (new.second_family, old.second_family)):
@@ -426,20 +427,20 @@ def test_config_dim_matches_generated_unitary(rng):
 
 def test_assemble_report_cross_checks_the_labeled_jensen_combination(rng):
     """Labeled quantities whose Jensen combination misses the generic value are rejected."""
-    family = joint_diagonalize(_random_hermitian(rng, 3))
-    u = haar_unitary(3, rng)
+    [(_, family)] = joint_diagonalize(_random_hermitian(rng, 3)[None])
+    u = haar_unitary(3, rng)[None]
 
     def build(labeled):
         return _assemble_report(
             kind="test_family", first=family, second=family,
-            log_weight=lambda tuples: -tuples[:, 0], u=u,
-            work_value=lambda changes: changes[:, :, 0], labeled=labeled)
+            log_weight=lambda tuples: -tuples[..., 0], u=u,
+            work_value=lambda changes: changes[..., 0], labeled=labeled)
 
     plain = build(lambda log_norm0, log_norm1, mean_changes: {})
     assert "jensen_combination" not in plain.quantities
     generic = plain.jensen_lhs
     report = build(lambda log_norm0, log_norm1, mean_changes: {"jensen_combination": generic})
-    assert report.quantities["jensen_combination"] == generic
+    assert report.quantities["jensen_combination"] is generic
     with pytest.raises(ValidationError, match="labeled test_family Jensen combination"):
         build(lambda log_norm0, log_norm1, mean_changes: {"jensen_combination": generic + 1e-6})
 
@@ -453,8 +454,8 @@ def test_random_config_rejects_an_unknown_family(rng):
 
 def test_run_corpus_rejects_unknown_names_before_any_model(monkeypatch):
     calls = []
-    random_model = verify.random_model
-    monkeypatch.setattr(verify, "random_model", lambda *args: calls.append(args) or random_model(*args))
+    draw_model = verify.draw_model
+    monkeypatch.setattr(verify, "draw_model", lambda *args: calls.append(args) or draw_model(*args))
     with pytest.raises(ValidationError, match=r"unknown families \['bogus'\]"):
         verify.run_corpus(seed=1, n_per_family=2, families=("local_canonical", "bogus"))
     with pytest.raises(ValidationError, match=r"unknown tolerance keys \['nope'\]"):
@@ -519,7 +520,7 @@ def test_local_canonical_identity_and_free_energy(rng):
     beta = 0.9
     cfg = LocalCanonicalConfig(h_t0=(h0,), h_t1=(h1,), betas=(beta,))
     u = haar_unitary(3, rng)
-    report = local_canonical_model(cfg, u)
+    report = generate(cfg, u)
     assert abs(report.jarzynski_lhs - 1.0) < 1e-12
     assert report.jensen_lhs >= -1e-12
     assert report.entropy_gap >= -1e-12
@@ -537,7 +538,7 @@ def test_local_canonical_two_subsystems(rng):
     h0b, h1b = _random_hermitian(rng, 2), _random_hermitian(rng, 2)
     cfg = LocalCanonicalConfig(h_t0=(h0a, h0b), h_t1=(h1a, h1b), betas=(0.5, 1.7))
     u = haar_unitary(4, rng)
-    report = local_canonical_model(cfg, u)
+    report = generate(cfg, u)
     assert abs(report.jarzynski_lhs - 1.0) < 1e-12
     combo = sum(report.quantities[f"beta_{mu}"]
                 * (report.quantities[f"mean_work_{mu}"]
@@ -551,7 +552,7 @@ def test_microcanonical_identity(rng):
                                h_t1=_random_hermitian(rng, 4),
                                energy=0.3, width=0.8)
     u = haar_unitary(4, rng)
-    report = microcanonical_model(cfg, u)
+    report = generate(cfg, u)
     assert abs(report.jarzynski_lhs - 1.0) < 1e-12
     assert report.jensen_lhs >= -1e-12
     assert report.quantities["delta_f"] == pytest.approx(
@@ -566,7 +567,7 @@ def test_grand_canonical_identity_and_free_fermion_oracle(rng):
     beta, mu = 1.2, -0.4
     cfg = GrandCanonicalConfig(h_t0=h0, h_t1=h1, beta=beta, mu=mu)
     u = haar_unitary(8, rng)
-    report = grand_canonical_model(cfg, u)
+    report = generate(cfg, u)
     assert abs(report.jarzynski_lhs - 1.0) < 1e-12
     for h, key in ((h0, "omega_t0"), (h1, "omega_t1")):
         eps = np.linalg.eigvalsh(h)
@@ -581,7 +582,7 @@ def test_periodic_thermo_identity(rng):
                                bath_hamiltonian=_random_hermitian(rng, 2),
                                theta=-0.8, beta=1.4)
     u = haar_unitary(6, rng)
-    report = periodic_thermo_model(cfg, u)
+    report = generate(cfg, u)
     assert abs(report.jarzynski_lhs - 1.0) < 1e-12
     assert report.jensen_lhs >= -1e-12
     # both families coincide, so the exponent offset is zero and the
@@ -596,7 +597,7 @@ def test_identity_unitary_gives_trivial_exponent(rng):
     """With U = identity and equal spectra nothing changes: X = 0 on the support."""
     h = _random_hermitian(rng, 3)
     cfg = LocalCanonicalConfig(h_t0=(h,), h_t1=(h,), betas=(1.0,))
-    report = local_canonical_model(cfg, np.eye(3, dtype=complex))
+    report = generate(cfg, np.eye(3, dtype=complex))
     assert abs(report.jarzynski_lhs - 1.0) < 1e-14
     assert abs(report.jensen_lhs) < 1e-12
     assert abs(report.quantities["mean_work_0"]) < 1e-12
@@ -635,18 +636,18 @@ def test_family_sweep_invariants():
         h0 = _random_hermitian(rng, 2)
         h1 = _random_hermitian(rng, 2)
         reports = [
-            local_canonical_model(
+            generate(
                 LocalCanonicalConfig(h_t0=(h0,), h_t1=(h1,), betas=(float(rng.uniform(0.3, 1.5)),)),
                 haar_unitary(2, rng)),
-            microcanonical_model(
+            generate(
                 MicrocanonicalConfig(h_t0=_random_hermitian(rng, 3), h_t1=_random_hermitian(rng, 3),
                                      energy=float(rng.uniform(-1, 1)), width=float(rng.uniform(0.5, 1.5))),
                 haar_unitary(3, rng)),
-            grand_canonical_model(
+            generate(
                 GrandCanonicalConfig(h_t0=_random_hermitian(rng, 2), h_t1=_random_hermitian(rng, 2),
                                      beta=float(rng.uniform(0.3, 1.5)), mu=float(rng.uniform(-0.5, 0.5))),
                 haar_unitary(4, rng)),
-            periodic_thermo_model(
+            generate(
                 PeriodicThermoConfig(quasi_energies=np.sort(rng.uniform(-1, 1, size=3)) + [0.0, 0.2, 0.4],
                                      bath_hamiltonian=_random_hermitian(rng, 2),
                                      theta=float(rng.uniform(-1.5, 1.5)), beta=float(rng.uniform(0.3, 1.5))),

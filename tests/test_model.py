@@ -68,6 +68,13 @@ def test_joint_model_rejects_bad_cells():
     assert m.d.dtype == np.int64 and m.d[0] == 2
 
 
+@pytest.mark.parametrize("field, cells", [("d", {"d": [[1], [1, 2]], "D": [1]}),
+                                          ("D", {"d": [1, 1], "D": [[1], [1, 2]]})])
+def test_ragged_cell_sizes_are_named(field, cells):
+    with pytest.raises(ValidationError, match=f"^{field}: .*inhomogeneous"):
+        JointModel.from_json_dict({"p_table": [[0.5], [0.5]], **cells})
+
+
 def test_joint_model_label_length_mismatch():
     with pytest.raises(ValidationError, match="labels_i"):
         JointModel(p_table=[[0.5, 0.5]], d=[1], D=[1, 1], labels_i=("a", "b"))

@@ -469,6 +469,20 @@ def test_corpus_model_builds_no_density_matrix(monkeypatch, family):
 # ----------------------------------------------------------- time reversal
 
 
+def test_single_model_functions_reject_a_stack():
+    """Operators may carry a model axis on the two-time path; the functions of one dense
+    matrix name it instead of misreading a stack."""
+    fam = joint_diagonalize(np.diag([0.0, 1.0]))
+    stack = np.stack([np.eye(2, dtype=complex)] * 3)
+    calls = [(lambda: require_density(stack / 2), "rho"), (lambda: hermitian_function(stack, np.exp), "operator"),
+             (lambda: evolve([(stack, 0.1)]), r"protocol\[0\]\.H"), (lambda: povm_elements(stack, fam, fam), "U"),
+             (lambda: time_reversal_symmetry_check(stack, fam, fam), "U"),
+             (lambda: operator_to_json_dict(stack), "operator")]
+    for call, name in calls:
+        with pytest.raises(ValidationError, match=rf"^{name} must be a square matrix, got shape \(3, 2, 2\)"):
+            call()
+
+
 def test_time_reversal_symmetry_for_real_protocols(rng):
     """Real families + transposition-symmetric U give a symmetric weighted table."""
     h1 = np.diag([0.0, 1.0, 1.0, 2.0])
