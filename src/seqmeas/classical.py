@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import PreconditionError, ValidationError, require_count, require_positive
+from .model import PreconditionError, ValidationError, require_count, require_finite, require_positive
 
 # Richardson base step of the finite-difference Jacobian spot check.
 JACOBIAN_EPS = 1e-3
@@ -247,9 +247,8 @@ def gauss_hermite_quench(beta: float, omega0: float, omega1: float) -> float:
 
 def harmonic_ramp_gradient(omega0: float, omega1: float, duration: float):
     """Gradient of V(t, q) = omega(t)^2 q^2 / 2 with a linear frequency ramp."""
-    for name, omega in (("omega0", omega0), ("omega1", omega1)):
-        if not math.isfinite(omega):
-            raise ValidationError(f"{name} = {omega} must be finite")
+    require_finite("omega0", omega0)
+    require_finite("omega1", omega1)
     require_positive("duration", duration)
 
     def grad(t, q):

@@ -21,16 +21,16 @@ the second outcomes, and wraps the resulting statistics into a report:
 Every family follows one pass, run on stacks: :func:`generate_stack` takes
 a bucket of configs of one kind and shape and runs each step once for all
 of them, on arrays with a leading model axis (stacked ``eigh``, batched
-products, sums along the model axis).  After the stacked ``eigh`` the
-bucket splits by cut pattern, so a degenerate model is a sub-bucket of its
-own.  :func:`generate` is the stack of one, so a single model and the
-corpus run the same code.  Its log weight maps the whole array of
-eigenvalue tuples to log weights in one array expression; one
-``ensemble_state`` call per time shifts them by their maximum, normalizes
-once and reports the log normalization, so partition-function-like
-constants are logs and never overflow.  The ratio table y = d q / (D p)
-is built once per report: the exponent cross-check, the identity < y >
-and its Jensen value < -ln y > all read it.
+products, sums along the model axis).  A stack must be rectangular: a
+model whose spectra cut, or whose histograms count levels, unlike model
+0's raises a ``PreconditionError``.  :func:`generate` is the stack of one,
+so a single model and the corpus run the same code.  Its log weight maps
+the whole array of eigenvalue tuples to log weights in one array
+expression; one ``ensemble_state`` call per time shifts them by their
+maximum, normalizes once and reports the log normalization, so
+partition-function-like constants are logs and never overflow.  The ratio
+table y = d q / (D p) is built once per report: the exponent cross-check,
+the identity < y > and its Jensen value < -ln y > all read it.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ from .model import (
     entropy_gap,
     group_levels,
     j_ratio,
-    ragged_sums,
     require_each,
+    require_finite,
     require_key,
     require_positive,
     validated,
@@ -208,8 +208,7 @@ class MicrocanonicalConfig(_ConfigCodec):
     def __post_init__(self):
         super().__post_init__()
         require_positive("width", self.width)
-        if not np.isfinite(self.energy):
-            raise ValidationError("energy must be finite")
+        require_finite("energy", self.energy)
 
     @property
     def dim(self) -> int:
@@ -236,8 +235,7 @@ class GrandCanonicalConfig(_ConfigCodec):
         super().__post_init__()
         _mode_count(self.h_t0)
         require_positive("beta", self.beta)
-        if not np.isfinite(self.mu):
-            raise ValidationError("mu must be finite")
+        require_finite("mu", self.mu)
 
     @property
     def dim(self) -> int:
@@ -270,8 +268,7 @@ class PeriodicThermoConfig(_ConfigCodec):
             raise ValidationError(f"quasi_energies = {eps.tolist()} must be finite and pairwise distinct "
                                   "(rank-one projections)")
         require_positive("beta", self.beta)
-        if not np.isfinite(self.theta):
-            raise ValidationError("theta must be finite")
+        require_finite("theta", self.theta)
 
     @property
     def dim(self) -> int:
@@ -406,7 +403,7 @@ def _assemble_report(
     flat_p = table.reshape(len(table), -1)
     exp_hist = group_levels(x.reshape(flat_p.shape), flat_p)
     work_hist = group_levels(work_value(changes).reshape(flat_p.shape), flat_p)
-    hist_identity = ragged_sums(exp_hist.probs * np.exp(-exp_hist.values), exp_hist.counts)
+    hist_identity = np.sum(exp_hist.probs * np.exp(-exp_hist.values), axis=-1)
     mean_changes = [np.sum(table * changes[..., k], axis=cells) for k in range(changes.shape[-1])]
     quantities = {"mean_exponent": np.sum(table * x, axis=cells),
                   **labeled(state.log_norm, qstate.log_norm, mean_changes)}
@@ -578,14 +575,11 @@ def stack_key(config) -> tuple:
                             for v in (getattr(config, f.name) for f in fields(config))))
 
 
-def generate_stack(configs, us: np.ndarray) -> list[tuple[np.ndarray, EnsembleReport]]:
-    """Reports of configs of one :func:`stack_key` with their unitaries ``us`` (B, dim, dim).
-
-    Every step runs once for the whole stack, on arrays with a leading model axis.  After
-    the stacked ``eigh`` the stack splits by cut pattern, so the result is one stacked
-    report per sub-bucket of models whose spectra cut alike, with their positions in
-    ``configs``; :meth:`EnsembleReport.take` gives one model's report.
-    """
+def generate_stack(configs, us: np.ndarray) -> EnsembleReport:
+    """Stacked report of configs of one :func:`stack_key` with unitaries ``us`` (B, dim, dim):
+    every step runs once, on arrays with a leading model axis; :meth:`EnsembleReport.take`
+    gives one model's report.  The stack must be rectangular: a model whose spectra cut, or
+    whose histograms count levels, unlike model 0's raises a ``PreconditionError``."""
     kind = type(configs[0])
     if kind not in GENERATORS:
         raise ValidationError(f"unsupported config type {kind.__name__}")
@@ -597,18 +591,10 @@ def generate_stack(configs, us: np.ndarray) -> list[tuple[np.ndarray, EnsembleRe
             else np.array(values)
     c = SimpleNamespace(**stacked)
     arguments, build = GENERATORS[kind]
-    families = []
-    for args in arguments(c):
-        groups = joint_diagonalize(*args)
-        if len(groups) > 1:  # spectra that cut differently: one sub-bucket per pattern
-            return [(pos[sub], report) for pos, _ in groups
-                    for sub, report in generate_stack([configs[i] for i in pos], us[pos])]
-        families.append(groups[0][1])
-    first, second, *pieces = build(c, families)
-    return [(np.arange(len(configs)), _assemble_report(kind.kind, first, second, us, *pieces))]
+    first, second, *pieces = build(c, [joint_diagonalize(*args) for args in arguments(c)])
+    return _assemble_report(kind.kind, first, second, us, *pieces)
 
 
 def generate(config, u: np.ndarray) -> EnsembleReport:
     """One model's report: :func:`generate_stack` of a stack of one."""
-    [(_, report)] = generate_stack([config], one_matrix(np.asarray(u, dtype=complex), "U")[None])
-    return report.take(0)
+    return generate_stack([config], one_matrix(np.asarray(u, dtype=complex), "U")[None]).take(0)

@@ -62,6 +62,18 @@ def validated(cls, **fields):
     return obj
 
 
+def require_alike(rows: np.ndarray, what: str) -> np.ndarray:
+    """``rows[0]``, where every row (model) of a stack must equal it: a stack is rectangular."""
+    same = np.all(rows == rows[0], axis=tuple(range(1, rows.ndim)))
+    require_each(same, PreconditionError, lambda b: f"stacked model {b[0]} differs from model 0 in its {what}")
+    return rows[0]
+
+
+def require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} = {value} must be finite")
+
+
 def require_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ValidationError(f"{name} = {value} must be positive and finite")
@@ -291,15 +303,16 @@ def shannon_entropy(p, d=None, *, check_normalized: bool = True) -> float:
     ``check_normalized=False`` admits sub-normalized vectors (cut-off
     distributions); the entropy of the captured mass is returned as is.
     A (B, n) ndarray ``p`` is a stack of distributions sharing ``d``, with one
-    entropy per row.
+    entropy per row; every row must have as many positive entries as row 0.
     """
     a = _as_float_array(p, "p", 1)
     require_each(a >= -NORMALIZATION_TOL, ValidationError,
                  lambda b: f"p[{np.argmin(a[b[:-1]])}] = {a[b[:-1]].min()} is negative")
     mask = a > 0.0
-    x, counts = a[mask], mask.sum(axis=-1)
+    n = require_alike(np.atleast_1d(mask.sum(axis=-1)), "number of positive entries")
+    x = a[mask].reshape(a.shape[:-1] + (n,))
     if check_normalized:
-        total = ragged_sums(x, counts)
+        total = x.sum(axis=-1)
         require_each(np.abs(total - 1.0) <= max(NORMALIZATION_TOL, 1e-9), ValidationError, lambda b:
                      f"p sums to {total[b]}, expected 1 (pass check_normalized=False for cut-off data)")
     if d is None:
@@ -310,22 +323,9 @@ def shannon_entropy(p, d=None, *, check_normalized: bool = True) -> float:
             raise ValidationError(f"d has shape {dd.shape}, expected {a.shape[-1:]}")
         if np.any(dd <= 0):
             raise ValidationError("cell sizes must be positive")
-        terms = np.log((a / dd)[mask])
+        terms = np.log((a / dd)[mask]).reshape(x.shape)
     terms *= x
-    return -ragged_sums(terms, counts)
-
-
-def ragged_sums(x: np.ndarray, counts) -> np.ndarray:
-    """Sums of the consecutive runs of ``counts`` entries of the flat ``x``, each summed as a
-    1-d array of its own (numpy's pairwise order for one model): a gather per run length."""
-    counts = np.asarray(counts)
-    if counts.ndim == 0 or (counts == counts[0]).all():  # runs of one length: a reshape, no copy
-        return x.reshape(counts.shape + (int(counts.flat[0]),)).sum(axis=-1)
-    out = np.empty(counts.shape)
-    for c in np.unique(counts):
-        rows = np.flatnonzero(counts == c)
-        out[rows] = x[(np.cumsum(counts)[rows] - c)[:, None] + np.arange(c)].sum(axis=-1)
-    return out
+    return -terms.sum(axis=-1)
 
 
 def _require_mod_ds(model: JointModel, consequence: str) -> np.ndarray:
@@ -391,8 +391,7 @@ class WorkDistribution:
     are below ``grouping_tol``; probabilities of clustered outcomes add.
     Optional reciprocal columns carry the reverse-experiment weights of
     the same level sets for fluctuation-ratio bookkeeping.  A stack of
-    distributions lists each model's levels after the previous model's,
-    ``counts[b]`` of them for model b.
+    distributions of one level count holds (B, n_levels) values and probs.
     """
 
     values: np.ndarray
@@ -400,17 +399,13 @@ class WorkDistribution:
     grouping_tol: float
     reciprocal_probs: np.ndarray | None = None
     ratio_errors: np.ndarray | None = None
-    counts: np.ndarray | None = None
 
     def __post_init__(self):
         v = _as_float_array(self.values, "values", 1)
         p = _as_float_array(self.probs, "probs", 1)
         if v.shape != p.shape:
             raise ValidationError("values and probs must have equal length")
-        rising = np.diff(v) > 0
-        if self.counts is not None:
-            rising[np.cumsum(self.counts)[:-1] - 1] = True  # a new model starts
-        if not rising.all():
+        if not (np.diff(v, axis=-1) > 0).all():
             raise ValidationError("level values must be strictly increasing")
         if np.any(p < -NORMALIZATION_TOL):
             raise ValidationError("level probabilities must be nonnegative")
@@ -424,9 +419,7 @@ class WorkDistribution:
 
     def take(self, b: int) -> "WorkDistribution":
         """Model ``b`` of a stacked distribution."""
-        end = int(np.cumsum(self.counts)[b])
-        levels = slice(end - int(self.counts[b]), end)
-        return validated(WorkDistribution, values=self.values[levels], probs=self.probs[levels],
+        return validated(WorkDistribution, values=self.values[b], probs=self.probs[b],
                          grouping_tol=self.grouping_tol)
 
     def to_csv(self) -> str:
@@ -448,20 +441,21 @@ def _fmt17(x: float) -> str:
 
 def _cluster_levels(values: np.ndarray, weights: np.ndarray, tol: float, *columns: np.ndarray):
     """Sort once, cut where gaps exceed ``tol``, reduce every level with reduceat: the
-    weighted mean value (plain mean if weightless), the weight sum, each extra column's sum,
-    and the level count.  Each row of a (B, n) stack is clustered alone; the levels of all
-    rows come out one row after another, with a count per row."""
+    weighted mean value (plain mean if weightless), the weight sum and each extra column's sum.
+    Each row of a (B, n) stack is clustered alone into (B, n_levels) arrays, so every row must
+    have as many levels as row 0."""
     row_starts = np.arange(values.size).reshape(values.shape)[..., :1]
     order = (np.argsort(values, axis=-1) + row_starts).ravel()  # row by row, into the flat arrays
     v, w = values.ravel()[order], weights.ravel()[order]
     cut = np.diff(v.reshape(values.shape), axis=-1, prepend=-np.inf) > tol
+    shape = cut.shape[:-1] + (require_alike(np.atleast_1d(cut.sum(axis=-1)), "number of levels"),)
     starts = np.flatnonzero(cut)
     sums = np.add.reduceat(w, starts)
     with np.errstate(invalid="ignore", divide="ignore"):
         means = np.where(sums > 0, np.add.reduceat(v * w, starts) / sums,
                          np.add.reduceat(v, starts) / np.diff(np.append(starts, v.size)))
     columns = [np.add.reduceat(c.ravel()[order], starts) for c in columns]
-    return means, sums, columns, cut.sum(axis=-1)
+    return means.reshape(shape), sums.reshape(shape), columns
 
 
 def group_levels(values, probs, tol: float = LEVEL_GROUPING_TOL) -> WorkDistribution:
@@ -469,14 +463,14 @@ def group_levels(values, probs, tol: float = LEVEL_GROUPING_TOL) -> WorkDistribu
 
     Values closer than ``tol`` land in the same level; the level value is
     the probability-weighted mean of its members.  (B, n) ndarrays are B
-    models, clustered row by row into one stacked distribution.
+    models of one level count, clustered row by row into one stacked distribution.
     """
     v = _as_float_array(values, "values", 1)
     p = _as_float_array(probs, "probs", 1)
     if v.shape != p.shape:
         raise ValidationError("values and probs must have equal length")
-    lv, lp, _, counts = _cluster_levels(v, p, tol)
-    return WorkDistribution(values=lv, probs=lp, grouping_tol=tol, counts=counts if v.ndim == 2 else None)
+    lv, lp, _ = _cluster_levels(v, p, tol)
+    return WorkDistribution(values=lv, probs=lp, grouping_tol=tol)
 
 
 @dataclass(frozen=True)
@@ -507,7 +501,7 @@ def crooks_check(model: JointModel, q, grouping_tol: float = LEVEL_GROUPING_TOL)
     mask = model.p_table > 0.0
     # reciprocal table transposed back to (i, j) indexing for the same pairs
     rs = recip.p_table.T[mask]
-    lv, lp, (lr,), _ = _cluster_levels(y[mask], model.p_table[mask], grouping_tol, rs)
+    lv, lp, (lr,) = _cluster_levels(y[mask], model.p_table[mask], grouping_tol, rs)
     dist = WorkDistribution(values=lv, probs=lp, grouping_tol=grouping_tol,
                             reciprocal_probs=lr, ratio_errors=np.abs(lp * lv - lr))
     return CrooksReport(distribution=dist, j_equation_value=float(np.sum(lv * lp)))

@@ -28,7 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import JointModel, PreconditionError, ValidationError, require_each, validated
+from .model import (JointModel, PreconditionError, ValidationError, require_alike, require_each, require_finite,
+                    validated)
 
 # Operator-level tolerances (scaled by operator norms where sensible).
 HERMITICITY_TOL = 1e-12
@@ -165,7 +166,7 @@ class SpectralFamily:
         return (self.basis * values[..., None, :]) @ _adjoint(self.basis)
 
 
-def joint_diagonalize(h, sectors=None):
+def joint_diagonalize(h, sectors=None) -> SpectralFamily:
     """Spectral family of a Hermitian ``h``, optionally refined by number sectors.
 
     ``sectors`` holds, at every basis index, the eigenvalue of a conserved diagonal
@@ -178,12 +179,13 @@ def joint_diagonalize(h, sectors=None):
     :class:`SpectralFamily` checks that the basis is orthonormal.
 
     A stack ``h`` of shape (B, dim, dim) runs every ``eigh`` once for all B models and
-    splits the stack by cut pattern: the result is a list of (positions, stacked family),
-    one per pattern in order of first appearance, so a degenerate model lands in a
-    group of its own.
+    gives one stacked family; a stack must cut alike, so every model's spectrum must cut
+    where model 0's does.
 
     Raises
     ------
+    PreconditionError
+        If a model of a stack cuts its spectrum differently from model 0 (named).
     ValidationError
         If ``h`` is not Hermitian, ``sectors`` does not hold one value per basis
         index, or the spectral data do not reconstruct ``h`` (an ``h`` that
@@ -207,26 +209,17 @@ def joint_diagonalize(h, sectors=None):
             rows = order[lo:hi]
             w[..., lo:hi], basis[..., rows, lo:hi] = np.linalg.eigh(h[..., rows[:, None], rows])
         cut = (np.diff(w) > GROUP_TOL * scale) | (np.diff(n) != 0)
-
-    def family(models):
-        starts = np.flatnonzero(np.concatenate(([True], np.atleast_2d(cut[models])[0])))
-        sizes = np.diff(starts, append=dim)
-        means = np.add.reduceat(w[models], starts, axis=-1) / sizes
-        tuples = means[..., None] if sectors is None else \
-            np.stack([means, np.broadcast_to(n[starts], means.shape)], axis=-1)
-        fam = SpectralFamily(basis=basis[models], eigen_tuples=tuples, degeneracies=sizes)
-        dev = np.abs(fam.operator(0) - h[models]).max(axis=(-2, -1))
-        require_each(dev <= 100 * GROUP_TOL * scale[models][..., 0], ValidationError,
-                     lambda b: f"h is not reconstructed by its spectral data (deviation {dev[b]:.3e}); "
-                     "h must not couple sectors")
-        return fam
-
-    if h.ndim == 2:
-        return family(...)
-    groups = {}
-    for b, row in enumerate(cut):
-        groups.setdefault(row.tobytes(), []).append(b)
-    return [(np.array(pos), family(pos if len(groups) > 1 else ...)) for pos in groups.values()]
+    starts = np.flatnonzero(np.r_[True, require_alike(np.atleast_2d(cut), "spectral cuts")])
+    sizes = np.diff(starts, append=dim)
+    means = np.add.reduceat(w, starts, axis=-1) / sizes
+    tuples = means[..., None] if sectors is None else \
+        np.stack([means, np.broadcast_to(n[starts], means.shape)], axis=-1)
+    fam = SpectralFamily(basis=basis, eigen_tuples=tuples, degeneracies=sizes)
+    dev = np.abs(fam.operator(0) - h).max(axis=(-2, -1))
+    require_each(dev <= 100 * GROUP_TOL * scale[..., 0], ValidationError,
+                 lambda b: f"h is not reconstructed by its spectral data (deviation {dev[b]:.3e}); "
+                 "h must not couple sectors")
+    return fam
 
 
 def product_family(factors: Sequence[SpectralFamily]) -> SpectralFamily:
@@ -503,9 +496,8 @@ class BlochCurvePoint:
 
 def bloch_curve(p: float, lam: float, alpha: float = 0.0) -> BlochCurvePoint:
     """Evaluate the fixed-diagonal one-qubit curve at coherence ``lam``."""
-    for name, value in (("lam", lam), ("alpha", alpha)):
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} = {value} must be finite")
+    require_finite("lam", lam)
+    require_finite("alpha", alpha)
     if not 0.0 < p < 1.0:
         raise ValidationError(f"p = {p} must lie strictly between 0 and 1")
     lam_max = float(np.sqrt(p * (1.0 - p)))

@@ -17,7 +17,9 @@ so a report is reproducible from (seed, n_per_family) alone.  The seeds
 are walked in chunks of at most ``CHUNK_MODELS``; a chunk draws its models
 in seed order and runs each bucket of one ``stack_key`` through
 :func:`ensembles.generate_stack` and the checks at once, on stacked arrays.
-:func:`random_model` is the stack of one of the same code.
+A bucket that does not stack (its models cut their spectra differently, or
+their histograms have unequal level counts) runs model by model, each as a
+stack of one; :func:`random_model` is the stack of one of the same code.
 """
 
 from __future__ import annotations
@@ -261,24 +263,23 @@ def run_corpus(seed: int = 20260814, n_per_family: int = 100,
 
 def _check_chunk(family: str, seeds, start: int, tol: dict):
     """Draw the chunk of models from ``start`` in seed order, bucket them by stack key, and yield
-    each sub-bucket's (model indices, check outcomes).  An error in a bucket is raised again
-    from the first of its models that fails alone, naming its family and model_index."""
+    each bucket's (model indices, check outcomes).  A bucket that does not stack (a typed error,
+    such as models whose spectra cut differently) runs model by model, each as a stack of one;
+    a model that fails alone raises again, naming its family and model_index."""
     buckets = {}
     for index in range(start, min(start + CHUNK_MODELS, len(seeds))):
         config, u = draw_model(family, seeds[index], index)
         buckets.setdefault(stack_key(config), []).append((index, config, u))
     for models in buckets.values():
-        indices, configs, us = zip(*models)
-        try:
-            for positions, stacked in generate_stack(configs, np.array(us)):
-                yield np.array(indices)[positions], _run_checks(stacked, tol)
-        except (ValidationError, PreconditionError):
-            for index, config, u in models:
-                try:
-                    _run_checks(generate(config, u), tol)
-                except (ValidationError, PreconditionError) as exc:
-                    raise type(exc)(f"{family} model_index {index}: {exc}") from exc
-            raise
+        stacks = [models]
+        while stacks:
+            indices, configs, us = zip(*stacks.pop(0))
+            try:
+                yield np.array(indices), _run_checks(generate_stack(configs, np.array(us)), tol)
+            except (ValidationError, PreconditionError) as exc:
+                if len(indices) == 1:
+                    raise type(exc)(f"{family} model_index {indices[0]}: {exc}") from exc
+                stacks = [[model] for model in models]  # the bucket does not stack: model by model
 
 
 def _run_checks(report: EnsembleReport, tol: dict) -> dict:

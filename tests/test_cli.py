@@ -141,6 +141,20 @@ def test_ensemble_explicit_unitary(tmp_path, capsys):
     assert abs(report["report"]["jarzynski_lhs"] - 1.0) < 1e-10
 
 
+def test_ensemble_without_a_unitary_evolves_by_the_identity(tmp_path, capsys):
+    data = json.loads(write_grand_config(tmp_path).read_text())
+    del data["unitary_seed"]
+    implicit, explicit = tmp_path / "implicit.json", tmp_path / "explicit.json"
+    implicit.write_text(json.dumps(data))
+    explicit.write_text(json.dumps(data | {"unitary": operator_to_json_dict(np.eye(4, dtype=complex))}))
+    reports = []
+    for cfg in (implicit, explicit):
+        code, report = run_cli(capsys, "--output-dir", str(tmp_path), "ensemble", "--config", str(cfg))
+        assert code == 0
+        reports.append(report["report"])
+    assert reports[0] == reports[1]
+
+
 def test_ensemble_rejects_an_empty_operator(tmp_path, capsys):
     empty = {"dim": 0, "re": [], "im": []}
     cfg = tmp_path / "empty.json"

@@ -3,12 +3,14 @@ attributed to the model that caused them."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from seqmeas import verify
-from seqmeas.ensembles import GrandCanonicalConfig, generate, generate_stack
-from seqmeas.model import ValidationError
+from seqmeas.ensembles import GrandCanonicalConfig, generate, generate_stack, stack_key
+from seqmeas.model import PreconditionError, ValidationError
 from seqmeas.quantum import haar_unitary
 
 # tolerances that every model misses, so that the report lists every model's deviations
@@ -53,17 +55,77 @@ def _grand_canonical_bucket(rng: np.random.Generator, n_modes: int, zero_at: int
 
 
 def test_a_degenerate_model_in_a_bucket_gives_the_report_it_gives_alone():
+    """The h = 0 model cuts its number sectors unlike the others, so the bucket does not stack
+    and names it; it has its report alone, and the other five stack, each as it is alone."""
     configs, us = _grand_canonical_bucket(np.random.default_rng(5), 3, zero_at=2, n=6)
-    groups = generate_stack(configs, us)
-    positions = sorted(int(b) for pos, _ in groups for b in pos)
-    assert positions == list(range(6))
-    assert [pos.tolist() for pos, _ in groups if 2 in pos] == [[2]]  # a sub-bucket of its own
-    for pos, stacked in groups:
-        for k, b in enumerate(pos):
-            together, alone = stacked.take(k), generate(configs[b], us[b])
-            assert together.to_json_dict() == alone.to_json_dict()
-            np.testing.assert_array_equal(together.first_family.degeneracies, alone.first_family.degeneracies)
+    with pytest.raises(PreconditionError, match="^stacked model 2 differs from model 0 in its spectral cuts"):
+        generate_stack(configs, us)
     assert generate(configs[2], us[2]).first_family.degeneracies.tolist() == [1, 3, 3, 1]
+    rest = [0, 1, 3, 4, 5]
+    stacked = generate_stack([configs[b] for b in rest], us[rest])
+    for k, b in enumerate(rest):
+        together, alone = stacked.take(k), generate(configs[b], us[b])
+        assert together.to_json_dict() == alone.to_json_dict()
+        np.testing.assert_array_equal(together.first_family.degeneracies, alone.first_family.degeneracies)
+
+
+# a degenerate model planted in every fifth corpus model: h_t0 = 0 cuts the number sectors of
+# a grand-canonical model unlike its bucket's, and h_t1 = h_t0 merges the diagonal of a
+# microcanonical exponent table into one level, so its histogram has fewer levels
+PLANTED = {"grand_canonical": (lambda c: {"h_t0": 0 * c.h_t0}, "in its spectral cuts"),
+           "microcanonical": (lambda c: {"h_t1": c.h_t0}, "in its number of levels")}
+
+
+@pytest.mark.parametrize("family", PLANTED)
+def test_a_bucket_that_does_not_stack_gives_the_report_of_each_model_alone(family, monkeypatch):
+    change, reason = PLANTED[family]
+    draw_model, stack = verify.draw_model, verify.generate_stack
+    errors = []
+
+    def planted(family, seed, index):
+        config, u = draw_model(family, seed, index)
+        return (dataclasses.replace(config, **change(config)) if index % 5 == 4 else config), u
+
+    def spying(configs, us):
+        try:
+            return stack(configs, us)
+        except PreconditionError as exc:
+            errors.append(str(exc))
+            raise
+
+    def report() -> dict:
+        out = verify.run_corpus(seed=47, n_per_family=30, families=(family,), tolerances=MISS_EVERYTHING,
+                                max_reported_failures=30 * len(MISS_EVERYTHING)).to_json_dict()
+        del out["elapsed_seconds"], out["family_seconds"]
+        return out
+
+    monkeypatch.setattr(verify, "draw_model", planted)
+    monkeypatch.setattr(verify, "generate_stack", spying)
+    stacked = report()
+    assert any(reason in e for e in errors)
+    assert len(stacked["failures"]) == 30 * len(MISS_EVERYTHING)
+    monkeypatch.setattr(verify, "CHUNK_MODELS", 1)  # a chunk, and so a bucket, per model
+    assert report() == stacked
+
+
+def test_the_seeded_corpus_runs_one_stack_per_bucket(monkeypatch):
+    """Corpus traffic is rectangular: every bucket runs as one stack and none falls back
+    to its models one at a time (that would repeat the bucket's stack key in a chunk)."""
+    calls = []
+    stack = verify.generate_stack
+
+    def recording(configs, us):
+        calls.append(({stack_key(c) for c in configs}, len(configs)))
+        return stack(configs, us)
+
+    monkeypatch.setattr(verify, "generate_stack", recording)
+    assert verify.CHUNK_MODELS >= 100  # one chunk per family
+    report = verify.run_corpus(seed=20260814, n_per_family=100)
+    assert report.all_passed
+    assert all(len(keys) == 1 for keys, _ in calls)
+    keys = [key for (key,), _ in calls]
+    assert len(set(keys)) == len(keys)
+    assert sum(n for _, n in calls) == 100 * len(verify.FAMILIES)
 
 
 def test_a_failing_check_is_reported_under_its_own_model_index_only():

@@ -186,8 +186,8 @@ def test_sector_family_matches_the_dense_joint_diagonalization(n_modes, kind, mo
     u = haar_unitary(cfg.dim, rng)
     new = generate(cfg, u)
     monkeypatch.setattr(ensembles, "lift_one_particle", lambda hs: np.array([jordan_wigner_lift(h) for h in hs]))
-    monkeypatch.setattr(ensembles, "joint_diagonalize", lambda big_h, _: [
-        (np.arange(1), _stack_of_one(joint_refinement([big_h[0], number_operator(n_modes)])))])
+    monkeypatch.setattr(ensembles, "joint_diagonalize", lambda big_h, _: _stack_of_one(
+        joint_refinement([big_h[0], number_operator(n_modes)])))
     old = generate(cfg, u)
 
     perm0 = _match_outcomes(new.first_family, old.first_family)
@@ -280,9 +280,9 @@ def test_product_families_match_the_dense_tensor_lift(family, index, monkeypatch
     raw = {}  # factor family -> the Hamiltonian it diagonalizes
 
     def recording(h):
-        groups = joint_diagonalize(h)  # one model: one group
-        raw[id(groups[0][1])] = h[0]
-        return groups
+        family = joint_diagonalize(h)
+        raw[id(family)] = h[0]
+        return family
 
     monkeypatch.setattr(ensembles, "joint_diagonalize", recording)
     monkeypatch.setattr(ensembles, "product_family", lambda factors: _stack_of_one(
@@ -321,6 +321,18 @@ def test_config_validation_errors(rng):
     with pytest.raises(ValidationError, match="at least two"):
         PeriodicThermoConfig(quasi_energies=[0.3], bath_hamiltonian=h,
                              theta=1.0, beta=1.0)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda v: MicrocanonicalConfig(h_t0=np.eye(2), h_t1=np.eye(2), energy=v, width=1.0), "energy"),
+    (lambda v: GrandCanonicalConfig(h_t0=np.eye(2), h_t1=np.eye(2), beta=1.0, mu=v), "mu"),
+    (lambda v: PeriodicThermoConfig(quasi_energies=[0.0, 1.0], bath_hamiltonian=np.eye(2), theta=v, beta=1.0),
+     "theta"),
+], ids=["energy", "mu", "theta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_config_numbers_are_named_with_their_value(build, name, value):
+    with pytest.raises(ValidationError, match=f"^{name} = {value} must be finite$"):
+        build(value)
 
 
 def test_config_json_round_trips(rng):
@@ -427,7 +439,7 @@ def test_config_dim_matches_generated_unitary(rng):
 
 def test_assemble_report_cross_checks_the_labeled_jensen_combination(rng):
     """Labeled quantities whose Jensen combination misses the generic value are rejected."""
-    [(_, family)] = joint_diagonalize(_random_hermitian(rng, 3)[None])
+    family = joint_diagonalize(_random_hermitian(rng, 3)[None])
     u = haar_unitary(3, rng)[None]
 
     def build(labeled):

@@ -428,6 +428,49 @@ def test_work_distribution_validation():
         WorkDistribution(values=[1.0], probs=[0.5, 0.5], grouping_tol=1e-9)
 
 
+UNIFORM = JointModel(p_table=[[0.25, 0.25], [0.25, 0.25]], d=[1, 1], D=[1, 1])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: JointModel(p_table=[0.5, 0.5], d=[1], D=[1, 1]), r"^p_table must be 2-dimensional, got shape \(2,\)$"),
+    (lambda: JointModel(p_table=[[0.5, math.nan]], d=[1], D=[1, 1]), r"^p_table\[0, 1\] is not finite$"),
+    (lambda: JointModel(p_table=[[0.5, 0.5]], d=[1, 1], D=[1, 1]), r"^d must have shape \(1,\), got \(2,\)$"),
+    (lambda: JointModel(p_table=[[0.5, 0.5]], d=[1], D=[1, 1], labels_j=("a",)),
+     "^labels_j has 1 entries, expected 2$"),
+    (lambda: j_equation_lhs(UNIFORM, [1.5, -0.5]), r"^q\[1\] = -0.5 is negative$"),
+    (lambda: shannon_entropy([0.5, 0.5], d=[1, 1, 1]), r"^d has shape \(3,\), expected \(2,\)$"),
+    (lambda: shannon_entropy([0.5, 0.5], d=[1, 0]), "^cell sizes must be positive$"),
+    (lambda: reciprocal_model(UNIFORM, [0.2, 0.3, 0.5]), "^q has 3 entries, expected 2$"),
+    (lambda: WorkDistribution(values=[0.0, 1.0], probs=[1.5, -0.5], grouping_tol=1e-9),
+     "^level probabilities must be nonnegative$"),
+    (lambda: WorkDistribution(values=[0.0, 1.0], probs=[0.5, 0.5], grouping_tol=1e-9, reciprocal_probs=[1.0]),
+     "^reciprocal_probs must match values in length$"),
+    (lambda: group_levels([0.0, 1.0], [1.0]), "^values and probs must have equal length$"),
+], ids=["table-ndim", "table-nan", "cell-shape", "labels-j", "q-negative", "entropy-cell-shape",
+        "entropy-zero-cell", "reciprocal-q-length", "level-negative", "reciprocal-column", "levels-length"])
+def test_malformed_inputs_raise_validation_errors_naming_the_cause(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
+def test_a_stack_of_distributions_must_be_rectangular():
+    """A row with another level count or positive-entry count than row 0 is named; the rows
+    of a rectangular stack give what each gives alone, bit for bit."""
+    rng = np.random.default_rng(31)
+    probs = rng.dirichlet(np.ones(3), size=2)
+    with pytest.raises(PreconditionError, match="^stacked model 1 differs from model 0 in its number of levels$"):
+        group_levels(np.array([[0.0, 1.0, 2.0], [0.5, 0.5, 2.0]]), probs)
+    with pytest.raises(PreconditionError, match="in its number of positive entries$"):
+        shannon_entropy(np.array([probs[0], [0.5, 0.5, 0.0]]))
+    values = rng.normal(size=(2, 3))
+    stack = group_levels(values, probs)
+    for b in range(2):
+        alone = group_levels(values[b], probs[b])
+        np.testing.assert_array_equal(stack.take(b).values, alone.values)
+        np.testing.assert_array_equal(stack.take(b).probs, alone.probs)
+        assert shannon_entropy(probs, d=[1, 2, 3])[b] == shannon_entropy(probs[b], d=[1, 2, 3])
+
+
 def test_work_distribution_csv_is_17_digit_round_trip():
     vals = np.array([-1.2345678901234567, 0.1, 7.0])
     probs = np.array([0.25, 0.5, 0.25])

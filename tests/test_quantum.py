@@ -227,6 +227,13 @@ def test_spectral_family_validation():
         SpectralFamily(basis=np.eye(2), eigen_tuples=[[0.5], [0.5]], degeneracies=[1, 1])
 
 
+def test_spectral_family_rejects_misaligned_shapes():
+    with pytest.raises(ValidationError, match="^eigen_tuples and degeneracies must align$"):
+        SpectralFamily(basis=np.eye(2), eigen_tuples=np.zeros((3, 1)), degeneracies=[1, 1])
+    with pytest.raises(ValidationError, match="^eigen_tuples and degeneracies must align$"):
+        SpectralFamily(basis=np.stack([np.eye(2)] * 2), eigen_tuples=[[0.0], [1.0]], degeneracies=[1, 1])
+
+
 # ----------------------------------------------------- states and projections
 
 
@@ -299,6 +306,18 @@ def test_evolve_single_segment_and_order():
     u12 = evolve([(sz, 0.3), (sx, 0.7)])
     np.testing.assert_allclose(u12, evolve([(sx, 0.7)]) @ evolve([(sz, 0.3)]), atol=1e-14)
     assert float(np.abs(u12 @ u12.conj().T - np.eye(2)).max()) < 1e-14
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf])
+def test_evolve_rejects_a_non_finite_duration(tau):
+    with pytest.raises(ValidationError, match=r"^protocol\[1\] has non-finite duration$"):
+        evolve([(np.eye(2), 0.5), (np.eye(2), tau)])
+
+
+def test_physical_conditional_rejects_a_dimension_mismatch():
+    family = joint_diagonalize(np.diag([0.0, 1.0]))
+    with pytest.raises(ValidationError, match="^families and unitary must share one dimension$"):
+        physical_conditional(np.eye(3), family, family)
 
 
 def test_evolve_empty_protocol():

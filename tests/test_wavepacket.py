@@ -217,6 +217,15 @@ def test_transition_amplitude_against_quadrature():
         assert abs(got - want) < 1e-10, (mu, m, nu, n, t)
 
 
+def test_transition_amplitude_at_t_zero_and_below():
+    """t = 0 is the Kronecker overlap of the cells; a negative t is rejected."""
+    assert transition_amplitude(0, 1, 0, 1, 0.0) == 1.0
+    assert transition_amplitude(0, 1, 0, 2, 0.0) == 0.0
+    assert transition_amplitude(1, 1, 0, 1, 0.0) == 0.0
+    with pytest.raises(ValidationError, match="^t must be nonnegative$"):
+        transition_amplitude(0, 0, 0, 0, -1e-3)
+
+
 def test_transition_probability_translation_invariance():
     """p(mu, m | nu, n) depends on nu - mu only (lattice translation symmetry)."""
     rng = np.random.default_rng(3)
