@@ -19,11 +19,11 @@ the second outcomes, and wraps the resulting statistics into a report:
   < exp(-theta e - beta q) > = 1 for quasi-energy and bath-heat changes.
 
 Every family follows one pass, run on stacks: :func:`generate_stack` takes
-a bucket of configs of one kind and shape and runs each step once for all
-of them, on arrays with a leading model axis (stacked ``eigh``, batched
-products, sums along the model axis).  A stack must be rectangular: a
-model whose spectra cut, or whose histograms count levels, unlike model
-0's raises a ``PreconditionError``.  :func:`generate` is the stack of one,
+the :func:`stack_configs` config of a bucket of one kind and shape, checked
+once for all its models, and runs each step on arrays with a leading model
+axis (stacked ``eigh``, batched products, sums along it).  A stack must be
+rectangular: a model whose spectra cut, or whose histograms count levels,
+unlike model 0's raises a ``PreconditionError``.  :func:`generate` is the stack of one,
 so a single model and the corpus run the same code.  Its log weight maps
 the whole array of eigenvalue tuples to log weights in one array
 expression; one ``ensemble_state`` call per time shifts them by their
@@ -38,7 +38,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, fields, replace
-from types import SimpleNamespace
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -132,22 +131,32 @@ _OPERATORS = {"codec": (lambda hs: [operator_to_json_dict(h) for h in hs],
 
 
 class _ConfigCodec:
-    """Field-driven JSON codec of the ensemble configs: ``kind``, then every
+    """Field-driven JSON codec and checks of the ensemble configs: ``kind``, then every
     field in declaration order through the codec in its metadata.  A field
     that does not decode raises a ``ValidationError`` that starts with its name;
-    so does an operator that is not finite Hermitian or whose shape changes
+    so does an operator that is not one finite Hermitian matrix or whose shape changes
     from ``h_t0`` to ``h_t1``, checked when the config is constructed."""
 
     kind: ClassVar[str]
 
     def __post_init__(self):
+        for name, h in self._operators():
+            one_matrix(np.asarray(h), name)
+        self.check()
+
+    def _operators(self) -> list:
+        return [op for f in fields(self)
+                for op in f.metadata.get("operators", lambda *_: ())(f.name, getattr(self, f.name))]
+
+    def check(self):
+        """Every check of the config, once for all models of a :func:`stack_configs` stack:
+        here each operator finite Hermitian, and each ``h_t1`` shaped as its ``h_t0``."""
         shapes = {}
-        for f in fields(self):
-            for name, h in f.metadata.get("operators", lambda *_: ())(f.name, getattr(self, f.name)):
-                shapes[name] = one_matrix(require_hermitian(h, name), name).shape
-                before = name.replace("h_t1", "h_t0")
-                if shapes[name] != shapes.get(before, shapes[name]):
-                    raise ValidationError(f"{name} has shape {shapes[name]} but {before} has {shapes[before]}")
+        for name, h in self._operators():
+            shapes[name] = require_hermitian(h, name).shape[-2:]
+            before = name.replace("h_t1", "h_t0")
+            if shapes[name] != shapes.get(before, shapes[name]):
+                raise ValidationError(f"{name} has shape {shapes[name]} but {before} has {shapes[before]}")
 
     def to_json_dict(self) -> dict:
         out = {"kind": self.kind}
@@ -183,16 +192,17 @@ class LocalCanonicalConfig(_ConfigCodec):
     h_t1: tuple = field(metadata=_OPERATORS)
     betas: tuple = field(metadata=_REALS)
 
-    def __post_init__(self):
-        if not (len(self.h_t0) == len(self.h_t1) == len(self.betas) >= 1):
+    def check(self):
+        if not (len(self.h_t0) == len(self.h_t1) >= 1
+                and np.shape(self.betas) == np.shape(self.h_t0[0])[:-2] + (len(self.h_t0),)):
             raise ValidationError("h_t0, h_t1 and betas must have equal positive length")
-        super().__post_init__()
-        for mu, b in enumerate(self.betas):
-            require_positive(f"betas[{mu}]", b)
+        super().check()
+        for mu in range(len(self.h_t0)):
+            require_positive(f"betas[{mu}]", np.asarray(self.betas)[..., mu])
 
     @property
     def dim(self) -> int:
-        return int(np.prod([np.asarray(h).shape[0] for h in self.h_t0]))
+        return int(np.prod([np.shape(h)[-1] for h in self.h_t0]))
 
 
 @dataclass(frozen=True)
@@ -205,14 +215,14 @@ class MicrocanonicalConfig(_ConfigCodec):
     energy: float = field(metadata=_REAL)
     width: float = field(metadata=_REAL)
 
-    def __post_init__(self):
-        super().__post_init__()
+    def check(self):
+        super().check()
         require_positive("width", self.width)
         require_finite("energy", self.energy)
 
     @property
     def dim(self) -> int:
-        return np.asarray(self.h_t0).shape[0]
+        return np.shape(self.h_t0)[-1]
 
 
 @dataclass(frozen=True)
@@ -231,15 +241,15 @@ class GrandCanonicalConfig(_ConfigCodec):
     beta: float = field(metadata=_REAL)
     mu: float = field(metadata=_REAL)
 
-    def __post_init__(self):
-        super().__post_init__()
+    def check(self):
+        super().check()
         _mode_count(self.h_t0)
         require_positive("beta", self.beta)
         require_finite("mu", self.mu)
 
     @property
     def dim(self) -> int:
-        return 2 ** np.asarray(self.h_t0).shape[0]
+        return 2 ** np.shape(self.h_t0)[-1]
 
 
 @dataclass(frozen=True)
@@ -259,20 +269,21 @@ class PeriodicThermoConfig(_ConfigCodec):
     theta: float = field(metadata=_REAL)
     beta: float = field(metadata=_REAL)
 
-    def __post_init__(self):
-        super().__post_init__()
+    def check(self):
+        super().check()
         eps = np.asarray(self.quasi_energies, dtype=float)
-        if eps.ndim != 1 or eps.size < 2:
+        if eps.ndim != np.ndim(self.bath_hamiltonian) - 1 or eps.shape[-1] < 2:
             raise ValidationError("quasi_energies must be a vector with at least two entries")
-        if not (np.all(np.isfinite(eps)) and np.all(np.diff(np.sort(eps)) > 1e-9)):
-            raise ValidationError(f"quasi_energies = {eps.tolist()} must be finite and pairwise distinct "
-                                  "(rank-one projections)")
+        # a non-finite entry becomes nan, whose gaps compare False without a warning
+        gaps = np.diff(np.sort(np.where(np.isfinite(eps), eps, np.nan), axis=-1), axis=-1)
+        require_each(np.all(gaps > 1e-9, axis=-1), ValidationError, lambda b: (
+            f"quasi_energies = {eps[b].tolist()} must be finite and pairwise distinct (rank-one projections)"))
         require_positive("beta", self.beta)
         require_finite("theta", self.theta)
 
     @property
     def dim(self) -> int:
-        return len(self.quasi_energies) * np.asarray(self.bath_hamiltonian).shape[0]
+        return np.shape(self.quasi_energies)[-1] * np.shape(self.bath_hamiltonian)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +439,8 @@ def _assemble_report(
     )
 
 
-# Each family is two functions of its stacked config fields ``c`` (numbers (B,), operators
-# (B, n, n)): the (operator, [sectors]) arguments of every joint_diagonalize, and the
+# Each family is two functions of its stacked config ``c`` (numbers (B,), operators (B, n, n),
+# from stack_configs): the (operator, [sectors]) arguments of every joint_diagonalize, and the
 # builder of (first, second, log_weight, work_value, labeled) from the families they give.
 
 def _local_canonical(c, factors):
@@ -569,32 +580,34 @@ def config_from_json_dict(data: dict):
     return kinds[kind].from_json_dict(data)
 
 
-def stack_key(config) -> tuple:
-    """Configs with equal keys stack: one kind, and every field of one shape."""
-    return (type(config), *(tuple(map(np.shape, v)) if isinstance(v, (tuple, list)) else np.shape(v)
-                            for v in (getattr(config, f.name) for f in fields(config))))
+def stack_key(kind, values: dict) -> tuple:
+    """Models of config class ``kind`` whose field ``values`` have equal keys stack: every field of one shape."""
+    return (kind, *(tuple(map(np.shape, v)) if isinstance(v, (tuple, list)) else np.shape(v)
+                    for v in values.values()))
 
 
-def generate_stack(configs, us: np.ndarray) -> EnsembleReport:
-    """Stacked report of configs of one :func:`stack_key` with unitaries ``us`` (B, dim, dim):
+def stack_configs(kind, rows):
+    """The config of class ``kind`` whose every field stacks the ``rows`` (each one model's
+    field values, a dict, all of one :func:`stack_key`) along a leading model axis; a tuple of
+    operators stacks factor by factor.  It is built unchecked: :meth:`check` checks every model."""
+    return validated(kind, **{f.name: tuple(map(np.array, zip(*(row[f.name] for row in rows), strict=True)))
+                              if f.metadata == _OPERATORS else np.array([row[f.name] for row in rows])
+                              for f in fields(kind)})
+
+
+def generate_stack(config, us: np.ndarray) -> EnsembleReport:
+    """Stacked report of a checked :func:`stack_configs` config with unitaries ``us`` (B, dim, dim):
     every step runs once, on arrays with a leading model axis; :meth:`EnsembleReport.take`
     gives one model's report.  The stack must be rectangular: a model whose spectra cut, or
     whose histograms count levels, unlike model 0's raises a ``PreconditionError``."""
-    kind = type(configs[0])
-    if kind not in GENERATORS:
-        raise ValidationError(f"unsupported config type {kind.__name__}")
-    stacked = {}
-    for f in fields(kind):
-        values = [getattr(cfg, f.name) for cfg in configs]
-        # a tuple of operators (the subsystem Hamiltonians) stacks factor by factor
-        stacked[f.name] = tuple(map(np.array, zip(*values, strict=True))) if f.metadata == _OPERATORS \
-            else np.array(values)
-    c = SimpleNamespace(**stacked)
-    arguments, build = GENERATORS[kind]
-    first, second, *pieces = build(c, [joint_diagonalize(*args) for args in arguments(c)])
-    return _assemble_report(kind.kind, first, second, us, *pieces)
+    arguments, build = GENERATORS[type(config)]
+    first, second, *pieces = build(config, [joint_diagonalize(*args) for args in arguments(config)])
+    return _assemble_report(config.kind, first, second, us, *pieces)
 
 
 def generate(config, u: np.ndarray) -> EnsembleReport:
     """One model's report: :func:`generate_stack` of a stack of one."""
-    return generate_stack([config], one_matrix(np.asarray(u, dtype=complex), "U")[None]).take(0)
+    if type(config) not in GENERATORS:
+        raise ValidationError(f"unsupported config type {type(config).__name__}")
+    u = one_matrix(np.asarray(u, dtype=complex), "U")
+    return generate_stack(stack_configs(type(config), [vars(config)]), u[None]).take(0)

@@ -24,7 +24,6 @@ natural logarithm, and 0 ln 0 = 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -69,14 +68,15 @@ def require_alike(rows: np.ndarray, what: str) -> np.ndarray:
     return rows[0]
 
 
-def require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} = {value} must be finite")
+def require_finite(name: str, value) -> None:
+    value = np.asarray(value)
+    require_each(np.isfinite(value), ValidationError, lambda b: f"{name} = {value[b]} must be finite")
 
 
-def require_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValidationError(f"{name} = {value} must be positive and finite")
+def require_positive(name: str, value) -> None:
+    value = np.asarray(value)
+    require_each(np.isfinite(value) & (value > 0), ValidationError,
+                 lambda b: f"{name} = {value[b]} must be positive and finite")
 
 
 def require_count(name: str, value: int, positive: bool = False) -> None:

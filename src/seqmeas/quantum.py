@@ -344,16 +344,22 @@ def evolve(protocol: Sequence[tuple[np.ndarray, float]], dim: int | None = None)
     return u
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed random unitary (QR of a complex Ginibre matrix).
+def ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A dim x dim complex Ginibre matrix: the real parts drawn first, then the imaginary ones."""
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
 
-    The R-diagonal phase fix makes the distribution exactly Haar rather
-    than QR-convention-dependent.
-    """
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+def haar_orthonormalize(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from Ginibre matrices ``z`` (dim, dim) or (B, dim, dim), by one batched QR with
+    the R-diagonal phase fix (exactly Haar, not QR-convention-dependent); bit for bit per matrix."""
     q, r = np.linalg.qr(z / math.sqrt(2.0))
-    phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * phases[None, :]
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diagonal / np.abs(diagonal))[..., None, :]
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed random unitary: :func:`haar_orthonormalize` of one Ginibre draw."""
+    return haar_orthonormalize(ginibre(dim, rng))
 
 
 def _two_time_traces(u: np.ndarray, first: SpectralFamily, second: SpectralFamily) -> np.ndarray:

@@ -14,12 +14,13 @@ unitaries, builds the two-measurement model, and checks
 
 Everything is driven by a single root seed through spawned generators,
 so a report is reproducible from (seed, n_per_family) alone.  The seeds
-are walked in chunks of at most ``CHUNK_MODELS``; a chunk draws its models
-in seed order and runs each bucket of one ``stack_key`` through
-:func:`ensembles.generate_stack` and the checks at once, on stacked arrays.
-A bucket that does not stack (its models cut their spectra differently, or
-their histograms have unequal level counts) runs model by model, each as a
-stack of one; :func:`random_model` is the stack of one of the same code.
+are walked in chunks of at most ``CHUNK_MODELS``; a chunk draws each model's
+raw config fields, then its Ginibre matrix, in seed order.  Each bucket of
+one ``stack_key`` is checked as one stacked config, gets its Haar unitaries
+from one batched QR, and runs through :func:`ensembles.generate_stack` and
+the checks at once.  A bucket that does not stack (an invalid drawn field,
+models whose spectra cut differently, or unequal level counts) runs model by
+model, each as a stack of one; :func:`random_model` is that stack of one.
 """
 
 from __future__ import annotations
@@ -37,11 +38,13 @@ from .ensembles import (
     PeriodicThermoConfig,
     generate,
     generate_stack,
+    stack_configs,
     stack_key,
 )
-from .model import PreconditionError, ValidationError, conditional, is_modified_doubly_stochastic, require_count
+from .model import (PreconditionError, ValidationError, conditional, is_modified_doubly_stochastic, require_count,
+                    validated)
 # povm_elements is re-exported: perfbench's span tests look it up in this module
-from .quantum import haar_unitary, povm_elements, streamed_completeness_deviation  # noqa: F401
+from .quantum import ginibre, haar_orthonormalize, povm_elements, streamed_completeness_deviation  # noqa: F401
 
 DEFAULT_TOLERANCES = {
     "jarzynski": 1e-10,
@@ -60,67 +63,54 @@ CHUNK_MODELS = 128
 
 
 def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    a = ginibre(dim, rng)
     return 0.5 * (a + a.conj().T)
 
 
-def random_config(family: str, rng: np.random.Generator, index: int):
-    """Random config for one corpus model; ``index`` cycles sub-parameters.
+def draw_model(family: str, seed, index: int) -> tuple:
+    """Config class, unchecked field values (a dict) and Ginibre matrix of one corpus model,
+    drawn in that order from one generator; ``index`` cycles sub-parameters.
 
     Canonical alternates one/two subsystems, grand-canonical cycles the
     mode count 1..3; scales are moderate so that weights stay far from
     underflow and the spectra far from accidental degeneracy.
     """
+    rng = np.random.default_rng(seed)
     if family == "local_canonical":
         n_sub = 1 + index % 2
         dims = [int(rng.integers(2, 5)) for _ in range(n_sub)] if n_sub == 1 \
             else [int(rng.integers(2, 4)) for _ in range(n_sub)]
-        return LocalCanonicalConfig(
-            h_t0=[_random_hermitian(rng, d) for d in dims],
-            h_t1=[_random_hermitian(rng, d) for d in dims],
-            betas=[float(rng.uniform(0.2, 2.0)) for _ in dims],
-        )
-    if family == "microcanonical":
+        kind, values = LocalCanonicalConfig, dict(
+            h_t0=[_random_hermitian(rng, d) for d in dims], h_t1=[_random_hermitian(rng, d) for d in dims],
+            betas=[float(rng.uniform(0.2, 2.0)) for _ in dims])
+    elif family == "microcanonical":
         dim = int(rng.integers(4, 7))
-        return MicrocanonicalConfig(
-            h_t0=_random_hermitian(rng, dim),
-            h_t1=_random_hermitian(rng, dim),
-            energy=float(rng.uniform(-1.5, 1.5)),
-            width=float(rng.uniform(0.4, 1.5)),
-        )
-    if family == "grand_canonical":
+        kind, values = MicrocanonicalConfig, dict(
+            h_t0=_random_hermitian(rng, dim), h_t1=_random_hermitian(rng, dim),
+            energy=float(rng.uniform(-1.5, 1.5)), width=float(rng.uniform(0.4, 1.5)))
+    elif family == "grand_canonical":
         n_modes = 1 + index % 3
-        return GrandCanonicalConfig(
-            h_t0=_random_hermitian(rng, n_modes),
-            h_t1=_random_hermitian(rng, n_modes),
-            beta=float(rng.uniform(0.2, 2.0)),
-            mu=float(rng.uniform(-1.0, 1.0)),
-        )
-    if family == "periodic_thermo":
+        kind, values = GrandCanonicalConfig, dict(
+            h_t0=_random_hermitian(rng, n_modes), h_t1=_random_hermitian(rng, n_modes),
+            beta=float(rng.uniform(0.2, 2.0)), mu=float(rng.uniform(-1.0, 1.0)))
+    elif family == "periodic_thermo":
         n_levels = int(rng.integers(3, 6))
         quasi = np.sort(rng.uniform(-2.0, 2.0, size=n_levels))
         while np.min(np.diff(quasi)) < 5e-2:
             quasi = np.sort(rng.uniform(-2.0, 2.0, size=n_levels))
         bath_dim = int(rng.integers(2, 4))
-        return PeriodicThermoConfig(
-            quasi_energies=quasi,
-            bath_hamiltonian=_random_hermitian(rng, bath_dim),
-            theta=float(rng.uniform(-2.0, 2.0)),
-            beta=float(rng.uniform(0.2, 2.0)),
-        )
-    raise ValidationError(f"unknown family {family!r}; expected one of {FAMILIES}")
-
-
-def draw_model(family: str, seed, index: int):
-    """The config and Haar unitary of one corpus model, drawn in that order from one generator."""
-    rng = np.random.default_rng(seed)
-    config = random_config(family, rng, index)
-    return config, haar_unitary(config.dim, rng)
+        kind, values = PeriodicThermoConfig, dict(
+            quasi_energies=quasi, bath_hamiltonian=_random_hermitian(rng, bath_dim),
+            theta=float(rng.uniform(-2.0, 2.0)), beta=float(rng.uniform(0.2, 2.0)))
+    else:
+        raise ValidationError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    return kind, values, ginibre(validated(kind, **values).dim, rng)
 
 
 def random_model(family: str, seed, index: int = 0) -> EnsembleReport:
     """One corpus model: random config + Haar unitary, generated as a stack of one."""
-    return generate(*draw_model(family, seed, index))
+    kind, values, z = draw_model(family, seed, index)
+    return generate(kind(**values), haar_orthonormalize(z))
 
 
 def fault_injection_check(report: EnsembleReport) -> np.ndarray:
@@ -263,19 +253,22 @@ def run_corpus(seed: int = 20260814, n_per_family: int = 100,
 
 def _check_chunk(family: str, seeds, start: int, tol: dict):
     """Draw the chunk of models from ``start`` in seed order, bucket them by stack key, and yield
-    each bucket's (model indices, check outcomes).  A bucket that does not stack (a typed error,
-    such as models whose spectra cut differently) runs model by model, each as a stack of one;
-    a model that fails alone raises again, naming its family and model_index."""
+    each bucket's (model indices, check outcomes), its configs checked once as one stacked config
+    and its unitaries from one batched QR.  A bucket that does not stack (a typed error, such as an
+    invalid drawn field or models whose spectra cut differently) runs model by model, each as a
+    stack of one; a model that fails alone raises again, naming its family and model_index."""
     buckets = {}
     for index in range(start, min(start + CHUNK_MODELS, len(seeds))):
-        config, u = draw_model(family, seeds[index], index)
-        buckets.setdefault(stack_key(config), []).append((index, config, u))
-    for models in buckets.values():
+        kind, values, z = draw_model(family, seeds[index], index)
+        buckets.setdefault(stack_key(kind, values), []).append((index, values, z))
+    for (kind, *_), models in buckets.items():
         stacks = [models]
         while stacks:
-            indices, configs, us = zip(*stacks.pop(0))
+            indices, rows, z = zip(*stacks.pop(0))
             try:
-                yield np.array(indices), _run_checks(generate_stack(configs, np.array(us)), tol)
+                config = stack_configs(kind, rows)
+                config.check()
+                yield np.array(indices), _run_checks(generate_stack(config, haar_orthonormalize(np.array(z))), tol)
             except (ValidationError, PreconditionError) as exc:
                 if len(indices) == 1:
                     raise type(exc)(f"{family} model_index {indices[0]}: {exc}") from exc

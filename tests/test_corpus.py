@@ -3,15 +3,16 @@ attributed to the model that caused them."""
 
 from __future__ import annotations
 
-import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from seqmeas import verify
-from seqmeas.ensembles import GrandCanonicalConfig, generate, generate_stack, stack_key
+from seqmeas.ensembles import GrandCanonicalConfig, generate, generate_stack, stack_configs, stack_key
 from seqmeas.model import PreconditionError, ValidationError
-from seqmeas.quantum import haar_unitary
+from seqmeas.quantum import ginibre, haar_orthonormalize, haar_unitary
 
 # tolerances that every model misses, so that the report lists every model's deviations
 MISS_EVERYTHING = {name: np.inf if name == "fault_detection" else -np.inf for name in verify.DEFAULT_TOLERANCES}
@@ -54,15 +55,20 @@ def _grand_canonical_bucket(rng: np.random.Generator, n_modes: int, zero_at: int
     return configs, np.array(us)
 
 
+def _stack(configs):
+    """The stacked config of checked one-model configs of one kind and shape."""
+    return stack_configs(type(configs[0]), [vars(c) for c in configs])
+
+
 def test_a_degenerate_model_in_a_bucket_gives_the_report_it_gives_alone():
     """The h = 0 model cuts its number sectors unlike the others, so the bucket does not stack
     and names it; it has its report alone, and the other five stack, each as it is alone."""
     configs, us = _grand_canonical_bucket(np.random.default_rng(5), 3, zero_at=2, n=6)
     with pytest.raises(PreconditionError, match="^stacked model 2 differs from model 0 in its spectral cuts"):
-        generate_stack(configs, us)
+        generate_stack(_stack(configs), us)
     assert generate(configs[2], us[2]).first_family.degeneracies.tolist() == [1, 3, 3, 1]
     rest = [0, 1, 3, 4, 5]
-    stacked = generate_stack([configs[b] for b in rest], us[rest])
+    stacked = generate_stack(_stack([configs[b] for b in rest]), us[rest])
     for k, b in enumerate(rest):
         together, alone = stacked.take(k), generate(configs[b], us[b])
         assert together.to_json_dict() == alone.to_json_dict()
@@ -72,8 +78,8 @@ def test_a_degenerate_model_in_a_bucket_gives_the_report_it_gives_alone():
 # a degenerate model planted in every fifth corpus model: h_t0 = 0 cuts the number sectors of
 # a grand-canonical model unlike its bucket's, and h_t1 = h_t0 merges the diagonal of a
 # microcanonical exponent table into one level, so its histogram has fewer levels
-PLANTED = {"grand_canonical": (lambda c: {"h_t0": 0 * c.h_t0}, "in its spectral cuts"),
-           "microcanonical": (lambda c: {"h_t1": c.h_t0}, "in its number of levels")}
+PLANTED = {"grand_canonical": (lambda c: {"h_t0": 0 * c["h_t0"]}, "in its spectral cuts"),
+           "microcanonical": (lambda c: {"h_t1": c["h_t0"]}, "in its number of levels")}
 
 
 @pytest.mark.parametrize("family", PLANTED)
@@ -83,12 +89,12 @@ def test_a_bucket_that_does_not_stack_gives_the_report_of_each_model_alone(famil
     errors = []
 
     def planted(family, seed, index):
-        config, u = draw_model(family, seed, index)
-        return (dataclasses.replace(config, **change(config)) if index % 5 == 4 else config), u
+        kind, values, z = draw_model(family, seed, index)
+        return kind, (values | change(values) if index % 5 == 4 else values), z
 
-    def spying(configs, us):
+    def spying(config, us):
         try:
-            return stack(configs, us)
+            return stack(config, us)
         except PreconditionError as exc:
             errors.append(str(exc))
             raise
@@ -112,13 +118,13 @@ def test_the_seeded_corpus_runs_one_stack_per_bucket(monkeypatch):
     """Corpus traffic is rectangular: every bucket runs as one stack and none falls back
     to its models one at a time (that would repeat the bucket's stack key in a chunk)."""
     calls = []
-    stack = verify.generate_stack
+    stack = verify.stack_configs
 
-    def recording(configs, us):
-        calls.append(({stack_key(c) for c in configs}, len(configs)))
-        return stack(configs, us)
+    def recording(kind, rows):
+        calls.append(({stack_key(kind, row) for row in rows}, len(rows)))
+        return stack(kind, rows)
 
-    monkeypatch.setattr(verify, "generate_stack", recording)
+    monkeypatch.setattr(verify, "stack_configs", recording)
     assert verify.CHUNK_MODELS >= 100  # one chunk per family
     report = verify.run_corpus(seed=20260814, n_per_family=100)
     assert report.all_passed
@@ -140,15 +146,73 @@ def test_a_failing_check_is_reported_under_its_own_model_index_only():
 
 
 def test_an_error_in_a_bucket_names_the_family_and_model_index(monkeypatch):
-    draw_model = verify.draw_model
+    draw_model, orthonormalize = verify.draw_model, verify.haar_orthonormalize
+    fifth = []
 
-    def one_bad_unitary(family, seed, index):
-        config, u = draw_model(family, seed, index)
-        return config, (1.01 * u if index == 5 else u)
+    def recording(family, seed, index):
+        kind, values, z = draw_model(family, seed, index)
+        if index == 5:
+            fifth.append(z)
+        return kind, values, z
 
-    monkeypatch.setattr(verify, "draw_model", one_bad_unitary)
+    def one_bad_unitary(z):
+        """The unitary of model 5, in whatever stack it is orthonormalized, scaled off the unit circle."""
+        u = orthonormalize(z)
+        planted = np.array([np.array_equal(m, fifth[0]) for m in z])
+        return np.where(planted[:, None, None], 1.01 * u, u)
+
+    monkeypatch.setattr(verify, "draw_model", recording)
+    monkeypatch.setattr(verify, "haar_orthonormalize", one_bad_unitary)
     with pytest.raises(ValidationError, match=r"^microcanonical model_index 5: U is not unitary"):
         verify.run_corpus(seed=3, n_per_family=12, families=("microcanonical",))
+
+
+# a drawn field that fails its config check: beta = 0, and an h_t0 with an anti-Hermitian part
+INVALID = {"grand_canonical": (lambda c: {"beta": 0.0}, r"beta = 0\.0 must be positive and finite$"),
+           "microcanonical": (lambda c: {"h_t0": c["h_t0"] + 1j * np.eye(len(c["h_t0"]))},
+                              r"h_t0 is not Hermitian \(deviation 2\.000e\+00\)$")}
+
+
+@pytest.mark.parametrize("family", INVALID)
+def test_an_invalid_drawn_field_names_the_family_model_index_and_field(family, monkeypatch):
+    """The stacked check of a bucket fails on one planted model; run alone, that model names itself."""
+    change, message = INVALID[family]
+    draw_model, stack = verify.draw_model, verify.stack_configs
+    sizes = []
+
+    def planted(family, seed, index):
+        kind, values, z = draw_model(family, seed, index)
+        return kind, (values | change(values) if index == 7 else values), z
+
+    monkeypatch.setattr(verify, "draw_model", planted)
+    monkeypatch.setattr(verify, "stack_configs", lambda kind, rows: sizes.append(len(rows)) or stack(kind, rows))
+    with pytest.raises(ValidationError, match=rf"^{family} model_index 7: {message}"):
+        verify.run_corpus(seed=9, n_per_family=24, families=(family,))
+    assert sizes[-1] == 1 and sizes[sizes.index(1) - 1] > 1  # the bucket ran as a stack, then model by model
+
+
+# sha256 of the seeded corpus report without its timing keys, as computed before the
+# bucket-wise draw: every refactor of the corpus must keep these bits
+SEEDED_CORPUS_SHA256 = "46ff6c4701fc82df458468365677e3baa59386e194003fb4be4c7c57cc9edcf5"
+
+
+def test_the_seeded_corpus_report_keeps_its_bits():
+    out = verify.run_corpus(20260814, 100).to_json_dict()
+    del out["elapsed_seconds"], out["family_seconds"]
+    assert hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest() == SEEDED_CORPUS_SHA256
+
+
+@pytest.mark.parametrize("n", [1, 2, 37])
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_a_stack_of_ginibre_draws_orthonormalizes_to_each_haar_unitary(dim, n):
+    """One batched QR gives every model's haar_unitary bit for bit, and leaves each model's
+    generator where haar_unitary leaves it."""
+    seeds = np.random.SeedSequence([dim, n]).spawn(n)
+    alone, batched = [np.random.default_rng(s) for s in seeds], [np.random.default_rng(s) for s in seeds]
+    us = [haar_unitary(dim, rng) for rng in alone]
+    stacked = haar_orthonormalize(np.array([ginibre(dim, rng) for rng in batched]))
+    assert all(np.array_equal(stacked[b], u) for b, u in enumerate(us))
+    assert [rng.normal() for rng in alone] == [rng.normal() for rng in batched]
 
 
 def test_report_times_every_family():

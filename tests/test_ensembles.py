@@ -18,11 +18,13 @@ from seqmeas.ensembles import (
     config_from_json_dict,
     generate,
     lift_one_particle,
+    stack_configs,
     _assemble_report,
 )
 from seqmeas import ensembles, model, verify
 from seqmeas.model import ValidationError, is_modified_doubly_stochastic, conditional, j_equation_lhs
-from seqmeas.quantum import GROUP_TOL, SpectralFamily, haar_unitary, joint_diagonalize, product_family
+from seqmeas.quantum import (GROUP_TOL, SpectralFamily, haar_orthonormalize, haar_unitary, joint_diagonalize,
+                             product_family)
 
 from conftest import joint_refinement, projections
 
@@ -256,17 +258,27 @@ def test_one_factor_product_family_equals_the_factor_exactly(rng):
         np.testing.assert_array_equal(one.degeneracies, factor.degeneracies)
 
 
+def _corpus_model(family: str, seed, index: int):
+    """The checked config and Haar unitary of one corpus model, drawn as the corpus draws them."""
+    kind, values, z = verify.draw_model(family, seed, index)
+    return kind(**values), haar_orthonormalize(z)
+
+
 def _product_config(family: str, index: int):
-    """Corpus configs for indices 0-3, a config with degenerate factor spectra for index 4."""
-    rng = np.random.default_rng([1553, verify.FAMILIES.index(family), index])
+    """Corpus models for indices 0-3, a config with degenerate factor spectra for index 4;
+    each with its Haar unitary."""
+    seed = [1553, verify.FAMILIES.index(family), index]
     if index < 4:
-        return verify.random_config(family, rng, index), rng
+        return _corpus_model(family, seed, index)
+    rng = np.random.default_rng(seed)
     if family == "local_canonical":
-        return LocalCanonicalConfig(h_t0=(_rotated_diagonal(rng, (0, 0, 1)), np.diag([0.5, 0.5])),
-                                    h_t1=(_rotated_diagonal(rng, (1, 2, 2)), _random_hermitian(rng, 2)),
-                                    betas=(0.7, 1.3)), rng
-    return PeriodicThermoConfig(quasi_energies=[-0.4, 0.2, 0.9], bath_hamiltonian=_rotated_diagonal(
-        rng, (0, 0, 1)), theta=0.6, beta=1.1), rng
+        cfg = LocalCanonicalConfig(h_t0=(_rotated_diagonal(rng, (0, 0, 1)), np.diag([0.5, 0.5])),
+                                   h_t1=(_rotated_diagonal(rng, (1, 2, 2)), _random_hermitian(rng, 2)),
+                                   betas=(0.7, 1.3))
+    else:
+        cfg = PeriodicThermoConfig(quasi_energies=[-0.4, 0.2, 0.9], bath_hamiltonian=_rotated_diagonal(
+            rng, (0, 0, 1)), theta=0.6, beta=1.1)
+    return cfg, haar_unitary(cfg.dim, rng)
 
 
 @pytest.mark.parametrize("index", range(5))
@@ -274,8 +286,7 @@ def _product_config(family: str, index: int):
 def test_product_families_match_the_dense_tensor_lift(family, index, monkeypatch):
     """Reports from factor spectra against the same reports with every product family
     rebuilt as joint_refinement of the dense lifts of the factor Hamiltonians."""
-    cfg, rng = _product_config(family, index)
-    u = haar_unitary(cfg.dim, rng)
+    cfg, u = _product_config(family, index)
     new = generate(cfg, u)
     raw = {}  # factor family -> the Hamiltonian it diagonalizes
 
@@ -333,6 +344,42 @@ def test_config_validation_errors(rng):
 def test_non_finite_config_numbers_are_named_with_their_value(build, name, value):
     with pytest.raises(ValidationError, match=f"^{name} = {value} must be finite$"):
         build(value)
+
+
+def _anti_hermitian_part(h):
+    return h + 1j * np.eye(len(h))
+
+
+# one invalid field for every config check that can tell models of one stack apart
+STACK_FAULTS = {
+    "local_canonical-betas": (lambda v: {"betas": v["betas"][:-1] + [0.0]}, r"betas\[1\] = 0\.0 must be positive"),
+    "local_canonical-h_t1": (lambda v: {"h_t1": [v["h_t1"][0], _anti_hermitian_part(v["h_t1"][1])]},
+                             r"h_t1\[1\] is not Hermitian \(deviation 2\.000e\+00\)"),
+    "microcanonical-h_t0": (lambda v: {"h_t0": _anti_hermitian_part(v["h_t0"])}, r"h_t0 is not Hermitian"),
+    "microcanonical-width": (lambda v: {"width": -1.0}, r"width = -1\.0 must be positive and finite"),
+    "microcanonical-energy": (lambda v: {"energy": math.nan}, r"energy = nan must be finite"),
+    "grand_canonical-beta": (lambda v: {"beta": 0.0}, r"beta = 0\.0 must be positive and finite"),
+    "grand_canonical-mu": (lambda v: {"mu": math.inf}, r"mu = inf must be finite"),
+    "periodic_thermo-quasi_energies": (lambda v: {"quasi_energies": np.r_[v["quasi_energies"][:-1], math.nan]},
+                                       r"quasi_energies = \[.*, nan\] must be finite and pairwise distinct"),
+    "periodic_thermo-bath_hamiltonian": (lambda v: {"bath_hamiltonian": _anti_hermitian_part(v["bath_hamiltonian"])},
+                                         r"bath_hamiltonian is not Hermitian"),
+    "periodic_thermo-theta": (lambda v: {"theta": -math.inf}, r"theta = -inf must be finite"),
+}
+
+
+@pytest.mark.parametrize("fault", STACK_FAULTS)
+def test_a_stacked_config_check_finds_the_invalid_model(fault):
+    """The stacked check of a bucket raises for a fault in its last model alone, with the message
+    the one-model config gives; the stack of valid models passes."""
+    change, message = STACK_FAULTS[fault]
+    kind, values, _ = verify.draw_model(fault.split("-")[0], 5, 1)
+    stack_configs(kind, [values] * 3).check()
+    rows = [values, values, values | change(values)]
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        stack_configs(kind, rows).check()
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        kind(**rows[-1])
 
 
 def test_config_json_round_trips(rng):
@@ -457,9 +504,9 @@ def test_assemble_report_cross_checks_the_labeled_jensen_combination(rng):
         build(lambda log_norm0, log_norm1, mean_changes: {"jensen_combination": generic + 1e-6})
 
 
-def test_random_config_rejects_an_unknown_family(rng):
+def test_random_config_rejects_an_unknown_family():
     with pytest.raises(ValidationError, match="unknown family 'bogus'"):
-        verify.random_config("bogus", rng, 0)
+        verify.draw_model("bogus", 0, 0)
     with pytest.raises(ValidationError, match="unknown family 'bogus'"):
         verify.random_model("bogus", 1)
 
@@ -497,9 +544,8 @@ def test_generate_builds_the_ratio_once_and_each_state_once(family, monkeypatch)
     monkeypatch.setattr(ensembles, "joint_diagonalize",
                         counting("joint_diagonalize", ensembles.joint_diagonalize))
     monkeypatch.setattr(ensembles, "product_family", counting("product_family", ensembles.product_family))
-    rng = np.random.default_rng(np.random.SeedSequence(11))
-    cfg = verify.random_config(family, rng, 1)
-    generate(cfg, haar_unitary(cfg.dim, rng))
+    cfg, u = _corpus_model(family, np.random.SeedSequence(11), 1)
+    generate(cfg, u)
     # the local-canonical subsystem partition functions are the log norms of one state per
     # subsystem and time, for the cross-check against the joint normalizations
     n_subsystems = len(cfg.betas) if family == "local_canonical" else 0
