@@ -19,6 +19,8 @@ capture (``mass_deficit``) instead of renormalizing.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +40,18 @@ DEFAULT_N_P = 512
 # Half-width of the per-source position window of the conditional kernel,
 # measured from the classical drift 2 pi n t.
 DEFAULT_KERNEL_HALFWIDTH = 24
-# Sources per kernel block of the second marginal; bounds its two block buffers.
+# Sources per kernel block of the second marginal; bounds the two block buffers of each thread.
 KERNEL_BLOCK = 128
+
+
+def _both_halves(work, first, second) -> None:
+    """work(first) on a helper thread that ends with this call, work(second) here; at once if 2+ CPUs."""
+    with ThreadPoolExecutor(1) as helper:
+        future = helper.submit(work, first)
+        if len(os.sched_getaffinity(0)) < 2:
+            future.result()
+        work(second)
+        future.result()
 
 
 def erfi_line(u, t: float):
@@ -51,7 +63,8 @@ def erfi_line(u, t: float):
     require_positive("t", t)
     z = np.multiply(u, 1.0 + 1.0j, out=np.empty(np.shape(u), complex))
     z /= 2.0 * math.sqrt(t)
-    return _scipy_erfi(z, out=z)
+    _both_halves(lambda part: _scipy_erfi(part, out=part), *np.array_split(z.reshape(-1), 2))
+    return z
 
 
 def scaled_erf_segment(x0, x1, a):
@@ -197,23 +210,25 @@ def _inverse_square(size: int) -> np.ndarray:
 
 
 def conditional_kernel(h_d: np.ndarray, a: int, diagonal: np.ndarray, inv_sq: np.ndarray,
-                       buffers: np.ndarray) -> np.ndarray:
-    """Kernel block K[i, m] = p(nu - d, m | nu, a + i) of the sources a, ..., b - 1 at one offset d.
+                       buffers: np.ndarray, columns: slice = slice(None)) -> np.ndarray:
+    """Kernel block K[i, m - c0] = p(nu - d, m | nu, a + i) of the sources a, ..., b - 1 at one offset d.
 
     Momenta are positions on a consecutive grid; ``h_d`` is the column
     H(., d) of ``_kernel_factor`` on it, ``diagonal`` the closed-form m = n
-    entries of the sources and ``inv_sq`` the grid's ``_inverse_square``.
-    The block is written into ``buffers[0, :b - a]`` (``buffers[1]`` is
-    scratch).  Once per block, with no erfi or exp: the (b - a) len(h_d)
-    entries |H_m - H_n|^2 / (16 pi^2 (m - n)^2), in six float passes.
+    entries of the sources and ``inv_sq`` the grid's ``_inverse_square``;
+    m runs over the positions c0 <= m < c1 of ``columns``.  The block fills
+    the start of ``buffers[0]`` (``buffers[1]`` is scratch).  Once per block,
+    with no erfi or exp: |H_m - H_n|^2 / (16 pi^2 (m - n)^2), in six float passes.
     """
     b = a + len(diagonal)
-    kernel, im = buffers[0, :b - a], buffers[1, :b - a]
+    c0, c1, _ = columns.indices(len(h_d))
+    kernel, im = buffers.reshape(2, -1)[:, :(b - a) * (c1 - c0)].reshape(2, b - a, c1 - c0)  # contiguous blocks
     h_re, h_im = h_d.real.copy(), h_d.imag.copy()
-    np.square(np.subtract(h_re, h_re[a:b, None], out=kernel), out=kernel)
-    kernel += np.square(np.subtract(h_im, h_im[a:b, None], out=im), out=im)
-    kernel *= inv_sq[a:b]
-    kernel[np.arange(b - a), np.arange(a, b)] = diagonal
+    np.square(np.subtract(h_re[c0:c1], h_re[a:b, None], out=kernel), out=kernel)
+    kernel += np.square(np.subtract(h_im[c0:c1], h_im[a:b, None], out=im), out=im)
+    kernel *= inv_sq[a:b, c0:c1]
+    on = np.arange(max(a, c0), min(b, c1))  # sources whose m = n entry is a column here
+    kernel[on - a, on - c0] = diagonal[on - a]
     return kernel
 
 
@@ -234,8 +249,10 @@ def second_marginal(sigma: float, t: float, n_x: int = DEFAULT_N_X, n_p: int = D
     grid F over (m, d <= 0), turned in place into the n-independent factor
     H once the m = n entries are read from it.  Once per block of at most
     ``KERNEL_BLOCK`` sources s at offset d: one ``conditional_kernel`` of
-    s (2 n_p + 1) entries, then one GEMM of 2 (2 n_x + 1) x s x (2 n_p + 1)
-    multiply-adds onto the output rows mu = nu - d and (mirrored) nu + d.
+    s (2 n_p + 1) entries, then one GEMM of (2 n_x + 1) x s x (2 n_p + 1)
+    multiply-adds onto the rows mu = nu - d and, reversed in m as p(nu, -n)
+    = p(nu, n), onto nu + d.  The erfi grid and the blocks run on two threads;
+    the blocks split into outer and middle momenta, each closed under m -> -m.
     """
     require_positive("t", t)
     require_count("kernel_halfwidth", kernel_halfwidth)
@@ -256,18 +273,23 @@ def second_marginal(sigma: float, t: float, n_x: int = DEFAULT_N_X, n_p: int = D
 
     mu_values = np.arange(-n_x + d_lo, n_x - d_lo + 1)
     out = np.zeros((mu_values.size, size))
-    inv_sq, buffers = _inverse_square(size), np.empty((2, min(KERNEL_BLOCK, size), size))
-    rows = 2 * n_x + 1  # weights[rows:] are the sources mirrored: column i holds -n_values[i]
-    weights = np.vstack([src.table, src.table[:, ::-1]])
-    for d in range(d_lo, 1):
-        start, stop = np.searchsorted(drift, (-w - d, w - d + 1))
-        for a in range(start, stop, KERNEL_BLOCK):
-            b = min(a + KERNEL_BLOCK, stop)
-            diag = diagonal[np.arange(a, b), d + drift[a:b] + w]
-            summed = weights[:, a:b] @ conditional_kernel(h_all[:, d - d_lo], a, diag, inv_sq, buffers)
-            out[-d - d_lo: -d - d_lo + rows] += summed[:rows]
-            if d < 0:  # offset -d: sources -n onto output momenta -m, rows mu = nu + d
-                out[d - d_lo: d - d_lo + rows, ::-1] += summed[rows:]
+    inv_sq, rows, quarter = _inverse_square(size), 2 * n_x + 1, size // 4
+
+    def accumulate(columns):  # every block onto the output momenta of columns, closed under m -> -m
+        buffers = np.empty((2, min(KERNEL_BLOCK, size), size - 2 * quarter))
+        for d, h_d in zip(range(d_lo, 1), h_all.T):
+            start, stop = np.searchsorted(drift, (-w - d, w - d + 1))
+            for a in range(start, stop, KERNEL_BLOCK):
+                b = min(a + KERNEL_BLOCK, stop)
+                diag = diagonal[np.arange(a, b), d + drift[a:b] + w]
+                parts = [src.table[:, a:b] @ conditional_kernel(h_d, a, diag, inv_sq, buffers, c) for c in columns]
+                for c, part in zip(columns, parts):
+                    out[-d - d_lo: -d - d_lo + rows, c] += part
+                for c, part in zip(columns if d < 0 else (), parts):  # offset -d: sources -n, rows nu + d
+                    out[d - d_lo: d - d_lo + rows, ::-1][:, c] += part
+
+    outer = (slice(0, quarter), slice(size - quarter, size)) if quarter else ()  # no empty column ranges
+    _both_halves(accumulate, outer, (slice(quarter, size - quarter),))
     return TruncatedTable(table=out, first_index=mu_values, second_index=n_values,
                           mass_deficit=max(0.0, 1.0 - float(out.sum())))
 

@@ -10,12 +10,17 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import sys
+import threading
 import tracemalloc
+from collections import Counter
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erfi
 
 from seqmeas import wavepacket
 from seqmeas.model import ValidationError
@@ -122,6 +127,13 @@ def test_first_marginal_bookkeeping_and_symmetry():
         i, i_ref = nu + 4, (-1 - nu) + 4
         np.testing.assert_allclose(src.table[i], src.table[i_ref, ::-1],
                                    rtol=1e-12, atol=1e-18)
+
+
+@pytest.mark.parametrize("n_x, n_p", [(8, 512), (4, 48)])
+def test_first_marginal_equals_its_momentum_mirror_bit_for_bit(n_x, n_p):
+    """p(nu, -n) = p(nu, n) exactly (negative n conjugates), so second_marginal multiplies one copy."""
+    table = first_marginal(1.0, n_x, n_p).table
+    assert np.array_equal(table, table[:, ::-1])
 
 
 def test_first_marginal_frozen_entropy():
@@ -436,37 +448,111 @@ def test_conditional_kernel_matches_the_per_source_oracle(n, t):
 
 
 def test_second_marginal_evaluates_each_mirror_pair_once(monkeypatch):
-    """One kernel per source block of each offset d in [d_lo, 0]; -d is its mirror, never evaluated.
+    """One kernel per column range of each source block of each offset d in [d_lo, 0]; -d is
+    its mirror, never evaluated.  The ranges of a block tile the output momenta, each once,
+    and the set of ranges is closed under m -> -m.
 
     At n_p = 160, t = 1e-6 every offset's 321 sources span three blocks.
     """
     w, calls = 10, []
     inner = wavepacket.conditional_kernel
 
-    def counting(h_d, a, diagonal, *args):
-        calls.append((h_d.copy(), a, a + len(diagonal)))
-        return inner(h_d, a, diagonal, *args)
+    def counting(h_d, a, diagonal, inv_sq, buffers, columns):
+        calls.append((h_d.copy(), a, a + len(diagonal), columns.indices(len(h_d))[:2]))
+        return inner(h_d, a, diagonal, inv_sq, buffers, columns)
 
     monkeypatch.setattr(wavepacket, "conditional_kernel", counting)
     for n_p, t in ((48, 0.1), (160, 1e-6)):
         calls.clear()
         second_marginal(1.0, t, 4, n_p, kernel_halfwidth=w)
         n_values = np.arange(-n_p, n_p + 1)
+        size = n_values.size
         drift = np.rint(2.0 * math.pi * n_values * t).astype(int)
         d_lo = int(-drift.max() - w)
         h_ref = _kernel_factor(_erfi_grid(n_values, np.arange(d_lo - 1, -d_lo + 2), t), n_values, t)
-        seen = []
-        for h_d, a, b in calls:
+        ranges = {}
+        for h_d, a, b, columns in calls:
             dist = np.abs(h_ref - h_d[:, None]).max(axis=0)
             assert dist.min() <= 1e-14
-            seen.append((d_lo + int(dist.argmin()), a, b))
+            ranges.setdefault((d_lo + int(dist.argmin()), a, b), []).append(columns)
         want = []
         for d in range(d_lo, 1):
             sources = np.flatnonzero(np.abs(d + drift) <= w)
             assert np.array_equal(sources, np.arange(sources[0], sources[-1] + 1))
             want += [(d, a, min(a + wavepacket.KERNEL_BLOCK, sources[-1] + 1))
                      for a in range(sources[0], sources[-1] + 1, wavepacket.KERNEL_BLOCK)]
-        assert sorted(seen) == sorted(want)
+        assert sorted(ranges) == sorted(want)
+        for key, cols in ranges.items():
+            assert max(Counter(cols).values()) == 1, key
+            tiles = sorted(cols)
+            assert [c0 for c0, _ in tiles] == [0] + [c1 for _, c1 in tiles[:-1]], key
+            assert tiles[-1][1] == size and all(c0 < c1 for c0, c1 in tiles), key
+            assert sorted((size - c1, size - c0) for c0, c1 in tiles) == tiles, key
+
+
+def _cpus(monkeypatch, n: int):
+    """Make the process see n CPUs, so second_marginal runs its halves at once (n = 2) or in turn."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.mark.parametrize("t, n_x, n_p, w", [(1e-3, 8, 512, 24), (1e-1, 8, 512, 24), (1e-6, 2, 160, 6)])
+def test_second_marginal_does_not_depend_on_the_thread_count(monkeypatch, t, n_x, n_p, w):
+    """The same table, bit for bit, whether the two halves run at once or one after the other."""
+    order, inner = [], wavepacket.conditional_kernel
+
+    def recording(*args):
+        order.append(threading.get_ident())
+        return inner(*args)
+
+    monkeypatch.setattr(wavepacket, "conditional_kernel", recording)
+    _cpus(monkeypatch, 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over often, so a lost update would show
+    try:
+        both = second_marginal(1.0, t, n_x, n_p, kernel_halfwidth=w)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(set(order)) == 2  # the helper thread took a half
+    order.clear()
+    _cpus(monkeypatch, 1)
+    serial = second_marginal(1.0, t, n_x, n_p, kernel_halfwidth=w)
+    helper = [k for k, ident in enumerate(order) if ident != threading.get_ident()]
+    assert helper == list(range(len(helper))) and 0 < len(helper) < len(order)  # in turn
+    assert np.array_equal(both.table, serial.table)
+    assert both.mass_deficit == serial.mass_deficit
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_erfi_line_in_halves_equals_erfi_of_the_whole(monkeypatch, cpus):
+    """erfi_line splits its argument between two threads: the result is scipy's erfi of the whole."""
+    _cpus(monkeypatch, cpus)
+    for u in (0.3, np.linspace(-40.0, 40.0, 7), np.linspace(-300.0, 300.0, 64).reshape(8, 8)):
+        z = np.multiply(u, 1.0 + 1.0j) / (2.0 * math.sqrt(0.1))
+        got = erfi_line(u, 0.1)
+        assert np.shape(got) == np.shape(u)
+        assert np.array_equal(got, erfi(z))
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+@pytest.mark.parametrize("on_helper", [True, False], ids=["helper-raises", "caller-raises"])
+def test_second_marginal_passes_a_thread_error_on_and_leaves_no_thread(monkeypatch, cpus, on_helper):
+    """The first kernel call of one thread raises: the caller gets that very exception, and the
+    helper thread is gone when second_marginal returns."""
+    raised, inner = [], wavepacket.conditional_kernel
+
+    def failing(*args):
+        if not raised and (threading.current_thread() is not threading.main_thread()) == on_helper:
+            raised.append(ValidationError("planted kernel failure"))
+            raise raised[0]
+        return inner(*args)
+
+    monkeypatch.setattr(wavepacket, "conditional_kernel", failing)
+    _cpus(monkeypatch, cpus)
+    before = threading.active_count()
+    with pytest.raises(ValidationError, match="planted kernel failure") as excinfo:
+        second_marginal(1.0, 0.02, 4, 48, kernel_halfwidth=10)
+    assert excinfo.value is raised[0]
+    assert threading.active_count() == before
 
 
 def test_second_marginal_accepts_zero_sizes():
