@@ -10,9 +10,9 @@ command's CSV artifacts and ``<command>_report.json`` into the output
 directory, prints the same JSON report to stdout, and returns the exit
 status.  The report embeds the library version, the seed, the sha256 hash
 of the canonical config, and the tolerances in force.  Exit status is 0
-exactly when every check in the report passed; crashes are caught at top
-level and still produce valid JSON (exit status 2), and they remove the
-``<command>_report.json`` an earlier run may have left.
+exactly when every check passed; crashes, a non-finite number in a report
+among them, are caught at top level and still produce valid JSON (exit
+status 2), and remove the ``<command>_report.json`` an earlier run left.
 """
 
 from __future__ import annotations
@@ -61,11 +61,12 @@ def _finish(args, config: dict, seed, tolerances: dict, body: dict, checks: dict
                     "config_hash": config_hash(config),
                     "tolerances": {k: float(v) for k, v in tolerances.items()}}
     body["passed"] = passed
+    # strict JSON: a NaN or infinity raises here, before any file is written, and main's crash path runs
+    text = json.dumps(body, indent=2, sort_keys=True, allow_nan=False)
     out = args.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in (artifacts or {}).items():
-        (out / name).write_text(text)
-    text = json.dumps(body, indent=2, sort_keys=True)
+    for name, artifact in (artifacts or {}).items():
+        (out / name).write_text(artifact)
     (out / f"{args.command}_report.json").write_text(text + "\n")
     print(text)
     return 0 if passed else 1

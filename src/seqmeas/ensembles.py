@@ -29,14 +29,13 @@ the whole array of eigenvalue tuples to log weights in one array
 expression; one ``ensemble_state`` call per time shifts them by their
 maximum, normalizes once and reports the log normalization, so
 partition-function-like constants are logs and never overflow.  The ratio
-table y = d q / (D p) is built once per report: the exponent cross-check,
-the identity < y > and its Jensen value < -ln y > all read it.
+table y = d q / (D p) is built once per report, for the exponent cross-check
+and the identity < y >; its Jensen value < -ln y > is the mean exponent < X >.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, ClassVar
 
@@ -294,7 +293,8 @@ class EnsembleReport:
     """Statistics of one generated ensemble model.
 
     ``jarzynski_lhs`` is the identity < d q / (D p) >; ``jensen_lhs`` its
-    averaged exponent < -ln(d q / (D p)) > (nonnegative by Jensen);
+    averaged exponent < X > = < -ln(d q / (D p)) > over the cells with P > 0
+    (nonnegative by Jensen), also reported as ``quantities["mean_exponent"]``;
     ``entropy_gap`` the cell-weighted entropy production (nonnegative for
     modified doubly stochastic conditionals), a logically independent
     statement.  ``exponent_histogram`` groups the physical exponent
@@ -382,8 +382,8 @@ def _assemble_report(
     X(i, j) = w0(E_i) - w1(F_j) + log_norm(t1) - log_norm(t0), the last two
     terms the free-energy-like change of the log normalizations.  The
     ratio table y = d q / (D p) is built once: exp(-X) is cross-checked
-    against it, and ``jarzynski_lhs`` and ``jensen_lhs`` are the averages
-    of y and of -ln y.
+    against it, and ``jarzynski_lhs`` is the average of y.  ``jensen_lhs`` and
+    ``quantities["mean_exponent"]`` are one array: < X > = < -ln y > over P > 0.
     ``work_value`` maps the tuple changes F_j - E_i, shape
     (B, nI, nJ, n_components), to the (B, nI, nJ) values of the plain work
     histogram.  ``labeled`` maps the two log normalizations and the mean
@@ -406,17 +406,16 @@ def _assemble_report(
     # every first outcome has positive probability, so y is finite and the
     # zero cells of the table contribute nothing
     table, cells = model.p_table, (-2, -1)
-    mask = table > 0.0
     jarzynski = np.sum(table * y, axis=cells)
-    jensen = np.where(np.any(mask & (y <= 0), axis=cells), math.inf,
-                      -np.sum(table * np.log(np.where(mask & (y > 0), y, 1.0)), axis=cells))
+    # < -ln y > as < X >, finite where y underflows; X is finite, so the cells with P = 0 add nothing
+    jensen = np.sum(table * x, axis=cells)
     changes = second.eigen_tuples[..., None, :, :] - first.eigen_tuples[..., :, None, :]
     flat_p = table.reshape(len(table), -1)
     exp_hist = group_levels(x.reshape(flat_p.shape), flat_p)
     work_hist = group_levels(work_value(changes).reshape(flat_p.shape), flat_p)
     hist_identity = np.sum(exp_hist.probs * np.exp(-exp_hist.values), axis=-1)
     mean_changes = [np.sum(table * changes[..., k], axis=cells) for k in range(changes.shape[-1])]
-    quantities = {"mean_exponent": np.sum(table * x, axis=cells),
+    quantities = {"mean_exponent": jensen,
                   **labeled(state.log_norm, qstate.log_norm, mean_changes)}
     if "jensen_combination" in quantities:
         combo = quantities["jensen_combination"]

@@ -6,11 +6,12 @@ unitaries, builds the two-measurement model, and checks
 
 * the fluctuation identity  < d q / (D p) > = 1,
 * the modified doubly stochastic property of the physical conditional,
-* nonnegativity of the entropy gap and of the Jensen combination,
+  scanned by :func:`is_modified_doubly_stochastic`,
+* nonnegativity of the entropy gap and of the Jensen value < X >,
 * completeness of the two-time POVM,
 * internal consistency of the grouped exponent histogram,
-* fault sensitivity: a conditional with one entry perturbed by 1e-3
-  (row-renormalized) must be flagged by the indicator-vector scan.
+* fault sensitivity: the same conditional with one entry perturbed by 1e-3
+  (row-renormalized) must be flagged by that same checker.
 
 Everything is driven by a single root seed through spawned generators,
 so a report is reproducible from (seed, n_per_family) alone.  The seeds
@@ -113,28 +114,22 @@ def random_model(family: str, seed, index: int = 0) -> EnsembleReport:
     return generate(kind(**values), haar_orthonormalize(z))
 
 
-def fault_injection_check(report: EnsembleReport) -> np.ndarray:
-    """Sensitivity probe: perturb one conditional entry and rescan.
+def fault_injection_check(pi: np.ndarray, d: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Sensitivity probe of the column-sum checker: perturb one entry of the conditional ``pi``
+    and measure the result with :func:`is_modified_doubly_stochastic`, the checker of ``mod_ds``.
 
-    The entry with the largest headroom gets ``FAULT_SIZE`` added, the row is
-    renormalized, and the indicator-vector scan (equivalently the
-    column-sum deviation of the modified doubly stochastic condition)
-    reports the largest resulting identity violation, one per model of a
-    stacked report.  A healthy checker must see a deviation comparable to
-    the fault size.
+    The entry (i0, j0) gets ``FAULT_SIZE`` added and its row is renormalized, which moves
+    the column sum j0 by FAULT_SIZE d(i0) (1 - pi[i0, j0]) / (1 + FAULT_SIZE); the entry
+    maximizing that response is perturbed.  Returns the checker's worst deviation, one per
+    model of a stack; a healthy checker must see a deviation comparable to the fault size.
     """
-    model = report.model
-    pi = conditional(model)
-    # the column-j0 deviation is FAULT_SIZE * d(i0) (1 - pi[i0,j0]) / D(j0);
-    # pick the entry maximizing that predicted response
-    response = model.d[:, None] * (1.0 - pi) / model.D[None, :]
     perturbed = pi.reshape((-1,) + pi.shape[-2:]).copy()
     b = np.arange(len(perturbed))
+    response = d[:, None] * (1.0 - perturbed)
     i0, j0 = np.unravel_index(response.reshape(len(b), -1).argmax(axis=-1), pi.shape[-2:])
     perturbed[b, i0, j0] += FAULT_SIZE
     perturbed[b, i0] /= perturbed[b, i0].sum(axis=-1, keepdims=True)
-    column_dev = np.abs(np.matmul(perturbed.swapaxes(-1, -2), model.d) / model.D - 1.0)
-    return column_dev.max(axis=-1).reshape(pi.shape[:-2])
+    return is_modified_doubly_stochastic(perturbed, d, D).max_deviation.reshape(pi.shape[:-2])
 
 
 @dataclass
@@ -278,12 +273,11 @@ def _check_chunk(family: str, seeds, start: int, tol: dict):
 def _run_checks(report: EnsembleReport, tol: dict) -> dict:
     """(deviations, verdicts) of every check, one entry per model of a stacked report."""
     pi = conditional(report.model)
-    _, ds_dev = is_modified_doubly_stochastic(pi, report.model.d, report.model.D,
-                                              tol=tol["mod_ds"])
+    ds_dev = is_modified_doubly_stochastic(pi, report.model.d, report.model.D).max_deviation
     povm_dev = streamed_completeness_deviation(report.u, report.first_family, report.second_family)
     j_dev = np.abs(report.jarzynski_lhs - 1.0)
     hist_dev = np.abs(report.histogram_identity - report.jarzynski_lhs)
-    fault_dev = fault_injection_check(report)
+    fault_dev = fault_injection_check(pi, report.model.d, report.model.D)
     gap, jensen = report.entropy_gap, report.jensen_lhs
     return {
         "jarzynski": (j_dev, j_dev <= tol["jarzynski"]),

@@ -18,6 +18,7 @@ capture (``mass_deficit``) instead of renormalizing.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -130,12 +131,16 @@ class TruncatedTable:
         return shannon_entropy(self.table.ravel(), check_normalized=False)
 
 
+@functools.lru_cache(maxsize=4)
 def first_marginal(sigma: float, n_x: int = DEFAULT_N_X, n_p: int = DEFAULT_N_P) -> TruncatedTable:
-    """Table p(nu, n) = |<nu, n | psi>|^2 on the window |nu| <= n_x, |n| <= n_p."""
+    """Table p(nu, n) = |<nu, n | psi>|^2 on the window |nu| <= n_x, |n| <= n_p, built once
+    per window for a curve, its second marginals and the CLI's window check: read-only."""
     require_count("n_x", n_x)
     require_count("n_p", n_p)
     nus, ns = np.arange(-n_x, n_x + 1), np.arange(-n_p, n_p + 1)
     p = np.abs(cell_overlap(nus[:, None], ns[None, :], sigma)) ** 2
+    for arr in (p, nus, ns):
+        arr.setflags(write=False)
     return TruncatedTable(table=p, first_index=nus, second_index=ns,
                           mass_deficit=max(0.0, 1.0 - float(p.sum())))
 

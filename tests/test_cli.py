@@ -267,6 +267,45 @@ def test_ensemble_impossible_tolerance(tmp_path, capsys, monkeypatch):
     assert report["checks"]["jarzynski"] is True
 
 
+def _strict_json(text: str):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_a_non_finite_report_number_takes_the_crash_path(tmp_path, capsys, monkeypatch):
+    """A NaN in a report is caught before any file is written: exit 2, a strict error JSON on
+    stdout, and neither the report nor a CSV artifact of this run is left."""
+    generate = ensembles.generate
+    monkeypatch.setattr(ensembles, "generate",
+                        lambda cfg, u: dataclasses.replace(generate(cfg, u), jensen_lhs=math.nan))
+    cfg_path = write_grand_config(tmp_path)
+    out_dir = tmp_path / "out"
+    code = main(["--output-dir", str(out_dir), "ensemble", "--config", str(cfg_path)])
+    error = _strict_json(capsys.readouterr().out)
+    assert code == 2
+    assert error["error_type"] == "ValueError" and error["passed"] is False
+    assert not out_dir.exists() or list(out_dir.iterdir()) == []
+
+
+def test_ensemble_where_the_ratio_underflows_writes_strict_json(tmp_path, capsys):
+    """The later weight q(1) underflows to 0; the Jensen value, the mean exponent, stays finite,
+    and stdout and the report parse as strict JSON."""
+    data = {"config": {"kind": "microcanonical", "h_t0": operator_to_json_dict(np.diag([0.0, 0.05])),
+                       "h_t1": operator_to_json_dict(np.diag([0.0, 10.0])), "energy": 0.0, "width": 0.1},
+            "unitary_seed": 1}
+    cfg_path = tmp_path / "underflow.json"
+    cfg_path.write_text(json.dumps(data))
+    code = main(["--output-dir", str(tmp_path), "ensemble", "--config", str(cfg_path)])
+    printed = _strict_json(capsys.readouterr().out)
+    written = _strict_json((tmp_path / "ensemble_report.json").read_text())
+    assert code == 0 and printed == written
+    report = written["report"]
+    assert report["q"][1] == 0.0
+    assert report["jensen_lhs"] == report["quantities"]["mean_exponent"] > 0.0
+
+
 # --------------------------------------------------------------- wavepacket
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from seqmeas import verify
 from seqmeas.ensembles import GrandCanonicalConfig, generate, generate_stack, stack_configs, stack_key
-from seqmeas.model import PreconditionError, ValidationError
+from seqmeas.model import ModDSResult, PreconditionError, ValidationError
 from seqmeas.quantum import ginibre, haar_orthonormalize, haar_unitary
 
 # tolerances that every model misses, so that the report lists every model's deviations
@@ -143,6 +143,21 @@ def test_a_failing_check_is_reported_under_its_own_model_index_only():
                                tolerances={"fault_detection": 0.5 * (weakest[0][0] + weakest[1][0])})
     assert [(f["model_index"], f["check"]) for f in report.failures] == [(weakest[0][1], "fault_detection")]
     assert sum(s.n_failures for s in report.summaries) == 1
+
+
+def test_the_fault_probe_scans_with_the_column_sum_checker(monkeypatch):
+    """A checker blind to column sums passes the mod_ds check, so the probe must see through
+    the same checker and flag the injected fault in every family."""
+    def blind(pi, d, D):
+        zero = np.zeros(pi.shape[:-2])
+        return ModDSResult(zero == 0.0, zero)
+
+    monkeypatch.setattr(verify, "is_modified_doubly_stochastic", blind)
+    report = verify.run_corpus(5, 4)
+    assert not report.all_passed
+    failing = {(s.family, s.check) for s in report.summaries if not s.passed}
+    assert failing == {(family, "fault_detection") for family in verify.FAMILIES}
+    assert all(s.worst_deviation == 0.0 for s in report.summaries if s.check == "fault_detection")
 
 
 def test_an_error_in_a_bucket_names_the_family_and_model_index(monkeypatch):

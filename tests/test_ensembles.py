@@ -720,3 +720,29 @@ def test_family_sweep_invariants():
                 conditional(report.model), report.model.d, report.model.D, tol=1e-11)
             assert ok, f"{report.family_kind}: {dev}"
             assert j_equation_lhs(report.model, report.q) == pytest.approx(report.jarzynski_lhs, abs=1e-15)
+
+
+@pytest.mark.parametrize("family", verify.FAMILIES)
+def test_the_jensen_value_is_the_mean_of_minus_ln_y(family):
+    """jensen_lhs, the mean exponent < X >, equals -sum P ln y taken from the table ratio on the
+    cells with P > 0, the route that needs the log of y, to 1e-14 relative."""
+    for index in range(12):
+        report = verify.random_model(family, np.random.SeedSequence([1601, index]), index)
+        table, y = report.model.p_table, model.j_ratio(report.model, report.q)
+        on = table > 0.0
+        minus_ln_y = -float(np.sum(table[on] * np.log(y[on])))
+        assert report.jensen_lhs >= 0.0
+        assert abs(report.jensen_lhs - minus_ln_y) <= 1e-14 * max(1.0, minus_ln_y), (index, report.jensen_lhs)
+        assert report.quantities["mean_exponent"] == report.jensen_lhs
+
+
+# a narrow window: the weight of the later level at energy 10 underflows, so q(1) = 0 and y = 0 there
+UNDERFLOW = MicrocanonicalConfig(h_t0=np.diag([0.0, 0.05]), h_t1=np.diag([0.0, 10.0]), energy=0.0, width=0.1)
+
+
+def test_the_jensen_value_stays_finite_where_the_ratio_underflows():
+    report = generate(UNDERFLOW, haar_unitary(2, np.random.default_rng(1)))
+    assert report.q[1] == 0.0 and np.all(report.model.p_table > 0.0)
+    assert math.isfinite(report.jensen_lhs) and report.jensen_lhs > 0.0
+    assert report.jensen_lhs == report.quantities["mean_exponent"]
+    assert abs(report.jarzynski_lhs - 1.0) <= 1e-12

@@ -1,0 +1,92 @@
+"""Mutation gate: each row plants one defect in a copy of the package and names the tests
+that must catch it.
+
+A row copies ``src/``, ``tests/`` and ``pyproject.toml`` into a temporary directory,
+replaces one exact snippet of one file (the snippet must occur there once) and runs pytest
+in a subprocess on the row's node ids.  The mutant is killed only when pytest exits 1 with
+every named node among the failures; an import or collection error exits otherwise and
+does not count.  No row may name the sha256 pin of the seeded corpus: it fails on every
+change to a reported bit, so it proves no oracle.
+
+A mutant that survives is a test gap to fix, never a row to drop.  A change that removes a
+snippet re-points its row.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+from typing import NamedTuple
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PIN = "tests/test_corpus.py::test_the_seeded_corpus_report_keeps_its_bits"
+
+
+class Mutant(NamedTuple):
+    path: str
+    snippet: str
+    replacement: str
+    killers: tuple
+
+
+MUTANTS = {
+    # the column-sum checker sees nothing: the fault probe scans with it, so criterion 5 fails
+    "blind_column_sum_checker": Mutant(
+        "src/seqmeas/model.py",
+        "dev = np.abs(np.matmul(pi.swapaxes(-1, -2), d) - D)",
+        "dev = 0 * np.abs(np.matmul(pi.swapaxes(-1, -2), d) - D)",
+        ("tests/test_acceptance.py::test_criterion_05_mod_ds_equivalence_and_fault_detection",)),
+    # every model evolves by U* where the code means U; each corpus check holds for any unitary
+    "evolution_by_the_adjoint": Mutant(
+        "src/seqmeas/quantum.py",
+        "(_adjoint(u) @ second.basis)",
+        "(u @ second.basis)",
+        ("tests/test_quantum.py::test_two_time_kernels_match_explicit_traces",)),
+    # the Jensen value and the mean exponent are one array, so only another route sees the sign
+    "jensen_value_sign_flip": Mutant(
+        "src/seqmeas/ensembles.py",
+        "jensen = np.sum(table * x, axis=cells)",
+        "jensen = -np.sum(table * x, axis=cells)",
+        ("tests/test_ensembles.py::test_the_jensen_value_is_the_mean_of_minus_ln_y",)),
+    # the mirrored offset -d lands on its momenta unreversed
+    "mirror_without_reversal": Mutant(
+        "src/seqmeas/wavepacket.py",
+        "out[d - d_lo: d - d_lo + rows, ::-1][:, c] += part",
+        "out[d - d_lo: d - d_lo + rows][:, c] += part",
+        ("tests/test_wavepacket.py::test_second_marginal_matches_the_slab_loop[0.02]",)),
+}
+
+
+def test_every_row_plants_one_snippet_and_names_oracles_only():
+    for name, mutant in MUTANTS.items():
+        assert (ROOT / mutant.path).read_text().count(mutant.snippet) == 1, name
+        assert mutant.killers and PIN not in mutant.killers, name
+
+
+def _failed_nodes(output: str) -> list[str]:
+    """Node ids of the ``FAILED`` lines of pytest's short summary."""
+    return [line.split()[1] for line in output.splitlines() if line.startswith("FAILED ")]
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_the_mutant_is_killed_by_its_named_tests(name, tmp_path):
+    mutant = MUTANTS[name]
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for tree in ("src", "tests"):
+        shutil.copytree(ROOT / tree, tmp_path / tree, ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", tmp_path)
+    target = tmp_path / mutant.path
+    target.write_text(target.read_text().replace(mutant.snippet, mutant.replacement))
+    path = os.pathsep.join([str(tmp_path / "src"), os.environ.get("PYTHONPATH", "")])
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *mutant.killers],
+                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1"),
+                         capture_output=True, text=True, timeout=300)
+    failed = _failed_nodes(run.stdout)
+    survivors = [node for node in mutant.killers
+                 if not any(f == node or f.startswith(node + "[") for f in failed)]
+    assert run.returncode == 1 and not survivors, (run.returncode, survivors, run.stdout[-3000:], run.stderr)

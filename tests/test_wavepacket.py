@@ -637,6 +637,27 @@ def test_entropy_curve_monotone_and_gapped():
     assert all(b >= a - 1e-12 for a, b in zip(s_hat, s_hat[1:]))
 
 
+def test_a_curve_builds_the_first_marginal_once(monkeypatch):
+    """One curve over three times evaluates cell_overlap for one window, once: the curve and
+    its three second marginals share one read-only first marginal, built as before."""
+    first_marginal.cache_clear()
+    windows = []
+    inner = wavepacket.cell_overlap
+
+    def counting(nu, n, sigma):
+        windows.append((np.shape(nu), np.shape(n), sigma))
+        return inner(nu, n, sigma)
+
+    monkeypatch.setattr(wavepacket, "cell_overlap", counting)
+    points = entropy_curve(1.0, [0.004, 0.02, 0.1], n_x=4, n_p=48, kernel_halfwidth=10)
+    assert windows == [((9, 1), (1, 97), 1.0)]
+    src = first_marginal(1.0, 4, 48)
+    assert len(windows) == 1 and not src.table.flags.writeable
+    nus, ns = np.arange(-4, 5), np.arange(-48, 49)
+    np.testing.assert_array_equal(src.table, np.abs(inner(nus[:, None], ns[None, :], 1.0)) ** 2)
+    assert [pt.s_p for pt in points] == [src.entropy()] * 3
+
+
 def test_entropy_curve_csv_format():
     points = [EntropyCurvePoint(t=0.1, s_p=1.25, s_phat=1.5,
                                 mass_deficit_p=1e-5, mass_deficit_phat=2e-4,
