@@ -9,10 +9,11 @@ Every command ends in one epilogue, :func:`_finish`: it writes the
 command's CSV artifacts and ``<command>_report.json`` into the output
 directory, prints the same JSON report to stdout, and returns the exit
 status.  The report embeds the library version, the seed, the sha256 hash
-of the canonical config, and the tolerances in force.  Exit status is 0
-exactly when every check passed; crashes, a non-finite number in a report
-among them, are caught at top level and still produce valid JSON (exit
-status 2), and remove the ``<command>_report.json`` an earlier run left.
+of the canonical config, and the tolerances in force.  Every command's
+``passed`` is all of its ``checks`` (``verify`` and ``ensemble`` judge with
+:func:`verify.run_checks`), and exit status is 0 exactly then; crashes, a
+non-finite number in a report among them, are caught at top level and still
+produce valid JSON (exit status 2), and remove a stale ``<command>_report.json``.
 """
 
 from __future__ import annotations
@@ -44,19 +45,17 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _finish(args, config: dict, seed, tolerances: dict, body: dict, checks: dict | None = None,
-            passed: bool | None = None, artifacts: dict | None = None) -> int:
+def _finish(args, config: dict, seed, tolerances: dict, body: dict, checks: dict,
+            artifacts: dict | None = None) -> int:
     """The epilogue of every command: write ``artifacts`` ({filename: text})
     and ``<command>_report.json``, print the report, and return 0 exactly
     when it passed.
 
     The report is ``body`` plus ``meta`` (command, version, seed, config
-    hash, tolerances), ``checks`` and ``passed``.  ``checks`` decide
-    ``passed``; ``verify``, whose checks live inside its corpus report,
-    gives ``passed`` instead.
+    hash, tolerances), ``checks`` ({name: verdict}) and ``passed``, which
+    is all of ``checks``.
     """
-    if checks is not None:
-        body["checks"], passed = checks, all(checks.values())
+    body["checks"], passed = checks, all(checks.values())
     body["meta"] = {"command": args.command, "version": __version__, "seed": seed,
                     "config_hash": config_hash(config),
                     "tolerances": {k: float(v) for k, v in tolerances.items()}}
@@ -83,8 +82,8 @@ def cmd_verify(args) -> int:
     rep = verify.run_corpus(seed=args.seed, n_per_family=args.n_models,
                             families=families, tolerances=tol or None)
     config = {"seed": args.seed, "n_models": args.n_models, "families": list(families)}
-    return _finish(args, config, args.seed, rep.tolerances, {"report": rep.to_json_dict()},
-                   passed=rep.all_passed)
+    checks = {name: all(s.passed for s in rep.summaries if s.check == name) for name in rep.tolerances}
+    return _finish(args, config, args.seed, rep.tolerances, {"report": rep.to_json_dict()}, checks)
 
 
 def _load_json(path: str) -> dict:
@@ -113,14 +112,10 @@ def _ensemble_report(data: dict) -> ensembles.EnsembleReport:
 def cmd_ensemble(args) -> int:
     data = _load_json(args.config)
     rep = _ensemble_report(data)
-    tol = {"jarzynski": args.tol_jarzynski,
-           **{k: verify.DEFAULT_TOLERANCES[k] for k in ("entropy_gap", "jensen")}}
-    checks = {
-        "jarzynski": abs(rep.jarzynski_lhs - 1.0) <= tol["jarzynski"],
-        "entropy_gap": rep.entropy_gap >= -tol["entropy_gap"],
-        "jensen": rep.jensen_lhs >= -tol["jensen"],
-    }
-    return _finish(args, data, data.get("unitary_seed"), tol, {"report": rep.to_json_dict()}, checks,
+    tol = {**verify.DEFAULT_TOLERANCES, "jarzynski": args.tol_jarzynski}
+    outcomes = verify.run_checks(rep, tol).items()
+    body = {"report": rep.to_json_dict(), "deviations": {name: float(dev) for name, (dev, _) in outcomes}}
+    return _finish(args, data, data.get("unitary_seed"), tol, body, {name: bool(ok) for name, (_, ok) in outcomes},
                    artifacts={"work_histogram.csv": rep.work_histogram.to_csv(),
                               "exponent_histogram.csv": rep.exponent_histogram.to_csv()})
 

@@ -49,7 +49,7 @@ def _both_halves(work, first, second) -> None:
     """work(first) on a helper thread that ends with this call, work(second) here; at once if 2+ CPUs."""
     with ThreadPoolExecutor(1) as helper:
         future = helper.submit(work, first)
-        if len(os.sched_getaffinity(0)) < 2:
+        if (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) < 2:
             future.result()
         work(second)
         future.result()

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqmeas import __version__, cli, ensembles, wavepacket
+from seqmeas import __version__, cli, ensembles, verify, wavepacket
 from seqmeas.cli import config_hash, main
-from seqmeas.quantum import operator_to_json_dict
+from seqmeas.quantum import haar_unitary, operator_to_json_dict
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, dict]:
@@ -115,7 +115,7 @@ def test_ensemble_command(tmp_path, capsys):
         "--config", str(cfg_path))
     assert code == 0
     assert report["passed"] is True
-    assert report["checks"] == {"jarzynski": True, "entropy_gap": True, "jensen": True}
+    assert report["checks"] == dict.fromkeys(verify.DEFAULT_TOLERANCES, True)
     assert abs(report["report"]["jarzynski_lhs"] - 1.0) < 1e-10
     for name in ("work_histogram.csv", "exponent_histogram.csv"):
         text = (tmp_path / name).read_text()
@@ -250,10 +250,11 @@ def test_non_numeric_json_entries_are_named(tmp_path, capsys, change, message):
 
 
 def test_ensemble_impossible_tolerance(tmp_path, capsys, monkeypatch):
-    """The gate compares |lhs - 1| with --tol-jarzynski; lhs is pinned, so rounding cannot decide."""
+    """The gate compares |lhs - 1| with --tol-jarzynski; lhs is pinned, so rounding cannot decide.
+    The histogram value moves with it, so the report stays self-consistent and only the flag decides."""
     generate = ensembles.generate
-    monkeypatch.setattr(ensembles, "generate",
-                        lambda cfg, u: dataclasses.replace(generate(cfg, u), jarzynski_lhs=1.0 + 1e-6))
+    monkeypatch.setattr(ensembles, "generate", lambda cfg, u: dataclasses.replace(
+        generate(cfg, u), jarzynski_lhs=1.0 + 1e-6, histogram_identity=1.0 + 1e-6))
     cfg_path = write_grand_config(tmp_path)
     code, report = run_cli(
         capsys, "--output-dir", str(tmp_path), "ensemble",
@@ -265,6 +266,68 @@ def test_ensemble_impossible_tolerance(tmp_path, capsys, monkeypatch):
         "--config", str(cfg_path), "--tol-jarzynski", "1e-5")
     assert code == 0
     assert report["checks"]["jarzynski"] is True
+
+
+def _one_outcome_data() -> dict:
+    """A microcanonical model whose second family has one outcome: h_t1 = 0.5 is one level in the
+    window (energy 0, width 1)."""
+    rng = np.random.default_rng(3)
+    h_t0 = verify._random_hermitian(rng, 3)
+    return {"config": {"kind": "microcanonical", "h_t0": operator_to_json_dict(h_t0),
+                       "h_t1": operator_to_json_dict(0.5 * np.eye(3)), "energy": 0.0, "width": 1.0},
+            "unitary": operator_to_json_dict(haar_unitary(3, rng))}
+
+
+def test_a_one_outcome_second_family_passes_all_seven_checks(tmp_path, capsys):
+    """With one second outcome every row-stochastic conditional meets the column sum, so the fault
+    probe has no fault to find: the battery passes, in the library and through the CLI."""
+    data = _one_outcome_data()
+    rep = cli._ensemble_report(data)
+    assert rep.model.p_table.shape[-1] == 1
+    outcomes = verify.run_checks(rep, verify.DEFAULT_TOLERANCES)
+    assert list(outcomes) == list(verify.DEFAULT_TOLERANCES)
+    assert all(ok for _, ok in outcomes.values()), outcomes
+    cfg_path = tmp_path / "one_outcome.json"
+    cfg_path.write_text(json.dumps(data))
+    code, report = run_cli(capsys, "--output-dir", str(tmp_path), "ensemble", "--config", str(cfg_path))
+    assert code == 0
+    assert report["checks"] == dict.fromkeys(verify.DEFAULT_TOLERANCES, True)
+
+
+def test_ensemble_sees_a_table_that_breaks_the_column_sum(tmp_path, capsys, monkeypatch):
+    """1e-6 of mass moves between two cells of one row; the stored identity values are kept, so
+    only the hypothesis check, mod_ds, can see it."""
+    generate = ensembles.generate
+
+    def broken(cfg, u):
+        rep = generate(cfg, u)
+        table = rep.model.p_table.copy()
+        j = int(np.argmax(table[0]))
+        table[0, j] -= 1e-6
+        table[0, (j + 1) % table.shape[1]] += 1e-6
+        return dataclasses.replace(rep, model=dataclasses.replace(rep.model, p_table=table))
+
+    monkeypatch.setattr(ensembles, "generate", broken)
+    code, report = run_cli(capsys, "--output-dir", str(tmp_path), "ensemble",
+                           "--config", str(write_grand_config(tmp_path)))
+    assert code == 1
+    assert report["checks"] == dict.fromkeys(verify.DEFAULT_TOLERANCES, True) | {"mod_ds": False}
+    assert report["deviations"]["mod_ds"] >= 1e-6
+
+
+def test_verify_and_ensemble_report_the_same_checks(tmp_path, capsys):
+    """Both commands print checks under the keys of DEFAULT_TOLERANCES; verify passes exactly
+    when its corpus report does, whether it passes or fails."""
+    for tolerance in ([], ["--tolerance", "0"]):
+        code, report = run_cli(capsys, "--output-dir", str(tmp_path), "verify", "--n-models", "1",
+                               "--families", "grand_canonical", *tolerance)
+        assert sorted(report["checks"]) == sorted(verify.DEFAULT_TOLERANCES)
+        assert report["passed"] is report["report"]["all_passed"] is (not tolerance)
+        assert code == (1 if tolerance else 0)
+    _, report = run_cli(capsys, "--output-dir", str(tmp_path), "ensemble",
+                        "--config", str(write_grand_config(tmp_path)))
+    assert sorted(report["checks"]) == sorted(report["deviations"]) == sorted(verify.DEFAULT_TOLERANCES)
+    assert sorted(report["meta"]["tolerances"]) == sorted(verify.DEFAULT_TOLERANCES)
 
 
 def _strict_json(text: str):

@@ -36,7 +36,7 @@ def test_corpus_across_a_chunk_boundary_matches_each_model_alone(family):
     seeds = np.random.SeedSequence(41).spawn(n)
     differing = {}
     for index, child in enumerate(seeds):
-        alone = verify._run_checks(verify.random_model(family, child, index), verify.DEFAULT_TOLERANCES)
+        alone = verify.run_checks(verify.random_model(family, child, index), verify.DEFAULT_TOLERANCES)
         for name, (deviation, _) in alone.items():
             if listed[index, name] != float(deviation):
                 differing[index, name] = (listed[index, name], float(deviation))

@@ -53,6 +53,18 @@ MUTANTS = {
         "jensen = np.sum(table * x, axis=cells)",
         "jensen = -np.sum(table * x, axis=cells)",
         ("tests/test_ensembles.py::test_the_jensen_value_is_the_mean_of_minus_ln_y",)),
+    # the Q factor keeps LAPACK's phases: unitary, but not exactly Haar
+    "haar_without_phase_fix": Mutant(
+        "src/seqmeas/quantum.py",
+        "return q * (diagonal / np.abs(diagonal))[..., None, :]",
+        "return q",
+        ("tests/test_quantum.py::test_haar_orthonormalize_is_the_q_of_the_qr_with_a_positive_diagonal",)),
+    # columns stay in Kronecker order: a degenerate factor's vectors land under the wrong outcomes
+    "product_without_regrouping": Mutant(
+        "src/seqmeas/quantum.py",
+        'basis[..., np.argsort(labels, kind="stable")]',
+        "basis",
+        ("tests/test_ensembles.py::test_product_family_matches_the_lifted_joint_diagonalization",)),
     # the mirrored offset -d lands on its momenta unreversed
     "mirror_without_reversal": Mutant(
         "src/seqmeas/wavepacket.py",

@@ -28,6 +28,8 @@ from seqmeas.quantum import (
     check_assumption2,
     ensemble_state,
     evolve,
+    ginibre,
+    haar_orthonormalize,
     haar_unitary,
     hermitian_function,
     joint_diagonalize,
@@ -333,6 +335,21 @@ def test_haar_unitary_is_unitary_and_seeded(seed, dim):
     np.testing.assert_allclose(u @ u.conj().T, np.eye(dim), atol=1e-12)
     u2 = haar_unitary(dim, np.random.default_rng(seed))
     np.testing.assert_array_equal(u, u2)
+
+
+@pytest.mark.parametrize("stack", [(), (3,)], ids=["one", "stack"])
+def test_haar_orthonormalize_is_the_q_of_the_qr_with_a_positive_diagonal(rng, stack):
+    """U* z is upper triangular with a real, positive diagonal: U is the Q factor of the one QR of z
+    whose R has a positive diagonal, whatever phases LAPACK's QR picks."""
+    for dim in range(1, 17):
+        z = ginibre(dim, rng) if not stack else np.stack([ginibre(dim, rng) for _ in range(stack[0])])
+        u = haar_orthonormalize(z)
+        u_adjoint = u.conj().swapaxes(-1, -2)
+        np.testing.assert_allclose(u @ u_adjoint, np.broadcast_to(np.eye(dim), u.shape), atol=1e-12)
+        r, tol = u_adjoint @ z, 1e-12 * np.abs(z).max()
+        diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+        assert np.all(np.abs(np.tril(r, -1)) <= tol), dim
+        assert np.all(np.abs(diagonal.imag) <= tol) and np.all(diagonal.real > 0), dim
 
 
 def test_haar_unitary_first_moment(rng):
@@ -648,7 +665,7 @@ def test_six_mode_corpus_checks_stream_the_povm():
     report = generate(cfg, haar_unitary(64, rng))
     tracemalloc.start()
     try:
-        outcomes = verify._run_checks(report, DEFAULT_TOLERANCES)
+        outcomes = verify.run_checks(report, DEFAULT_TOLERANCES)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -522,6 +522,17 @@ def test_second_marginal_does_not_depend_on_the_thread_count(monkeypatch, t, n_x
     assert both.mass_deficit == serial.mass_deficit
 
 
+def test_the_halves_run_where_os_has_no_sched_getaffinity(monkeypatch):
+    """Python has no os.sched_getaffinity on macOS and Windows: the CPU count falls back to
+    os.cpu_count, and the results keep their bits."""
+    marginal, pair = second_marginal(1.0, 0.01, 2, 16, 4), transition_probability(1, 1, 0, 0, 1.0)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    fallback = second_marginal(1.0, 0.01, 2, 16, 4)
+    assert np.array_equal(fallback.table, marginal.table)
+    assert fallback.mass_deficit == marginal.mass_deficit
+    assert transition_probability(1, 1, 0, 0, 1.0) == pair
+
+
 @pytest.mark.parametrize("cpus", [2, 1])
 def test_erfi_line_in_halves_equals_erfi_of_the_whole(monkeypatch, cpus):
     """erfi_line splits its argument between two threads: the result is scipy's erfi of the whole."""
