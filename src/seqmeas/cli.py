@@ -6,10 +6,11 @@ asymmetry pair), ``classical`` (phase-space estimators), ``crooks``
 (per-level fluctuation ratio of an explicit or generated table).
 
 Every command ends in one epilogue, :func:`_finish`: it writes the
-command's CSV artifacts and ``<command>_report.json`` into the output
-directory, prints the same JSON report to stdout, and returns the exit
-status.  The report embeds the library version, the seed, the sha256 hash
-of the canonical config, and the tolerances in force.  Every command's
+command's CSV artifacts (one writer, :func:`_csv`) and ``<command>_report.json``
+into the output directory, prints the same JSON report to stdout, and returns
+the exit status.  A table lives only in its CSV artifact.  The report embeds
+the library version, the seed, the sha256 hash of the canonical config, the
+tolerances in force and the data rows of each artifact.  Every command's
 ``passed`` is all of its ``checks`` (``verify`` and ``ensemble`` judge with
 :func:`verify.run_checks`), and exit status is 0 exactly then; crashes, a
 non-finite number in a report among them, are caught at top level and still
@@ -19,6 +20,7 @@ produce valid JSON (exit status 2), and remove a stale ``<command>_report.json``
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -45,26 +47,47 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _csv(header: str, columns) -> str:
+    """The text of a CSV artifact: ``header``, then one row per entry of the columns, every
+    cell at 17 significant digits (a double's exact round trip), a column of None left blank."""
+    row = ",".join("%.17g" if c is not None else "" for c in columns)
+    rows = zip(*(np.asarray(c).tolist() for c in columns if c is not None))
+    return "\n".join([header, *(row % cells for cells in rows)]) + "\n"
+
+
+def _levels(dist) -> tuple:
+    """A :class:`~seqmeas.model.WorkDistribution`'s level table as ``(header, columns)`` for :func:`_csv`."""
+    columns = (dist.values, dist.probs, dist.reciprocal_probs, dist.ratio_errors)
+    return "w,prob,reciprocal_prob,ratio_error", columns
+
+
+def _curve(points) -> tuple:
+    """The entropy curve, a list of :class:`~seqmeas.wavepacket.EntropyCurvePoint`, as ``(header, columns)``."""
+    return "t,S_p,S_phat,mass_deficit_p,mass_deficit_phat,N_x,N_p", list(zip(*map(dataclasses.astuple, points)))
+
+
 def _finish(args, config: dict, seed, tolerances: dict, body: dict, checks: dict,
             artifacts: dict | None = None) -> int:
-    """The epilogue of every command: write ``artifacts`` ({filename: text})
-    and ``<command>_report.json``, print the report, and return 0 exactly
+    """The epilogue of every command: write ``artifacts`` ({filename: (header, columns)}, as
+    :func:`_csv` text) and ``<command>_report.json``, print the report, and return 0 exactly
     when it passed.
 
-    The report is ``body`` plus ``meta`` (command, version, seed, config
-    hash, tolerances), ``checks`` ({name: verdict}) and ``passed``, which
-    is all of ``checks``.
+    The report is ``body`` plus ``meta`` (command, version, seed, config hash, tolerances,
+    and ``artifacts``: {filename: data rows}), ``checks`` ({name: verdict}) and ``passed``,
+    which is all of ``checks``.
     """
+    texts = {name: _csv(*table) for name, table in (artifacts or {}).items()}
     body["checks"], passed = checks, all(checks.values())
     body["meta"] = {"command": args.command, "version": __version__, "seed": seed,
                     "config_hash": config_hash(config),
-                    "tolerances": {k: float(v) for k, v in tolerances.items()}}
+                    "tolerances": {k: float(v) for k, v in tolerances.items()},
+                    "artifacts": {name: text.count("\n") - 1 for name, text in texts.items()}}
     body["passed"] = passed
     # strict JSON: a NaN or infinity raises here, before any file is written, and main's crash path runs
     text = json.dumps(body, indent=2, sort_keys=True, allow_nan=False)
     out = args.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    for name, artifact in (artifacts or {}).items():
+    for name, artifact in texts.items():
         (out / name).write_text(artifact)
     (out / f"{args.command}_report.json").write_text(text + "\n")
     print(text)
@@ -116,8 +139,8 @@ def cmd_ensemble(args) -> int:
     outcomes = verify.run_checks(rep, tol).items()
     body = {"report": rep.to_json_dict(), "deviations": {name: float(dev) for name, (dev, _) in outcomes}}
     return _finish(args, data, data.get("unitary_seed"), tol, body, {name: bool(ok) for name, (_, ok) in outcomes},
-                   artifacts={"work_histogram.csv": rep.work_histogram.to_csv(),
-                              "exponent_histogram.csv": rep.exponent_histogram.to_csv()})
+                   artifacts={"work_histogram.csv": _levels(rep.work_histogram),
+                              "exponent_histogram.csv": _levels(rep.exponent_histogram)})
 
 
 def cmd_wavepacket(args) -> int:
@@ -177,17 +200,15 @@ def cmd_wavepacket(args) -> int:
             "asymmetry_pair": pair,
             "asymmetry_reference": reference,
             "mass_deficits": deficits,
-            "curve": [
-                {"t": pt.t, "s_p": pt.s_p, "s_phat": pt.s_phat,
-                 "mass_deficit_p": pt.mass_deficit_p,
-                 "mass_deficit_phat": pt.mass_deficit_phat}
-                for pt in points
-            ],
         },
-    }, checks, artifacts={"entropy_curve.csv": wavepacket.entropy_curve_csv(points)})
+    }, checks, artifacts={"entropy_curve.csv": _curve(points)})
 
 
 def cmd_classical(args) -> int:
+    # the samples go into the output directory, beside the report and under another name
+    name = args.dump_work
+    if name and (Path(name).name != name or name in ("..", f"{args.command}_report.json")):
+        raise ValidationError(f"dump_work = {name!r} must be a plain file name other than the report's")
     p0 = classical.canonical_harmonic_density(args.omega0, args.beta)
     p1 = classical.canonical_harmonic_density(args.omega1, args.beta)
     if args.protocol == "quench":
@@ -212,7 +233,7 @@ def cmd_classical(args) -> int:
         x = p0.sampler(np.random.default_rng(args.seed), args.n)
         w = classical.work_samples(classical.harmonic_hamiltonian(args.omega0),
                                    classical.harmonic_hamiltonian(args.omega1), u, x)
-        artifacts[args.dump_work] = "\n".join(["w"] + [format(v, ".17g") for v in w]) + "\n"
+        artifacts[args.dump_work] = ("w", [w])
     config = {k: getattr(args, k) for k in
               ("beta", "omega0", "omega1", "protocol", "n", "seed", "dt", "steps")}
     return _finish(args, config, args.seed, tol, {
@@ -244,7 +265,7 @@ def cmd_crooks(args) -> int:
         "worst_ratio_error": worst,
         "j_equation_value": crooks.j_equation_value,
         "n_levels": int(crooks.distribution.values.size),
-    }, checks, artifacts={"crooks_levels.csv": crooks.to_csv()})
+    }, checks, artifacts={"crooks_levels.csv": _levels(crooks.distribution)})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -343,20 +343,13 @@ class EnsembleReport:
         )
 
     def to_json_dict(self) -> dict:
+        """The scalars, quantities, model and q; the histograms are left to the CLI's CSV artifacts."""
         return {
             "family_kind": self.family_kind,
             "jarzynski_lhs": float(self.jarzynski_lhs),
             "jensen_lhs": float(self.jensen_lhs),
             "entropy_gap": float(self.entropy_gap),
             "histogram_identity": float(self.histogram_identity),
-            "work_histogram": [
-                {"w": float(w), "prob": float(p)}
-                for w, p in zip(self.work_histogram.values, self.work_histogram.probs)
-            ],
-            "exponent_histogram": [
-                {"x": float(x), "prob": float(p)}
-                for x, p in zip(self.exponent_histogram.values, self.exponent_histogram.probs)
-            ],
             "quantities": {k: float(v) for k, v in self.quantities.items()},
             "model": self.model.to_json_dict(),
             "q": [float(x) for x in self.q],

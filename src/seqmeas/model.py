@@ -422,22 +422,6 @@ class WorkDistribution:
         return validated(WorkDistribution, values=self.values[b], probs=self.probs[b],
                          grouping_tol=self.grouping_tol)
 
-    def to_csv(self) -> str:
-        """CSV text with columns w,prob,reciprocal_prob,ratio_error (17 significant digits)."""
-        lines = ["w,prob,reciprocal_prob,ratio_error"]
-        rp = self.reciprocal_probs
-        re_ = self.ratio_errors
-        for k in range(self.values.size):
-            cells = [_fmt17(self.values[k]), _fmt17(self.probs[k])]
-            cells.append(_fmt17(rp[k]) if rp is not None else "")
-            cells.append(_fmt17(re_[k]) if re_ is not None else "")
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-
-
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
 
 def _cluster_levels(values: np.ndarray, weights: np.ndarray, tol: float, *columns: np.ndarray):
     """Sort once, cut where gaps exceed ``tol``, reduce every level with reduceat: the
@@ -487,9 +471,6 @@ class CrooksReport:
 
     distribution: WorkDistribution
     j_equation_value: float
-
-    def to_csv(self) -> str:
-        return self.distribution.to_csv()
 
 
 def crooks_check(model: JointModel, q, grouping_tol: float = LEVEL_GROUPING_TOL) -> CrooksReport:

@@ -327,12 +327,3 @@ def entropy_curve(sigma: float, t_values, n_x: int = DEFAULT_N_X, n_p: int = DEF
                                         mass_deficit_p=src.mass_deficit,
                                         mass_deficit_phat=hat.mass_deficit, n_x=n_x, n_p=n_p))
     return points
-
-
-def entropy_curve_csv(points: list[EntropyCurvePoint]) -> str:
-    """CSV with columns t,S_p,S_phat,mass_deficit_p,mass_deficit_phat,N_x,N_p."""
-    lines = ["t,S_p,S_phat,mass_deficit_p,mass_deficit_phat,N_x,N_p"]
-    for pt in points:
-        values = (pt.t, pt.s_p, pt.s_phat, pt.mass_deficit_p, pt.mass_deficit_phat)
-        lines.append(",".join([format(v, ".17g") for v in values] + [str(pt.n_x), str(pt.n_p)]))
-    return "\n".join(lines) + "\n"

@@ -388,14 +388,14 @@ def test_wavepacket_command(tmp_path, capsys):
         0.0025899694985521016, rel=1e-10)
     # the reference comparison is informational and honest, not a gate
     assert summary["matches_reference_value"] is False
-    assert len(summary["curve"]) == 2
+    assert report["meta"]["artifacts"] == {"entropy_curve.csv": 2}
     text = (tmp_path / "entropy_curve.csv").read_text()
     lines = text.strip().split("\n")
     assert lines[0] == "t,S_p,S_phat,mass_deficit_p,mass_deficit_phat,N_x,N_p"
     assert len(lines) == 3
     first = lines[1].split(",")
     assert float(first[0]) == 0.004
-    assert float(first[2]) == pytest.approx(summary["curve"][0]["s_phat"], rel=1e-15)
+    assert float(first[1]) == summary["s_p"] < float(first[2])
 
 
 def test_wavepacket_window_must_capture_the_mass_tolerance(tmp_path, capsys):
@@ -507,6 +507,21 @@ def test_classical_ramp_jacobian_seed_that_plain_differences_missed(tmp_path, ca
         "--protocol", "ramp", "--n", "1000", "--seed", "21250621")
     assert report["checks"]["jacobian"] is True
     assert report["jacobian_deviation"] <= 1e-10
+
+
+@pytest.mark.parametrize("dump_work", ["ESCAPED", "../escaped.csv", "classical_report.json"],
+                         ids=["absolute", "parent", "report-name"])
+def test_dump_work_must_be_a_plain_name_other_than_the_report(tmp_path, capsys, monkeypatch, dump_work):
+    """Rejected before any sampling, and nothing is written outside the output directory."""
+    escaped = tmp_path / "escaped.csv"
+    monkeypatch.setattr(cli.classical, "classical_j_expectation", lambda *a: pytest.fail("sampled"))
+    out = tmp_path / "out"
+    code, report = run_cli(capsys, "--output-dir", str(out), "classical", "--n", "100", "--dump-work",
+                           str(escaped) if dump_work == "ESCAPED" else dump_work)
+    assert code == 2
+    assert report["error_type"] == "ValidationError"
+    assert report["error"].startswith("dump_work = ")
+    assert not escaped.exists() and not out.exists()
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -669,6 +684,38 @@ def test_every_command_persists_the_printed_report_and_its_artifacts(tmp_path, c
     assert code == (0 if report["passed"] else 1)
     assert (out / f"{command}_report.json").read_text() == printed
     assert sorted(p.name for p in out.iterdir()) == sorted([f"{command}_report.json", *artifacts])
+
+
+def _keys(node):
+    """Every key of a JSON document, at any depth."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from _keys(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _keys(value)
+
+
+@pytest.mark.parametrize("command", ["ensemble", "wavepacket", "crooks", "classical"])
+def test_each_table_is_written_once_as_a_csv_artifact(tmp_path, capsys, command):
+    """The report holds no table, and ``meta.artifacts`` names each CSV with its data rows."""
+    args, artifacts, _ = EPILOGUE_CASES[command]
+    grand = write_grand_config(tmp_path)
+    out = tmp_path / "out"
+    code, report = run_cli(capsys, "--output-dir", str(out), command,
+                           *[str(grand) if a == "GRAND" else a for a in args])
+    assert code == 0
+    assert not {"work_histogram", "exponent_histogram", "curve"} & set(_keys(report))
+    assert sorted(report["meta"]["artifacts"]) == sorted(artifacts)
+    for name, rows in report["meta"]["artifacts"].items():
+        assert len((out / name).read_text().splitlines()) == 1 + rows > 1
+    if command == "ensemble":
+        rep = cli._ensemble_report(json.loads(grand.read_text()))
+        lines = (out / "exponent_histogram.csv").read_text().splitlines()[1:]
+        values, probs = np.array([[float(c) for c in line.split(",")[:2]] for line in lines]).T
+        np.testing.assert_array_equal(values, rep.exponent_histogram.values)
+        np.testing.assert_array_equal(probs, rep.exponent_histogram.probs)
 
 
 # ------------------------------------------------------------- error handling

@@ -160,6 +160,20 @@ def test_the_fault_probe_scans_with_the_column_sum_checker(monkeypatch):
     assert all(s.worst_deviation == 0.0 for s in report.summaries if s.check == "fault_detection")
 
 
+def test_the_fault_probe_moves_the_column_sum_by_its_stated_response():
+    """On conditionals that meet the column sum, the probe returns
+    FAULT_SIZE d(i0) (1 - pi(j0|i0)) / (1 + FAULT_SIZE) for the entry (i0, j0) that maximizes
+    d(i) (1 - pi(j|i)): the renormalized row moves column j0 by that and no column by more."""
+    d = D = np.array([1.0, 2.0])
+    pi = np.array([[[0.6, 0.4], [0.2, 0.8]],    # picks (1, 0): 2 (1 - 0.2) = 1.6
+                   [[0.2, 0.8], [0.4, 0.6]]])   # picks (1, 0): 2 (1 - 0.4) = 1.2
+    assert np.allclose(np.matmul(pi.swapaxes(-1, -2), d), D, rtol=0.0, atol=1e-15)
+    response = verify.fault_injection_check(pi, d, D)
+    size = verify.FAULT_SIZE
+    np.testing.assert_allclose(response, size * np.array([1.6, 1.2]) / (1.0 + size), rtol=1e-12)
+    assert response[0] == verify.fault_injection_check(pi[0], d, D)
+
+
 def test_an_error_in_a_bucket_names_the_family_and_model_index(monkeypatch):
     draw_model, orthonormalize = verify.draw_model, verify.haar_orthonormalize
     fifth = []

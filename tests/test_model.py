@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqmeas import cli
 from seqmeas.model import (
     JointModel,
     PreconditionError,
@@ -475,7 +476,7 @@ def test_work_distribution_csv_is_17_digit_round_trip():
     vals = np.array([-1.2345678901234567, 0.1, 7.0])
     probs = np.array([0.25, 0.5, 0.25])
     wd = WorkDistribution(values=vals, probs=probs, grouping_tol=1e-9)
-    text = wd.to_csv()
+    text = cli._csv(*cli._levels(wd))
     lines = text.strip().split("\n")
     assert lines[0] == "w,prob,reciprocal_prob,ratio_error"
     for k, line in enumerate(lines[1:]):
@@ -528,7 +529,7 @@ def test_crooks_csv_shape(rng):
     m = random_mod_ds_model(rng, 2, 3)
     q = random_positive_prob(rng, m.shape[1])
     report = crooks_check(m, q)
-    lines = report.to_csv().strip().split("\n")
+    lines = cli._csv(*cli._levels(report.distribution)).strip().split("\n")
     assert lines[0] == "w,prob,reciprocal_prob,ratio_error"
     assert len(lines) == 1 + report.distribution.values.size
     # every data row carries all four columns

@@ -71,6 +71,38 @@ MUTANTS = {
         "out[d - d_lo: d - d_lo + rows, ::-1][:, c] += part",
         "out[d - d_lo: d - d_lo + rows][:, c] += part",
         ("tests/test_wavepacket.py::test_second_marginal_matches_the_slab_loop[0.02]",)),
+    # every Jordan-Wigner sign is +1: the lift of a hopping term loses its fermionic parity
+    "lift_without_jordan_wigner_sign": Mutant(
+        "src/seqmeas/ensembles.py",
+        "1 - 2 * ((before[k, a] + before[k, b] + (b < a)) & 1)",
+        "1 + 0 * ((before[k, a] + before[k, b] + (b < a)) & 1)",
+        ("tests/test_ensembles.py::test_bit_lift_equals_the_jordan_wigner_oracle_exactly",)),
+    # the weights are exponentiated unshifted: they overflow or underflow, and the log norm
+    # counts the shift twice; the hand-weight test does not see it, since its largest log weight is 0
+    "ensemble_state_without_max_shift": Mutant(
+        "src/seqmeas/quantum.py",
+        "raw = np.exp(lw - shift[..., None])",
+        "raw = np.exp(lw)",
+        ("tests/test_quantum.py::test_ensemble_state_takes_a_constant_in_the_log_weights_into_the_log_norm",)),
+    # the m = n entries of the kernel stay 0; the slab-loop oracle does not see it, because it
+    # builds its reference with conditional_kernel too
+    "kernel_without_diagonal": Mutant(
+        "src/seqmeas/wavepacket.py",
+        "kernel[on - a, on - c0] = diagonal[on - a]",
+        "kernel[on - a, on - c0] = 0.0",
+        ("tests/test_wavepacket.py::test_conditional_kernel_matches_the_per_source_oracle",)),
+    # artifact cells at 16 digits: a double no longer survives the CSV round trip
+    "artifact_cells_at_16_digits": Mutant(
+        "src/seqmeas/cli.py",
+        '"%.17g"',
+        '"%.16g"',
+        ("tests/test_model.py::test_work_distribution_csv_is_17_digit_round_trip",)),
+    # the perturbed row is not renormalized: criterion 5 still sees the fault, at the wrong size
+    "fault_probe_without_renormalization": Mutant(
+        "src/seqmeas/verify.py",
+        "perturbed[b, i0] /= perturbed[b, i0].sum(axis=-1, keepdims=True)",
+        "pass",
+        ("tests/test_corpus.py::test_the_fault_probe_moves_the_column_sum_by_its_stated_response",)),
 }
 
 

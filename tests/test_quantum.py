@@ -252,6 +252,17 @@ def test_ensemble_state_matches_hand_weights():
     np.testing.assert_allclose(np.trace(family_rho(fam, state.probabilities)).real, 1.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("c", [1000.0, -1000.0])
+def test_ensemble_state_takes_a_constant_in_the_log_weights_into_the_log_norm(c):
+    """Weights e^{lw + c}, which overflow or underflow in doubles, give the probabilities of
+    e^{lw} and a log norm larger by c."""
+    fam = joint_diagonalize(np.diag([0.0, 0.0, 1.0]))
+    lw = -0.7 * fam.eigen_tuples[:, 0]
+    state, shifted = ensemble_state(fam, lw), ensemble_state(fam, lw + c)
+    np.testing.assert_allclose(shifted.probabilities, state.probabilities, rtol=1e-12)
+    assert shifted.log_norm == pytest.approx(state.log_norm + c, abs=1e-12)
+
+
 def test_ensemble_state_rejects_bad_weights():
     fam = joint_diagonalize(np.diag([0.0, 1.0]))
     with pytest.raises(PreconditionError, match="outcome 1 is nan"):

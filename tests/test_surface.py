@@ -98,3 +98,10 @@ def test_no_keyword_default_is_only_ever_passed_as_itself():
                 isinstance(v, ast.Constant) and v.value == default.value for v in passed):
             constant.append(f"{where} {func}({param}={default.value!r})")
     assert constant == [], "defaulted parameters every caller sets to the default:\n" + "\n".join(constant)
+
+
+def test_only_the_cli_formats_artifact_cells():
+    """The 17-digit CSV cell format lives in the one artifact writer, so no module grows a second."""
+    formatting = [str(path.relative_to(ROOT)) for path in sorted((ROOT / "src").rglob("*.py"))
+                  if ".17g" in path.read_text()]
+    assert formatting == ["src/seqmeas/cli.py"]

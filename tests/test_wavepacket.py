@@ -22,7 +22,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erfi
 
-from seqmeas import wavepacket
+from seqmeas import cli, wavepacket
 from seqmeas.model import ValidationError
 from seqmeas.wavepacket import (
     SQRT_PI,
@@ -35,7 +35,6 @@ from seqmeas.wavepacket import (
     cell_overlap,
     conditional_kernel,
     entropy_curve,
-    entropy_curve_csv,
     erfi_line,
     first_marginal,
     scaled_erf_segment,
@@ -673,7 +672,7 @@ def test_entropy_curve_csv_format():
     points = [EntropyCurvePoint(t=0.1, s_p=1.25, s_phat=1.5,
                                 mass_deficit_p=1e-5, mass_deficit_phat=2e-4,
                                 n_x=8, n_p=512)]
-    text = entropy_curve_csv(points)
+    text = cli._csv(*cli._curve(points))
     lines = text.strip().split("\n")
     assert lines[0] == "t,S_p,S_phat,mass_deficit_p,mass_deficit_phat,N_x,N_p"
     cells = lines[1].split(",")
