@@ -26,6 +26,8 @@ from .model import PreconditionError, ValidationError, require_count, require_fi
 
 # Richardson base step of the finite-difference Jacobian spot check.
 JACOBIAN_EPS = 1e-3
+# Bound on the worst |det DU - 1| of the Jacobian spot check in ``seqmeas classical``.
+JACOBIAN_TOL = 1e-8
 # Gauss-Hermite order of the quench oracle (1e-13 territory for moderate
 # frequency ratios; the Gaussian integrand converges geometrically).
 QUADRATURE_ORDER = 96

@@ -24,7 +24,6 @@ import dataclasses
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 import traceback
@@ -37,6 +36,9 @@ from .model import JointModel, ValidationError, crooks_check, require_count, req
 from .quantum import haar_unitary, operator_from_json_dict
 
 ENV_OUTPUT_DIR = "SEQMEAS_OUTPUT_DIR"
+# The wavepacket's asymmetry pair at t = 1 to six digits, and the distance to it that passes.
+PAIR_REFERENCE = {"p_1_1_given_0_0": 0.00483946, "p_0_0_given_1_1": 0.00258997}
+PAIR_TOL = 1e-8
 
 logger = logging.getLogger(__name__)
 
@@ -94,24 +96,21 @@ def _finish(args, config: dict, seed, tolerances: dict, body: dict, checks: dict
     return 0 if passed else 1
 
 
+def _battery_tolerances(args) -> dict:
+    """The bounds of the :func:`verify.run_checks` battery: ``--tolerance``, when given, replaces
+    every upper bound, for tolerance plumbing demonstrations (a 0 floor must produce failures);
+    the fault probe's lower bound keeps its default."""
+    return {k: v if args.tolerance is None or k == "fault_detection" else args.tolerance
+            for k, v in verify.DEFAULT_TOLERANCES.items()}
+
+
 def cmd_verify(args) -> int:
-    tol = {}
-    if args.tolerance is not None:
-        # blunt override of every upper-bound check, for tolerance plumbing
-        # demonstrations (a 1e-15 floor must produce failures)
-        tol = {k: args.tolerance for k in verify.DEFAULT_TOLERANCES
-               if k != "fault_detection"}
     families = tuple(args.families.split(",")) if args.families else verify.FAMILIES
     rep = verify.run_corpus(seed=args.seed, n_per_family=args.n_models,
-                            families=families, tolerances=tol or None)
+                            families=families, tolerances=_battery_tolerances(args))
     config = {"seed": args.seed, "n_models": args.n_models, "families": list(families)}
     checks = {name: all(s.passed for s in rep.summaries if s.check == name) for name in rep.tolerances}
     return _finish(args, config, args.seed, rep.tolerances, {"report": rep.to_json_dict()}, checks)
-
-
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def _unitary_from_config(data: dict, dim: int) -> np.ndarray:
@@ -133,9 +132,9 @@ def _ensemble_report(data: dict) -> ensembles.EnsembleReport:
 
 
 def cmd_ensemble(args) -> int:
-    data = _load_json(args.config)
+    data = json.loads(Path(args.config).read_text())
     rep = _ensemble_report(data)
-    tol = {**verify.DEFAULT_TOLERANCES, "jarzynski": args.tol_jarzynski}
+    tol = _battery_tolerances(args)
     outcomes = verify.run_checks(rep, tol).items()
     body = {"report": rep.to_json_dict(), "deviations": {name: float(dev) for name, (dev, _) in outcomes}}
     return _finish(args, data, data.get("unitary_seed"), tol, body, {name: bool(ok) for name, (_, ok) in outcomes},
@@ -144,17 +143,15 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_wavepacket(args) -> int:
-    if args.t_grid:
+    if args.t_grid is None:
+        t_values = list(wavepacket.DEFAULT_T_GRID)
+    else:
         try:
             t_values = [float(x) for x in args.t_grid.split(",") if x.strip()]
         except ValueError as exc:
             raise ValidationError(f"t_grid = {args.t_grid!r}: {exc}") from exc
         if not t_values:
             raise ValidationError(f"t_grid = {args.t_grid!r} holds no time")
-    else:
-        for name in ("t_min", "t_max", "t_points"):
-            require_positive(name, getattr(args, name))
-        t_values = list(np.logspace(math.log10(args.t_min), math.log10(args.t_max), args.t_points))
     # the times, the window and its mass bound are checked before any second marginal runs
     for t in t_values:
         require_positive("t", t)
@@ -171,8 +168,7 @@ def cmd_wavepacket(args) -> int:
         "p_1_1_given_0_0": wavepacket.transition_probability(1, 1, 0, 0, 1.0),
         "p_0_0_given_1_1": wavepacket.transition_probability(0, 0, 1, 1, 1.0),
     }
-    reference = {"p_1_1_given_0_0": 0.00483946, "p_0_0_given_1_1": 0.00258997}
-    pair_ok = all(abs(pair[k] - reference[k]) <= args.tol_pair for k in pair)
+    pair_ok = all(abs(pair[k] - PAIR_REFERENCE[k]) <= PAIR_TOL for k in pair)
     s_p = points[0].s_p
     gaps_positive = all(pt.s_phat > pt.s_p for pt in points)
     by_t = sorted(points, key=lambda pt: pt.t)  # the grid may come in any order
@@ -191,14 +187,14 @@ def cmd_wavepacket(args) -> int:
               "n_x": args.n_x, "n_p": args.n_p,
               "kernel_halfwidth": args.kernel_halfwidth,
               "mass_tolerance": args.mass_tolerance}
-    tol = {"pair_abs": args.tol_pair, "mass": args.mass_tolerance}
+    tol = {"pair_abs": PAIR_TOL, "mass": args.mass_tolerance}
     return _finish(args, config, None, tol, {
         "summary": {
             "s_p": s_p,
             "reference_s_p": 1.3654,
             "matches_reference_value": bool(abs(s_p - 1.3654) <= 5e-4),
             "asymmetry_pair": pair,
-            "asymmetry_reference": reference,
+            "asymmetry_reference": PAIR_REFERENCE,
             "mass_deficits": deficits,
         },
     }, checks, artifacts={"entropy_curve.csv": _curve(points)})
@@ -218,7 +214,7 @@ def cmd_classical(args) -> int:
     est = classical.classical_j_expectation(p0, p1, u, args.n, args.seed)
     rng = np.random.default_rng(args.seed + 1)
     jac_dev = classical.jacobian_determinant_check(u, rng.normal(size=(20, 2)))
-    tol = {"jacobian": args.tol_jacobian, "ratio_std_errors": 3.0}
+    tol = {"jacobian": classical.JACOBIAN_TOL, "ratio_std_errors": 3.0}
     checks = {
         "ratio_within_3_std_errors": abs(est.mean - 1.0) <= tol["ratio_std_errors"] * est.std_error,
         "jacobian": jac_dev <= tol["jacobian"],
@@ -249,7 +245,7 @@ def cmd_classical(args) -> int:
 
 
 def cmd_crooks(args) -> int:
-    data = _load_json(args.config)
+    data = json.loads(Path(args.config).read_text())
     if "config" in data:
         rep = _ensemble_report(data)
         model, q = rep.model, rep.q
@@ -278,33 +274,28 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory for reports and CSV artifacts "
                              f"(default: ${ENV_OUTPUT_DIR} or '.')")
     sub = parser.add_subparsers(dest="command", required=True)
+    battery = argparse.ArgumentParser(add_help=False)  # the check battery that verify and ensemble share
+    battery.add_argument("--tolerance", type=float, help="override every upper-bound tolerance (demonstration knob)")
 
-    p = sub.add_parser("verify", help="run the randomized identity corpus")
+    p = sub.add_parser("verify", parents=[battery], help="run the randomized identity corpus")
     p.add_argument("--seed", type=int, default=20260814)
     p.add_argument("--n-models", type=int, default=100,
                    help="models per ensemble family")
     p.add_argument("--families", default=None,
                    help="comma-separated subset of " + ",".join(verify.FAMILIES))
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="override every upper-bound tolerance (demonstration knob)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("ensemble", help="generate one ensemble model from JSON config")
+    p = sub.add_parser("ensemble", parents=[battery], help="generate one ensemble model from JSON config")
     p.add_argument("--config", required=True, help="JSON file: {config: {...}, unitary_seed|unitary}")
-    p.add_argument("--tol-jarzynski", type=float, default=verify.DEFAULT_TOLERANCES["jarzynski"])
     p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("wavepacket", help="entropy-increase curve of the free-particle example")
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--t-grid", default=None, help="comma-separated times (overrides min/max/points)")
-    p.add_argument("--t-min", type=float, default=1e-4)
-    p.add_argument("--t-max", type=float, default=1e-1)
-    p.add_argument("--t-points", type=int, default=13)
+    p.add_argument("--t-grid", help="comma-separated times (default: 13 log-spaced from 1e-4 to 1e-1)")
     p.add_argument("--n-x", type=int, default=wavepacket.DEFAULT_N_X)
     p.add_argument("--n-p", type=int, default=wavepacket.DEFAULT_N_P)
     p.add_argument("--kernel-halfwidth", type=int, default=wavepacket.DEFAULT_KERNEL_HALFWIDTH)
     p.add_argument("--mass-tolerance", type=float, default=1e-4)
-    p.add_argument("--tol-pair", type=float, default=1e-8)
     p.set_defaults(func=cmd_wavepacket)
 
     p = sub.add_parser("classical", help="classical phase-space ratio estimator")
@@ -316,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dt", type=float, default=0.005)
     p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--tol-jacobian", type=float, default=1e-8)
     p.add_argument("--dump-work", default=None, metavar="FILENAME",
                    help="write work samples CSV into the output directory")
     p.set_defaults(func=cmd_classical)

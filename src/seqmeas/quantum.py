@@ -28,8 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import (JointModel, PreconditionError, ValidationError, require_alike, require_each, require_finite,
-                    validated)
+from .model import (JointModel, PreconditionError, ValidationError, require_alike, require_count, require_each,
+                    require_finite, validated)
 
 # Operator-level tolerances (scaled by operator norms where sensible).
 HERMITICITY_TOL = 1e-12
@@ -547,9 +547,11 @@ def operator_from_json_dict(data: dict) -> np.ndarray:
     missing = [key for key in ("dim", "re") if key not in data]
     if missing:
         raise ValidationError(f"operator JSON lacks {' and '.join(map(repr, missing))}")
-    dim = int(data["dim"])
+    dim = data["dim"]
+    require_count("dim", dim, positive=True)
     re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data.get("im", np.zeros((dim, dim))), dtype=float)
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise ValidationError(f"operator JSON claims dim {dim} but has shapes {re.shape}, {im.shape}")
-    return re + 1j * im
+    im = np.asarray(data["im"], dtype=float) if "im" in data else None
+    shapes = re.shape, (dim, dim) if im is None else im.shape
+    if shapes != ((dim, dim),) * 2:
+        raise ValidationError(f"operator JSON claims dim {dim} but has shapes {shapes[0]}, {shapes[1]}")
+    return re + 1j * (np.zeros_like(re) if im is None else im)  # a missing im is 0, built at re's checked shape

@@ -41,6 +41,8 @@ DEFAULT_N_P = 512
 # Half-width of the per-source position window of the conditional kernel,
 # measured from the classical drift 2 pi n t.
 DEFAULT_KERNEL_HALFWIDTH = 24
+# Times of the default entropy curve: 13 log-spaced points from 1e-4 to 1e-1.
+DEFAULT_T_GRID = np.logspace(-4, -1, 13)
 # Sources per kernel block of the second marginal; bounds the two block buffers of each thread.
 KERNEL_BLOCK = 128
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqmeas import __version__, cli, ensembles, verify, wavepacket
+from seqmeas import __version__, classical, cli, ensembles, verify, wavepacket
 from seqmeas.cli import config_hash, main
 from seqmeas.quantum import haar_unitary, operator_to_json_dict
 
@@ -163,8 +163,27 @@ def test_ensemble_rejects_an_empty_operator(tmp_path, capsys):
     code, report = run_cli(capsys, "--output-dir", str(tmp_path), "ensemble", "--config", str(cfg))
     assert code == 2
     assert report["error_type"] == "ValidationError"
-    # no nested JSON list has shape (0, 0), so the operator decoder is the check that fires
-    assert "dim 0" in report["error"]
+    assert report["error"] == "h_t0: dim = 0 must be a positive integer"
+
+
+@pytest.mark.parametrize("h_t0, message", [
+    ({"dim": 2.7}, "h_t0: dim = 2.7 must be a positive integer"),
+    ({"dim": True}, "h_t0: dim = True must be a positive integer"),
+    ({"dim": 10 ** 7, "re": [[1.0]], "im": None},
+     "h_t0: operator JSON claims dim 10000000 but has shapes (1, 1), (10000000, 10000000)"),
+], ids=["fractional", "bool", "huge-without-im"])
+def test_ensemble_rejects_a_bad_operator_dim_naming_the_field(tmp_path, capsys, h_t0, message):
+    """A fractional dim is not truncated, a bool is not read as 1, and a huge dim without ``im``
+    builds no zero matrix before the shape check; ``h_t0`` keeps its other fields, ``im`` None drops it."""
+    data = json.loads(write_grand_config(tmp_path).read_text())
+    merged = data["config"]["h_t0"] | h_t0
+    data["config"]["h_t0"] = {key: value for key, value in merged.items() if value is not None}
+    cfg = tmp_path / "bad_dim.json"
+    cfg.write_text(json.dumps(data))
+    code, report = run_cli(capsys, "--output-dir", str(tmp_path), "ensemble", "--config", str(cfg))
+    assert code == 2
+    assert report["error_type"] == "ValidationError"
+    assert report["error"] == message
 
 
 @pytest.mark.parametrize("change, message", [
@@ -250,7 +269,7 @@ def test_non_numeric_json_entries_are_named(tmp_path, capsys, change, message):
 
 
 def test_ensemble_impossible_tolerance(tmp_path, capsys, monkeypatch):
-    """The gate compares |lhs - 1| with --tol-jarzynski; lhs is pinned, so rounding cannot decide.
+    """The gate compares |lhs - 1| with --tolerance; lhs is pinned, so rounding cannot decide.
     The histogram value moves with it, so the report stays self-consistent and only the flag decides."""
     generate = ensembles.generate
     monkeypatch.setattr(ensembles, "generate", lambda cfg, u: dataclasses.replace(
@@ -258,14 +277,26 @@ def test_ensemble_impossible_tolerance(tmp_path, capsys, monkeypatch):
     cfg_path = write_grand_config(tmp_path)
     code, report = run_cli(
         capsys, "--output-dir", str(tmp_path), "ensemble",
-        "--config", str(cfg_path), "--tol-jarzynski", "1e-7")
+        "--config", str(cfg_path), "--tolerance", "1e-7")
     assert code == 1
     assert report["checks"]["jarzynski"] is False
     code, report = run_cli(
         capsys, "--output-dir", str(tmp_path), "ensemble",
-        "--config", str(cfg_path), "--tol-jarzynski", "1e-5")
+        "--config", str(cfg_path), "--tolerance", "1e-5")
     assert code == 0
     assert report["checks"]["jarzynski"] is True
+
+
+def test_ensemble_and_verify_take_one_tolerance_for_the_same_bounds(tmp_path, capsys):
+    """--tolerance sets every upper bound of the shared battery, in both commands alike; the fault
+    probe's lower bound keeps its default."""
+    tolerances = {}
+    for command, argv in (("verify", ["--n-models", "1", "--families", "grand_canonical"]),
+                          ("ensemble", ["--config", str(write_grand_config(tmp_path))])):
+        _, report = run_cli(capsys, "--output-dir", str(tmp_path), command, *argv, "--tolerance", "1e-3")
+        tolerances[command] = report["meta"]["tolerances"]
+    assert tolerances["verify"] == tolerances["ensemble"] == dict.fromkeys(verify.DEFAULT_TOLERANCES, 1e-3) | {
+        "fault_detection": verify.DEFAULT_TOLERANCES["fault_detection"]}
 
 
 def _one_outcome_data() -> dict:
@@ -416,6 +447,35 @@ def test_wavepacket_window_must_capture_the_mass_tolerance(tmp_path, capsys):
     assert code == 0
 
 
+def test_wavepacket_defaults_to_the_thirteen_log_spaced_times(tmp_path, capsys, monkeypatch):
+    """Without --t-grid the curve runs at 13 times from 1e-4 to 1e-1, bit for bit the grid the
+    former --t-min/--t-max/--t-points defaults spelled; the curve is stopped before any second marginal."""
+    seen = []
+
+    def recording(sigma, t_values, *args, **kwargs):
+        seen.append(np.asarray(t_values, dtype=float))
+        raise RuntimeError("stop before the second marginals")
+
+    monkeypatch.setattr(wavepacket, "entropy_curve", recording)
+    code, report = run_cli(capsys, "--output-dir", str(tmp_path), "wavepacket")
+    assert code == 2 and report["error"] == "stop before the second marginals"
+    [t_values] = seen
+    assert t_values.tobytes() == np.logspace(math.log10(1e-4), math.log10(1e-1), 13).tobytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["wavepacket", "--t-min", "1e-3"], ["wavepacket", "--t-max", "1"], ["wavepacket", "--t-points", "5"],
+    ["wavepacket", "--tol-pair", "1"], ["classical", "--tol-jacobian", "1"],
+    ["ensemble", "--config", "grand.json", "--tol-jarzynski", "1"],
+], ids=["t-min", "t-max", "t-points", "tol-pair", "tol-jacobian", "tol-jarzynski"])
+def test_removed_flags_are_rejected(argv):
+    """The times are a --t-grid, the pair and Jacobian bounds are constants, and ensemble takes
+    verify's --tolerance: argparse rejects the flags these replaced."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli.build_parser().parse_args(argv)
+    assert exit_info.value.code == 2
+
+
 def test_wavepacket_checks_every_time_before_any_second_marginal(tmp_path, capsys, monkeypatch):
     calls = []
     inner = wavepacket.second_marginal
@@ -552,10 +612,7 @@ def test_classical_rejects_non_finite_parameters(tmp_path, capsys, argv, named):
     (["classical", "--protocol", "quench", "--omega0", "1e-200", "--n", "100"], "omega = 1e-200"),
     (["classical", "--beta", "1e-310", "--n", "100"], "beta = 1e-310"),
     (["wavepacket", "--t-grid", ","], "t_grid = ','"),
-    (["wavepacket", "--t-points", "0"], "t_points = 0"),
-    (["wavepacket", "--t-min", "0"], "t_min = 0.0"),
-    (["wavepacket", "--t-min", "-1"], "t_min = -1.0"),
-    (["wavepacket", "--t-max", "nan"], "t_max = nan"),
+    (["wavepacket", "--t-grid", ""], "t_grid = ''"),
     (["wavepacket", "--t-grid", "1e-3,abc"], "t_grid = '1e-3,abc': could not convert string to float: 'abc'"),
     (["wavepacket", "--t-grid", "nan"], "t = nan"),
     (["wavepacket", "--t-grid", "inf"], "t = inf"),
@@ -569,8 +626,7 @@ def test_classical_rejects_non_finite_parameters(tmp_path, capsys, argv, named):
     (["wavepacket", "--mass-tolerance", "nan"], "mass_tolerance = nan"),
 ], ids=["classical-seed", "verify-seed", "verify-n-models-negative", "verify-n-models-zero",
         "ramp-steps", "ramp-omega0-tiny", "quench-omega0-tiny", "beta-tiny", "wavepacket-empty-grid",
-        "wavepacket-no-points", "wavepacket-t-min-0", "wavepacket-t-min-negative", "wavepacket-t-max-nan",
-        "wavepacket-t-grid-non-numeric", "wavepacket-t-nan", "wavepacket-t-inf", "wavepacket-t-neginf",
+        "wavepacket-blank-grid", "wavepacket-t-grid-non-numeric", "wavepacket-t-nan", "wavepacket-t-inf", "wavepacket-t-neginf",
         "wavepacket-t-zero", "wavepacket-t-negative", "wavepacket-sigma-nan", "wavepacket-sigma-negative",
         "wavepacket-n-x-zero", "wavepacket-n-p-zero", "wavepacket-mass-tolerance-nan"])
 def test_out_of_range_inputs_exit_2_naming_the_parameter_without_warnings(tmp_path, capsys, argv,
@@ -656,26 +712,29 @@ def test_crooks_from_ensemble_config(tmp_path, capsys):
 
 # ------------------------------------------------------------------ epilogue
 
-# command -> (arguments, artifact files, the tolerance flag that -1 makes fail)
+# command -> (arguments, artifact files, the tolerance that -1 makes fail: a flag, or a (module, constant))
 EPILOGUE_CASES = {
     "verify": (["--n-models", "1", "--families", "grand_canonical"], [], "--tolerance"),
-    "ensemble": (["--config", "GRAND"], ["exponent_histogram.csv", "work_histogram.csv"],
-                 "--tol-jarzynski"),
+    "ensemble": (["--config", "GRAND"], ["exponent_histogram.csv", "work_histogram.csv"], "--tolerance"),
     "wavepacket": (["--t-grid", "0.004,0.02", "--n-x", "4", "--n-p", "48",
                     "--kernel-halfwidth", "10", "--mass-tolerance", "0.1"],
-                   ["entropy_curve.csv"], "--tol-pair"),
-    "classical": (["--n", "1000", "--dump-work", "w.csv"], ["w.csv"], "--tol-jacobian"),
+                   ["entropy_curve.csv"], (cli, "PAIR_TOL")),
+    "classical": (["--n", "1000", "--dump-work", "w.csv"], ["w.csv"], (classical, "JACOBIAN_TOL")),
     "crooks": (["--config", "GRAND"], ["crooks_levels.csv"], "--tol-ratio"),
 }
 
 
 @pytest.mark.parametrize("failing", [False, True], ids=["passing", "failing"])
 @pytest.mark.parametrize("command", list(EPILOGUE_CASES))
-def test_every_command_persists_the_printed_report_and_its_artifacts(tmp_path, capsys,
+def test_every_command_persists_the_printed_report_and_its_artifacts(tmp_path, capsys, monkeypatch,
                                                                      command, failing):
-    args, artifacts, tolerance_flag = EPILOGUE_CASES[command]
+    args, artifacts, tolerance = EPILOGUE_CASES[command]
     grand = str(write_grand_config(tmp_path))
-    argv = [grand if a == "GRAND" else a for a in args] + ([tolerance_flag, "-1"] if failing else [])
+    argv = [grand if a == "GRAND" else a for a in args]
+    if failing and isinstance(tolerance, tuple):
+        monkeypatch.setattr(*tolerance, -1.0)
+    elif failing:
+        argv += [tolerance, "-1"]
     out = tmp_path / "out"
     code = main(["--output-dir", str(out), command, *argv])
     printed = capsys.readouterr().out

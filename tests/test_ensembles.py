@@ -433,7 +433,7 @@ NOT_HERMITIAN = {"dim": 2, "re": [[0.0, 1.0], [0.0, 0.0]]}
     ("microcanonical", "h_t1", {"dim": 2, "re": [[1.0, 0.0]]},
      "h_t1: operator JSON claims dim 2 but has shapes (1, 2), (2, 2)"),
     ("microcanonical", "h_t0", {"dim": 0, "re": []},
-     "h_t0: operator JSON claims dim 0 but has shapes (0,), (0, 0)"),
+     "h_t0: dim = 0 must be a positive integer"),
     ("microcanonical", "h_t0", {"dim": 2, "im": [[0.0, 0.0], [0.0, 0.0]]},
      "h_t0: operator JSON lacks 're'"),
     ("microcanonical", "h_t1", {"re": [[1.0]]}, "h_t1: operator JSON lacks 'dim'"),

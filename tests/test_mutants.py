@@ -103,6 +103,42 @@ MUTANTS = {
         "perturbed[b, i0] /= perturbed[b, i0].sum(axis=-1, keepdims=True)",
         "pass",
         ("tests/test_corpus.py::test_the_fault_probe_moves_the_column_sum_by_its_stated_response",)),
+    # the curve is judged in grid order: a reversed --t-grid reads as a falling entropy
+    "curve_judged_in_grid_order": Mutant(
+        "src/seqmeas/cli.py",
+        "by_t = sorted(points, key=lambda pt: pt.t)",
+        "by_t = points",
+        ("tests/test_cli.py::test_wavepacket_judges_the_curve_in_increasing_t",)),
+    # a one-outcome second family has no fault to find, yet the probe's lower bound still fails it
+    "fault_probe_without_the_one_outcome_pass": Mutant(
+        "src/seqmeas/verify.py",
+        " | (pi.shape[-1] == 1)",
+        "",
+        ("tests/test_cli.py::test_a_one_outcome_second_family_passes_all_seven_checks",)),
+    # the window check allows ten times the mass the tolerance grants
+    "window_check_ten_times_loose": Mutant(
+        "src/seqmeas/cli.py",
+        "if deficit > args.mass_tolerance:",
+        "if deficit > 10 * args.mass_tolerance:",
+        ("tests/test_cli.py::test_wavepacket_window_must_capture_the_mass_tolerance",)),
+    # a report passes when any one check does
+    "passed_when_any_check_passes": Mutant(
+        "src/seqmeas/cli.py",
+        "all(checks.values())",
+        "any(checks.values())",
+        ("tests/test_cli.py::test_verify_and_ensemble_report_the_same_checks",)),
+    # the physical exponents are no longer held to the table ratios
+    "exponent_crosscheck_disabled": Mutant(
+        "src/seqmeas/ensembles.py",
+        "dev <= EXPONENT_CONSISTENCY_TOL",
+        "dev <= np.inf",
+        ("tests/test_ensembles.py::test_exponent_crosscheck_catches_misassigned_probabilities",)),
+    # the family's labeled Jensen combination is no longer held to the Jensen value
+    "labeled_jensen_crosscheck_disabled": Mutant(
+        "src/seqmeas/ensembles.py",
+        "np.abs(combo - jensen) <= 1e-9",
+        "np.abs(combo - jensen) <= np.inf",
+        ("tests/test_ensembles.py::test_assemble_report_cross_checks_the_labeled_jensen_combination",)),
 }
 
 

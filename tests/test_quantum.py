@@ -624,6 +624,20 @@ def test_operator_json_missing_keys_raise_validation_errors(data, missing):
         operator_from_json_dict(data)
 
 
+@pytest.mark.parametrize("dim", [2.7, True, 0, -1, "2"], ids=["fractional", "bool", "zero", "negative", "string"])
+def test_operator_json_dim_must_be_a_positive_integer(dim):
+    """A fractional dim is not truncated to a shape that fits, and a bool is not read as 1."""
+    with pytest.raises(ValidationError, match=r"^dim = .* must be a positive integer$"):
+        operator_from_json_dict({"dim": dim, "re": [[1.0, 0.0], [0.0, 1.0]]})
+
+
+def test_operator_json_checks_re_before_building_a_missing_im():
+    """A huge claimed dim without ``im`` fails the shape check, not a dim x dim allocation."""
+    with pytest.raises(ValidationError, match=r"claims dim 10000000 but has shapes \(1, 1\), \(10000000, 10000000\)$"):
+        operator_from_json_dict({"dim": 10 ** 7, "re": [[1.0]]})
+    np.testing.assert_array_equal(operator_from_json_dict({"dim": 1, "re": [[2.0]]}), [[2.0 + 0.0j]])
+
+
 # ------------------------------------------------------ large dim and memory
 
 

@@ -1,5 +1,5 @@
 """Lint of the package surface: every keyword default is set by some caller, and some
-caller sets it to something other than the default.
+caller sets it to something other than the default; every CLI option is read by the CLI.
 
 A defaulted parameter that no call passes is a constant in disguise: it
 adds an option that no test or program exercises.  So is one that every
@@ -13,9 +13,12 @@ unpacks ``*args`` or ``**kwargs`` where it could land.
 
 from __future__ import annotations
 
+import argparse
 import ast
 from collections import defaultdict
 from pathlib import Path
+
+from seqmeas import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLER_DIRS = ("src", "tests", "perfbench", "scripts")
@@ -105,3 +108,39 @@ def test_only_the_cli_formats_artifact_cells():
     formatting = [str(path.relative_to(ROOT)) for path in sorted((ROOT / "src").rglob("*.py"))
                   if ".17g" in path.read_text()]
     assert formatting == ["src/seqmeas/cli.py"]
+
+
+def _dests(parser: argparse.ArgumentParser):
+    """(command, dest) of every settable value of ``parser`` and of each of its subparsers."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for command, sub in action.choices.items():
+                yield from ((command, dest) for _, dest in _dests(sub))
+        elif action.default is not argparse.SUPPRESS:
+            yield parser.prog, action.dest
+
+
+def _names_read_from_args(tree: ast.AST) -> set[str]:
+    """Every ``args.<name>``, and every string that ``getattr(args, x)`` reads, ``x`` a literal or
+    the target of a loop or comprehension over literals."""
+    read, loops = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args":
+            read.add(node.attr)
+        for loop in getattr(node, "generators", [node] if isinstance(node, ast.For) else []):
+            if isinstance(loop.target, ast.Name) and isinstance(loop.iter, (ast.Tuple, ast.List)):
+                loops.setdefault(loop.target.id, []).extend(e.value for e in loop.iter.elts
+                                                             if isinstance(e, ast.Constant))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr"
+                and isinstance(node.args[0], ast.Name) and node.args[0].id == "args"):
+            name = node.args[1]
+            read.update([name.value] if isinstance(name, ast.Constant) else loops.get(getattr(name, "id", None), []))
+    return read
+
+
+def test_every_cli_option_is_read_by_the_cli():
+    """An option whose value no command reads selects nothing: a dead flag."""
+    read = _names_read_from_args(ast.parse((ROOT / "src/seqmeas/cli.py").read_text()))
+    dead = [f"{command} {dest}" for command, dest in _dests(cli.build_parser()) if dest not in read]
+    assert dead == [], "CLI options that cli.py never reads:\n" + "\n".join(dead)
