@@ -85,11 +85,12 @@ def harmonic_hamiltonian(omega: float) -> Callable[[np.ndarray], np.ndarray]:
     return h
 
 
-def canonical_harmonic_density(omega: float, beta: float, n_dof: int = 1) -> PhaseSpaceDensity:
-    """Canonical density ~ exp(-beta H) for the harmonic H, with exact Gaussian sampler.
+def canonical_harmonic_density(omega: float, beta: float) -> PhaseSpaceDensity:
+    """Canonical density ~ exp(-beta H) for the harmonic H of one degree of freedom, with
+    exact Gaussian sampler.
 
-    q_k ~ N(0, 1/(beta omega^2)), p_k ~ N(0, 1/beta), independently;
-    ln Z = n_dof * ln(2 pi / (beta omega)).  Parameters whose squared scales
+    q ~ N(0, 1/(beta omega^2)), p ~ N(0, 1/beta), independently;
+    ln Z = ln(2 pi / (beta omega)).  Parameters whose squared scales
     omega^2, 1/beta or 1/(beta omega^2) leave [1/MAX_SQUARED_SCALE,
     MAX_SQUARED_SCALE] are rejected, since q^2 or the energy would overflow.
     """
@@ -103,7 +104,7 @@ def canonical_harmonic_density(omega: float, beta: float, n_dof: int = 1) -> Pha
         if abs(log_square) > math.log(MAX_SQUARED_SCALE):
             raise ValidationError(f"{named}: the squared scale {what} = exp({log_square:.6g}) is "
                                   f"outside [1/{MAX_SQUARED_SCALE:g}, {MAX_SQUARED_SCALE:g}]")
-    log_z = n_dof * math.log(2.0 * math.pi / (beta * omega))
+    log_z = math.log(2.0 * math.pi / (beta * omega))
 
     def log_density(x):
         return -beta * h(x) - log_z
@@ -111,12 +112,10 @@ def canonical_harmonic_density(omega: float, beta: float, n_dof: int = 1) -> Pha
     sigma_q = 1.0 / (math.sqrt(beta) * omega)
     sigma_p = 1.0 / math.sqrt(beta)
 
-    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        q = rng.normal(0.0, sigma_q, size=(n, n_dof))
-        p = rng.normal(0.0, sigma_p, size=(n, n_dof))
-        return np.concatenate([q, p], axis=1)
+    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:  # q drawn first, then p
+        return np.stack([rng.normal(0.0, sigma_q, size=n), rng.normal(0.0, sigma_p, size=n)], axis=1)
 
-    return PhaseSpaceDensity(dim=2 * n_dof, log_density=log_density, sampler=sampler)
+    return PhaseSpaceDensity(dim=2, log_density=log_density, sampler=sampler)
 
 
 def leapfrog_map(grad_potential: Callable[[float, np.ndarray], np.ndarray], dt: float,

@@ -105,7 +105,7 @@ def _battery_tolerances(args) -> dict:
 
 
 def cmd_verify(args) -> int:
-    families = tuple(args.families.split(",")) if args.families else verify.FAMILIES
+    families = tuple(args.families.split(",")) if args.families is not None else verify.FAMILIES
     rep = verify.run_corpus(seed=args.seed, n_per_family=args.n_models,
                             families=families, tolerances=_battery_tolerances(args))
     config = {"seed": args.seed, "n_models": args.n_models, "families": list(families)}
@@ -114,6 +114,8 @@ def cmd_verify(args) -> int:
 
 
 def _unitary_from_config(data: dict, dim: int) -> np.ndarray:
+    if "unitary" in data and "unitary_seed" in data:
+        raise ValidationError("give one of 'unitary' and 'unitary_seed', not both")
     if "unitary" in data:
         try:
             return operator_from_json_dict(data["unitary"])

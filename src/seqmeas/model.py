@@ -33,7 +33,7 @@ import numpy as np
 NORMALIZATION_TOL = 1e-12
 # Default tolerance for the modified doubly stochastic test.
 MOD_DS_TOL = 1e-10
-# Default absolute tolerance when grouping fluctuation-ratio levels.
+# Absolute tolerance when grouping fluctuation-ratio levels (read at call time).
 LEVEL_GROUPING_TOL = 1e-9
 
 
@@ -193,8 +193,8 @@ class JointModel:
             "p_table": [[float(x) for x in row] for row in self.p_table],
             "d": [int(x) for x in self.d],
             "D": [int(x) for x in self.D],
-            "labels_i": [_label_to_json(l) for l in self.labels_i],
-            "labels_j": [_label_to_json(l) for l in self.labels_j],
+            "labels_i": list(self.labels_i),
+            "labels_j": list(self.labels_j),
         }
 
     @classmethod
@@ -206,12 +206,6 @@ class JointModel:
             labels_i=tuple(_label_from_json(l) for l in data.get("labels_i", ())),
             labels_j=tuple(_label_from_json(l) for l in data.get("labels_j", ())),
         )
-
-
-def _label_to_json(label):
-    if isinstance(label, tuple):
-        return list(label)
-    return label
 
 
 def _label_from_json(label):
@@ -388,7 +382,7 @@ class WorkDistribution:
     """Discrete distribution over grouped level values.
 
     Levels are obtained by clustering raw per-outcome values whose gaps
-    are below ``grouping_tol``; probabilities of clustered outcomes add.
+    are below ``LEVEL_GROUPING_TOL``; probabilities of clustered outcomes add.
     Optional reciprocal columns carry the reverse-experiment weights of
     the same level sets for fluctuation-ratio bookkeeping.  A stack of
     distributions of one level count holds (B, n_levels) values and probs.
@@ -396,7 +390,6 @@ class WorkDistribution:
 
     values: np.ndarray
     probs: np.ndarray
-    grouping_tol: float
     reciprocal_probs: np.ndarray | None = None
     ratio_errors: np.ndarray | None = None
 
@@ -419,8 +412,7 @@ class WorkDistribution:
 
     def take(self, b: int) -> "WorkDistribution":
         """Model ``b`` of a stacked distribution."""
-        return validated(WorkDistribution, values=self.values[b], probs=self.probs[b],
-                         grouping_tol=self.grouping_tol)
+        return validated(WorkDistribution, values=self.values[b], probs=self.probs[b])
 
 
 def _cluster_levels(values: np.ndarray, weights: np.ndarray, tol: float, *columns: np.ndarray):
@@ -442,10 +434,10 @@ def _cluster_levels(values: np.ndarray, weights: np.ndarray, tol: float, *column
     return means.reshape(shape), sums.reshape(shape), columns
 
 
-def group_levels(values, probs, tol: float = LEVEL_GROUPING_TOL) -> WorkDistribution:
+def group_levels(values, probs) -> WorkDistribution:
     """Cluster raw (value, probability) pairs into a WorkDistribution.
 
-    Values closer than ``tol`` land in the same level; the level value is
+    Values closer than ``LEVEL_GROUPING_TOL`` land in the same level; the level value is
     the probability-weighted mean of its members.  (B, n) ndarrays are B
     models of one level count, clustered row by row into one stacked distribution.
     """
@@ -453,8 +445,8 @@ def group_levels(values, probs, tol: float = LEVEL_GROUPING_TOL) -> WorkDistribu
     p = _as_float_array(probs, "probs", 1)
     if v.shape != p.shape:
         raise ValidationError("values and probs must have equal length")
-    lv, lp, _ = _cluster_levels(v, p, tol)
-    return WorkDistribution(values=lv, probs=lp, grouping_tol=tol)
+    lv, lp, _ = _cluster_levels(v, p, LEVEL_GROUPING_TOL)
+    return WorkDistribution(values=lv, probs=lp)
 
 
 @dataclass(frozen=True)
@@ -473,7 +465,7 @@ class CrooksReport:
     j_equation_value: float
 
 
-def crooks_check(model: JointModel, q, grouping_tol: float = LEVEL_GROUPING_TOL) -> CrooksReport:
+def crooks_check(model: JointModel, q) -> CrooksReport:
     """Group the ratio levels of a model and verify the per-level identity
     (``reciprocal_model`` rejects a zero q(j), a zero p(i) and a failed hypothesis)."""
     q = check_probability_vector(q)
@@ -482,7 +474,6 @@ def crooks_check(model: JointModel, q, grouping_tol: float = LEVEL_GROUPING_TOL)
     mask = model.p_table > 0.0
     # reciprocal table transposed back to (i, j) indexing for the same pairs
     rs = recip.p_table.T[mask]
-    lv, lp, (lr,) = _cluster_levels(y[mask], model.p_table[mask], grouping_tol, rs)
-    dist = WorkDistribution(values=lv, probs=lp, grouping_tol=grouping_tol,
-                            reciprocal_probs=lr, ratio_errors=np.abs(lp * lv - lr))
+    lv, lp, (lr,) = _cluster_levels(y[mask], model.p_table[mask], LEVEL_GROUPING_TOL, rs)
+    dist = WorkDistribution(values=lv, probs=lp, reciprocal_probs=lr, ratio_errors=np.abs(lp * lv - lr))
     return CrooksReport(distribution=dist, j_equation_value=float(np.sum(lv * lp)))

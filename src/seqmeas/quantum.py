@@ -322,25 +322,21 @@ def hermitian_function(h: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) ->
     return (v * fn(w)[None, :]) @ v.conj().T
 
 
-def evolve(protocol: Sequence[tuple[np.ndarray, float]], dim: int | None = None) -> np.ndarray:
+def evolve(protocol: Sequence[tuple[np.ndarray, float]]) -> np.ndarray:
     """Unitary generated by a piecewise-constant Hamiltonian protocol.
 
-    ``protocol`` is a sequence of (H, duration) segments applied in order;
-    the result is  U = exp(-i H_n t_n) ... exp(-i H_1 t_1)  (hbar = 1).
-    An empty protocol yields the identity (``dim`` required then).
+    ``protocol`` is a nonempty sequence of (H, duration) segments applied in
+    order; the result is  U = exp(-i H_n t_n) ... exp(-i H_1 t_1)  (hbar = 1).
     """
-    segments = list(protocol)
-    if not segments:
-        if dim is None:
-            raise ValidationError("empty protocol needs an explicit dimension")
-        return np.eye(dim, dtype=complex)
     u = None
-    for k, (h, tau) in enumerate(segments):
+    for k, (h, tau) in enumerate(protocol):
         h = one_matrix(require_hermitian(h, f"protocol[{k}].H"), f"protocol[{k}].H")
         if not np.isfinite(tau):
             raise ValidationError(f"protocol[{k}] has non-finite duration")
         step = hermitian_function(h, lambda w: np.exp(-1j * w * float(tau)))
         u = step if u is None else step @ u
+    if u is None:
+        raise ValidationError("protocol has no segment")
     return u
 
 
@@ -483,8 +479,8 @@ def time_reversal_symmetry_check(u: np.ndarray, first: SpectralFamily,
 class BlochCurvePoint:
     """One-qubit state of fixed diagonal and varying coherence, with its entropy data.
 
-    For  rho = [[p, z], [conj(z), 1 - p]]  with  z = lam * exp(i alpha),
-    the eigenvalues are (1 +- r)/2 with  r = sqrt(4 lam^2 + (1 - 2p)^2),
+    For  rho = [[p, lam], [lam, 1 - p]]  with real coherence lam >= 0, the
+    eigenvalues are (1 +- r)/2 with  r = sqrt(4 lam^2 + (1 - 2p)^2),
     the squared distance from the maximally mixed state is
     2 lam^2 - 2 p (1 - p) + 1/2, and the entropy decreases strictly in
     the coherence:  dS/d lam = -4 lam artanh(r) / r.
@@ -492,7 +488,6 @@ class BlochCurvePoint:
 
     p: float
     lam: float
-    alpha: float
     rho: np.ndarray
     eigenvalues: tuple[float, float]
     distance_sq: float
@@ -500,18 +495,16 @@ class BlochCurvePoint:
     entropy_slope: float
 
 
-def bloch_curve(p: float, lam: float, alpha: float = 0.0) -> BlochCurvePoint:
-    """Evaluate the fixed-diagonal one-qubit curve at coherence ``lam``."""
+def bloch_curve(p: float, lam: float) -> BlochCurvePoint:
+    """Evaluate the fixed-diagonal one-qubit curve at the real coherence ``lam``."""
     require_finite("lam", lam)
-    require_finite("alpha", alpha)
     if not 0.0 < p < 1.0:
         raise ValidationError(f"p = {p} must lie strictly between 0 and 1")
     lam_max = float(np.sqrt(p * (1.0 - p)))
     if lam < 0.0 or lam > lam_max + 1e-15:
         raise ValidationError(f"lam = {lam} outside [0, sqrt(p(1-p))] = [0, {lam_max}]")
     lam = min(lam, lam_max)
-    z = lam * np.exp(1j * alpha)
-    rho = np.array([[p, z], [np.conj(z), 1.0 - p]], dtype=complex)
+    rho = np.array([[p, lam], [lam, 1.0 - p]], dtype=complex)
     r = float(np.sqrt(4.0 * lam**2 + (1.0 - 2.0 * p) ** 2))
     p1, p2 = (1.0 + r) / 2.0, (1.0 - r) / 2.0
     dist_sq = 2.0 * lam**2 - 2.0 * p * (1.0 - p) + 0.5
@@ -526,7 +519,7 @@ def bloch_curve(p: float, lam: float, alpha: float = 0.0) -> BlochCurvePoint:
     else:
         slope = -4.0 * lam * np.arctanh(r) / r
     return BlochCurvePoint(
-        p=float(p), lam=float(lam), alpha=float(alpha), rho=rho,
+        p=float(p), lam=float(lam), rho=rho,
         eigenvalues=(p1, p2), distance_sq=float(dist_sq),
         entropy=float(ent), entropy_slope=float(slope),
     )

@@ -256,9 +256,8 @@ def test_j_expectation_rejects_a_sample_without_overlap():
 
 def test_j_expectation_validation():
     d = canonical_harmonic_density(OMEGA0, BETA)
-    d4 = canonical_harmonic_density(OMEGA0, BETA, n_dof=2)
     with pytest.raises(ValidationError, match="dimension"):
-        classical_j_expectation(d, d4, identity_map(2), 100, seed=0)
+        classical_j_expectation(d, d, identity_map(4), 100, seed=0)
     with pytest.raises(ValidationError, match="samples"):
         classical_j_expectation(d, d, identity_map(2), 1, seed=0)
 

@@ -217,6 +217,21 @@ def test_unitary_seed_must_be_a_nonnegative_integer(tmp_path, capsys, command, s
 
 
 @pytest.mark.parametrize("command", ["ensemble", "crooks"])
+def test_a_file_gives_the_unitary_one_way(tmp_path, capsys, monkeypatch, command):
+    """Both ``unitary`` and ``unitary_seed`` is refused before either unitary is built: with both,
+    the explicit one ran while ``meta.seed`` reported the unused seed."""
+    monkeypatch.setattr(cli, "haar_unitary", lambda dim, rng: pytest.fail("a Haar unitary was drawn"))
+    data = json.loads(write_grand_config(tmp_path).read_text())
+    cfg = tmp_path / "both.json"
+    cfg.write_text(json.dumps(data | {"unitary": operator_to_json_dict(np.eye(4, dtype=complex))}))
+    code, report = run_cli(capsys, "--output-dir", str(tmp_path), command, "--config", str(cfg))
+    assert code == 2
+    assert report["error_type"] == "ValidationError"
+    assert report["error"] == "give one of 'unitary' and 'unitary_seed', not both"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["both.json", "grand.json"]
+
+
+@pytest.mark.parametrize("command", ["ensemble", "crooks"])
 def test_thirteen_modes_are_rejected_before_the_unitary_is_drawn(tmp_path, capsys, monkeypatch, command):
     """A 13-mode config fails at construction: no 8192 x 8192 Haar unitary is asked for."""
     calls = []
@@ -607,6 +622,7 @@ def test_classical_rejects_non_finite_parameters(tmp_path, capsys, argv, named):
     (["verify", "--seed", "-1", "--n-models", "1"], "seed = -1"),
     (["verify", "--n-models", "-2"], "n_per_family = -2"),
     (["verify", "--n-models", "0"], "n_per_family = 0"),
+    (["verify", "--n-models", "1", "--families", ""], "unknown families ['']"),
     (["classical", "--protocol", "ramp", "--steps", "0"], "steps = 0"),
     (["classical", "--protocol", "ramp", "--omega0", "1e-200", "--n", "100"], "omega = 1e-200"),
     (["classical", "--protocol", "quench", "--omega0", "1e-200", "--n", "100"], "omega = 1e-200"),
@@ -624,7 +640,7 @@ def test_classical_rejects_non_finite_parameters(tmp_path, capsys, argv, named):
     (["wavepacket", "--n-x", "0"], "n_x = 0"),
     (["wavepacket", "--n-p", "0"], "n_p = 0"),
     (["wavepacket", "--mass-tolerance", "nan"], "mass_tolerance = nan"),
-], ids=["classical-seed", "verify-seed", "verify-n-models-negative", "verify-n-models-zero",
+], ids=["classical-seed", "verify-seed", "verify-n-models-negative", "verify-n-models-zero", "verify-empty-families",
         "ramp-steps", "ramp-omega0-tiny", "quench-omega0-tiny", "beta-tiny", "wavepacket-empty-grid",
         "wavepacket-blank-grid", "wavepacket-t-grid-non-numeric", "wavepacket-t-nan", "wavepacket-t-inf", "wavepacket-t-neginf",
         "wavepacket-t-zero", "wavepacket-t-negative", "wavepacket-sigma-nan", "wavepacket-sigma-negative",

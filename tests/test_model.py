@@ -345,7 +345,7 @@ def test_group_levels_merges_and_orders():
 
 
 def test_group_levels_weighted_mean():
-    wd = group_levels([0.0, 1e-10], [0.25, 0.75], tol=1e-9)
+    wd = group_levels([0.0, 1e-10], [0.25, 0.75])
     assert wd.values.size == 1
     assert wd.values[0] == pytest.approx(0.75e-10, rel=1e-12)
 
@@ -371,9 +371,10 @@ LEVEL_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(LEVEL_CASES))
-def test_group_levels_matches_per_group_average(case):
+def test_group_levels_matches_per_group_average(case, monkeypatch):
+    monkeypatch.setattr("seqmeas.model.LEVEL_GROUPING_TOL", TOL_EXACT)
     values, probs = LEVEL_CASES[case]
-    wd = group_levels(values, probs, tol=TOL_EXACT)
+    wd = group_levels(values, probs)
     means, sums, _ = _reference_levels(values, probs, TOL_EXACT)
     expected_levels = {"singletons": 5, "one_group": 1, "zero_weight_group": 3, "gap_at_tol": 2}
     assert wd.values.size == expected_levels[case]
@@ -402,9 +403,10 @@ def _crooks_model(case: str, rng) -> tuple[JointModel, np.ndarray, float]:
 
 
 @pytest.mark.parametrize("case", ["singletons", "one_group", "zero_probability_cells", "gap_at_tol"])
-def test_crooks_levels_match_per_group_average(case):
+def test_crooks_levels_match_per_group_average(case, monkeypatch):
     m, q, tol = _crooks_model(case, np.random.default_rng(17))
-    report = crooks_check(m, q, grouping_tol=tol)
+    monkeypatch.setattr("seqmeas.model.LEVEL_GROUPING_TOL", tol)
+    report = crooks_check(m, q)
     p, _ = marginals(m)
     mask = m.p_table > 0.0
     ys = ((m.d[:, None] / p[:, None]) * (q[None, :] / m.D[None, :]))[mask]
@@ -424,9 +426,9 @@ def test_crooks_levels_match_per_group_average(case):
 
 def test_work_distribution_validation():
     with pytest.raises(ValidationError, match="strictly increasing"):
-        WorkDistribution(values=[1.0, 1.0], probs=[0.5, 0.5], grouping_tol=1e-9)
+        WorkDistribution(values=[1.0, 1.0], probs=[0.5, 0.5])
     with pytest.raises(ValidationError, match="equal length"):
-        WorkDistribution(values=[1.0], probs=[0.5, 0.5], grouping_tol=1e-9)
+        WorkDistribution(values=[1.0], probs=[0.5, 0.5])
 
 
 UNIFORM = JointModel(p_table=[[0.25, 0.25], [0.25, 0.25]], d=[1, 1], D=[1, 1])
@@ -442,9 +444,9 @@ UNIFORM = JointModel(p_table=[[0.25, 0.25], [0.25, 0.25]], d=[1, 1], D=[1, 1])
     (lambda: shannon_entropy([0.5, 0.5], d=[1, 1, 1]), r"^d has shape \(3,\), expected \(2,\)$"),
     (lambda: shannon_entropy([0.5, 0.5], d=[1, 0]), "^cell sizes must be positive$"),
     (lambda: reciprocal_model(UNIFORM, [0.2, 0.3, 0.5]), "^q has 3 entries, expected 2$"),
-    (lambda: WorkDistribution(values=[0.0, 1.0], probs=[1.5, -0.5], grouping_tol=1e-9),
+    (lambda: WorkDistribution(values=[0.0, 1.0], probs=[1.5, -0.5]),
      "^level probabilities must be nonnegative$"),
-    (lambda: WorkDistribution(values=[0.0, 1.0], probs=[0.5, 0.5], grouping_tol=1e-9, reciprocal_probs=[1.0]),
+    (lambda: WorkDistribution(values=[0.0, 1.0], probs=[0.5, 0.5], reciprocal_probs=[1.0]),
      "^reciprocal_probs must match values in length$"),
     (lambda: group_levels([0.0, 1.0], [1.0]), "^values and probs must have equal length$"),
 ], ids=["table-ndim", "table-nan", "cell-shape", "labels-j", "q-negative", "entropy-cell-shape",
@@ -475,7 +477,7 @@ def test_a_stack_of_distributions_must_be_rectangular():
 def test_work_distribution_csv_is_17_digit_round_trip():
     vals = np.array([-1.2345678901234567, 0.1, 7.0])
     probs = np.array([0.25, 0.5, 0.25])
-    wd = WorkDistribution(values=vals, probs=probs, grouping_tol=1e-9)
+    wd = WorkDistribution(values=vals, probs=probs)
     text = cli._csv(*cli._levels(wd))
     lines = text.strip().split("\n")
     assert lines[0] == "w,prob,reciprocal_prob,ratio_error"

@@ -139,6 +139,19 @@ MUTANTS = {
         "np.abs(combo - jensen) <= 1e-9",
         "np.abs(combo - jensen) <= np.inf",
         ("tests/test_ensembles.py::test_assemble_report_cross_checks_the_labeled_jensen_combination",)),
+    # a subsystem ln Z(t1) off by 1e-7: the labeled Jensen check, the only one left on the
+    # subsystem partition functions, must see it
+    "local_log_partition_shifted": Mutant(
+        "src/seqmeas/ensembles.py",
+        "d_f = (-log_z1[mu] / beta)",
+        "d_f = (-(log_z1[mu] + 1e-7) / beta)",
+        ("tests/test_ensembles.py::test_local_canonical_identity_and_free_energy",)),
+    # levels merge across gaps up to ten times the grouping tolerance
+    "levels_grouped_at_ten_times_the_tolerance": Mutant(
+        "src/seqmeas/model.py",
+        "_cluster_levels(v, p, LEVEL_GROUPING_TOL)",
+        "_cluster_levels(v, p, 10 * LEVEL_GROUPING_TOL)",
+        ("tests/test_model.py::test_group_levels_matches_per_group_average[gap_at_tol]",)),
 }
 
 

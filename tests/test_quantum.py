@@ -334,8 +334,7 @@ def test_physical_conditional_rejects_a_dimension_mismatch():
 
 
 def test_evolve_empty_protocol():
-    np.testing.assert_array_equal(evolve([], dim=3), np.eye(3))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^protocol has no segment$"):
         evolve([])
 
 
@@ -563,20 +562,18 @@ def test_bloch_curve_validation():
         bloch_curve(0.3, 0.9)  # beyond sqrt(p(1-p))
 
 
-@pytest.mark.parametrize("lam, alpha, named", [
-    (math.nan, 0.0, "lam = nan"), (0.3, math.nan, "alpha = nan"), (0.3, math.inf, "alpha = inf"),
-], ids=["lam-nan", "alpha-nan", "alpha-inf"])
-def test_bloch_curve_rejects_non_finite_parameters(lam, alpha, named):
-    """No silent result: a NaN lam would give entropy 0 with a NaN rho, an infinite alpha a warning."""
+@pytest.mark.parametrize("lam, named", [(math.nan, "lam = nan")], ids=["lam-nan"])
+def test_bloch_curve_rejects_non_finite_parameters(lam, named):
+    """No silent result: a NaN lam would give entropy 0 with a NaN rho."""
     with pytest.raises(ValidationError, match=named):
-        bloch_curve(0.3, lam, alpha)
+        bloch_curve(0.3, lam)
 
 
 def test_bloch_curve_matches_direct_diagonalization():
     for p in (0.1, 0.35, 0.5, 0.8):
         lam_max = math.sqrt(p * (1 - p))
         for frac in (0.0, 0.4, 0.9):
-            pt = bloch_curve(p, frac * lam_max, alpha=0.6)
+            pt = bloch_curve(p, frac * lam_max)
             w = np.linalg.eigvalsh(pt.rho)
             np.testing.assert_allclose(np.sort(pt.eigenvalues), w, atol=1e-14)
             s_direct = -sum(x * math.log(x) for x in w if x > 0)

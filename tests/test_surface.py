@@ -1,14 +1,15 @@
-"""Lint of the package surface: every keyword default is set by some caller, and some
-caller sets it to something other than the default; every CLI option is read by the CLI.
+"""Lint of the package surface: every keyword default is set by some program caller, and
+some program caller sets it to something other than the default; every CLI option is read
+by the CLI.
 
-A defaulted parameter that no call passes is a constant in disguise: it
-adds an option that no test or program exercises.  So is one that every
-call passes as the same literal as its default: an option that selects
-nothing.  The scan is by name, over the syntax trees of ``src``, ``tests``,
-``perfbench`` and ``scripts``: a call ``f(...)`` or ``obj.f(...)`` counts
-for every function or method named ``f`` in ``src/seqmeas``.  A parameter
-is set when some such call passes it by keyword, reaches its position, or
-unpacks ``*args`` or ``**kwargs`` where it could land.
+A defaulted parameter that no program call passes is a constant in disguise: it
+adds an option that no run of the program exercises, even when tests set it.  So
+is one that every call passes as the same literal as its default: an option that
+selects nothing.  The scan is by name, over the syntax trees of the program's
+callers, ``src``, ``perfbench`` and ``scripts`` (not ``tests``): a call ``f(...)``
+or ``obj.f(...)`` counts for every function or method named ``f`` in
+``src/seqmeas``.  A parameter is set when some such call passes it by keyword,
+reaches its position, or unpacks ``*args`` or ``**kwargs`` where it could land.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 from seqmeas import cli
 
 ROOT = Path(__file__).resolve().parents[1]
-CALLER_DIRS = ("src", "tests", "perfbench", "scripts")
+CALLER_DIRS = ("src", "perfbench", "scripts")
 
 
 def _trees(*dirs: str):
