@@ -18,7 +18,6 @@ from .model import (  # noqa: F401
     crooks_check,
     entropy_gap,
     is_modified_doubly_stochastic,
-    j_equation_lhs,
     marginals,
     reciprocal_model,
     shannon_entropy,

@@ -248,7 +248,7 @@ def cmd_classical(args) -> int:
 
 def cmd_crooks(args) -> int:
     data = json.loads(Path(args.config).read_text())
-    if "config" in data:
+    if isinstance(data, dict) and "config" in data:
         rep = _ensemble_report(data)
         model, q = rep.model, rep.q
     else:

@@ -561,6 +561,8 @@ GENERATORS = {
 
 
 def config_from_json_dict(data: dict):
+    if not isinstance(data, dict):
+        raise ValidationError(f"config must be a JSON object, got {type(data).__name__}")
     kinds = {cls.kind: cls for cls in GENERATORS}
     kind = data.get("kind")
     if kind not in kinds:

@@ -87,7 +87,10 @@ def require_count(name: str, value: int, positive: bool = False) -> None:
 
 
 def require_key(data: dict, key: str, where: str):
-    """``data[key]``, or a ValidationError naming the key that ``where`` is missing."""
+    """``data[key]``, or a ValidationError naming the key that ``where`` is missing, or ``where``
+    if it is not a JSON object."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {type(data).__name__}")
     if key not in data:
         raise ValidationError(f"{where} is missing field {key!r}")
     return data[key]
@@ -273,20 +276,6 @@ def j_ratio(model: JointModel, q: np.ndarray) -> np.ndarray:
     p, _ = marginals(model)
     with np.errstate(divide="ignore", invalid="ignore"):
         return (model.d[:, None] / p[..., :, None]) * (q[..., None, :] / model.D[None, :])
-
-
-def j_equation_lhs(model: JointModel, q) -> float:
-    """Expectation  < d(i) q(j) / (D(j) p(i)) >  under the joint table.
-
-    This equals one for every admissible hypothetical distribution q if
-    and only if the conditional is modified doubly stochastic.  Zero-
-    probability cells of the table contribute nothing (0 * anything = 0).
-    """
-    weights = j_ratio(model, check_probability_vector(q))
-    ratio = np.zeros_like(model.p_table)
-    mask = model.p_table > 0.0
-    ratio[mask] = model.p_table[mask] * weights[mask]
-    return float(ratio.sum())
 
 
 def shannon_entropy(p, d=None, *, check_normalized: bool = True) -> float:

@@ -15,21 +15,20 @@ The module covers: spectral families of one Hamiltonian, optionally split
 by the sectors of a conserved diagonal number, and their tensor products,
 for one model or a stack of same-shape models (a leading model axis),
 stationary ensembles kept as their outcome probabilities p(i), the
-cell-uniformity check of a dense rho, protocol evolution, POVM bookkeeping
-for the two-time statistics, an exactly solvable one-qubit purity curve,
-and time-reversal symmetry diagnostics.
+cell-uniformity check of a dense rho, and POVM bookkeeping for the
+two-time statistics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .model import (JointModel, PreconditionError, ValidationError, require_alike, require_count, require_each,
-                    require_finite, validated)
+                    validated)
 
 # Operator-level tolerances (scaled by operator norms where sensible).
 HERMITICITY_TOL = 1e-12
@@ -37,8 +36,6 @@ UNITARITY_TOL = 1e-11
 PROJECTION_TOL = 1e-10
 GROUP_TOL = 1e-9
 ASSUMPTION2_TOL = 1e-10
-# Slack of the time-reversal diagnostics (asymmetry, real projections, U = U^T).
-TIME_REVERSAL_TOL = 1e-11
 # Slack of the two-time POVM's resolution of the identity.
 POVM_COMPLETENESS_TOL = 1e-11
 # Slack of a density matrix's Hermiticity and trace (and, times 10, of its eigenvalues).
@@ -52,7 +49,7 @@ def _as_square(a, name: str) -> np.ndarray:
         raise ValidationError(f"{name} must be a square matrix, got shape {m.shape}")
     if m.shape[-1] == 0:
         raise ValidationError(f"{name} is an empty 0x0 matrix")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         raise ValidationError(f"{name} has non-finite entries")
     return m
 
@@ -315,31 +312,6 @@ def _outcome_blocks(m: np.ndarray, family: SpectralFamily) -> np.ndarray:
     return np.where(label[:, None] == label[None, :], m, 0.0)
 
 
-def hermitian_function(h: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix via eigendecomposition."""
-    h = one_matrix(require_hermitian(h), "operator")
-    w, v = np.linalg.eigh(h)
-    return (v * fn(w)[None, :]) @ v.conj().T
-
-
-def evolve(protocol: Sequence[tuple[np.ndarray, float]]) -> np.ndarray:
-    """Unitary generated by a piecewise-constant Hamiltonian protocol.
-
-    ``protocol`` is a nonempty sequence of (H, duration) segments applied in
-    order; the result is  U = exp(-i H_n t_n) ... exp(-i H_1 t_1)  (hbar = 1).
-    """
-    u = None
-    for k, (h, tau) in enumerate(protocol):
-        h = one_matrix(require_hermitian(h, f"protocol[{k}].H"), f"protocol[{k}].H")
-        if not np.isfinite(tau):
-            raise ValidationError(f"protocol[{k}] has non-finite duration")
-        step = hermitian_function(h, lambda w: np.exp(-1j * w * float(tau)))
-        u = step if u is None else step @ u
-    if u is None:
-        raise ValidationError("protocol has no segment")
-    return u
-
-
 def ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
     """A dim x dim complex Ginibre matrix: the real parts drawn first, then the imaginary ones."""
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -358,24 +330,20 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return haar_orthonormalize(ginibre(dim, rng))
 
 
-def _two_time_traces(u: np.ndarray, first: SpectralFamily, second: SpectralFamily) -> np.ndarray:
-    """t[i, j] = Tr(Q_j U P_i U*): the (i, j) block sums of |V* U* W|^2, with V and W
-    the two family bases; two GEMMs, O(dim^3) time and O(dim^2) extra memory."""
-    amp = np.abs(_adjoint(first.basis) @ (_adjoint(u) @ second.basis)) ** 2
-    return np.add.reduceat(np.add.reduceat(amp, first.starts, axis=-2), second.starts, axis=-1)
-
-
 def physical_conditional(u: np.ndarray, first: SpectralFamily, second: SpectralFamily) -> np.ndarray:
     """Conditional  pi(j|i) = Tr(Q_j U P_i U*) / d(i)  of the two-time experiment.
 
     Row-stochastic for any unitary; modified doubly stochastic with the
     cell sizes d = Tr P, D = Tr Q (the trace identity sum_i U P_i U* = 1).
-    Costs O(dim^3) and O(dim^2) extra memory.
+    The traces are the (i, j) block sums of |V* U* W|^2, with V and W the two
+    family bases: two GEMMs, O(dim^3) time and O(dim^2) extra memory.
     """
     u = require_unitary(u)
     if first.dim != u.shape[-1] or second.dim != u.shape[-1]:
         raise ValidationError("families and unitary must share one dimension")
-    return _two_time_traces(u, first, second) / first.degeneracies[:, None]
+    amp = np.abs(_adjoint(first.basis) @ (_adjoint(u) @ second.basis)) ** 2
+    traces = np.add.reduceat(np.add.reduceat(amp, first.starts, axis=-2), second.starts, axis=-1)
+    return traces / first.degeneracies[:, None]
 
 
 def povm_elements(u: np.ndarray, first: SpectralFamily, second: SpectralFamily) -> np.ndarray:
@@ -436,93 +404,6 @@ def build_joint_model(p, u: np.ndarray, first: SpectralFamily, second: SpectralF
                  f"has probability {p[b].min():.3e}; all must be positive")
     table = p[..., None] * physical_conditional(u, first, second)
     return JointModel(table / table.sum(axis=(-2, -1), keepdims=True), first.degeneracies, second.degeneracies)
-
-
-@dataclass(frozen=True)
-class TimeReversalReport:
-    """Diagnostics of the detailed-balance-like symmetry pi(j|i) d(i) = pi(i|j) D(j)."""
-
-    max_asymmetry: float
-    symmetric: bool
-    families_real: bool
-    u_symmetric: bool
-    preconditions_hold: bool
-
-
-def time_reversal_symmetry_check(u: np.ndarray, first: SpectralFamily,
-                                 second: SpectralFamily) -> TimeReversalReport:
-    """Compare the weighted conditional with its role-reversed counterpart.
-
-    The check compares  Tr(Q_j U P_i U*)  against  Tr(P_i U Q_j U*).
-    Equality holds whenever all projections are real and U is symmetric
-    (transposition-invariant), which is the complex-conjugation
-    time-reversal scenario of palindromic real protocols; outside those
-    preconditions the asymmetry is still reported as a diagnostic and may
-    legitimately be large.  The backward table is the forward kernel with
-    U* in place of U; both cost O(dim^3).  Projections are tested for
-    realness one outcome block V_k V_k* at a time, in O(dim^2) extra memory.
-    All comparisons use ``TIME_REVERSAL_TOL``.
-    """
-    u = one_matrix(require_unitary(u), "U")
-    fwd = _two_time_traces(u, first, second)
-    bwd = _two_time_traces(u.conj().T, first, second)
-    asym = float(np.abs(fwd - bwd).max())
-    families_real = all(np.abs((v @ v.conj().T).imag).max() <= TIME_REVERSAL_TOL
-                        for fam in (first, second)
-                        for v in np.split(fam.basis, fam.starts[1:], axis=1))
-    u_symmetric = bool(np.abs(u - u.T).max() <= TIME_REVERSAL_TOL)
-    return TimeReversalReport(asym, asym <= TIME_REVERSAL_TOL, families_real, u_symmetric,
-                              families_real and u_symmetric)
-
-
-@dataclass(frozen=True)
-class BlochCurvePoint:
-    """One-qubit state of fixed diagonal and varying coherence, with its entropy data.
-
-    For  rho = [[p, lam], [lam, 1 - p]]  with real coherence lam >= 0, the
-    eigenvalues are (1 +- r)/2 with  r = sqrt(4 lam^2 + (1 - 2p)^2),
-    the squared distance from the maximally mixed state is
-    2 lam^2 - 2 p (1 - p) + 1/2, and the entropy decreases strictly in
-    the coherence:  dS/d lam = -4 lam artanh(r) / r.
-    """
-
-    p: float
-    lam: float
-    rho: np.ndarray
-    eigenvalues: tuple[float, float]
-    distance_sq: float
-    entropy: float
-    entropy_slope: float
-
-
-def bloch_curve(p: float, lam: float) -> BlochCurvePoint:
-    """Evaluate the fixed-diagonal one-qubit curve at the real coherence ``lam``."""
-    require_finite("lam", lam)
-    if not 0.0 < p < 1.0:
-        raise ValidationError(f"p = {p} must lie strictly between 0 and 1")
-    lam_max = float(np.sqrt(p * (1.0 - p)))
-    if lam < 0.0 or lam > lam_max + 1e-15:
-        raise ValidationError(f"lam = {lam} outside [0, sqrt(p(1-p))] = [0, {lam_max}]")
-    lam = min(lam, lam_max)
-    rho = np.array([[p, lam], [lam, 1.0 - p]], dtype=complex)
-    r = float(np.sqrt(4.0 * lam**2 + (1.0 - 2.0 * p) ** 2))
-    p1, p2 = (1.0 + r) / 2.0, (1.0 - r) / 2.0
-    dist_sq = 2.0 * lam**2 - 2.0 * p * (1.0 - p) + 0.5
-    ent = 0.0
-    for w in (p1, p2):
-        if w > 0.0:
-            ent -= w * np.log(w)
-    if r >= 1.0:
-        slope = -np.inf if lam > 0 else 0.0
-    elif r == 0.0:
-        slope = 0.0  # limit of -4 lam artanh(r)/r at p = 1/2, lam = 0
-    else:
-        slope = -4.0 * lam * np.arctanh(r) / r
-    return BlochCurvePoint(
-        p=float(p), lam=float(lam), rho=rho,
-        eigenvalues=(p1, p2), distance_sq=float(dist_sq),
-        entropy=float(ent), entropy_slope=float(slope),
-    )
 
 
 def operator_to_json_dict(a: np.ndarray) -> dict:

@@ -204,14 +204,17 @@ def run_corpus(seed: int = 20260814, n_per_family: int = 100,
     are one-sided where the theory is one-sided (entropy gap, Jensen) and
     two-sided elsewhere; ``fault_detection`` is a lower bound (the injected
     fault must be seen), all others are upper bounds.  A negative seed, fewer
-    than one model per family and unknown family names or tolerance keys
-    raise :class:`ValidationError` before any model runs.
+    than one model per family, unknown or repeated family names and unknown
+    tolerance keys raise :class:`ValidationError` before any model runs.
     """
     require_count("seed", seed)
     require_count("n_per_family", n_per_family, positive=True)
     unknown = set(families) - set(FAMILIES)
     if unknown:
         raise ValidationError(f"unknown families {sorted(unknown)}; expected a subset of {FAMILIES}")
+    repeated = sorted({f for f in families if families.count(f) > 1})
+    if repeated:
+        raise ValidationError(f"families {repeated} are listed more than once")
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         unknown = set(tolerances) - set(tol)

@@ -5,7 +5,8 @@ multi-operator joint eigendecomposition, and ``projections``, the dense
 eigenprojections of a family.  Two more are built on them:
 ``luders_probabilities``, the outcome probabilities Tr(rho P_i) of a dense
 state, and ``completeness_deviation``, how far a two-time POVM stack is
-from resolving the identity.
+from resolving the identity.  ``j_equation_lhs`` is the direct oracle of the
+J-equation's left side < y >, the table average of ``model.j_ratio``.
 
 The other recurring need is a joint table whose conditional satisfies the
 cell-weighted column condition  sum_i pi(j|i) d(i) = D(j)  exactly (up to
@@ -20,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from seqmeas.model import JointModel, PreconditionError, ValidationError
+from seqmeas.model import JointModel, PreconditionError, ValidationError, check_probability_vector, j_ratio
 from seqmeas.quantum import GROUP_TOL, SpectralFamily, require_hermitian
 
 # Slack of the oracle's pairwise commutator check, scaled by both operators' largest entries.
@@ -90,6 +91,20 @@ def completeness_deviation(elements: np.ndarray) -> float:
     """Max-entry deviation of  sum_{i,j} F(i, j)  from the identity."""
     total = elements.sum(axis=(0, 1))
     return float(np.abs(total - np.eye(total.shape[0])).max())
+
+
+def j_equation_lhs(model: JointModel, q) -> float:
+    """Expectation  < d(i) q(j) / (D(j) p(i)) >  under the joint table.
+
+    This equals one for every admissible hypothetical distribution q if
+    and only if the conditional is modified doubly stochastic.  Zero-
+    probability cells of the table contribute nothing (0 * anything = 0).
+    """
+    weights = j_ratio(model, check_probability_vector(q))
+    ratio = np.zeros_like(model.p_table)
+    mask = model.p_table > 0.0
+    ratio[mask] = model.p_table[mask] * weights[mask]
+    return float(ratio.sum())
 
 
 def sinkhorn(a: np.ndarray, iters: int = 400) -> np.ndarray:

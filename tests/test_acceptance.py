@@ -25,7 +25,8 @@ import time
 
 import numpy as np
 import pytest
-from conftest import sinkhorn
+from conftest import projections, sinkhorn
+from scipy.linalg import expm
 
 from seqmeas.classical import (
     canonical_harmonic_density,
@@ -38,13 +39,7 @@ from seqmeas.classical import (
 )
 from seqmeas.ensembles import LocalCanonicalConfig, generate
 from seqmeas.model import JointModel, crooks_check, entropy_gap
-from seqmeas.quantum import (
-    bloch_curve,
-    evolve,
-    haar_unitary,
-    joint_diagonalize,
-    time_reversal_symmetry_check,
-)
+from seqmeas.quantum import haar_unitary, joint_diagonalize, physical_conditional
 from seqmeas.verify import run_corpus
 from seqmeas.wavepacket import entropy_curve, first_marginal, transition_probability
 
@@ -314,10 +309,14 @@ def test_criterion_09_real_protocol_symmetry_and_violation():
         second = _real_degenerate_family(rng, dim)
         g1 = rng.normal(size=(dim, dim))
         g2 = rng.normal(size=(dim, dim))
-        u = evolve([(g1 + g1.T, 0.4), (g2 + g2.T, 0.7), (g1 + g1.T, 0.4)])
-        report = time_reversal_symmetry_check(u, first, second)
-        assert report.preconditions_hold and report.symmetric, report
-        worst = max(worst, report.max_asymmetry)
+        # a palindrome of real symmetric generators: U = U^T, the time-reversal precondition
+        outer = expm(-0.4j * (g1 + g1.T))
+        u = outer @ expm(-0.7j * (g2 + g2.T)) @ outer
+        assert np.abs(u - u.T).max() <= 1e-11
+        assert all(np.abs(projections(fam).imag).max() <= 1e-11 for fam in (first, second))
+        forward = physical_conditional(u, first, second) * first.degeneracies[:, None]
+        backward = physical_conditional(u.conj().T, first, second) * first.degeneracies[:, None]
+        worst = max(worst, float(np.abs(forward - backward).max()))
     p_f = transition_probability(1, 1, 0, 0, 1.0)
     p_b = transition_probability(0, 0, 1, 1, 1.0)
     violation = abs(p_f - p_b)
@@ -334,7 +333,16 @@ def test_criterion_09_real_protocol_symmetry_and_violation():
 # 10. two-level curve: closed-form slope and squared distance
 
 
+def _two_level_entropy(p: float, lam: float) -> float:
+    """Entropy of  rho = [[p, lam], [lam, 1 - p]]  from the eigenvalues of rho."""
+    w = np.linalg.eigvalsh(np.array([[p, lam], [lam, 1.0 - p]]))
+    return float(-np.sum(w * np.log(w)))
+
+
 def test_criterion_10_two_level_curve_closed_forms():
+    """On the fixed-diagonal curve the eigenvalues are (1 +- r)/2 with r = sqrt(4 lam^2 + (1 - 2p)^2),
+    the entropy slope is  dS/d lam = -4 lam artanh(r) / r,  and the squared distance from the
+    maximally mixed state is  2 lam^2 - 2 p (1 - p) + 1/2."""
     worst_slope_rel = 0.0
     worst_dist = 0.0
     h = 1e-6
@@ -342,11 +350,13 @@ def test_criterion_10_two_level_curve_closed_forms():
         lam_max = math.sqrt(p * (1.0 - p))
         for frac in np.linspace(0.05, 0.9, 20):
             lam = frac * lam_max
-            pt = bloch_curve(p, lam)
-            fd = (bloch_curve(p, lam + h).entropy - bloch_curve(p, lam - h).entropy) / (2 * h)
-            worst_slope_rel = max(worst_slope_rel, abs(pt.entropy_slope - fd) / abs(fd))
-            direct = np.linalg.norm(pt.rho - np.eye(2) / 2.0, "fro") ** 2
-            worst_dist = max(worst_dist, abs(pt.distance_sq - direct))
+            r = math.sqrt(4.0 * lam**2 + (1.0 - 2.0 * p) ** 2)
+            slope = -4.0 * lam * math.atanh(r) / r
+            fd = (_two_level_entropy(p, lam + h) - _two_level_entropy(p, lam - h)) / (2 * h)
+            worst_slope_rel = max(worst_slope_rel, abs(slope - fd) / abs(fd))
+            rho = np.array([[p, lam], [lam, 1.0 - p]])
+            direct = np.linalg.norm(rho - np.eye(2) / 2.0, "fro") ** 2
+            worst_dist = max(worst_dist, abs(2.0 * lam**2 - 2.0 * p * (1.0 - p) + 0.5 - direct))
     ok = worst_slope_rel <= 1e-6 and worst_dist <= 1e-14
     _criterion(
         10, ok, "entropy slope and center distance on a 20x20 (p, lambda) grid",

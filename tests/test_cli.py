@@ -267,6 +267,21 @@ def test_missing_json_keys_are_named(tmp_path, capsys, command, data, message):
     assert report["error"] == message
 
 
+@pytest.mark.parametrize("command, data, message", [
+    ("ensemble", 5, "ensemble file must be a JSON object, got int"),
+    ("ensemble", {"config": 7}, "config must be a JSON object, got int"),
+    ("crooks", {"model": 3, "q": [1]}, "model must be a JSON object, got int"),
+    ("crooks", 5, "crooks file must be a JSON object, got int"),
+], ids=["ensemble-file", "ensemble-config", "crooks-model", "crooks-file"])
+def test_json_values_that_must_be_objects_are_named(tmp_path, capsys, command, data, message):
+    cfg = tmp_path / "input.json"
+    cfg.write_text(json.dumps(data))
+    code, report = run_cli(capsys, "--output-dir", str(tmp_path), command, "--config", str(cfg))
+    assert code == 2
+    assert report["error_type"] == "ValidationError"
+    assert report["error"] == message
+
+
 @pytest.mark.parametrize("change, message", [
     ({"q": [0.5, "x"]}, "q: could not convert string to float: 'x'"),
     ({"q": [0.4, 10 ** 400]}, "q: int too large to convert to float"),
@@ -623,6 +638,8 @@ def test_classical_rejects_non_finite_parameters(tmp_path, capsys, argv, named):
     (["verify", "--n-models", "-2"], "n_per_family = -2"),
     (["verify", "--n-models", "0"], "n_per_family = 0"),
     (["verify", "--n-models", "1", "--families", ""], "unknown families ['']"),
+    (["verify", "--n-models", "1", "--families", "grand_canonical,grand_canonical"],
+     "families ['grand_canonical'] are listed more than once"),
     (["classical", "--protocol", "ramp", "--steps", "0"], "steps = 0"),
     (["classical", "--protocol", "ramp", "--omega0", "1e-200", "--n", "100"], "omega = 1e-200"),
     (["classical", "--protocol", "quench", "--omega0", "1e-200", "--n", "100"], "omega = 1e-200"),
@@ -641,6 +658,7 @@ def test_classical_rejects_non_finite_parameters(tmp_path, capsys, argv, named):
     (["wavepacket", "--n-p", "0"], "n_p = 0"),
     (["wavepacket", "--mass-tolerance", "nan"], "mass_tolerance = nan"),
 ], ids=["classical-seed", "verify-seed", "verify-n-models-negative", "verify-n-models-zero", "verify-empty-families",
+        "verify-repeated-families",
         "ramp-steps", "ramp-omega0-tiny", "quench-omega0-tiny", "beta-tiny", "wavepacket-empty-grid",
         "wavepacket-blank-grid", "wavepacket-t-grid-non-numeric", "wavepacket-t-nan", "wavepacket-t-inf", "wavepacket-t-neginf",
         "wavepacket-t-zero", "wavepacket-t-negative", "wavepacket-sigma-nan", "wavepacket-sigma-negative",

@@ -249,3 +249,11 @@ def test_report_times_every_family():
     seconds = report.to_json_dict()["family_seconds"]
     assert list(seconds) == ["periodic_thermo", "microcanonical"]
     assert all(0.0 < s <= report.elapsed_seconds for s in seconds.values())
+
+
+def test_a_repeated_family_is_rejected_before_any_model_runs(monkeypatch):
+    def no_chunk(*args):
+        raise AssertionError("a model ran")
+    monkeypatch.setattr(verify, "_check_chunk", no_chunk)
+    with pytest.raises(ValidationError, match=r"^families \['local_canonical'\] are listed more than once$"):
+        verify.run_corpus(seed=2, n_per_family=3, families=("local_canonical", "microcanonical", "local_canonical"))

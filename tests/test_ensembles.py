@@ -22,11 +22,11 @@ from seqmeas.ensembles import (
     _assemble_report,
 )
 from seqmeas import ensembles, model, verify
-from seqmeas.model import ValidationError, is_modified_doubly_stochastic, conditional, j_equation_lhs
+from seqmeas.model import ValidationError, is_modified_doubly_stochastic, conditional
 from seqmeas.quantum import (GROUP_TOL, SpectralFamily, haar_orthonormalize, haar_unitary, joint_diagonalize,
                              product_family)
 
-from conftest import joint_refinement, projections
+from conftest import j_equation_lhs, joint_refinement, projections
 
 
 def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -400,6 +400,12 @@ def test_config_json_round_trips(rng):
         assert json.dumps(again, sort_keys=True) == json.dumps(cfg.to_json_dict(), sort_keys=True)
     with pytest.raises(ValidationError, match="unknown ensemble kind"):
         config_from_json_dict({"kind": "nonsense"})
+
+
+def test_config_that_is_not_an_object_is_named():
+    for value, kind in [(7, "int"), ([], "list"), ("local_canonical", "str")]:
+        with pytest.raises(ValidationError, match=rf"^config must be a JSON object, got {kind}$"):
+            config_from_json_dict(value)
 
 
 def test_config_missing_field_names_it(rng):

@@ -22,14 +22,15 @@ from seqmeas.model import (
     entropy_gap,
     group_levels,
     is_modified_doubly_stochastic,
-    j_equation_lhs,
     j_ratio,
     marginals,
     reciprocal_model,
+    require_key,
     shannon_entropy,
 )
 
 from conftest import (
+    j_equation_lhs,
     random_mod_ds_conditional,
     random_mod_ds_model,
     random_positive_prob,
@@ -440,7 +441,7 @@ UNIFORM = JointModel(p_table=[[0.25, 0.25], [0.25, 0.25]], d=[1, 1], D=[1, 1])
     (lambda: JointModel(p_table=[[0.5, 0.5]], d=[1, 1], D=[1, 1]), r"^d must have shape \(1,\), got \(2,\)$"),
     (lambda: JointModel(p_table=[[0.5, 0.5]], d=[1], D=[1, 1], labels_j=("a",)),
      "^labels_j has 1 entries, expected 2$"),
-    (lambda: j_equation_lhs(UNIFORM, [1.5, -0.5]), r"^q\[1\] = -0.5 is negative$"),
+    (lambda: crooks_check(UNIFORM, [1.5, -0.5]), r"^q\[1\] = -0.5 is negative$"),
     (lambda: shannon_entropy([0.5, 0.5], d=[1, 1, 1]), r"^d has shape \(3,\), expected \(2,\)$"),
     (lambda: shannon_entropy([0.5, 0.5], d=[1, 0]), "^cell sizes must be positive$"),
     (lambda: reciprocal_model(UNIFORM, [0.2, 0.3, 0.5]), "^q has 3 entries, expected 2$"),
@@ -536,3 +537,10 @@ def test_crooks_csv_shape(rng):
     assert len(lines) == 1 + report.distribution.values.size
     # every data row carries all four columns
     assert all(len(line.split(",")) == 4 for line in lines[1:])
+
+
+def test_require_key_names_a_value_that_is_not_an_object():
+    assert require_key({"q": [1.0]}, "q", "crooks file") == [1.0]
+    for value, kind in [(5, "int"), ([1.0], "list"), ("q", "str"), (None, "NoneType")]:
+        with pytest.raises(ValidationError, match=rf"^crooks file must be a JSON object, got {kind}$"):
+            require_key(value, "q", "crooks file")

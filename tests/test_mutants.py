@@ -176,7 +176,9 @@ def test_the_mutant_is_killed_by_its_named_tests(name, tmp_path):
     target = tmp_path / mutant.path
     target.write_text(target.read_text().replace(mutant.snippet, mutant.replacement))
     path = os.pathsep.join([str(tmp_path / "src"), os.environ.get("PYTHONPATH", "")])
-    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *mutant.killers],
+    # plain asserts: pytest rewrites no module's asserts, about half of a row's start-up
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", "--assert=plain",
+                          *mutant.killers],
                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1"),
                          capture_output=True, text=True, timeout=300)
     failed = _failed_nodes(run.stdout)

@@ -18,20 +18,16 @@ from seqmeas.model import (
     conditional,
     crooks_check,
     is_modified_doubly_stochastic,
-    j_equation_lhs,
     marginals,
 )
 from seqmeas.quantum import (
     SpectralFamily,
-    bloch_curve,
     build_joint_model,
     check_assumption2,
     ensemble_state,
-    evolve,
     ginibre,
     haar_orthonormalize,
     haar_unitary,
-    hermitian_function,
     joint_diagonalize,
     operator_from_json_dict,
     operator_to_json_dict,
@@ -41,12 +37,11 @@ from seqmeas.quantum import (
     require_hermitian,
     require_unitary,
     streamed_completeness_deviation,
-    time_reversal_symmetry_check,
 )
 from seqmeas import quantum, verify
 from seqmeas.verify import DEFAULT_TOLERANCES, FAMILIES, random_model
 
-from conftest import completeness_deviation, joint_refinement, luders_probabilities, projections
+from conftest import completeness_deviation, j_equation_lhs, joint_refinement, luders_probabilities, projections
 
 
 def random_commuting_pair(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -296,46 +291,13 @@ def test_check_assumption2(rng):
     assert not ok_bad and dev_bad > 1e-6
 
 
-def test_hermitian_function_matches_series(rng):
-    a, _ = random_commuting_pair(rng, 4)
-    e = hermitian_function(a, np.exp)
-    # compare against the scaled Taylor series of exp
-    series = np.eye(4, dtype=complex)
-    term = np.eye(4, dtype=complex)
-    for k in range(1, 40):
-        term = term @ a / k
-        series = series + term
-    np.testing.assert_allclose(e, series, atol=1e-12)
-
-
-# -------------------------------------------------------- protocols, unitaries
-
-
-def test_evolve_single_segment_and_order():
-    sz = np.diag([1.0, -1.0])
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    u1 = evolve([(sz, 0.3)])
-    np.testing.assert_allclose(u1, np.diag(np.exp([-0.3j, 0.3j])), atol=1e-14)
-    u12 = evolve([(sz, 0.3), (sx, 0.7)])
-    np.testing.assert_allclose(u12, evolve([(sx, 0.7)]) @ evolve([(sz, 0.3)]), atol=1e-14)
-    assert float(np.abs(u12 @ u12.conj().T - np.eye(2)).max()) < 1e-14
-
-
-@pytest.mark.parametrize("tau", [math.nan, math.inf])
-def test_evolve_rejects_a_non_finite_duration(tau):
-    with pytest.raises(ValidationError, match=r"^protocol\[1\] has non-finite duration$"):
-        evolve([(np.eye(2), 0.5), (np.eye(2), tau)])
+# ---------------------------------------------------------------- unitaries
 
 
 def test_physical_conditional_rejects_a_dimension_mismatch():
     family = joint_diagonalize(np.diag([0.0, 1.0]))
     with pytest.raises(ValidationError, match="^families and unitary must share one dimension$"):
         physical_conditional(np.eye(3), family, family)
-
-
-def test_evolve_empty_protocol():
-    with pytest.raises(ValidationError, match="^protocol has no segment$"):
-        evolve([])
 
 
 @given(seed=st.integers(0, 5000), dim=st.integers(2, 8))
@@ -434,8 +396,8 @@ def test_two_time_kernels_match_explicit_traces(dim):
     f = povm_elements(u, first, second)
     expected = np.array([[p @ u_dag @ q @ u @ p for q in proj_q] for p in proj_p])
     np.testing.assert_allclose(f, expected, rtol=0, atol=1e-13)
-    report = time_reversal_symmetry_check(u, first, second)
-    assert report.max_asymmetry == pytest.approx(np.abs(forward - backward).max(), abs=1e-13)
+    reverse = physical_conditional(u_dag, first, second) * first.degeneracies[:, None]
+    np.testing.assert_allclose(reverse, backward, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("dim", range(2, 10))
@@ -512,7 +474,7 @@ def test_corpus_model_builds_no_density_matrix(monkeypatch, family):
     assert calls == {"require_density": 0, "check_assumption2": 0}
 
 
-# ----------------------------------------------------------- time reversal
+# ------------------------------------------------------- single-model functions
 
 
 def test_single_model_functions_reject_a_stack():
@@ -520,88 +482,41 @@ def test_single_model_functions_reject_a_stack():
     matrix name it instead of misreading a stack."""
     fam = joint_diagonalize(np.diag([0.0, 1.0]))
     stack = np.stack([np.eye(2, dtype=complex)] * 3)
-    calls = [(lambda: require_density(stack / 2), "rho"), (lambda: hermitian_function(stack, np.exp), "operator"),
-             (lambda: evolve([(stack, 0.1)]), r"protocol\[0\]\.H"), (lambda: povm_elements(stack, fam, fam), "U"),
-             (lambda: time_reversal_symmetry_check(stack, fam, fam), "U"),
+    calls = [(lambda: require_density(stack / 2), "rho"), (lambda: povm_elements(stack, fam, fam), "U"),
              (lambda: operator_to_json_dict(stack), "operator")]
     for call, name in calls:
         with pytest.raises(ValidationError, match=rf"^{name} must be a square matrix, got shape \(3, 2, 2\)"):
             call()
 
 
+# ----------------------------------------------------------- time reversal
+
+
+def _weighted_tables(u: np.ndarray, first: SpectralFamily, second: SpectralFamily):
+    """Forward  Tr(Q_j U P_i U*)  and role-reversed  Tr(P_i U Q_j U*)  weighted tables."""
+    d = first.degeneracies[:, None]
+    return physical_conditional(u, first, second) * d, physical_conditional(u.conj().T, first, second) * d
+
+
 def test_time_reversal_symmetry_for_real_protocols(rng):
     """Real families + transposition-symmetric U give a symmetric weighted table."""
-    h1 = np.diag([0.0, 1.0, 1.0, 2.0])
-    h2 = np.diag([0.5, 0.5, 1.5, 2.5])
-    first = joint_diagonalize(h1)
-    second = joint_diagonalize(h2)
+    first = joint_diagonalize(np.diag([0.0, 1.0, 1.0, 2.0]))
+    second = joint_diagonalize(np.diag([0.5, 0.5, 1.5, 2.5]))
     g = rng.normal(size=(4, 4))
-    g = g + g.T  # real symmetric generator => exp(-i g t) is symmetric
-    u = hermitian_function(g, lambda w: np.exp(-0.7j * w))
-    report = time_reversal_symmetry_check(u, first, second)
-    assert report.preconditions_hold
-    assert report.symmetric
-    assert report.max_asymmetry <= 1e-12
+    w, v = np.linalg.eigh(g + g.T)  # real symmetric generator => exp(-i g t) is symmetric
+    u = (v * np.exp(-0.7j * w)) @ v.T
+    assert np.abs(u - u.T).max() <= 1e-12
+    forward, backward = _weighted_tables(u, first, second)
+    assert np.abs(forward - backward).max() <= 1e-12
 
 
 def test_time_reversal_symmetry_flags_complex_protocols(rng):
+    """Complex families and a Haar unitary break the symmetry: the two tables differ."""
     first = random_family(rng, 4)
     second = random_family(rng, 4)
-    u = haar_unitary(4, rng)
-    report = time_reversal_symmetry_check(u, first, second)
-    assert not report.preconditions_hold
-
-
-# ------------------------------------------------------------- qubit curve
-
-
-def test_bloch_curve_validation():
-    with pytest.raises(ValidationError):
-        bloch_curve(0.0, 0.0)
-    with pytest.raises(ValidationError):
-        bloch_curve(0.3, 0.9)  # beyond sqrt(p(1-p))
-
-
-@pytest.mark.parametrize("lam, named", [(math.nan, "lam = nan")], ids=["lam-nan"])
-def test_bloch_curve_rejects_non_finite_parameters(lam, named):
-    """No silent result: a NaN lam would give entropy 0 with a NaN rho."""
-    with pytest.raises(ValidationError, match=named):
-        bloch_curve(0.3, lam)
-
-
-def test_bloch_curve_matches_direct_diagonalization():
-    for p in (0.1, 0.35, 0.5, 0.8):
-        lam_max = math.sqrt(p * (1 - p))
-        for frac in (0.0, 0.4, 0.9):
-            pt = bloch_curve(p, frac * lam_max)
-            w = np.linalg.eigvalsh(pt.rho)
-            np.testing.assert_allclose(np.sort(pt.eigenvalues), w, atol=1e-14)
-            s_direct = -sum(x * math.log(x) for x in w if x > 0)
-            assert pt.entropy == pytest.approx(s_direct, abs=1e-12)
-            half = np.eye(2) / 2.0
-            dist_direct = float(np.linalg.norm(pt.rho - half) ** 2)
-            assert pt.distance_sq == pytest.approx(dist_direct, abs=1e-14)
-
-
-def test_bloch_curve_slope_against_finite_differences():
-    h = 1e-6
-    for p in (0.2, 0.5, 0.77):
-        lam_max = math.sqrt(p * (1 - p))
-        for frac in (0.2, 0.5, 0.8):
-            lam = frac * lam_max
-            pt = bloch_curve(p, lam)
-            fd = (bloch_curve(p, lam + h).entropy - bloch_curve(p, lam - h).entropy) / (2 * h)
-            assert pt.entropy_slope == pytest.approx(fd, rel=1e-6)
-            assert pt.entropy_slope < 0.0  # coherence strictly lowers entropy
-
-
-def test_bloch_curve_edge_cases():
-    flat = bloch_curve(0.5, 0.0)
-    assert flat.entropy == pytest.approx(math.log(2.0), abs=1e-14)
-    assert flat.entropy_slope == 0.0
-    pure = bloch_curve(0.5, 0.5)
-    assert pure.entropy == pytest.approx(0.0, abs=1e-12)
-    assert pure.entropy_slope == -math.inf
+    assert np.abs(projections(first).imag).max() > 1e-3
+    forward, backward = _weighted_tables(haar_unitary(4, rng), first, second)
+    assert np.abs(forward - backward).max() > 1e-3
 
 
 # ----------------------------------------------------------------- operators
@@ -697,8 +612,7 @@ def test_six_mode_corpus_checks_stream_the_povm():
 
 
 def test_seven_mode_grand_canonical_tolerances_and_generate_memory():
-    """dim 128: identity, column sums and Crooks levels hold; generate and the time-reversal
-    check keep no (k, dim, dim) stack."""
+    """dim 128: identity, column sums and Crooks levels hold; generate keeps no (k, dim, dim) stack."""
     rng = np.random.default_rng(128)
     h = [rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)) for _ in range(2)]
     cfg = GrandCanonicalConfig(h_t0=0.5 * (h[0] + h[0].conj().T), h_t1=0.5 * (h[1] + h[1].conj().T),
@@ -720,13 +634,3 @@ def test_seven_mode_grand_canonical_tolerances_and_generate_memory():
     crooks = crooks_check(report.model, report.q)
     tol_ratio = build_parser().parse_args(["crooks", "--config", "-"]).tol_ratio
     assert float(np.max(crooks.distribution.ratio_errors)) <= tol_ratio
-
-    # the time-reversal diagnostics test realness one outcome block at a time
-    tracemalloc.start()
-    try:
-        reversal = time_reversal_symmetry_check(u, first, report.second_family)
-        reversal_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert reversal_peak < first.n_outcomes * first.dim ** 2 * 16
-    assert not (reversal.families_real or reversal.u_symmetric or reversal.symmetric)

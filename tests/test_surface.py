@@ -1,6 +1,12 @@
-"""Lint of the package surface: every keyword default is set by some program caller, and
-some program caller sets it to something other than the default; every CLI option is read
-by the CLI.
+"""Lint of the package surface: every public function and class has a program caller; every
+keyword default is set by some program caller, and some program caller sets it to something
+other than the default; every CLI option is read by the CLI.
+
+A public function or class that only tests reach serves no command: it is test code kept in
+the package.  It has a caller when some program file loads its name, as a variable or an
+attribute, outside its own definition and outside ``seqmeas/__init__.py`` (a re-export is not a
+use).  A string in ``perfbench`` that equals the name counts too: a benchmark layer patches the
+function by that name.  Docstrings and comments do not count.
 
 A defaulted parameter that no program call passes is a constant in disguise: it
 adds an option that no run of the program exercises, even when tests set it.  So
@@ -29,6 +35,44 @@ def _trees(*dirs: str):
     for d in dirs:
         for path in sorted((ROOT / d).rglob("*.py")):
             yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _loaded_names():
+    """Name -> the (file, enclosing top-level definition) pairs of the program that load it."""
+    loads = defaultdict(set)
+    for path, tree in _trees(*CALLER_DIRS):
+        where = path.relative_to(ROOT)
+        if where == Path("src/seqmeas/__init__.py"):
+            continue
+        docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        strings = where.parts[0] == "perfbench"
+        for statement in tree.body:
+            for node in ast.walk(statement):
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                    name = node.id if isinstance(node, ast.Name) else node.attr
+                elif strings and isinstance(node, ast.Constant) and id(node) not in docstrings:
+                    name = node.value
+                else:
+                    continue
+                loads[name].add((where, getattr(statement, "name", None)))
+    return loads
+
+
+def test_every_public_function_and_class_has_a_program_caller():
+    loads = _loaded_names()
+    unused = [
+        f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+        for path, tree in _trees("src/seqmeas") for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and not loads[node.name] - {(path.relative_to(ROOT), node.name)}
+    ]
+    assert unused == [], "public functions and classes that no program code uses:\n" + "\n".join(unused)
+
+
+def test_a_benchmark_layer_name_is_a_caller_and_a_docstring_is_not():
+    """check_assumption2 is named in three quantum docstrings, but only perfbench's layer table
+    loads it."""
+    assert _loaded_names()["check_assumption2"] == {(Path("perfbench/spans.py"), None)}
 
 
 def _defaulted_parameters():
