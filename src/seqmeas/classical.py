@@ -1,32 +1,31 @@
-"""Classical phase-space counterpart: densities, volume-preserving maps,
-and Monte Carlo verification of  < q(U(x)) / p(x) > = 1.
+"""Classical phase-space counterpart: the canonical harmonic state, linear
+volume-preserving maps, and Monte Carlo verification of  < q(U(x)) / p(x) > = 1.
 
 The identity holds for any two normalized densities p, q and any
 volume-preserving map U (substitution rule); the canonical special case
 with U a Hamiltonian flow is the classical Jarzynski equality
 < exp(-beta (w - Delta F)) > = 1.  Estimators here are statistical, so
-the contracts are phrased in standard errors; the one-dimensional
-harmonic cases additionally have deterministic quadrature oracles.
+the contracts are phrased in standard errors; the sudden quench
+additionally has a deterministic quadrature oracle.
 
-Conventions: phase-space points are arrays (..., 2N) ordered
-(q_1..q_N, p_1..p_N); the harmonic Hamiltonian is
-H = p^2/2 + omega^2 q^2/2 (unit mass), with partition function
-Z = 2 pi / (beta omega) per degree of freedom.
+Conventions: one degree of freedom; phase-space points are rows (q, p) of
+arrays (..., 2).  The harmonic Hamiltonian is H = p^2/2 + omega^2 q^2/2 (unit
+mass), with partition function Z = 2 pi / (beta omega).  Both protocols, the
+sudden quench and the leapfrog frequency ramp, are linear, so a map is its
+2 x 2 matrix M acting on rows, x -> x @ M: row 0 of M is the image of e_q,
+row 1 that of e_p.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .model import PreconditionError, ValidationError, require_count, require_finite, require_positive
 
-# Richardson base step of the finite-difference Jacobian spot check.
-JACOBIAN_EPS = 1e-3
-# Bound on the worst |det DU - 1| of the Jacobian spot check in ``seqmeas classical``.
+# Bound on |det M - 1| of the Jacobian check in ``seqmeas classical``.
 JACOBIAN_TOL = 1e-8
 # Gauss-Hermite order of the quench oracle (1e-13 territory for moderate
 # frequency ratios; the Gaussian integrand converges geometrically).
@@ -38,55 +37,8 @@ MAX_SQUARED_SCALE = 1e300
 
 
 @dataclass(frozen=True)
-class PhaseSpaceDensity:
-    """Normalized probability density on phase space with an exact sampler.
-
-    ``log_density`` must include the normalization constant: the ratio
-    estimator is only meaningful for genuinely normalized p and q.
-    """
-
-    dim: int
-    log_density: Callable[[np.ndarray], np.ndarray]
-    sampler: Callable[[np.random.Generator, int], np.ndarray]
-
-    def __post_init__(self):
-        if self.dim < 2 or self.dim % 2 != 0:
-            raise ValidationError(f"phase-space dim must be even and >= 2, got {self.dim}")
-
-
-@dataclass(frozen=True)
-class VolumePreservingMap:
-    """Deterministic map x -> U(x) with |det DU| = 1 on a ``dim``-dimensional phase space.
-
-    ``jacobian_determinant_check`` provides the numerical spot check.
-    """
-
-    forward: Callable[[np.ndarray], np.ndarray]
-    dim: int
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)
-
-
-def identity_map(dim: int) -> VolumePreservingMap:
-    return VolumePreservingMap(forward=lambda x: np.array(x, copy=True), dim=dim)
-
-
-def harmonic_hamiltonian(omega: float) -> Callable[[np.ndarray], np.ndarray]:
-    """H(q, p) = p^2/2 + omega^2 q^2/2 summed over degrees of freedom."""
-    require_positive("omega", omega)
-
-    def h(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        n = x.shape[-1] // 2
-        q, p = x[..., :n], x[..., n:]
-        return 0.5 * np.sum(p * p, axis=-1) + 0.5 * omega * omega * np.sum(q * q, axis=-1)
-
-    return h
-
-
-def canonical_harmonic_density(omega: float, beta: float) -> PhaseSpaceDensity:
-    """Canonical density ~ exp(-beta H) for the harmonic H of one degree of freedom, with
+class CanonicalHarmonicState:
+    """Canonical density exp(-beta H) / Z of the harmonic H at frequency ``omega``, with its
     exact Gaussian sampler.
 
     q ~ N(0, 1/(beta omega^2)), p ~ N(0, 1/beta), independently;
@@ -94,74 +46,84 @@ def canonical_harmonic_density(omega: float, beta: float) -> PhaseSpaceDensity:
     omega^2, 1/beta or 1/(beta omega^2) leave [1/MAX_SQUARED_SCALE,
     MAX_SQUARED_SCALE] are rejected, since q^2 or the energy would overflow.
     """
-    require_positive("beta", beta)
-    h = harmonic_hamiltonian(omega)
-    log_w, log_b = math.log(omega), math.log(beta)
-    for named, what, log_square in (
-            (f"omega = {omega}", "omega^2", 2.0 * log_w),
-            (f"beta = {beta}", "1/beta", -log_b),
-            (f"omega = {omega}, beta = {beta}", "1/(beta omega^2)", -log_b - 2.0 * log_w)):
-        if abs(log_square) > math.log(MAX_SQUARED_SCALE):
-            raise ValidationError(f"{named}: the squared scale {what} = exp({log_square:.6g}) is "
-                                  f"outside [1/{MAX_SQUARED_SCALE:g}, {MAX_SQUARED_SCALE:g}]")
-    log_z = math.log(2.0 * math.pi / (beta * omega))
 
-    def log_density(x):
-        return -beta * h(x) - log_z
+    omega: float
+    beta: float
 
-    sigma_q = 1.0 / (math.sqrt(beta) * omega)
-    sigma_p = 1.0 / math.sqrt(beta)
+    def __post_init__(self):
+        require_positive("beta", self.beta)
+        require_positive("omega", self.omega)
+        log_w, log_b = math.log(self.omega), math.log(self.beta)
+        for named, what, log_square in (
+                (f"omega = {self.omega}", "omega^2", 2.0 * log_w),
+                (f"beta = {self.beta}", "1/beta", -log_b),
+                (f"omega = {self.omega}, beta = {self.beta}", "1/(beta omega^2)", -log_b - 2.0 * log_w)):
+            if abs(log_square) > math.log(MAX_SQUARED_SCALE):
+                raise ValidationError(f"{named}: the squared scale {what} = exp({log_square:.6g}) is "
+                                      f"outside [1/{MAX_SQUARED_SCALE:g}, {MAX_SQUARED_SCALE:g}]")
 
-    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:  # q drawn first, then p
+    def energy(self, x: np.ndarray) -> np.ndarray:
+        """H(q, p) = p^2/2 + omega^2 q^2/2 of the points ``x``."""
+        x = np.asarray(x, dtype=float)
+        q, p = x[..., 0], x[..., 1]
+        return 0.5 * (p * p) + 0.5 * self.omega * self.omega * (q * q)
+
+    def log_density(self, x: np.ndarray) -> np.ndarray:
+        return -self.beta * self.energy(x) - math.log(2.0 * math.pi / (self.beta * self.omega))
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` points (n, 2), all q drawn first, then all p."""
+        sigma_q = 1.0 / (math.sqrt(self.beta) * self.omega)
+        sigma_p = 1.0 / math.sqrt(self.beta)
         return np.stack([rng.normal(0.0, sigma_q, size=n), rng.normal(0.0, sigma_p, size=n)], axis=1)
 
-    return PhaseSpaceDensity(dim=2, log_density=log_density, sampler=sampler)
+
+@dataclass(frozen=True)
+class VolumePreservingMap:
+    """The linear map x -> x @ ``matrix`` of phase-space rows (q, p), det M = 1 in exact
+    arithmetic; :func:`jacobian_determinant_check` measures how far it is in floating point.
+    The sudden quench is ``VolumePreservingMap(np.eye(2))``."""
+
+    matrix: np.ndarray
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return np.asarray(x, dtype=float) @ self.matrix
 
 
-def leapfrog_map(grad_potential: Callable[[float, np.ndarray], np.ndarray], dt: float,
-                 steps: int) -> VolumePreservingMap:
-    """Kick-drift-kick leapfrog for H = p^2/2 + V(t, q), time-dependent V, one dof.
+def harmonic_ramp_map(omega0: float, omega1: float, dt: float, steps: int) -> VolumePreservingMap:
+    """Kick-drift-kick leapfrog of H = p^2/2 + omega(t)^2 q^2/2 over ``steps * dt``, with omega
+    ramped linearly from omega0 to omega1, as its matrix M.
 
-    Each substep is a shear (unit Jacobian in exact arithmetic), so the
-    composition is volume-preserving for any protocol; the potential
-    gradient is evaluated at the substep times 0, dt, 2 dt ... as usual.
+    The force omega(t)^2 q is linear in q, so every kick and drift is a linear shear (unit
+    determinant in exact arithmetic) and their composition is M.  M is built by running the
+    leapfrog once on the basis points e_q and e_p, with the force evaluated at the substep
+    times 0, dt, 2 dt ...; applying it is O(n) for n points instead of O(steps * n).
     """
-    require_positive("dt", dt)
+    require_positive("dt", dt)  # ahead of duration = dt * steps, so a bad dt or steps is named
     if steps < 1:
         raise ValidationError(f"steps = {steps} must be >= 1")
+    require_finite("omega0", omega0)
+    require_finite("omega1", omega1)
+    duration = dt * steps
+    require_positive("duration", duration)
 
-    def forward(x):
-        x = np.asarray(x, dtype=float)
-        n = x.shape[-1] // 2
-        q = np.array(x[..., :n], copy=True)
-        p = np.array(x[..., n:], copy=True)
-        t = 0.0
-        for _ in range(steps):
-            p -= 0.5 * dt * np.asarray(grad_potential(t, q))
-            q += dt * p
-            p -= 0.5 * dt * np.asarray(grad_potential(t + dt, q))
-            t += dt
-        return np.concatenate([q, p], axis=-1)
+    def omega_squared(t):
+        w = omega0 + (omega1 - omega0) * min(max(t / duration, 0.0), 1.0)
+        return w * w
 
-    return VolumePreservingMap(forward=forward, dim=2)
+    q, p = np.array([1.0, 0.0]), np.array([0.0, 1.0])  # entry k: the image of basis point k
+    t = 0.0
+    for _ in range(steps):
+        p -= 0.5 * dt * (omega_squared(t) * q)
+        q += dt * p
+        p -= 0.5 * dt * (omega_squared(t + dt) * q)
+        t += dt
+    return VolumePreservingMap(np.stack([q, p], axis=1))
 
 
-def jacobian_determinant_check(u: VolumePreservingMap, points: np.ndarray) -> float:
-    """Worst |det DU - 1| over the points, by Richardson-extrapolated central differences.
-
-    Each column is (4 D(eps) - D(2 eps)) / 3, D(h) the central difference at step h
-    and eps = ``JACOBIAN_EPS``: O(eps^4) truncation and ulp |U| / eps rounding.  One
-    vectorized call of the map.
-    """
-    eps = JACOBIAN_EPS
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n, dim = points.shape
-    steps = np.array([eps, -eps, 2.0 * eps, -2.0 * eps])
-    shifted = points + (steps[:, None, None] * np.eye(dim))[:, :, None, :]  # (step, k, point, x)
-    image = np.asarray(u(shifted.reshape(-1, dim))).reshape(4, dim, n, dim)
-    d1, d2 = (image[0] - image[1]) / (2.0 * eps), (image[2] - image[3]) / (4.0 * eps)
-    jac = np.moveaxis((4.0 * d1 - d2) / 3.0, 0, -1)  # (point, out, in)
-    return float(np.abs(np.linalg.det(jac) - 1.0).max(initial=0.0))
+def jacobian_determinant_check(u: VolumePreservingMap) -> float:
+    """|det M - 1| of the map's matrix: its Jacobian, the same at every point."""
+    return float(abs(np.linalg.det(u.matrix) - 1.0))
 
 
 @dataclass(frozen=True)
@@ -180,7 +142,7 @@ class EstimatorResult:
     effective_sample_size: float
 
 
-def classical_j_expectation(p: PhaseSpaceDensity, q: PhaseSpaceDensity,
+def classical_j_expectation(p: CanonicalHarmonicState, q: CanonicalHarmonicState,
                             u: VolumePreservingMap, n: int, seed: int) -> EstimatorResult:
     """Monte Carlo estimate of < q(U(x)) / p(x) > under x ~ p.
 
@@ -188,13 +150,11 @@ def classical_j_expectation(p: PhaseSpaceDensity, q: PhaseSpaceDensity,
     exactly 1; the returned estimate comes with std_error = sample std / sqrt(n)
     and is deterministic for a fixed seed.
     """
-    if p.dim != q.dim or p.dim != u.dim:
-        raise ValidationError(f"dimension mismatch: p {p.dim}, q {q.dim}, U {u.dim}")
     if n < 2:
         raise ValidationError("need at least 2 samples for a standard error")
     require_count("seed", seed)
     rng = np.random.default_rng(seed)
-    x = p.sampler(rng, n)
+    x = p.sample(rng, n)
     # an energy that overflows gives log q = -inf (ratio 0, its limit) or log p = -inf
     # (ratio inf or nan); the two checks below turn the latter and a sample without
     # overlap into typed errors instead of warnings
@@ -222,12 +182,6 @@ def classical_j_expectation(p: PhaseSpaceDensity, q: PhaseSpaceDensity,
                            std_error=float(np.std(scaled, ddof=1) * top / math.sqrt(n)))
 
 
-def work_samples(h0: Callable[[np.ndarray], np.ndarray], h1: Callable[[np.ndarray], np.ndarray],
-                 u: VolumePreservingMap, x: np.ndarray) -> np.ndarray:
-    """Work w = H1(U(x)) - H0(x) along the mapped trajectories."""
-    return np.asarray(h1(u(x))) - np.asarray(h0(x))
-
-
 def gauss_hermite_quench(beta: float, omega0: float, omega1: float) -> float:
     """Deterministic Gauss-Hermite value of < exp(-beta w) > for the sudden quench.
 
@@ -244,33 +198,3 @@ def gauss_hermite_quench(beta: float, omega0: float, omega1: float) -> float:
     q = math.sqrt(2.0) * s * nodes
     f = np.exp(-0.5 * beta * (omega1 ** 2 - omega0 ** 2) * q * q)
     return float(np.sum(weights * f) / math.sqrt(math.pi))
-
-
-def harmonic_ramp_gradient(omega0: float, omega1: float, duration: float):
-    """Gradient of V(t, q) = omega(t)^2 q^2 / 2 with a linear frequency ramp."""
-    require_finite("omega0", omega0)
-    require_finite("omega1", omega1)
-    require_positive("duration", duration)
-
-    def grad(t, q):
-        w = omega0 + (omega1 - omega0) * min(max(t / duration, 0.0), 1.0)
-        return w * w * q
-
-    return grad
-
-
-def harmonic_ramp_map(omega0: float, omega1: float, dt: float, steps: int) -> VolumePreservingMap:
-    """:func:`leapfrog_map` of :func:`harmonic_ramp_gradient` over ``steps * dt``, as one matrix.
-
-    The ramp's force omega(t)^2 q is linear in q, so every kick and drift is a
-    linear shear and their composition is a 2 x 2 matrix M.  M is built by
-    running the leapfrog once on the basis points ``np.eye(2)`` (row 0 is the
-    image of e_q, row 1 that of e_p; 2 * steps gradient calls), and the map
-    applies ``x @ M``: O(steps + n) for n points instead of O(steps * n).
-    ``u(np.eye(2))`` reads M back.
-    """
-    require_positive("dt", dt)  # ahead of duration = dt * steps, so a bad dt or steps is named
-    if steps < 1:
-        raise ValidationError(f"steps = {steps} must be >= 1")
-    m = leapfrog_map(harmonic_ramp_gradient(omega0, omega1, dt * steps), dt, steps)(np.eye(2))
-    return VolumePreservingMap(forward=lambda x: np.asarray(x, dtype=float) @ m, dim=2)

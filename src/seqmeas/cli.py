@@ -207,15 +207,14 @@ def cmd_classical(args) -> int:
     name = args.dump_work
     if name and (Path(name).name != name or name in ("..", f"{args.command}_report.json")):
         raise ValidationError(f"dump_work = {name!r} must be a plain file name other than the report's")
-    p0 = classical.canonical_harmonic_density(args.omega0, args.beta)
-    p1 = classical.canonical_harmonic_density(args.omega1, args.beta)
+    p0 = classical.CanonicalHarmonicState(args.omega0, args.beta)
+    p1 = classical.CanonicalHarmonicState(args.omega1, args.beta)
     if args.protocol == "quench":
-        u = classical.identity_map(2)
+        u = classical.VolumePreservingMap(np.eye(2))
     else:
         u = classical.harmonic_ramp_map(args.omega0, args.omega1, args.dt, args.steps)
     est = classical.classical_j_expectation(p0, p1, u, args.n, args.seed)
-    rng = np.random.default_rng(args.seed + 1)
-    jac_dev = classical.jacobian_determinant_check(u, rng.normal(size=(20, 2)))
+    jac_dev = classical.jacobian_determinant_check(u)
     tol = {"jacobian": classical.JACOBIAN_TOL, "ratio_std_errors": 3.0}
     checks = {
         "ratio_within_3_std_errors": abs(est.mean - 1.0) <= tol["ratio_std_errors"] * est.std_error,
@@ -228,10 +227,8 @@ def cmd_classical(args) -> int:
         checks["quadrature_quench"] = abs(quadrature - args.omega0 / args.omega1) <= tol["quadrature_quench"]
     artifacts = {}
     if args.dump_work:
-        x = p0.sampler(np.random.default_rng(args.seed), args.n)
-        w = classical.work_samples(classical.harmonic_hamiltonian(args.omega0),
-                                   classical.harmonic_hamiltonian(args.omega1), u, x)
-        artifacts[args.dump_work] = ("w", [w])
+        x = p0.sample(np.random.default_rng(args.seed), args.n)
+        artifacts[args.dump_work] = ("w", [p1.energy(u(x)) - p0.energy(x)])  # the work along each path
     config = {k: getattr(args, k) for k in
               ("beta", "omega0", "omega1", "protocol", "n", "seed", "dt", "steps")}
     return _finish(args, config, args.seed, tol, {

@@ -206,15 +206,17 @@ class JointModel:
             p_table=require_key(data, "p_table", "model"),
             d=require_key(data, "d", "model"),
             D=require_key(data, "D", "model"),
-            labels_i=tuple(_label_from_json(l) for l in data.get("labels_i", ())),
-            labels_j=tuple(_label_from_json(l) for l in data.get("labels_j", ())),
+            labels_i=_labels_from_json(data, "labels_i"),
+            labels_j=_labels_from_json(data, "labels_j"),
         )
 
 
-def _label_from_json(label):
-    if isinstance(label, list):
-        return tuple(label)
-    return label
+def _labels_from_json(data: dict, key: str) -> tuple:
+    """The optional label list ``data[key]``, a JSON array, with each array label as a tuple."""
+    labels = data.get(key, [])
+    if not isinstance(labels, list):
+        raise ValidationError(f"{key} must be a JSON array, got {type(labels).__name__}")
+    return tuple(tuple(label) if isinstance(label, list) else label for label in labels)
 
 
 def marginals(model: JointModel) -> tuple[np.ndarray, np.ndarray]:

@@ -282,6 +282,20 @@ def test_json_values_that_must_be_objects_are_named(tmp_path, capsys, command, d
     assert report["error"] == message
 
 
+@pytest.mark.parametrize("labels, message", [
+    ({"labels_i": 5}, "labels_i must be a JSON array, got int"),
+    ({"labels_j": "ab"}, "labels_j must be a JSON array, got str"),
+], ids=["int", "string"])
+def test_label_lists_that_are_not_json_arrays_are_named(tmp_path, capsys, labels, message):
+    """A number is not iterated into a TypeError, and a string is not taken as one label per character."""
+    cfg = tmp_path / "input.json"
+    cfg.write_text(json.dumps({"model": MODEL | labels, "q": [0.4, 0.6]}))
+    code, report = run_cli(capsys, "--output-dir", str(tmp_path), "crooks", "--config", str(cfg))
+    assert code == 2
+    assert report["error_type"] == "ValidationError"
+    assert report["error"] == message
+
+
 @pytest.mark.parametrize("change, message", [
     ({"q": [0.5, "x"]}, "q: could not convert string to float: 'x'"),
     ({"q": [0.4, 10 ** 400]}, "q: int too large to convert to float"),
@@ -591,12 +605,21 @@ def test_classical_ramp_command(tmp_path, capsys):
 
 
 def test_classical_ramp_jacobian_seed_that_plain_differences_missed(tmp_path, capsys):
-    """Plain central differences at 1e-6 gave 1.09e-8 > 1e-8 for this seed."""
+    """The check reads |det M - 1| of the ramp's matrix, so no seed moves it off a few ulps."""
     _, report = run_cli(
         capsys, "--output-dir", str(tmp_path), "classical",
         "--protocol", "ramp", "--n", "1000", "--seed", "21250621")
     assert report["checks"]["jacobian"] is True
     assert report["jacobian_deviation"] <= 1e-10
+
+
+def test_classical_reports_the_exact_jacobian_deviation(tmp_path, capsys):
+    """|det M - 1| of the protocol's matrix: 0 for the quench, the ramp map's own value for the ramp."""
+    _, quench = run_cli(capsys, "--output-dir", str(tmp_path), "classical", "--n", "100")
+    _, ramp = run_cli(capsys, "--output-dir", str(tmp_path), "classical", "--protocol", "ramp", "--n", "100")
+    assert quench["jacobian_deviation"] == 0.0
+    expected = classical.jacobian_determinant_check(classical.harmonic_ramp_map(1.0, 2.0, 0.005, 200))
+    assert ramp["jacobian_deviation"] == expected <= 1e-14
 
 
 @pytest.mark.parametrize("dump_work", ["ESCAPED", "../escaped.csv", "classical_report.json"],

@@ -152,6 +152,13 @@ MUTANTS = {
         "_cluster_levels(v, p, LEVEL_GROUPING_TOL)",
         "_cluster_levels(v, p, 10 * LEVEL_GROUPING_TOL)",
         ("tests/test_model.py::test_group_levels_matches_per_group_average[gap_at_tol]",)),
+    # the ramp's drift moves half as far: still a shear, so det M = 1 and the Jacobian check is blind
+    "ramp_drift_at_half_step": Mutant(
+        "src/seqmeas/classical.py",
+        "q += dt * p",
+        "q += 0.5 * dt * p",
+        ("tests/test_classical.py::test_harmonic_ramp_map_matches_the_leapfrog",
+         "tests/test_classical.py::test_ramp_map_at_constant_frequency_converges_to_rotation_quadratically")),
 }
 
 
@@ -159,6 +166,13 @@ def test_every_row_plants_one_snippet_and_names_oracles_only():
     for name, mutant in MUTANTS.items():
         assert (ROOT / mutant.path).read_text().count(mutant.snippet) == 1, name
         assert mutant.killers and PIN not in mutant.killers, name
+
+
+def test_every_module_has_a_row():
+    """A module that no row mutates has no test shown to catch a defect in it."""
+    modules = {path.name for path in (ROOT / "src/seqmeas").glob("*.py")} - {"__init__.py", "__main__.py"}
+    unmutated = sorted(modules - {Path(mutant.path).name for mutant in MUTANTS.values()})
+    assert unmutated == [], "modules without a mutation row: " + ", ".join(unmutated)
 
 
 def _failed_nodes(output: str) -> list[str]:
