@@ -150,8 +150,9 @@ def classical_j_expectation(p: CanonicalHarmonicState, q: CanonicalHarmonicState
     exactly 1; the returned estimate comes with std_error = sample std / sqrt(n)
     and is deterministic for a fixed seed.
     """
+    require_count("n", n)
     if n < 2:
-        raise ValidationError("need at least 2 samples for a standard error")
+        raise ValidationError(f"n = {n!r} must be >= 2: a standard error needs 2 samples")
     require_count("seed", seed)
     rng = np.random.default_rng(seed)
     x = p.sample(rng, n)

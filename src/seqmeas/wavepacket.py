@@ -18,6 +18,7 @@ capture (``mass_deficit``) instead of renormalizing.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import os
@@ -43,18 +44,34 @@ DEFAULT_N_P = 512
 DEFAULT_KERNEL_HALFWIDTH = 24
 # Times of the default entropy curve: 13 log-spaced points from 1e-4 to 1e-1.
 DEFAULT_T_GRID = np.logspace(-4, -1, 13)
-# Sources per kernel block of the second marginal; bounds the two block buffers of each thread.
-KERNEL_BLOCK = 128
+
+
+def _openblas_threads():
+    """(get, set) of numpy's OpenBLAS thread count; two no-ops where its symbols do not resolve."""
+    try:  # dlsym on numpy's core module also searches the OpenBLAS it links
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return (lambda: None), (lambda count: None)
+    get.argtypes, get.restype, set_.argtypes, set_.restype = [], ctypes.c_int, [ctypes.c_int], None
+    return get, set_
 
 
 def _both_halves(work, first, second) -> None:
-    """work(first) on a helper thread that ends with this call, work(second) here; at once if 2+ CPUs."""
-    with ThreadPoolExecutor(1) as helper:
-        future = helper.submit(work, first)
-        if (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) < 2:
+    """work(first) on a helper thread that ends with this call, work(second) here; at once if 2+ CPUs.
+    Each thread makes its own GEMMs, so numpy's OpenBLAS runs on one thread until both end."""
+    get, set_ = _openblas_threads()
+    before = get()
+    set_(1)
+    try:
+        with ThreadPoolExecutor(1) as helper:
+            future = helper.submit(work, first)
+            if (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) < 2:
+                future.result()
+            work(second)
             future.result()
-        work(second)
-        future.result()
+    finally:
+        set_(before)
 
 
 def erfi_line(u, t: float):
@@ -66,8 +83,7 @@ def erfi_line(u, t: float):
     require_positive("t", t)
     z = np.multiply(u, 1.0 + 1.0j, out=np.empty(np.shape(u), complex))
     z /= 2.0 * math.sqrt(t)
-    _both_halves(lambda part: _scipy_erfi(part, out=part), *np.array_split(z.reshape(-1), 2))
-    return z
+    return _scipy_erfi(z, out=z)
 
 
 def scaled_erf_segment(x0, x1, a):
@@ -154,20 +170,10 @@ def _erfi_grid(k_values: np.ndarray, d_values: np.ndarray, t: float) -> np.ndarr
 
 
 def _kernel_factor(f: np.ndarray, k_values: np.ndarray, t: float) -> np.ndarray:
-    """H[k, d] = exp(-2 i pi^2 t k^2) (F(k, d-1) - 2 F(k, d) + F(k, d+1)), written over F.
-
-    ``f`` is an ``_erfi_grid`` over (k_values, d_values +- 1).  H overwrites
-    its inner columns 64 rows at a time, so no second grid-sized array
-    exists; the returned view holds H on (k_values, d_values).
-    """
+    """H[k, d] = exp(-2 i pi^2 t k^2) (F(k, d-1) - 2 F(k, d) + F(k, d+1)) on (k_values, d_values),
+    for ``f`` an ``_erfi_grid`` over (k_values, d_values +- 1)."""
     phase = np.exp(-2j * math.pi * math.pi * t * k_values.astype(float) ** 2)
-    for r in range(0, len(f), 64):
-        chunk = f[r: r + 64]
-        h = chunk[:, :-2] + chunk[:, 2:]
-        h -= 2.0 * chunk[:, 1:-1]
-        h *= phase[r: r + 64, None]
-        chunk[:, 1:-1] = h
-    return f[:, 1:-1]
+    return (f[:, :-2] + f[:, 2:] - 2.0 * f[:, 1:-1]) * phase[:, None]
 
 
 def _diagonal_bracket(n, t: float, d, f_n: np.ndarray):
@@ -209,34 +215,38 @@ def transition_probability(mu: int, m: int, nu: int, n: int, t: float) -> float:
     return abs(transition_amplitude(mu, m, nu, n, t)) ** 2
 
 
-def _inverse_square(size: int) -> np.ndarray:
-    """Toeplitz view T[n, m] = 1 / (16 pi^2 (m - n)^2) on size x size momenta, 0 for m = n."""
-    denom = 16.0 * math.pi ** 2 * np.arange(1 - size, size, dtype=float) ** 2
-    denom[size - 1] = math.inf
-    return sliding_window_view(1.0 / denom, size)[::-1]
+def _inverse_square(n_p: int) -> np.ndarray:
+    """T[n + n_p, m] = 1 / (16 pi^2 (m - n)^2) for |n| <= n_p, 0 <= m <= n_p (0 for m = n): the m >= 0
+    half of the Toeplitz matrix, whose other half is T(n, -m) = T(-n, m), stored for BLAS."""
+    denom = 16.0 * math.pi ** 2 * np.arange(-n_p, 2 * n_p + 1, dtype=float) ** 2
+    denom[n_p] = math.inf
+    return sliding_window_view(1.0 / denom, n_p + 1)[::-1].copy()
 
 
-def conditional_kernel(h_d: np.ndarray, a: int, diagonal: np.ndarray, inv_sq: np.ndarray,
-                       buffers: np.ndarray, columns: slice = slice(None)) -> np.ndarray:
-    """Kernel block K[i, m - c0] = p(nu - d, m | nu, a + i) of the sources a, ..., b - 1 at one offset d.
+def conditional_kernel(h_d: np.ndarray, sources: np.ndarray, a: int, diagonal: np.ndarray,
+                       inv_sq: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """Rows sum_n p(nu, n) p(nu - d, m | nu, n) over the source momenta a <= n < a + s at one offset d.
 
     Momenta are positions on a consecutive grid; ``h_d`` is the column
-    H(., d) of ``_kernel_factor`` on it, ``diagonal`` the closed-form m = n
-    entries of the sources and ``inv_sq`` the grid's ``_inverse_square``;
-    m runs over the positions c0 <= m < c1 of ``columns``.  The block fills
-    the start of ``buffers[0]`` (``buffers[1]`` is scratch).  Once per block,
-    with no erfi or exp: |H_m - H_n|^2 / (16 pi^2 (m - n)^2), in six float passes.
+    H(., d) of ``_kernel_factor`` on it, ``sources`` the first marginal on
+    the positions of n, ``diagonal`` their closed-form m = n entries and
+    ``inv_sq`` the grid's ``_inverse_square``.  The four products with T of
+    ``second_marginal``'s expansion are one (4 rows) x s x size GEMM, run on
+    the halves m >= 0 and m < 0 of T.  Every product lands in ``buffer``, a
+    (2, 4 rows, size) scratch array of the calling thread; so do the returned
+    rows, which the next call overwrites.
     """
-    b = a + len(diagonal)
-    c0, c1, _ = columns.indices(len(h_d))
-    kernel, im = buffers.reshape(2, -1)[:, :(b - a) * (c1 - c0)].reshape(2, b - a, c1 - c0)  # contiguous blocks
-    h_re, h_im = h_d.real.copy(), h_d.imag.copy()
-    np.square(np.subtract(h_re[c0:c1], h_re[a:b, None], out=kernel), out=kernel)
-    kernel += np.square(np.subtract(h_im[c0:c1], h_im[a:b, None], out=im), out=im)
-    kernel *= inv_sq[a:b, c0:c1]
-    on = np.arange(max(a, c0), min(b, c1))  # sources whose m = n entry is a column here
-    kernel[on - a, on - c0] = diagonal[on - a]
-    return kernel
+    rows, s, n_p = len(sources), sources.shape[1], inv_sq.shape[1] - 1
+    factors = np.stack([np.ones(len(h_d)), h_d.real ** 2 + h_d.imag ** 2, h_d.real, h_d.imag])  # 1, |H|^2, Re H, Im H
+    x = np.multiply(sources, factors[:, None, a:a + s], out=buffer[0, :, :s].reshape(4, rows, s)).reshape(-1, s)
+    products = buffer[1]  # x T; m < 0 is the reversed sources against the m >= 0 half, put in m > 0 first
+    np.matmul(x[:, ::-1], inv_sq[2 * n_p + 1 - a - s: 2 * n_p + 1 - a, 1:], out=products[:, n_p + 1:])
+    products[:, :n_p] = products[:, n_p + 1:][:, ::-1]
+    np.matmul(x, inv_sq[a:a + s], out=products[:, n_p:])
+    weights = factors[[1, 0, 2, 3]] * [[1.0], [1.0], [-2.0], [-2.0]]  # |H_m|^2, 1, -2 Re H_m, -2 Im H_m
+    part = np.einsum("kim,km->im", products.reshape(4, rows, -1), weights, out=buffer[0, :rows])
+    part[:, a:a + s] += sources * diagonal
+    return part
 
 
 def second_marginal(sigma: float, t: float, n_x: int = DEFAULT_N_X, n_p: int = DEFAULT_N_P,
@@ -249,56 +259,64 @@ def second_marginal(sigma: float, t: float, n_x: int = DEFAULT_N_X, n_p: int = D
     w = ``kernel_halfwidth``.  The returned deficit accounts for both the
     uncaptured source mass and the kernel truncation.
 
-    The sum runs by offset d; the drift is monotone in n, so the sources
-    reaching d form one range.  Spatial inversion p(-1-mu, -m | -1-nu, -n)
-    = p(mu, m | nu, n) makes the kernel of -d that of d with both momentum
-    axes reversed, so only d <= 0 is evaluated.  Cost, once per t: the erfi
-    grid F over (m, d <= 0), turned in place into the n-independent factor
-    H once the m = n entries are read from it.  Once per block of at most
-    ``KERNEL_BLOCK`` sources s at offset d: one ``conditional_kernel`` of
-    s (2 n_p + 1) entries, then one GEMM of (2 n_x + 1) x s x (2 n_p + 1)
-    multiply-adds onto the rows mu = nu - d and, reversed in m as p(nu, -n)
-    = p(nu, n), onto nu + d.  The erfi grid and the blocks run on two threads;
-    the blocks split into outer and middle momenta, each closed under m -> -m.
+    The sum runs by offset d, d <= 0 only: spatial inversion p(-1-mu, -m | -1-nu, -n)
+    = p(mu, m | nu, n) makes the kernel of -d that of d reversed in both momenta.
+    The drift is monotone in n, so the s sources reaching d form one range.  With
+    H = H(., d) of ``_kernel_factor`` and T = ``_inverse_square`` (built once per
+    call), the kernel |H_m - H_n|^2 T[n, m] gives, for source rows R,
+      sum_n R_n K[n, m] = |H_m|^2 (R T)_m + (R |H|^2 T)_m - 2 Re(H_m (R conj(H) T)_m)
+    plus the closed-form m = n entries: per offset, one ``conditional_kernel`` GEMM
+    of 4 (2 n_x + 1) x s x (2 n_p + 1) multiply-adds, added onto the rows mu = nu - d
+    and, reversed in m as p(nu, -n) = p(nu, n), onto nu + d.  Two threads split the
+    offsets at a fixed midpoint of their sources; each builds F and H for 32 offsets at
+    a time.  The helper sums the rows both threads reach apart and adds them after the
+    join, so the table keeps its bits on any CPU count.
     """
     require_positive("t", t)
     require_count("kernel_halfwidth", kernel_halfwidth)
     src = first_marginal(sigma, n_x, n_p)
     n_values = np.arange(-n_p, n_p + 1)  # source and output momenta alike
-    size, w = n_values.size, int(kernel_halfwidth)
+    size, w, rows = n_values.size, int(kernel_halfwidth), 2 * n_x + 1
 
     drift = np.rint(2.0 * math.pi * n_values * t).astype(int)
     d_lo = int(-drift.max() - w)  # offsets run over [d_lo, -d_lo]
-    f_all = _erfi_grid(n_values, np.arange(d_lo - 1, 2), t)
-    # diagonal[n, j]: the m = n entry at d = -c - w + j, read from F (columns j + [0, 2],
-    # from -c - w - d_lo on, clipped at d = 1) before H overwrites it
-    cols = np.minimum((-drift - w - d_lo)[:, None] + np.arange(2 * w + 3), f_all.shape[1] - 1)
-    bracket = _diagonal_bracket(n_values[:, None], t, cols[:, 1:-1] + (d_lo - 1),
-                                f_all[np.arange(size)[:, None], cols])
-    diagonal = np.abs(bracket) ** 2 / (4.0 * math.pi)
-    h_all = _kernel_factor(f_all, n_values, t)
-
+    ranges = np.searchsorted(drift, -np.arange(d_lo, 1)[:, None] + [-w, w + 1])  # sources of each offset
+    work = np.cumsum(ranges[:, 1] - ranges[:, 0])
+    split = d_lo + 1 + int(np.searchsorted(work, work[-1] / 2))
+    halves = (range(d_lo, split), range(split, 1))
     mu_values = np.arange(-n_x + d_lo, n_x - d_lo + 1)
-    out = np.zeros((mu_values.size, size))
-    inv_sq, rows, quarter = _inverse_square(size), 2 * n_x + 1, size // 4
+    reach = np.zeros((2, mu_values.size), bool)  # the rows each thread adds to
+    for k, d in [(k, d) for k, half in enumerate(halves) for d in half]:
+        reach[k, -d - d_lo: -d - d_lo + rows] = reach[k, d - d_lo: d - d_lo + rows] = True
+    shared = np.flatnonzero(reach.all(axis=0))
+    out = np.zeros((mu_values.size + shared.size, size))  # the helper's part of the shared rows below the table
+    row_of = np.tile(np.arange(mu_values.size), (2, 1))
+    row_of[0, shared] = mu_values.size + np.arange(shared.size)
+    inv_sq = _inverse_square(n_p)
 
-    def accumulate(columns):  # every block onto the output momenta of columns, closed under m -> -m
-        buffers = np.empty((2, min(KERNEL_BLOCK, size), size - 2 * quarter))
-        for d, h_d in zip(range(d_lo, 1), h_all.T):
-            start, stop = np.searchsorted(drift, (-w - d, w - d + 1))
-            for a in range(start, stop, KERNEL_BLOCK):
-                b = min(a + KERNEL_BLOCK, stop)
-                diag = diagonal[np.arange(a, b), d + drift[a:b] + w]
-                parts = [src.table[:, a:b] @ conditional_kernel(h_d, a, diag, inv_sq, buffers, c) for c in columns]
-                for c, part in zip(columns, parts):
-                    out[-d - d_lo: -d - d_lo + rows, c] += part
-                for c, part in zip(columns if d < 0 else (), parts):  # offset -d: sources -n, rows nu + d
-                    out[d - d_lo: d - d_lo + rows, ::-1][:, c] += part
+    def accumulate(k):  # the offsets of halves[k] onto the rows row_of[k]
+        buffer = np.empty((2, 4 * rows, size))
+        for first in range(halves[k].start, halves[k].stop, 32):
+            chunk = ranges[first - d_lo: min(first + 32, halves[k].stop) - d_lo]  # the sources of each offset
+            f = _erfi_grid(n_values, np.arange(first - 1, first + len(chunk) + 1), t)
+            lo, hi = chunk[:, 0].min(), chunk[:, 1].max()
+            diagonal = np.abs(_diagonal_bracket(n_values[lo:hi, None], t, np.arange(first, first + len(chunk)),
+                                                f[lo:hi])) ** 2 / (4.0 * math.pi)
+            h = _kernel_factor(f, n_values, t)
+            for j, (a, b) in enumerate(chunk):
+                d = first + j
+                if a == b:
+                    continue
+                part = conditional_kernel(h[:, j], src.table[:, a:b], a, diagonal[a - lo: b - lo, j], inv_sq, buffer)
+                out[row_of[k, -d - d_lo: -d - d_lo + rows]] += part
+                if d < 0:  # offset -d: sources -n, rows nu + d
+                    out[row_of[k, d - d_lo: d - d_lo + rows], ::-1] += part
 
-    outer = (slice(0, quarter), slice(size - quarter, size)) if quarter else ()  # no empty column ranges
-    _both_halves(accumulate, outer, (slice(quarter, size - quarter),))
-    return TruncatedTable(table=out, first_index=mu_values, second_index=n_values,
-                          mass_deficit=max(0.0, 1.0 - float(out.sum())))
+    _both_halves(accumulate, 0, 1)
+    table = out[:mu_values.size]
+    table[shared] += out[mu_values.size:]
+    return TruncatedTable(table=table, first_index=mu_values, second_index=n_values,
+                          mass_deficit=max(0.0, 1.0 - float(table.sum())))
 
 
 @dataclass(frozen=True)

@@ -240,6 +240,16 @@ def test_j_expectation_validation():
         classical_j_expectation(d, d, QUENCH, 1, seed=0)
 
 
+@pytest.mark.parametrize("n, named", [(1, "n = 1 must be >= 2"), (2.5, "n = 2.5 must be a nonnegative integer"),
+                                      (-3, "n = -3 must be a nonnegative integer")],
+                         ids=["one", "float", "negative"])
+def test_j_expectation_names_a_bad_sample_count(n, named):
+    """A count below 2 or not an integer is a ValidationError naming n and its value, never numpy's TypeError."""
+    d = CanonicalHarmonicState(OMEGA0, BETA)
+    with pytest.raises(ValidationError, match=named):
+        classical_j_expectation(d, d, QUENCH, n, seed=0)
+
+
 # -------------------------------------------------------------- work averages
 
 

@@ -657,6 +657,7 @@ def test_classical_rejects_non_finite_parameters(tmp_path, capsys, argv, named):
 
 @pytest.mark.parametrize("argv, named", [
     (["classical", "--seed", "-1", "--n", "100"], "seed = -1"),
+    (["classical", "--n", "1"], "n = 1 must be >= 2"),
     (["verify", "--seed", "-1", "--n-models", "1"], "seed = -1"),
     (["verify", "--n-models", "-2"], "n_per_family = -2"),
     (["verify", "--n-models", "0"], "n_per_family = 0"),
@@ -680,8 +681,8 @@ def test_classical_rejects_non_finite_parameters(tmp_path, capsys, argv, named):
     (["wavepacket", "--n-x", "0"], "n_x = 0"),
     (["wavepacket", "--n-p", "0"], "n_p = 0"),
     (["wavepacket", "--mass-tolerance", "nan"], "mass_tolerance = nan"),
-], ids=["classical-seed", "verify-seed", "verify-n-models-negative", "verify-n-models-zero", "verify-empty-families",
-        "verify-repeated-families",
+], ids=["classical-seed", "classical-n-one", "verify-seed", "verify-n-models-negative", "verify-n-models-zero",
+        "verify-empty-families", "verify-repeated-families",
         "ramp-steps", "ramp-omega0-tiny", "quench-omega0-tiny", "beta-tiny", "wavepacket-empty-grid",
         "wavepacket-blank-grid", "wavepacket-t-grid-non-numeric", "wavepacket-t-nan", "wavepacket-t-inf", "wavepacket-t-neginf",
         "wavepacket-t-zero", "wavepacket-t-negative", "wavepacket-sigma-nan", "wavepacket-sigma-negative",

@@ -68,8 +68,8 @@ MUTANTS = {
     # the mirrored offset -d lands on its momenta unreversed
     "mirror_without_reversal": Mutant(
         "src/seqmeas/wavepacket.py",
-        "out[d - d_lo: d - d_lo + rows, ::-1][:, c] += part",
-        "out[d - d_lo: d - d_lo + rows][:, c] += part",
+        "out[row_of[k, d - d_lo: d - d_lo + rows], ::-1] += part",
+        "out[row_of[k, d - d_lo: d - d_lo + rows]] += part",
         ("tests/test_wavepacket.py::test_second_marginal_matches_the_slab_loop[0.02]",)),
     # every Jordan-Wigner sign is +1: the lift of a hopping term loses its fermionic parity
     "lift_without_jordan_wigner_sign": Mutant(
@@ -84,13 +84,19 @@ MUTANTS = {
         "raw = np.exp(lw - shift[..., None])",
         "raw = np.exp(lw)",
         ("tests/test_quantum.py::test_ensemble_state_takes_a_constant_in_the_log_weights_into_the_log_norm",)),
-    # the m = n entries of the kernel stay 0; the slab-loop oracle does not see it, because it
-    # builds its reference with conditional_kernel too
+    # the m = n entries of the kernel stay 0; the slab loop forms each kernel entry on its own
     "kernel_without_diagonal": Mutant(
         "src/seqmeas/wavepacket.py",
-        "kernel[on - a, on - c0] = diagonal[on - a]",
-        "kernel[on - a, on - c0] = 0.0",
-        ("tests/test_wavepacket.py::test_conditional_kernel_matches_the_per_source_oracle",)),
+        "part[:, a:a + s] += sources * diagonal",
+        "part[:, a:a + s] += 0.0 * sources * diagonal",
+        ("tests/test_wavepacket.py::test_second_marginal_matches_the_slab_loop[0.02]",)),
+    # the cross term of |H_m - H_n|^2 counted once: the rank-4 expansion no longer cancels the
+    # kernel's square, which only a table built entry by entry sees
+    "kernel_cross_term_once": Mutant(
+        "src/seqmeas/wavepacket.py",
+        "* [[1.0], [1.0], [-2.0], [-2.0]]",
+        "* [[1.0], [1.0], [-1.0], [-1.0]]",
+        ("tests/test_wavepacket.py::test_second_marginal_matches_the_slab_loop[0.02]",)),
     # artifact cells at 16 digits: a double no longer survives the CSV round trip
     "artifact_cells_at_16_digits": Mutant(
         "src/seqmeas/cli.py",
